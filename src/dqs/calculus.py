@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DqsError
+from .operators import boundary, costar, nullity
 from .surface import (
     SLOT_BM,
     SLOT_BP,
@@ -193,13 +194,6 @@ def multiply_vertex(cx: QuadComplex, f, omega) -> OneForm:
     return OneForm(f[keys] * omega.values)
 
 
-def boundary_sum_vertex(cx: QuadComplex, omega, v: int) -> complex:
-    """Integral of a one-form over the ccw boundary of the vertex face."""
-    if isinstance(omega, DiamondForm):
-        omega = omega.expand(cx)
-    return -sum(omega.values[4 * q + slot] for (q, slot) in cx.incidences[v])
-
-
 def d_one_form(cx: QuadComplex, omega) -> TwoForm:
     """Exterior derivative: face value = ccw boundary sum (Stokes as definition)."""
     if isinstance(omega, DiamondForm):
@@ -207,9 +201,7 @@ def d_one_form(cx: QuadComplex, omega) -> TwoForm:
     vals = omega.values
     quad_values = vals.reshape(-1, 4).sum(axis=1)
     vertex_values = np.zeros(cx.nv, dtype=complex)
-    for q, t in enumerate(cx.quads):
-        for slot, v in enumerate(t):
-            vertex_values[v] -= vals[4 * q + slot]
+    np.add.at(vertex_values, np.asarray(cx.quads, dtype=np.intp).reshape(-1), -vals)
     return TwoForm(vertex_values, quad_values)
 
 
@@ -283,51 +275,21 @@ def laplacian_matrix(cx: QuadComplex) -> np.ndarray:
     vertex face F_v.  Harmonicity of f at v is independent of the face
     volume normalization.
     """
-    n = cx.nv
-    L = np.zeros((n, n), dtype=complex)
-    rho = np.asarray(cx.rho)
-    re, im, a2 = rho.real, rho.imag, np.abs(rho) ** 2
-    for q, t in enumerate(cx.quads):
-        bm, wm, bp, wp = t
-        # df coordinates: beta = (f[bp]-f[bm])/2, gamma = (f[wp]-f[wm])/2
-        # star df: beta* = -(im*beta + gamma)/re, gamma* = (a2*beta + im*gamma)/re
-        cb = {bp: 0.5, bm: -0.5}
-        cg = {wp: 0.5, wm: -0.5}
-        for vtx, coef in cb.items():
-            bstar = -(im[q] / re[q]) * coef
-            gstar = (a2[q] / re[q]) * coef
-            L[wm, vtx] -= bstar
-            L[wp, vtx] += bstar
-            L[bp, vtx] -= gstar
-            L[bm, vtx] += gstar
-        for vtx, coef in cg.items():
-            bstar = -(1.0 / re[q]) * coef
-            gstar = (im[q] / re[q]) * coef
-            L[wm, vtx] -= bstar
-            L[wp, vtx] += bstar
-            L[bp, vtx] -= gstar
-            L[bm, vtx] += gstar
-    return L
+    B = boundary(cx)
+    nq = cx.nq
+    d = 0.5 * np.vstack([-B[:, nq:].T, B[:, :nq].T])  # df in (black, white) values
+    return costar(cx, B) @ d
 
 
 def laplacian(cx: QuadComplex, f) -> np.ndarray:
     """Discrete Laplacian of a vertex function (unit face volumes)."""
     f = as_vertex_function(cx, f)
-    star_df = hodge_star(cx, d_function(cx, f))
-    vals = star_df.expand(cx).values
-    out = np.zeros(cx.nv, dtype=complex)
-    for q, t in enumerate(cx.quads):
-        for slot, v in enumerate(t):
-            out[v] -= vals[4 * q + slot]
-    return out
+    return d_one_form(cx, hodge_star(cx, d_function(cx, f))).vertex_values
 
 
 def check_liouville(cx: QuadComplex, cutoff: float = 1e-9) -> int:
     """Kernel dimension of the Laplacian; 2 on any compact surface."""
-    L = laplacian_matrix(cx)
-    s = np.linalg.svd(L, compute_uv=False)
-    smax = s.max(initial=0.0)
-    return int(np.sum(s <= cutoff * max(smax, 1e-300)))
+    return nullity(laplacian_matrix(cx), cutoff)
 
 
 # ---------------------------------------------------------------------------

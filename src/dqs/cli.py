@@ -34,7 +34,7 @@ from .io import (
     serialize_map_bundle,
     serialize_oneform,
 )
-from .surface import genus, validate
+from .surface import genus, require_ids, validate
 from .selftest import run_all
 
 
@@ -43,11 +43,6 @@ def _read_input(path):
         return sys.stdin.read(), "<stdin>"
     with open(path, "r", encoding="utf-8") as fh:
         return fh.read(), path
-
-
-def _load_surface(path):
-    text, name = _read_input(path)
-    return parse_dqs(text, name)
 
 
 def _complex_arg(s: str) -> complex:
@@ -263,6 +258,7 @@ def cmd_abel_jacobi(args):
     jac, jb, jw = ja.jacobians(pm)
     report = Report("abel-jacobi", args.format, _digest(text))
     v = args.point
+    require_ids((v,), cx.nv, "vertex")
     if cx.colors[v] == 0:
         val = ja.abel_jacobi_black(cx, basis, hb, jb, args.base, v)
         lattice = jb

@@ -3,11 +3,13 @@
 All solvers work in the per-quad unknowns of a diamond form.  A general
 form has two complex unknowns per quad (its black and white values); a
 form without antiholomorphic part has one (the dz coefficient p, whose
-black value is p and white value i*rho*p).  Closedness at a vertex is
-one linear equation in the incident quads' values, and periods are
-linear functionals over the stored basis chains, so existence and
-uniqueness theorems turn into small dense least-squares problems whose
-residuals we check explicitly.
+black value is p and white value i*rho*p).  Every system comes from the
+one vertex-boundary operator of ``dqs.operators``: closedness is the
+operator itself, co-closedness is the operator after the Hodge star,
+and residues of p dz forms are the operator after the p dz embedding.
+Periods are doubled sums over the stored basis chains.  Each existence
+and uniqueness theorem is one dense least-squares problem, solved by
+``operators.solve``, which checks full column rank and the residual.
 """
 
 from __future__ import annotations
@@ -18,47 +20,24 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AmbiguityError, DqsError, SolveError
-from .calculus import DiamondForm, decompose_all, from_coefficients
+from .calculus import DiamondForm, d_one_form, decompose_all, from_coefficients
 from .homology import (
     HomologyBasis,
     integrate_black_chain,
     integrate_cycle,
     integrate_white_chain,
 )
-from .surface import BLACK, WHITE, QuadComplex, varignon_area
+from .operators import boundary, chain_rows, costar, dz, nullity, solve
+from .surface import BLACK, WHITE, QuadComplex, require_ids, varignon_area
 
 
-def _closedness_rows_full(cx: QuadComplex):
-    """Closedness of a general diamond form: one row per vertex.
+def _dz_system(cx: QuadComplex, basis: HomologyBasis) -> np.ndarray:
+    """Vertex boundary and doubled a-periods over (black, white) values.
 
-    Unknown layout: black values 0..nq-1, white values nq..2nq-1.
-    Around a black vertex only white values enter and vice versa.
+    Composed with the p dz embedding its rows are the residues and the
+    a-period normalization of a form without antiholomorphic part.
     """
-    rows = np.zeros((cx.nv, 2 * cx.nq), dtype=complex)
-    for q, t in enumerate(cx.quads):
-        bm, wm, bp, wp = t
-        rows[bp, cx.nq + q] -= 1.0
-        rows[bm, cx.nq + q] += 1.0
-        rows[wm, q] -= 1.0
-        rows[wp, q] += 1.0
-    return rows
-
-
-def _star_matrix(cx: QuadComplex):
-    """Per-quad 2x2 blocks of the Hodge star in (black, white) values."""
-    rho = np.asarray(cx.rho)
-    re, im, a2 = rho.real, rho.imag, np.abs(rho) ** 2
-    return (-im / re, -1.0 / re, a2 / re, im / re)  # bb, bw, wb, ww
-
-
-def _chain_row_black(cx: QuadComplex, chain, row, offset=0, factor=2.0):
-    for q, s in chain:
-        row[offset + q] += factor * s
-
-
-def _chain_row_white(cx: QuadComplex, chain, row, offset, factor=2.0):
-    for q, s in chain:
-        row[offset + q] += factor * s
+    return np.vstack([boundary(cx), chain_rows(basis.a_chains, cx.nq)])
 
 
 def harmonic_with_periods(cx: QuadComplex, basis: HomologyBasis, targets,
@@ -70,84 +49,33 @@ def harmonic_with_periods(cx: QuadComplex, basis: HomologyBasis, targets,
     """
     g = basis.g
     targets = np.asarray(targets, dtype=complex).reshape(4 * g)
-    nq = cx.nq
-    closed = _closedness_rows_full(cx)
-    sbb, sbw, swb, sww = _star_matrix(cx)
-    costar = np.zeros((cx.nv, 2 * nq), dtype=complex)
-    # co-closedness: closedness of the starred form
-    for q, t in enumerate(cx.quads):
-        bm, wm, bp, wp = t
-        costar[bp, q] -= swb[q]
-        costar[bp, nq + q] -= sww[q]
-        costar[bm, q] += swb[q]
-        costar[bm, nq + q] += sww[q]
-        costar[wm, q] -= sbb[q]
-        costar[wm, nq + q] -= sbw[q]
-        costar[wp, q] += sbb[q]
-        costar[wp, nq + q] += sbw[q]
-
-    period_rows = np.zeros((4 * g, 2 * nq), dtype=complex)
-    for k in range(g):
-        _chain_row_black(cx, basis.a_chains[k].black, period_rows[k])
-        _chain_row_white(cx, basis.a_chains[k].white, period_rows[g + k], nq)
-        _chain_row_black(cx, basis.b_chains[k].black, period_rows[2 * g + k])
-        _chain_row_white(cx, basis.b_chains[k].white, period_rows[3 * g + k], nq)
-
-    A = np.vstack([closed, costar, period_rows])
+    B = boundary(cx)
+    A = np.vstack([B, costar(cx, B), chain_rows(basis.a_chains, cx.nq),
+                   chain_rows(basis.b_chains, cx.nq)])
     rhs = np.concatenate([np.zeros(2 * cx.nv, complex), targets])
-    sol, *_ = np.linalg.lstsq(A, rhs, rcond=None)
-    res = np.abs(A @ sol - rhs).max()
-    if res > tol * max(1.0, np.abs(targets).max(initial=0.0)):
-        raise SolveError(f"harmonic system residual {res:.3e} exceeds tolerance")
-    return DiamondForm(sol[:nq], sol[nq:])
+    sol = solve(A, rhs, tol, "harmonic")
+    return DiamondForm(sol[:cx.nq], sol[cx.nq:])
 
 
 def nullity_harmonic(cx: QuadComplex, cutoff: float = 1e-9) -> int:
     """Dimension of the space of harmonic forms (expected 4g)."""
-    closed = _closedness_rows_full(cx)
-    nq = cx.nq
-    sbb, sbw, swb, sww = _star_matrix(cx)
-    costar = np.zeros((cx.nv, 2 * nq), dtype=complex)
-    for q, t in enumerate(cx.quads):
-        bm, wm, bp, wp = t
-        costar[bp, q] -= swb[q]
-        costar[bp, nq + q] -= sww[q]
-        costar[bm, q] += swb[q]
-        costar[bm, nq + q] += sww[q]
-        costar[wm, q] -= sbb[q]
-        costar[wm, nq + q] -= sbw[q]
-        costar[wp, q] += sbb[q]
-        costar[wp, nq + q] += sbw[q]
-    return _nullity(np.vstack([closed, costar]), cutoff)
-
-
-def _nullity(A: np.ndarray, cutoff: float = 1e-9) -> int:
-    if A.shape[0] == 0:
-        return A.shape[1]
-    s = np.linalg.svd(A, compute_uv=False)
-    smax = s.max(initial=0.0)
-    if smax == 0.0:
-        return A.shape[1]
-    rank = int(np.sum(s > cutoff * smax))
-    return A.shape[1] - rank
-
-
-def _holomorphic_closedness(cx: QuadComplex):
-    """Closedness rows for pure-dz forms in the unknowns p per quad."""
-    rho = np.asarray(cx.rho)
-    rows = np.zeros((cx.nv, cx.nq), dtype=complex)
-    for q, t in enumerate(cx.quads):
-        bm, wm, bp, wp = t
-        rows[bp, q] -= 1j * rho[q]
-        rows[bm, q] += 1j * rho[q]
-        rows[wm, q] -= 1.0
-        rows[wp, q] += 1.0
-    return rows
+    B = boundary(cx)
+    return nullity(np.vstack([B, costar(cx, B)]), cutoff)
 
 
 def nullity_holomorphic(cx: QuadComplex, cutoff: float = 1e-9) -> int:
     """Dimension of the space of holomorphic forms (expected 2g)."""
-    return _nullity(_holomorphic_closedness(cx), cutoff)
+    return nullity(dz(cx, boundary(cx)), cutoff)
+
+
+def _holomorphic_solve(cx: QuadComplex, basis: HomologyBasis, targets,
+                       tol: float) -> np.ndarray:
+    """dz coefficients of the holomorphic forms with given a-periods.
+
+    targets is 2g x k, one column of (A_black, A_white) per form.
+    """
+    rhs = np.vstack([np.zeros((cx.nv, targets.shape[1]), complex), targets])
+    return solve(dz(cx, _dz_system(cx, basis)), rhs, tol, "holomorphic")
 
 
 def holomorphic_with_a_periods(cx: QuadComplex, basis: HomologyBasis, targets,
@@ -156,26 +84,8 @@ def holomorphic_with_a_periods(cx: QuadComplex, basis: HomologyBasis, targets,
 
     targets holds (A_black_1..g, A_white_1..g).
     """
-    g = basis.g
-    targets = np.asarray(targets, dtype=complex).reshape(2 * g)
-    rho = np.asarray(cx.rho)
-    closed = _holomorphic_closedness(cx)
-    period_rows = np.zeros((2 * g, cx.nq), dtype=complex)
-    for k in range(g):
-        _chain_row_black(cx, basis.a_chains[k].black, period_rows[k])
-        for q, s in basis.a_chains[k].white:
-            period_rows[g + k, q] += 2.0 * s * 1j * rho[q]
-    A = np.vstack([closed, period_rows])
-    rhs = np.concatenate([np.zeros(cx.nv, complex), targets])
-    sol, _, rank, _ = np.linalg.lstsq(A, rhs, rcond=None)
-    if rank < cx.nq:
-        raise SolveError(
-            f"holomorphic system rank {rank} < {cx.nq}; a-periods do not "
-            "determine the form")
-    res = np.abs(A @ sol - rhs).max()
-    if res > tol * max(1.0, np.abs(targets).max(initial=0.0)):
-        raise SolveError(f"holomorphic system residual {res:.3e} exceeds tolerance")
-    return from_coefficients(cx, sol)
+    targets = np.asarray(targets, dtype=complex).reshape(2 * basis.g, 1)
+    return from_coefficients(cx, _holomorphic_solve(cx, basis, targets, tol)[:, 0])
 
 
 @dataclass(frozen=True)
@@ -198,18 +108,12 @@ class HolomorphicBasis:
 
 def canonical_bases(cx: QuadComplex, basis: HomologyBasis, tol: float = 1e-9) -> HolomorphicBasis:
     g = basis.g
-    ob, ow, o = [], [], []
-    for k in range(g):
-        tb = np.zeros(2 * g, complex)
-        tb[k] = 1.0
-        tw = np.zeros(2 * g, complex)
-        tw[g + k] = 1.0
-        fb = holomorphic_with_a_periods(cx, basis, tb, tol)
-        fw = holomorphic_with_a_periods(cx, basis, tw, tol)
-        ob.append(fb)
-        ow.append(fw)
-        o.append(fb + fw)
-    return HolomorphicBasis(tuple(ob), tuple(ow), tuple(o))
+    if g == 0:
+        return HolomorphicBasis((), (), ())
+    p = _holomorphic_solve(cx, basis, np.eye(2 * g), tol)
+    ob = tuple(from_coefficients(cx, p[:, k]) for k in range(g))
+    ow = tuple(from_coefficients(cx, p[:, g + k]) for k in range(g))
+    return HolomorphicBasis(ob, ow, tuple(b + w for b, w in zip(ob, ow)))
 
 
 @dataclass(frozen=True)
@@ -306,14 +210,7 @@ def transform_periods(Pi_full: np.ndarray, A, B, C, D) -> np.ndarray:
 
 def residues(cx: QuadComplex, omega: DiamondForm) -> np.ndarray:
     """Residue at every vertex: boundary integral of F_v over 2*pi*i."""
-    out = np.zeros(cx.nv, dtype=complex)
-    for q, t in enumerate(cx.quads):
-        bm, wm, bp, wp = t
-        out[wm] -= omega.black[q]
-        out[wp] += omega.black[q]
-        out[bp] -= omega.white[q]
-        out[bm] += omega.white[q]
-    return out / (2j * math.pi)
+    return d_one_form(cx, omega).vertex_values / (2j * math.pi)
 
 
 def residue(cx: QuadComplex, omega: DiamondForm, v: int) -> complex:
@@ -339,51 +236,6 @@ class AbelianDifferential:
         return complex(p[q])
 
 
-def _residue_rows_pure(cx: QuadComplex):
-    """Residues of p dz forms: rows in the unknowns p (factor 2*pi*i kept)."""
-    rho = np.asarray(cx.rho)
-    rows = np.zeros((cx.nv, cx.nq), dtype=complex)
-    for q, t in enumerate(cx.quads):
-        bm, wm, bp, wp = t
-        rows[wm, q] -= 1.0
-        rows[wp, q] += 1.0
-        rows[bp, q] -= 1j * rho[q]
-        rows[bm, q] += 1j * rho[q]
-    return rows
-
-
-def _cycle_rows_pure(cx: QuadComplex, cycles):
-    """Plain medial integrals of p dz forms over explicit cycles."""
-    from .surface import SLOT_BP, SLOT_WM, SLOT_WP
-
-    rho = np.asarray(cx.rho)
-    rows = np.zeros((len(cycles), cx.nq), dtype=complex)
-    for i, c in enumerate(cycles):
-        for e, s in c.edges:
-            q, slot = divmod(e, 4)
-            if slot == SLOT_WM:
-                rows[i, q] += s
-            elif slot == SLOT_WP:
-                rows[i, q] -= s
-            elif slot == SLOT_BP:
-                rows[i, q] += s * 1j * rho[q]
-            else:
-                rows[i, q] -= s * 1j * rho[q]
-    return rows
-
-
-def _a_period_rows_pure(cx: QuadComplex, basis: HomologyBasis) -> np.ndarray:
-    """Black and white a-period functionals of p dz forms (doubled chains)."""
-    g = basis.g
-    rho = np.asarray(cx.rho)
-    rows = np.zeros((2 * g, cx.nq), dtype=complex)
-    for k in range(g):
-        _chain_row_black(cx, basis.a_chains[k].black, rows[k])
-        for q, s in basis.a_chains[k].white:
-            rows[g + k, q] += 2.0 * s * 1j * rho[q]
-    return rows
-
-
 def abelian_third(cx: QuadComplex, basis: HomologyBasis, v: int, v2: int,
                   tol: float = 1e-9) -> AbelianDifferential:
     """Normalized third-kind differential: residues +1 at v, -1 at v2.
@@ -397,22 +249,14 @@ def abelian_third(cx: QuadComplex, basis: HomologyBasis, v: int, v2: int,
     classes multiply to one and plain periods cannot separate the
     holomorphic forms.)
     """
+    require_ids((v, v2), cx.nv, "vertex")
     if v == v2 or cx.colors[v] != cx.colors[v2]:
         raise DqsError("poles must be two distinct vertices of the same color")
-    res_rows = _residue_rows_pure(cx)
-    target = np.zeros(cx.nv, complex)
-    target[v] = 1.0
-    target[v2] = -1.0
-    A = np.vstack([res_rows, _a_period_rows_pure(cx, basis)])
-    rhs = np.concatenate([2j * math.pi * target, np.zeros(2 * basis.g, complex)])
-    sol, _, rank, _ = np.linalg.lstsq(A, rhs, rcond=None)
-    if rank < cx.nq:
-        raise AmbiguityError(
-            "third-kind normalization system is singular; the result "
-            "would not be unique")
-    res = np.abs(A @ sol - rhs).max()
-    if res > tol * max(1.0, np.abs(rhs).max()):
-        raise SolveError(f"third-kind system residual {res:.3e}")
+    rhs = np.zeros(cx.nv + 2 * basis.g, complex)
+    rhs[v] = 2j * math.pi
+    rhs[v2] = -2j * math.pi
+    sol = solve(dz(cx, _dz_system(cx, basis)), rhs, tol, "third-kind",
+                rank_error=AmbiguityError)
     return AbelianDifferential(from_coefficients(cx, sol), "third",
                                {v: 1.0, v2: -1.0}, {})
 
@@ -438,28 +282,15 @@ def abelian_second(cx: QuadComplex, basis: HomologyBasis, q0: int,
     -pi / (2 * area of the medial parallelogram); all black and white
     a-periods vanish.
     """
+    require_ids((q0,), cx.nq, "quad")
     qbar = -math.pi / (2.0 * varignon_area(cx.rho[q0]))
     defect = np.zeros(cx.nq, complex)
     defect[q0] = qbar
     defect_form = from_coefficients(cx, np.zeros(cx.nq, complex), defect)
-
-    res_rows = _residue_rows_pure(cx)
-    g = basis.g
-    A = np.vstack([res_rows, _a_period_rows_pure(cx, basis)])
-
     # the fixed dzbar part contributes to residues and periods
-    rhs_res = -2j * math.pi * residues(cx, defect_form)
-    rhs_per = np.zeros(2 * g, complex)
-    for k in range(g):
-        rhs_per[k] = -2.0 * integrate_black_chain(cx, defect_form, basis.a_chains[k].black)
-        rhs_per[g + k] = -2.0 * integrate_white_chain(cx, defect_form, basis.a_chains[k].white)
-    rhs = np.concatenate([rhs_res, rhs_per])
-    sol, _, rank, _ = np.linalg.lstsq(A, rhs, rcond=None)
-    if rank < cx.nq:
-        raise SolveError("second-kind system is rank deficient")
-    res = np.abs(A @ sol - rhs).max()
-    if res > tol * max(1.0, np.abs(rhs).max()):
-        raise SolveError(f"second-kind system residual {res:.3e}")
+    M = _dz_system(cx, basis)
+    rhs = -M @ np.concatenate([defect_form.black, defect_form.white])
+    sol = solve(dz(cx, M), rhs, tol, "second-kind")
     form = from_coefficients(cx, sol) + defect_form
     return AbelianDifferential(form, "second", {}, {q0: complex(qbar)})
 

@@ -152,19 +152,6 @@ def serialize_function(f) -> str:
     return json.dumps({str(i): [f[i].real, f[i].imag] for i in range(len(f))})
 
 
-def parse_function(text: str, cx: QuadComplex, name: str = "<function>") -> np.ndarray:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(name, f"invalid JSON: {exc}") from None
-    out = np.zeros(cx.nv, complex)
-    for k, v in doc.items():
-        i = int(k)
-        _require(0 <= i < cx.nv, name, f"unknown vertex {i}")
-        out[i] = complex(v[0], v[1])
-    return out
-
-
 # ---------------------------------------------------------------------------
 # map bundles
 

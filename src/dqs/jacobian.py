@@ -28,6 +28,7 @@ from .surface import (
     WHITE,
     QuadComplex,
     medial_edge_index,
+    require_ids,
 )
 
 
@@ -133,6 +134,8 @@ def abel_jacobi_black(cx: QuadComplex, basis: HomologyBasis, hb: HolomorphicBasi
     black diagonal and then a black path to the target; the anchor
     corner drops out because diagonal steps double the half-diagonal.
     """
+    require_ids((base_quad,), cx.nq, "quad")
+    require_ids((target,), cx.nv, "vertex")
     if cx.colors[target] != BLACK:
         raise DqsError("target must be a black vertex")
     anchor = cx.quads[base_quad][SLOT_BM]
@@ -151,6 +154,8 @@ def abel_jacobi_white(cx: QuadComplex, basis: HomologyBasis, hb: HolomorphicBasi
                       jac_white: Jacobian, base_quad: int, target: int,
                       path: GraphPath = None) -> AJValue:
     """White mirror of the black Abel-Jacobi map."""
+    require_ids((base_quad,), cx.nq, "quad")
+    require_ids((target,), cx.nv, "vertex")
     if cx.colors[target] != WHITE:
         raise DqsError("target must be a white vertex")
     anchor = cx.quads[base_quad][SLOT_WM]
@@ -246,6 +251,7 @@ def abel_jacobi_quad(cx: QuadComplex, hb: HolomorphicBasis,
     face, connected by a deterministic medial path; the black and white
     shadow values follow the same route along the diagonal graphs.
     """
+    require_ids((q1, q2), cx.nq, "quad")
     t1, t2 = cx.quads[q1], cx.quads[q2]
     b1, w1 = t1[SLOT_BM], t1[SLOT_WM]
     b2, w2 = t2[SLOT_BM], t2[SLOT_WM]
@@ -301,17 +307,3 @@ def aj_cr_residual(cx: QuadComplex, hb: HolomorphicBasis) -> float:
     for f in hb.omega:
         worst = max(worst, float(np.abs(2.0 * (f.white - 1j * rho * f.black)).max(initial=0.0)))
     return worst
-
-
-def aj_vertex_values(cx: QuadComplex, hb: HolomorphicBasis, base_quad: int, q: int):
-    """Quad-consistent Abel-Jacobi corner values over one quad's lift.
-
-    Returns the four C^g values at (b-, w-, b+, w+) relative to the
-    common path constant, which cancels in any difference.
-    """
-    vals = []
-    for f in hb.omega:
-        beta, gamma = f.black[q], f.white[q]
-        vals.append((-beta, -gamma, beta, gamma))
-    arr = np.array(vals)  # g x 4
-    return [arr[:, i] for i in range(4)]

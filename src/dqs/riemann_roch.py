@@ -25,7 +25,8 @@ from .differentials import (
     canonical_bases,
 )
 from .homology import HomologyBasis
-from .surface import BLACK, WHITE, QuadComplex, genus
+from .operators import boundary, compose, dz, nullity
+from .surface import BLACK, WHITE, QuadComplex, genus, require_ids
 
 
 @dataclass(frozen=True)
@@ -90,17 +91,11 @@ def is_degenerate_divisor(cx: QuadComplex, d: Divisor) -> bool:
     return all(d.quad_coeffs.get(q) == 2 for q in range(cx.nq))
 
 
-def _require_admissible(d: Divisor):
+def _require_admissible(cx: QuadComplex, d: Divisor):
+    require_ids(d.vertex_coeffs, cx.nv, "vertex")
+    require_ids(d.quad_coeffs, cx.nq, "quad")
     if not d.admissible:
         raise DqsError("divisor is not admissible (vertex in {-1,0}, quad in {-2,0,1})")
-
-
-def _cr_row(cx: QuadComplex, q: int, rows, r: int):
-    bm, wm, bp, wp = cx.quads[q]
-    rows[r, wp] += 1.0
-    rows[r, wm] -= 1.0
-    rows[r, bp] -= 1j * cx.rho[q]
-    rows[r, bm] += 1j * cx.rho[q]
 
 
 def l_system(cx: QuadComplex, d: Divisor) -> np.ndarray:
@@ -108,46 +103,24 @@ def l_system(cx: QuadComplex, d: Divisor) -> np.ndarray:
 
     Quads with coefficient 1 in D allow a pole (no holomorphicity row);
     quads with -2 force a double value; vertices with -1 force a zero.
+    The holomorphicity rows are the transposed residue rows of p dz
+    forms, and the double-value rows are the black and white rows of
+    2 * d_function at each double quad.
     """
-    _require_admissible(d)
-    rows_needed = (cx.nq + sum(1 for c in d.quad_coeffs.values() if c == -2) * 2
-                   + sum(1 for c in d.vertex_coeffs.values() if c == -1))
-    rows = np.zeros((rows_needed, cx.nv), dtype=complex)
-    r = 0
-    for q in range(cx.nq):
-        if d.quad_coeffs.get(q) == 1:
-            continue  # simple pole allowed here
-        _cr_row(cx, q, rows, r)
-        r += 1
-    for q, c in sorted(d.quad_coeffs.items()):
-        if c == -2:
-            bm, wm, bp, wp = cx.quads[q]
-            rows[r, bp] += 1.0
-            rows[r, bm] -= 1.0
-            r += 1
-            rows[r, wp] += 1.0
-            rows[r, wm] -= 1.0
-            r += 1
-    for v, c in sorted(d.vertex_coeffs.items()):
-        if c == -1:
-            rows[r, v] = 1.0
-            r += 1
-    return rows[:r]
-
-
-def _kernel_dim(A: np.ndarray, ncols: int, cutoff: float = 1e-9) -> int:
-    if A.shape[0] == 0:
-        return ncols
-    s = np.linalg.svd(A, compute_uv=False)
-    smax = s.max(initial=0.0)
-    if smax == 0.0:
-        return ncols
-    return ncols - int(np.sum(s > cutoff * smax))
+    _require_admissible(cx, d)
+    B = boundary(cx)
+    nq = cx.nq
+    cr = dz(cx, B).T
+    holomorphic = [q for q in range(nq) if d.quad_coeffs.get(q) != 1]
+    double = np.array(sorted(q for q, c in d.quad_coeffs.items() if c == -2), dtype=np.intp)
+    double_rows = np.stack([-B[:, nq + double].T, B[:, double].T], axis=1).reshape(-1, cx.nv)
+    zeros = np.eye(cx.nv)[sorted(v for v, c in d.vertex_coeffs.items() if c == -1)]
+    return np.vstack([cr[holomorphic], double_rows, zeros])
 
 
 def l_dim(cx: QuadComplex, d: Divisor, cutoff: float = 1e-9) -> int:
     """dim L(-D): meromorphic functions with divisor >= -D."""
-    return _kernel_dim(l_system(cx, d), cx.nv, cutoff)
+    return nullity(l_system(cx, d), cutoff)
 
 
 def i_system(cx: QuadComplex, d: Divisor):
@@ -158,48 +131,21 @@ def i_system(cx: QuadComplex, d: Divisor):
     zero residues at every vertex without a pole allowance and vanishing
     of the form at quads with coefficient 1.
     """
-    _require_admissible(d)
+    _require_admissible(cx, d)
+    B = boundary(cx)
     dzbar_quads = sorted(q for q, c in d.quad_coeffs.items() if c == -2)
-    n_unknowns = cx.nq + len(dzbar_quads)
-    col_of_dzbar = {q: cx.nq + i for i, q in enumerate(dzbar_quads)}
-
-    pole_vertices = {v for v, c in d.vertex_coeffs.items() if c == -1}
+    cols = np.hstack([dz(cx, B), compose(B, 1.0, -1j * np.conj(cx.rho))[:, dzbar_quads]])
+    n_unknowns = cols.shape[1]
+    residue_free = [v for v in range(cx.nv) if d.vertex_coeffs.get(v) != -1]
     zero_quads = sorted(q for q, c in d.quad_coeffs.items() if c == 1)
-
-    rows = []
-    rho = np.asarray(cx.rho)
-    for v in range(cx.nv):
-        if v in pole_vertices:
-            continue
-        row = np.zeros(n_unknowns, dtype=complex)
-        for q, slot in cx.incidences[v]:
-            bm, wm, bp, wp = cx.quads[q]
-            # boundary integral contributions: black value at white keys,
-            # white value at black keys, with the vertex-face signs
-            if v == wm:
-                bsign, wsign = -1.0, 0.0
-            elif v == wp:
-                bsign, wsign = 1.0, 0.0
-            elif v == bp:
-                bsign, wsign = 0.0, -1.0
-            else:
-                bsign, wsign = 0.0, 1.0
-            row[q] += bsign * 1.0 + wsign * (1j * rho[q])
-            if q in col_of_dzbar:
-                row[col_of_dzbar[q]] += bsign * 1.0 + wsign * (-1j * np.conj(rho[q]))
-        rows.append(row)
-    for q in zero_quads:
-        row = np.zeros(n_unknowns, dtype=complex)
-        row[q] = 1.0
-        rows.append(row)
-    A = np.array(rows) if rows else np.zeros((0, n_unknowns), dtype=complex)
+    A = np.vstack([cols[residue_free], np.eye(cx.nq, n_unknowns)[zero_quads]])
     return A, n_unknowns
 
 
 def i_dim(cx: QuadComplex, d: Divisor, cutoff: float = 1e-9) -> int:
     """dim H(D): Abelian differentials with divisor >= D."""
-    A, n = i_system(cx, d)
-    return _kernel_dim(A, n, cutoff)
+    A, _ = i_system(cx, d)
+    return nullity(A, cutoff)
 
 
 @dataclass(frozen=True)
@@ -231,7 +177,7 @@ def i_dim_basis_route(cx: QuadComplex, basis: HomologyBasis, d: Divisor,
     where D forces a zero.  The kernel is H(D), computed independently
     of the direct route.
     """
-    _require_admissible(d)
+    _require_admissible(cx, d)
     g = basis.g
     hb = canonical_bases(cx, basis)
     columns = []
@@ -257,7 +203,7 @@ def i_dim_basis_route(cx: QuadComplex, basis: HomologyBasis, d: Divisor,
         p, _ = decompose_all(cx, form)
         for i, q in enumerate(zero_quads):
             M[i, j] = p[q]
-    return _kernel_dim(M, len(columns), cutoff)
+    return nullity(M, cutoff)
 
 
 # ---------------------------------------------------------------------------
@@ -311,6 +257,7 @@ def gen_one_pole_surface(cx: QuadComplex, q0: int, rho1: complex, rho2: complex)
     function with a single simple pole at the inner quad (which keeps
     the id q0).
     """
+    require_ids((q0,), cx.nq, "quad")
     rho1, rho2 = complex(rho1), complex(rho2)
     if rho1.real <= 0 or rho2.real <= 0:
         raise DqsError("gadget weights must have positive real part")

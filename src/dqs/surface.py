@@ -33,6 +33,7 @@ import numpy as np
 from .errors import (
     AmbiguousGluingError,
     ChartConstructionError,
+    DqsError,
     MalformedSurfaceError,
     SurfaceError,
 )
@@ -380,6 +381,13 @@ def require_surface(cx: QuadComplex):
         msgs = [str(v) for v in report.violations if v.kind != "strong-regularity"]
         raise SurfaceError("not a discrete quad surface:\n" + "\n".join(msgs))
     return report
+
+
+def require_ids(ids, n: int, what: str):
+    """Raise DqsError unless every id lies in range(n); negatives do not wrap."""
+    for i in ids:
+        if not 0 <= i < n:
+            raise DqsError(f"{what} id {i} out of range 0..{n - 1}")
 
 
 def genus(cx: QuadComplex) -> int:

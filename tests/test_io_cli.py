@@ -228,3 +228,23 @@ class TestCli:
         assert code == 0
         surf, _ = parse_dqs(out)
         assert surf.nq == 6 and surf.nv == 8
+
+
+@pytest.mark.parametrize("argv", [
+    ["riemann-roch", "--divisor", "v:999=-1"],
+    ["riemann-roch", "--divisor", "q:-1=1"],
+    ["abelian", "--second", "999"],
+    ["abelian", "--second", "-1"],
+    ["abelian", "--third", "0", "999"],
+    ["abel-jacobi", "--base", "99", "--point", "0"],
+    ["abel-jacobi", "--base", "0", "--point", "999"],
+    ["gen", "one-pole", "--quad", "-1", "--rho1", "1", "--rho2", "1", "--base"],
+])
+def test_out_of_range_ids_are_clean_errors(argv, tmp_path, capsys):
+    cx = gen_torus(4, 4, 1j)
+    path = tmp_path / "t.dqs"
+    path.write_text(serialize_dqs(cx, standard_torus_basis(cx, 4, 4)))
+    code = main(argv + [str(path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and "out of range" in err
