@@ -9,6 +9,7 @@ exit nonzero when a check fails or an input is malformed.
 from __future__ import annotations
 
 import argparse
+import cmath
 import hashlib
 import json
 import sys
@@ -46,7 +47,15 @@ def _read_input(path):
 
 
 def _complex_arg(s: str) -> complex:
-    return complex(s.replace("i", "j"))
+    """A finite complex number written like 1+2i, 0.5, or 1+2j."""
+    s = s.strip()
+    try:
+        z = complex(s[:-1] + "j" if s.endswith("i") else s)
+    except ValueError:
+        raise ParseError("<argument>", f"bad complex number {s!r}; write e.g. 1+2i") from None
+    if not cmath.isfinite(z):
+        raise ParseError("<argument>", f"complex number {s!r} is not finite")
+    return z
 
 
 def _matrix_json(m) -> list:

@@ -8,8 +8,12 @@ one vertex-boundary operator of ``dqs.operators``: closedness is the
 operator itself, co-closedness is the operator after the Hodge star,
 and residues of p dz forms are the operator after the p dz embedding.
 Periods are doubled sums over the stored basis chains.  Each existence
-and uniqueness theorem is one dense least-squares problem, solved by
-``operators.solve``, which checks full column rank and the residual.
+and uniqueness theorem is one linear system that is square once one
+black-vertex and one white-vertex row of every boundary block are
+dropped (the rows of each color sum to zero).  ``operators.solve``
+factors it with one dense LU, checks uniqueness by a condition estimate,
+the backward error, and the residual on the full system, and reports
+the exact rank when the system is singular.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from .homology import (
     integrate_cycle,
     integrate_white_chain,
 )
-from .operators import boundary, chain_rows, costar, dz, nullity, solve
+from .operators import boundary, chain_rows, costar, dependent_rows, dz, nullity, solve
 from .surface import BLACK, WHITE, QuadComplex, require_ids, varignon_area
 
 
@@ -53,7 +57,8 @@ def harmonic_with_periods(cx: QuadComplex, basis: HomologyBasis, targets,
     A = np.vstack([B, costar(cx, B), chain_rows(basis.a_chains, cx.nq),
                    chain_rows(basis.b_chains, cx.nq)])
     rhs = np.concatenate([np.zeros(2 * cx.nv, complex), targets])
-    sol = solve(A, rhs, tol, "harmonic")
+    dep = dependent_rows(cx)
+    sol = solve(A, rhs, tol, "harmonic", drop=dep + [cx.nv + r for r in dep])
     return DiamondForm(sol[:cx.nq], sol[cx.nq:])
 
 
@@ -75,7 +80,8 @@ def _holomorphic_solve(cx: QuadComplex, basis: HomologyBasis, targets,
     targets is 2g x k, one column of (A_black, A_white) per form.
     """
     rhs = np.vstack([np.zeros((cx.nv, targets.shape[1]), complex), targets])
-    return solve(dz(cx, _dz_system(cx, basis)), rhs, tol, "holomorphic")
+    return solve(dz(cx, _dz_system(cx, basis)), rhs, tol, "holomorphic",
+                 drop=dependent_rows(cx))
 
 
 def holomorphic_with_a_periods(cx: QuadComplex, basis: HomologyBasis, targets,
@@ -256,7 +262,7 @@ def abelian_third(cx: QuadComplex, basis: HomologyBasis, v: int, v2: int,
     rhs[v] = 2j * math.pi
     rhs[v2] = -2j * math.pi
     sol = solve(dz(cx, _dz_system(cx, basis)), rhs, tol, "third-kind",
-                rank_error=AmbiguityError)
+                drop=dependent_rows(cx), rank_error=AmbiguityError)
     return AbelianDifferential(from_coefficients(cx, sol), "third",
                                {v: 1.0, v2: -1.0}, {})
 
@@ -290,7 +296,7 @@ def abelian_second(cx: QuadComplex, basis: HomologyBasis, q0: int,
     # the fixed dzbar part contributes to residues and periods
     M = _dz_system(cx, basis)
     rhs = -M @ np.concatenate([defect_form.black, defect_form.white])
-    sol = solve(dz(cx, M), rhs, tol, "second-kind")
+    sol = solve(dz(cx, M), rhs, tol, "second-kind", drop=dependent_rows(cx))
     form = from_coefficients(cx, sol) + defect_form
     return AbelianDifferential(form, "second", {}, {q0: complex(qbar)})
 

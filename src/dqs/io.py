@@ -9,6 +9,7 @@ their preferred meridian/longitude basis through pipelines.
 
 from __future__ import annotations
 
+import cmath
 import json
 
 import numpy as np
@@ -69,7 +70,13 @@ def parse_dqs(text: str, name: str = "<dqs>"):
             _require(isinstance(v, int) and v in colors, path,
                      f"quad {qid} references unknown vertex {v}")
         quads[qid] = (q["bm"], q["wm"], q["bp"], q["wp"])
-        rho[qid] = complex(float(r[0]), float(r[1]))
+        try:
+            rho[qid] = complex(float(r[0]), float(r[1]))
+        except (TypeError, ValueError, OverflowError):
+            raise ParseError(f"{path}.rho", f"rho of quad {qid} must be two numbers, "
+                             f"got {r}") from None
+        _require(cmath.isfinite(rho[qid]), f"{path}.rho",
+                 f"rho of quad {qid} must be finite, got {r}")
     _require(sorted(quads) == list(range(len(quads))), f"{name}:quads",
              "quad ids must be dense 0..n-1")
 

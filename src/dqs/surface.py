@@ -299,7 +299,10 @@ def validate(cx: QuadComplex) -> ValidationReport:
                 f"edge {pair} is shared by {len(entries)} quad boundaries"))
 
     for q, r in enumerate(cx.rho):
-        if not (r.real > 0):
+        if not cmath.isfinite(r):
+            bad.append(Violation(
+                "rho-positivity", (q,), f"quad {q} has non-finite rho={r}"))
+        elif not r.real > 0:
             bad.append(Violation(
                 "rho-positivity", (q,), f"quad {q} has rho={r} with Re <= 0"))
 

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -248,3 +251,48 @@ def test_out_of_range_ids_are_clean_errors(argv, tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith("error: ") and "out of range" in err
+
+
+def _torus_file(tmp_path, rho3=None):
+    cx = gen_torus(4, 4, 1j)
+    doc = json.loads(serialize_dqs(cx, standard_torus_basis(cx, 4, 4)))
+    if rho3 is not None:
+        doc["quads"][3]["rho"] = rho3
+    path = tmp_path / "t.dqs"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize("rho3", [[float("nan"), 0.0], [1.0, float("inf")], ["x", 0.0],
+                                  [None, 1.0]])
+@pytest.mark.parametrize("command", [["check"], ["periods"], ["harmonic"],
+                                     ["abelian", "--second", "1"]])
+def test_bad_weights_are_clean_errors(rho3, command, tmp_path, capsys):
+    code = main(command + [_torus_file(tmp_path, rho3)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and "rho of quad 3" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["harmonic", "--targets=nan+0i,1,1,1"],
+    ["harmonic", "--targets=inf+0i,1,1,1"],
+    ["harmonic", "--targets=1,abc,1,1"],
+    ["gen", "torus", "--m", "4", "--n", "4", "--tau", "abc"],
+    ["gen", "torus", "--m", "4", "--n", "4", "--tau", "inf+0i"],
+    ["gen", "one-pole", "--quad", "1", "--rho1", "nan", "--rho2", "1", "--base"],
+])
+def test_bad_complex_arguments_are_clean_errors(argv, tmp_path, capsys):
+    code = main(argv + ([] if argv[0] == "gen" and argv[1] == "torus"
+                        else [_torus_file(tmp_path)]))
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and "complex number" in err
+
+
+def test_cli_import_leaves_scipy_out():
+    """scipy would add to every process start; the solvers need numpy only."""
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    code = "import sys, dqs.cli; sys.exit('scipy' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=src)
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

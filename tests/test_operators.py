@@ -3,16 +3,21 @@
 ``d_one_form`` and ``laplacian`` sum expanded medial-edge values around
 each vertex face; ``boundary`` and ``laplacian_matrix`` are assembled
 from the quad table.  Agreement pins every solver system to the
-definition of the exterior derivative.
+definition of the exterior derivative.  Dense least squares is the
+oracle for the square LU solves of ``operators.solve``.
 """
 
 import numpy as np
 import pytest
 
+from dqs import differentials, operators
 from dqs import (
     DiamondForm,
+    abelian_second,
+    abelian_third,
     canonical_bases,
     gen_torus,
+    harmonic_with_periods,
     homology_basis,
     randomize_rho,
     standard_torus_basis,
@@ -80,3 +85,86 @@ def test_nullity_edge_cases():
     assert nullity(np.zeros((0, 4))) == 4
     assert nullity(np.zeros((3, 4))) == 4
     assert nullity(np.diag([1.0, 1e-12, 0.0])) == 2
+
+
+def _record_lu(monkeypatch):
+    """Results of every square LU solve from now on (None: lstsq took over)."""
+    results = []
+    lu_solve = operators._lu_solve
+
+    def recording_lu(*args):
+        results.append(lu_solve(*args))
+        return results[-1]
+
+    monkeypatch.setattr(operators, "_lu_solve", recording_lu)
+    return results
+
+
+@pytest.mark.parametrize("which", ["cube", "torus44", "torus64", "cover"])
+def test_square_lu_matches_lstsq(which, cube, cube_cover, monkeypatch):
+    """Every differentials system takes the square LU path and agrees with lstsq."""
+    rng = np.random.default_rng(13)
+    if which.startswith("torus"):
+        m, n = (4, 4) if which == "torus44" else (6, 4)
+        cx = randomize_rho(gen_torus(m, n, 0.3 + 1.2j), rng)
+        basis = standard_torus_basis(cx, m, n)
+    else:
+        cx = randomize_rho(cube if which == "cube" else cube_cover[0], rng)
+        basis = homology_basis(cx)
+    calls = []
+
+    def recording_solve(A, rhs, tol, what, drop=(), rank_error=SolveError):
+        calls.append((what, A, rhs, drop, solve(A, rhs, tol, what, drop, rank_error)))
+        return calls[-1][-1]
+
+    monkeypatch.setattr(differentials, "solve", recording_solve)
+    lu_results = _record_lu(monkeypatch)
+    g = basis.g
+    harmonic_with_periods(cx, basis, rng.normal(size=4 * g) + 1j * rng.normal(size=4 * g))
+    canonical_bases(cx, basis)
+    abelian_second(cx, basis, 3)
+    same = [v for v in range(1, cx.nv) if cx.colors[v] == cx.colors[0]]
+    abelian_third(cx, basis, 0, same[-1])
+
+    expected = ["harmonic"] + (["holomorphic"] if g else []) + ["second-kind", "third-kind"]
+    assert [c[0] for c in calls] == expected
+    assert len(lu_results) == len(calls) and all(x is not None for x in lu_results)
+    for what, A, rhs, drop, sol in calls:
+        assert A.shape[0] - len(set(drop)) == A.shape[1], what
+        ref = np.linalg.lstsq(A, rhs, rcond=None)[0]
+        assert sol.shape == ref.shape
+        assert np.abs(sol - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max()), what
+    if g:
+        assert calls[1][2].shape == (cx.nv + 2 * g, 2 * g)
+
+
+def test_solve_rank_error_on_near_singular_square_system():
+    rng = np.random.default_rng(3)
+    q1, _ = np.linalg.qr(rng.normal(size=(6, 6)))
+    q2, _ = np.linalg.qr(rng.normal(size=(6, 6)))
+    S = q1 @ np.diag([1.0, 1.0, 1.0, 1.0, 1.0, 1e-18]) @ q2.T
+    A = np.vstack([S, S[0] + S[1]])  # row 6 depends on the others
+    rhs = A @ rng.normal(size=6)
+    with pytest.raises(AmbiguityError, match="rank 5 < 6; the solution is not unique"):
+        solve(A, rhs, 1e-9, "test", drop=[6], rank_error=AmbiguityError)
+    with pytest.raises(SolveError, match="rank 1 < 2"):
+        solve(np.ones((2, 2)), np.ones(2), 1e-9, "test")
+
+
+def test_solve_rejects_non_finite_input():
+    with pytest.raises(SolveError, match="non-finite"):
+        solve(np.eye(2), np.array([np.nan, 1.0]), 1e-9, "test")
+    with pytest.raises(SolveError, match="non-finite"):
+        solve(np.array([[1.0, 0.0], [0.0, np.inf]]), np.ones(2), 1e-9, "test")
+
+
+def test_square_lu_is_backward_stable_on_a_wide_torus(monkeypatch):
+    """Partial pivoting in the natural order loses 1e-6 of the residual here."""
+    cx = gen_torus(32, 32, -0.275 + 0.908j)
+    basis = standard_torus_basis(cx, 32, 32)
+    lu_results = _record_lu(monkeypatch)
+    hb = canonical_bases(cx, basis)
+    assert len(lu_results) == 1 and lu_results[0] is not None
+    ch = basis.a_chains[0]
+    assert abs(2 * integrate_black_chain(cx, hb.omega_black[0], ch.black) - 1) < 1e-13
+    assert abs(2 * integrate_white_chain(cx, hb.omega_white[0], ch.white) - 1) < 1e-13

@@ -49,6 +49,12 @@ class TestValidate:
         rep = validate(bad)
         assert "rho-positivity" in rep.kinds()
 
+    @pytest.mark.parametrize("r", [complex("nan"), complex("inf"), complex(1.0, float("inf"))])
+    def test_non_finite_rho_flagged(self, cube, r):
+        rep = validate(QuadComplex.build(cube.colors, cube.quads, [r] + [1.0] * 5))
+        assert [str(v) for v in rep.violations] == [
+            f"[rho-positivity] quad 0 has non-finite rho={r}"]
+
     def test_open_surface_detected(self):
         # a single quad: every edge occurs once
         cx = QuadComplex.build([BLACK, WHITE, BLACK, WHITE],
