@@ -23,7 +23,7 @@ from . import homology as ho
 from . import jacobian as ja
 from . import riemann_roch as rr
 from .coverings import CoveringMap, check_riemann_hurwitz, gen_cube_double_cover, validate_map
-from .errors import DqsError, ParseError
+from .errors import DqsError, ParseError, SurfaceError
 from .generators import delaunay_voronoi, gen_torus
 from .io import (
     parse_divisor_string,
@@ -44,6 +44,26 @@ def _read_input(path):
         return sys.stdin.read(), "<stdin>"
     with open(path, "r", encoding="utf-8") as fh:
         return fh.read(), path
+
+
+def _read_surface(args, solver=False):
+    """Read and parse the surface argument: (text, complex, embedded basis).
+
+    With solver=True the weights must also be finite with Re rho > 0, the
+    one check cheap enough to run before every solve; ``check`` runs the
+    full validation instead and lists every violation.
+    """
+    text, name = _read_input(args.surface)
+    cx, embedded = parse_dqs(text, name)
+    if solver:
+        rho = np.array(cx.rho)
+        ok = np.isfinite(rho) & (rho.real > 0)
+        if not ok.all():
+            q = int(np.argmin(ok))
+            r = cx.rho[q]
+            raise SurfaceError(f"quad {q} has rho={r} with Re <= 0" if cmath.isfinite(r)
+                               else f"quad {q} has non-finite rho={r}")
+    return text, cx, embedded
 
 
 def _complex_arg(s: str) -> complex:
@@ -108,8 +128,7 @@ def _basis_for(cx, embedded):
 
 
 def cmd_check(args):
-    text, name = _read_input(args.surface)
-    cx, _ = parse_dqs(text, name)
+    text, cx, _ = _read_surface(args)
     report = Report("check", args.format, _digest(text))
     vr = validate(cx)
     report.outputs["violations"] = [str(v) for v in vr.violations]
@@ -118,8 +137,7 @@ def cmd_check(args):
 
 
 def cmd_genus(args):
-    text, name = _read_input(args.surface)
-    cx, _ = parse_dqs(text, name)
+    text, cx, _ = _read_surface(args)
     report = Report("genus", args.format, _digest(text))
     report.outputs["genus"] = genus(cx)
     report.check("euler-count-even", True)
@@ -127,8 +145,7 @@ def cmd_genus(args):
 
 
 def cmd_homology(args):
-    text, name = _read_input(args.surface)
-    cx, embedded = parse_dqs(text, name)
+    text, cx, embedded = _read_surface(args)
     basis = _basis_for(cx, embedded)
     report = Report("homology", args.format, _digest(text))
     report.outputs["genus"] = basis.g
@@ -142,8 +159,7 @@ def cmd_homology(args):
 
 
 def cmd_periods(args):
-    text, name = _read_input(args.surface)
-    cx, embedded = parse_dqs(text, name)
+    text, cx, embedded = _read_surface(args, solver=True)
     basis = _basis_for(cx, embedded)
     pm = di.period_matrices(cx, basis)
     report = Report("periods", args.format, _digest(text))
@@ -163,8 +179,7 @@ def cmd_periods(args):
 
 
 def cmd_harmonic(args):
-    text, name = _read_input(args.surface)
-    cx, embedded = parse_dqs(text, name)
+    text, cx, embedded = _read_surface(args, solver=True)
     basis = _basis_for(cx, embedded)
     targets = [_complex_arg(t) for t in args.targets.split(",")] if args.targets \
         else [0.0] * (4 * basis.g)
@@ -181,8 +196,7 @@ def cmd_harmonic(args):
 
 
 def cmd_abelian(args):
-    text, name = _read_input(args.surface)
-    cx, embedded = parse_dqs(text, name)
+    text, cx, embedded = _read_surface(args, solver=True)
     basis = _basis_for(cx, embedded)
     report = Report("abelian", args.format, _digest(text))
     if args.second is not None:
@@ -216,8 +230,7 @@ def cmd_abelian(args):
 
 
 def cmd_riemann_roch(args):
-    text, name = _read_input(args.surface)
-    cx, _ = parse_dqs(text, name)
+    text, cx, _ = _read_surface(args, solver=True)
     d = parse_divisor_string(args.divisor)
     rep = rr.check_riemann_roch(cx, d)
     report = Report("riemann-roch", args.format, _digest(text))
@@ -259,8 +272,7 @@ def cmd_hurwitz(args):
 
 
 def cmd_abel_jacobi(args):
-    text, name = _read_input(args.surface)
-    cx, embedded = parse_dqs(text, name)
+    text, cx, embedded = _read_surface(args, solver=True)
     basis = _basis_for(cx, embedded)
     hb = di.canonical_bases(cx, basis)
     pm = di.period_matrices(cx, basis, hb)

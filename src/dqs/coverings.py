@@ -7,11 +7,17 @@ bijection matching the target's weight and orientation.  Branch numbers
 count how often a vertex star wraps around its image star; together
 with the degenerate (vertex-collapsed) quads they enter the genus
 relation g = N(g' - 1) + 1 + b/2.
+
+The checks never scan the whole target: the star condition looks only
+at the target quads incident to the image of a quad's first corner, and
+``quad_image`` finds the target quad in a table of target quad rotations
+built once per map, so validating a map is linear in the two surfaces.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -39,6 +45,19 @@ class CoveringMap:
     def image(self, v: int) -> int:
         return self.vertex_map[v]
 
+    @cached_property
+    def target_rotations(self):
+        """Target quad tuples under the rotations by 0 and 2 slots -> quad id.
+
+        Those are the rotations that keep the coloring; where two target
+        quads share a tuple the lower id wins.
+        """
+        table = {}
+        for q2, t in enumerate(self.target.quads):
+            for shift in (0, 2):
+                table.setdefault(t[shift:] + t[:shift], q2)
+        return table
+
 
 def is_biconstant_quad(m: CoveringMap, q: int) -> bool:
     bm, wm, bp, wp = m.source.quads[q]
@@ -54,10 +73,9 @@ def quad_image(m: CoveringMap, q: int):
     imgs = tuple(m.image(v) for v in m.source.quads[q])
     if is_biconstant_quad(m, q):
         return None
-    for q2, t in enumerate(m.target.quads):
-        for shift in (0, 2):
-            if imgs == tuple(t[(shift + i) % 4] for i in range(4)):
-                return q2
+    q2 = m.target_rotations.get(imgs)
+    if q2 is not None:
+        return q2
     raise DqsError(f"quad {q} image {imgs} is not a rotation of any target quad")
 
 
@@ -83,13 +101,9 @@ def validate_map(m: CoveringMap, tol: float = 1e-12) -> MapReport:
         return MapReport(tuple(bad))
     for q in range(m.source.nq):
         imgs = [m.image(v) for v in m.source.quads[q]]
-        common = None
-        for q2 in range(m.target.nq):
-            t = set(m.target.quads[q2])
-            if all(v in t for v in imgs):
-                common = q2
-                break
-        if common is None:
+        # a target quad holding every image also holds imgs[0]
+        if not any(all(v in m.target.quads[q2] for v in imgs)
+                   for q2, _ in m.target.incidences[imgs[0]]):
             bad.append(f"quad {q}: images {imgs} share no target quad (star condition)")
             continue
         if is_biconstant_quad(m, q):

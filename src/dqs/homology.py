@@ -7,6 +7,11 @@ edge with the parallel diagonal (keyed by the quad, so doubled diagonals
 are unproblematic).  Periods of a closed diamond form over a homology
 class come in three flavors: the plain medial integral, and twice the
 integral over either shadow.
+
+Every walk on a diagonal graph (the tree-cotree split behind
+``homology_basis`` and the paths of ``graph_path``) reads the neighbours
+of a vertex from its incidence list ``QuadComplex.incidences``, one
+helper for both colors, so no search scans the whole surface.
 """
 
 from __future__ import annotations
@@ -151,24 +156,36 @@ def integrate_graph_path(cx: QuadComplex, omega: DiamondForm, path: GraphPath) -
     raise DqsError("path must live on a single color class")
 
 
+def _diagonal_neighbours(cx: QuadComplex, u: int, color: int, skip=()):
+    """Neighbours of u along the diagonals of one color, from its incidences.
+
+    Returns (w, quad, direction) triples in ascending quad order, leaving
+    out the quads in skip; direction +1 means u is the minus end (b- or
+    w-) of the quad's diagonal.
+    """
+    lo, hi = (SLOT_BM, SLOT_BP) if color == BLACK else (SLOT_WM, SLOT_WP)
+    out = []
+    for q, slot in cx.incidences[u]:
+        if q in skip:
+            continue
+        if slot == lo:
+            out.append((cx.quads[q][hi], q, 1))
+        elif slot == hi:
+            out.append((cx.quads[q][lo], q, -1))
+    return out
+
+
 def graph_path(cx: QuadComplex, color: int, start: int, goal: int,
                forbidden_quads=()) -> GraphPath:
     """BFS path between same-color vertices along diagonals of that color."""
     if cx.colors[start] != color or cx.colors[goal] != color:
         raise DqsError("endpoints must both carry the path color")
-    adj = {}
-    for q in range(cx.nq):
-        a, b = cx.black_diagonal(q) if color == BLACK else cx.white_diagonal(q)
-        if q in forbidden_quads:
-            continue
-        adj.setdefault(a, []).append((b, q, 1))
-        adj.setdefault(b, []).append((a, q, -1))
     prev = {start: None}
     queue = [start]
     while queue:
         nxt = []
         for u in queue:
-            for (w, q, s) in sorted(adj.get(u, ())):
+            for (w, q, s) in sorted(_diagonal_neighbours(cx, u, color, forbidden_quads)):
                 if w not in prev:
                     prev[w] = (u, q, s)
                     nxt.append(w)
@@ -412,6 +429,30 @@ def _concatenate_walks(walks_with_mult):
     return out
 
 
+def _spanning_tree(cx: QuadComplex, root: int, color: int, skip=()):
+    """Breadth-first spanning tree of one diagonal graph, avoiding skip quads.
+
+    Each vertex of a level walks its own incidences in quad order, and
+    the next level is visited in vertex order.  Returns the parent
+    pointers, vertex -> (parent, quad, direction) or None at the root,
+    and the set of tree quads.
+    """
+    parent = {root: None}
+    quads = set()
+    queue = [root]
+    while queue:
+        nxt = []
+        for u in queue:
+            for w, q, d in _diagonal_neighbours(cx, u, color, skip):
+                if w in parent:
+                    continue
+                parent[w] = (u, q, d)
+                quads.add(q)
+                nxt.append(w)
+        queue = sorted(nxt)
+    return parent, quads
+
+
 def homology_basis(cx: QuadComplex) -> HomologyBasis:
     """Canonical homology basis from a tree-cotree split of the black graph.
 
@@ -419,7 +460,9 @@ def homology_basis(cx: QuadComplex) -> HomologyBasis:
     spanning cotree of the white one yield 2g independent cycles; an
     integer symplectic reduction of their intersection matrix produces
     cycles with the standard pairing, which are then rerouted onto the
-    medial graph.
+    medial graph.  Both trees grow by breadth-first search over the
+    per-vertex incidence lists, so the split is linear in nq up to the
+    sort of each BFS level.
     """
     require_surface(cx)
     g = genus(cx)
@@ -428,45 +471,11 @@ def homology_basis(cx: QuadComplex) -> HomologyBasis:
 
     blacks = sorted(v for v in range(cx.nv) if cx.colors[v] == BLACK)
     whites = sorted(v for v in range(cx.nv) if cx.colors[v] == WHITE)
-    root = blacks[0]
 
-    # spanning tree of the black graph (parent pointers over quads)
-    tree_quads = set()
-    parent = {root: None}
-    queue = [root]
-    while queue:
-        nxt = []
-        for u in queue:
-            for q in range(cx.nq):
-                a, b = cx.black_diagonal(q)
-                w = b if a == u else (a if b == u else None)
-                if w is None or w in parent:
-                    continue
-                parent[w] = (u, q, 1 if a == u else -1)
-                tree_quads.add(q)
-                nxt.append(w)
-        queue = sorted(nxt)
+    parent, tree_quads = _spanning_tree(cx, blacks[0], BLACK)
     if len(parent) != len(blacks):
         raise SurfaceError("black diagonal graph is not connected")
-
-    # spanning cotree of the white graph avoiding tree quads
-    cotree_quads = set()
-    wparent = {whites[0]: None}
-    queue = [whites[0]]
-    while queue:
-        nxt = []
-        for u in queue:
-            for q in range(cx.nq):
-                if q in tree_quads:
-                    continue
-                a, b = cx.white_diagonal(q)
-                w = b if a == u else (a if b == u else None)
-                if w is None or w in wparent:
-                    continue
-                wparent[w] = (u, q)
-                cotree_quads.add(q)
-                nxt.append(w)
-        queue = sorted(nxt)
+    wparent, cotree_quads = _spanning_tree(cx, whites[0], WHITE, skip=tree_quads)
     if len(wparent) != len(whites):
         raise SurfaceError("white diagonal graph is not connected")
 

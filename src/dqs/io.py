@@ -25,6 +25,11 @@ def _require(cond, path, msg):
         raise ParseError(path, msg)
 
 
+# Types json.loads gives JSON numbers.  Checks compare type(x) exactly:
+# true and false load as bool, a subclass of int, and are not numbers here.
+_NUMBER = (int, float)
+
+
 def parse_dqs(text: str, name: str = "<dqs>"):
     """Parse a DQS document; returns (complex, basis-or-None)."""
     try:
@@ -44,7 +49,7 @@ def parse_dqs(text: str, name: str = "<dqs>"):
         _require("id" in v and "color" in v, path, "needs 'id' and 'color'")
         _require(v["color"] in ("b", "w"), path, f"color {v['color']!r} not 'b' or 'w'")
         vid = v["id"]
-        _require(isinstance(vid, int) and vid >= 0, path, "id must be a nonnegative integer")
+        _require(type(vid) is int and vid >= 0, path, "id must be a nonnegative integer")
         _require(vid not in colors, path, f"duplicate vertex id {vid}")
         colors[vid] = BLACK if v["color"] == "b" else WHITE
     _require(sorted(colors) == list(range(len(colors))), f"{name}:vertices",
@@ -61,18 +66,21 @@ def parse_dqs(text: str, name: str = "<dqs>"):
             _require(key in q, path, f"missing '{key}'"
                      + (f" (quad id {q['id']})" if key != "id" and "id" in q else ""))
         qid = q["id"]
+        _require(type(qid) is int and qid >= 0, path, "id must be a nonnegative integer")
         _require(qid not in quads, path, f"duplicate quad id {qid}")
         _require("rho" in q, path, f"missing 'rho' (quad id {qid})")
         r = q["rho"]
         _require(isinstance(r, list) and len(r) == 2, f"{path}.rho",
                  f"rho of quad {qid} must be [re, im]")
         for v in (q["bm"], q["wm"], q["bp"], q["wp"]):
-            _require(isinstance(v, int) and v in colors, path,
+            _require(type(v) is int and v in colors, path,
                      f"quad {qid} references unknown vertex {v}")
         quads[qid] = (q["bm"], q["wm"], q["bp"], q["wp"])
         try:
+            if type(r[0]) not in _NUMBER or type(r[1]) not in _NUMBER:
+                raise TypeError
             rho[qid] = complex(float(r[0]), float(r[1]))
-        except (TypeError, ValueError, OverflowError):
+        except (TypeError, OverflowError):
             raise ParseError(f"{path}.rho", f"rho of quad {qid} must be two numbers, "
                              f"got {r}") from None
         _require(cmath.isfinite(rho[qid]), f"{path}.rho",
@@ -101,7 +109,9 @@ def _parse_basis(doc, cx, path):
                 _require(isinstance(e, list) and len(e) == 3, f"{path}.{key}[{i}]",
                          "edge must be [quad, corner, sign]")
                 q, corner, sign = e
-                _require(0 <= q < cx.nq and 0 <= corner < 4 and sign in (1, -1),
+                _require(type(q) is int and type(corner) is int and type(sign) is int
+                         and 0 <= q < cx.nq
+                         and 0 <= corner < 4 and sign in (1, -1),
                          f"{path}.{key}[{i}]", f"bad edge key {e}")
                 cyc.append((4 * q + corner, sign))
             out.append(Cycle(tuple(cyc), f"{key}{i+1}"))
@@ -191,7 +201,8 @@ def parse_map_bundle(text: str, name: str = "<map>", loader=None):
         _require(isinstance(pair, list) and len(pair) == 2, f"{name}:vertex_map[{i}]",
                  "entries must be [source, target]")
         s, t = pair
-        _require(0 <= s < source.nv and 0 <= t < target.nv, f"{name}:vertex_map[{i}]",
+        _require(type(s) is int and type(t) is int and 0 <= s < source.nv and 0 <= t < target.nv,
+                 f"{name}:vertex_map[{i}]",
                  f"bad pair {pair}")
         _require(s not in seen, f"{name}:vertex_map[{i}]", f"duplicate source vertex {s}")
         seen.add(s)

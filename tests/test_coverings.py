@@ -13,7 +13,10 @@ from dqs import (
     validate,
     validate_map,
 )
+from dqs import coverings
 from dqs.coverings import is_biconstant_quad
+from dqs.errors import DqsError
+from dqs.surface import QuadComplex
 
 
 @pytest.fixture(scope="module")
@@ -42,6 +45,28 @@ class TestValidateMap:
         vm[0] = 10  # tears quad corners apart
         rep = validate_map(CoveringMap(torus44, torus44, vm))
         assert not rep.ok
+
+    def test_reflected_quad_is_not_a_rotation(self, torus44):
+        # the mirror image of the torus: every quad lists its white corners
+        # swapped, so each image is a reflection of its target quad
+        mirror = QuadComplex.build(
+            torus44.colors, [(bm, wp, bp, wm) for (bm, wm, bp, wp) in torus44.quads],
+            torus44.rho)
+        rep = validate_map(CoveringMap(mirror, torus44, range(16)))
+        assert rep.violations == tuple(
+            f"quad {q} image {mirror.quads[q]} is not a rotation of any target quad"
+            for q in range(16))
+
+    def test_star_condition_matches_full_scan(self, torus44):
+        rng = np.random.default_rng(3)
+        blacks = [v for v in range(16) if torus44.colors[v] == 0]
+        for _ in range(20):
+            vm = list(range(16))
+            v = int(rng.choice(blacks))
+            vm[v] = int(rng.choice(blacks))
+            m = CoveringMap(torus44, torus44, vm)
+            got = [s for s in validate_map(m).violations if "star condition" in s]
+            assert got == _scan_star_violations(m)
 
 
 class TestBranchVertex:
@@ -123,3 +148,62 @@ class TestGenerators:
         assert (total.nv, total.nq) == (104, 108)
         assert genus(base) == 0 and genus(total) == 3
         assert all(r == 1 for r in base.rho)
+
+
+# ---------------------------------------------------------------------------
+# table lookups against the whole-target scans they replaced
+
+
+def _scan_quad_image(m, q):
+    """Reference quad_image: compare with both rotations of every target quad."""
+    imgs = tuple(m.image(v) for v in m.source.quads[q])
+    if is_biconstant_quad(m, q):
+        return None
+    for q2, t in enumerate(m.target.quads):
+        for shift in (0, 2):
+            if imgs == tuple(t[(shift + i) % 4] for i in range(4)):
+                return q2
+    raise DqsError(f"quad {q} image {imgs} is not a rotation of any target quad")
+
+
+def _scan_star_violations(m):
+    """Reference star condition: look for a target quad among all of them."""
+    out = []
+    for q in range(m.source.nq):
+        imgs = [m.image(v) for v in m.source.quads[q]]
+        if not any(all(v in t for v in imgs) for t in m.target.quads):
+            out.append(f"quad {q}: images {imgs} share no target quad (star condition)")
+    return out
+
+
+def _covering(name):
+    if name == "cube-cover":
+        return gen_cube_double_cover()[2]
+    if name == "identity":
+        cx = gen_torus(4, 6, 0.3 + 1.2j)
+        return CoveringMap(cx, cx, range(cx.nv))
+    m = int(name.split("-")[1])
+    return gen_torus_unbranched_cover(m, m + 2, 0.2 + 1.1j)[2]
+
+
+@pytest.mark.parametrize("name", ["cube-cover", "torus-4", "torus-6", "identity"])
+def test_riemann_hurwitz_matches_full_scan(name, monkeypatch):
+    m = _covering(name)
+    fast = check_riemann_hurwitz(m)
+    assert [coverings.quad_image(m, q) for q in range(m.source.nq)] \
+        == [_scan_quad_image(m, q) for q in range(m.source.nq)]
+    monkeypatch.setattr(coverings, "quad_image", _scan_quad_image)
+    ref = check_riemann_hurwitz(m)
+    assert fast.sheets == ref.sheets
+    assert fast.vertex_branch_numbers == ref.vertex_branch_numbers
+    assert fast.quad_branch_numbers == ref.quad_branch_numbers
+
+
+def test_riemann_hurwitz_work_is_linear(counted_quads):
+    """Operation count, no timing: every comparison of an image with a
+    target quad reads that quad, and a scan of all target quads per source
+    quad reads about nq_source * nq_target of them."""
+    source, target, cmap = gen_torus_unbranched_cover(16, 16, 0.2 + 1.1j)
+    m = CoveringMap(source, counted_quads(target), cmap.vertex_map)
+    assert check_riemann_hurwitz(m).sheets == 2
+    assert m.target.quads.reads <= 32 * (source.nq + target.nq)

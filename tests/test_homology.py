@@ -8,6 +8,8 @@ from dqs import (
     DiamondForm,
     black_white,
     d_function,
+    gen_cube,
+    gen_cube_double_cover,
     gen_torus,
     graph_path,
     homology_basis,
@@ -16,16 +18,19 @@ from dqs import (
     intersection_number,
     periods,
     standard_torus_basis,
+    subdivide3,
     verify_rbi,
 )
-from dqs.errors import NotClosedError
+from dqs import homology
+from dqs.errors import DqsError, NotClosedError
 from dqs.homology import (
     GraphPath,
+    _spanning_tree,
     chain_is_closed,
     cycle_is_closed_walk,
     lift_diagonal_walk,
 )
-from dqs.surface import FACE_Q_ORDER, medial_edge_index
+from dqs.surface import FACE_Q_ORDER, QuadComplex, medial_edge_index
 
 
 def torus_dz(cx, m, n, tau):
@@ -245,3 +250,119 @@ class TestLift:
         for q, s in walk:
             expected[q] += s
         assert mult.tolist() == expected.tolist()
+
+
+# ---------------------------------------------------------------------------
+# incidence-driven walks against the whole-surface scans they replaced
+
+
+def _scan_spanning_tree(cx, root, color, skip=()):
+    """Reference BFS tree: every vertex scans the diagonals of all quads."""
+    parent = {root: None}
+    quads = set()
+    queue = [root]
+    while queue:
+        nxt = []
+        for u in queue:
+            for q in range(cx.nq):
+                if q in skip:
+                    continue
+                a, b = cx.black_diagonal(q) if color == BLACK else cx.white_diagonal(q)
+                w = b if a == u else (a if b == u else None)
+                if w is None or w in parent:
+                    continue
+                parent[w] = (u, q, 1 if a == u else -1)
+                quads.add(q)
+                nxt.append(w)
+        queue = sorted(nxt)
+    return parent, quads
+
+
+def _scan_graph_path(cx, color, start, goal, forbidden_quads=()):
+    """Reference graph_path steps over an adjacency dict built from all quads."""
+    adj = {}
+    for q in range(cx.nq):
+        a, b = cx.black_diagonal(q) if color == BLACK else cx.white_diagonal(q)
+        if q in forbidden_quads:
+            continue
+        adj.setdefault(a, []).append((b, q, 1))
+        adj.setdefault(b, []).append((a, q, -1))
+    prev = {start: None}
+    queue = [start]
+    while queue and goal not in prev:
+        nxt = []
+        for u in queue:
+            for (w, q, s) in sorted(adj.get(u, ())):
+                if w not in prev:
+                    prev[w] = (u, q, s)
+                    nxt.append(w)
+        queue = nxt
+    if goal not in prev:
+        return None
+    steps = []
+    v = goal
+    while prev[v] is not None:
+        u, q, s = prev[v]
+        steps.append((q, s))
+        v = u
+    return tuple(reversed(steps))
+
+
+def _topology_surface(name):
+    if name == "cube":
+        return gen_cube()
+    if name == "torus44":
+        return gen_torus(4, 4, 1j)
+    if name == "torus64":
+        return gen_torus(6, 4, 0.3 + 1.2j)
+    cover = gen_cube_double_cover()[0]
+    return cover if name == "cover" else subdivide3(cover)
+
+
+@pytest.mark.parametrize("name", ["cube", "torus44", "torus64", "cover", "cover-sub3"])
+def test_homology_basis_matches_full_scan(name, monkeypatch):
+    cx = _topology_surface(name)
+    blacks = [v for v in range(cx.nv) if cx.colors[v] == BLACK]
+    whites = [v for v in range(cx.nv) if cx.colors[v] == WHITE]
+    tree = _spanning_tree(cx, blacks[0], BLACK)
+    assert tree == _scan_spanning_tree(cx, blacks[0], BLACK)
+    assert _spanning_tree(cx, whites[0], WHITE, tree[1]) \
+        == _scan_spanning_tree(cx, whites[0], WHITE, tree[1])
+
+    fast = homology_basis(cx)
+    monkeypatch.setattr(homology, "_spanning_tree", _scan_spanning_tree)
+    ref = homology_basis(cx)
+    assert [c.edges for c in fast.all_cycles()] == [c.edges for c in ref.all_cycles()]
+    assert np.array_equal(fast.intersection, ref.intersection)
+
+
+@pytest.mark.parametrize("name", ["torus64", "cover"])
+def test_graph_path_matches_full_scan(name):
+    cx = _topology_surface(name)
+    rng = np.random.default_rng(11)
+    for color in (BLACK, WHITE):
+        verts = [v for v in range(cx.nv) if cx.colors[v] == color]
+        for start in rng.choice(verts, 3, replace=False):
+            for forbidden in ((), tuple(int(q) for q in rng.choice(cx.nq, 4))):
+                for goal in verts:
+                    ref = _scan_graph_path(cx, color, start, goal, forbidden)
+                    try:
+                        got = graph_path(cx, color, start, goal, forbidden).steps
+                    except DqsError:
+                        got = None
+                    assert got == ref, (color, start, goal, forbidden)
+
+
+def test_homology_basis_work_is_linear(monkeypatch, counted_quads):
+    """Operation counts, no timing: a scan of every quad per tree vertex
+    reads about nv * nq quads and calls the diagonal lookups as often."""
+    cx = counted_quads(gen_torus(32, 32, 0.2 + 1.1j))
+    calls = [0]
+    for name in ("black_diagonal", "white_diagonal"):
+        def counted(self, q, original=getattr(QuadComplex, name)):
+            calls[0] += 1
+            return original(self, q)
+        monkeypatch.setattr(QuadComplex, name, counted)
+    assert homology_basis(cx).g == 1
+    assert calls[0] <= cx.nq
+    assert cx.quads.reads <= 64 * cx.nq

@@ -264,7 +264,7 @@ def _torus_file(tmp_path, rho3=None):
 
 
 @pytest.mark.parametrize("rho3", [[float("nan"), 0.0], [1.0, float("inf")], ["x", 0.0],
-                                  [None, 1.0]])
+                                  [None, 1.0], ["1.5", 0.0], [True, 0.0], [1.0, False]])
 @pytest.mark.parametrize("command", [["check"], ["periods"], ["harmonic"],
                                      ["abelian", "--second", "1"]])
 def test_bad_weights_are_clean_errors(rho3, command, tmp_path, capsys):
@@ -296,3 +296,60 @@ def test_cli_import_leaves_scipy_out():
     code = "import sys, dqs.cli; sys.exit('scipy' in sys.modules)"
     env = dict(os.environ, PYTHONPATH=src)
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+@pytest.mark.parametrize("rho3", [[0.0, 0.0], [-1.0, 0.5]])
+@pytest.mark.parametrize("command", [["periods"], ["harmonic"], ["abelian", "--second", "1"],
+                                     ["abel-jacobi", "--base", "0", "--point", "0"],
+                                     ["riemann-roch", "--divisor", "v:0=1"]])
+def test_non_positive_weights_are_clean_errors(rho3, command, tmp_path, capsys):
+    code = main(command + [_torus_file(tmp_path, rho3)])
+    err = capsys.readouterr().err
+    assert code == 1
+    r = complex(*rho3)
+    assert err == f"error: quad 3 has rho={r} with Re <= 0\n"
+
+
+def test_check_still_lists_non_positive_weight(tmp_path, capsys):
+    code = main(["check", "--format", "json", _torus_file(tmp_path, [0.0, 0.0])])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert doc["outputs"]["violations"] == ["[rho-positivity] quad 3 has rho=0j with Re <= 0"]
+
+
+def _edit(section, index, key, value):
+    def edit(doc):
+        doc[section][index][key] = value
+    return edit
+
+
+def _edit_basis_sign(doc):
+    doc["basis"]["a"][0][0][2] = True  # the sign is 1
+
+
+@pytest.mark.parametrize("edit", [
+    _edit("quads", 0, "wm", True),  # quad 0's wm is vertex 1 = true
+    _edit("quads", 1, "id", True),
+    _edit("quads", 1, "id", 1.0),
+    _edit("vertices", 1, "id", True),
+    _edit_basis_sign,
+], ids=["vertex-true", "quad-id-true", "quad-id-float", "vertex-id-true", "basis-sign-true"])
+def test_ids_are_not_coerced(edit, tmp_path, capsys):
+    """Each edit gives back the original surface if true or 1.0 is read as 1."""
+    cx = gen_torus(4, 4, 1j)
+    doc = json.loads(serialize_dqs(cx, standard_torus_basis(cx, 4, 4)))
+    edit(doc)
+    path = tmp_path / "t.dqs"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ParseError):
+        parse_dqs(path.read_text())
+    code = main(["check", str(path)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_map_bundle_rejects_non_integer_vertex_map(torus44):
+    doc = json.loads(serialize_map_bundle(torus44, torus44, range(16)))
+    doc["vertex_map"][0] = [0.0, 0]
+    with pytest.raises(ParseError):
+        parse_map_bundle(json.dumps(doc))
