@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import functools
 import hashlib
 import json
 import sys
@@ -259,7 +260,7 @@ def cmd_hurwitz(args):
     vrep = validate_map(cmap)
     report.check("map-valid", vrep.ok)
     if vrep.ok:
-        br = check_riemann_hurwitz(cmap)
+        br = check_riemann_hurwitz(cmap, vrep)
         report.outputs["sheets"] = br.sheets
         report.outputs["total_branching"] = br.total_branching
         report.outputs["genus_source"] = br.genus_source
@@ -343,7 +344,14 @@ def cmd_selftest(args):
     return 0 if passed else 1
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process.
+
+    Parsing keeps no state in the parser, and argparse looks up
+    sys.stdout and sys.stderr when it prints, so one parser serves
+    every call of main.
+    """
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--tol", type=float, default=1e-9, help="numerical tolerance")
     common.add_argument("--seed", type=int, default=0, help="seed for randomized checks")

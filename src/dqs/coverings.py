@@ -154,12 +154,17 @@ def sheet_count(m: CoveringMap) -> int:
     Also verified against the count of quads mapping bijectively onto
     each target quad.
     """
+    return _sheets(m, lambda v: branch_vertex(m, v))
+
+
+def _sheets(m: CoveringMap, wraps) -> int:
+    """sheet_count with the wrap count of source vertex v given as wraps(v)."""
     fibers = {}
     for v in range(m.source.nv):
         fibers.setdefault(m.image(v), []).append(v)
     counts = set()
     for v2 in range(m.target.nv):
-        total = sum(branch_vertex(m, v) for v in fibers.get(v2, []))
+        total = sum(wraps(v) for v in fibers.get(v2, []))
         counts.add(total)
     if len(counts) != 1:
         raise DqsError(f"fiber sums disagree: {sorted(counts)}")
@@ -189,21 +194,22 @@ class BranchReport:
                                     + 1 + self.total_branching // 2)
 
 
-def check_riemann_hurwitz(m: CoveringMap) -> BranchReport:
-    """Branch data and the integer genus identity; raises on violation."""
-    report = validate_map(m)
+def check_riemann_hurwitz(m: CoveringMap, report: MapReport = None) -> BranchReport:
+    """Branch data and the integer genus identity; raises on violation.
+
+    ``report`` is ``validate_map(m)`` when the caller has it already.
+    """
+    if report is None:
+        report = validate_map(m)
     if not report.ok:
         raise DqsError("map invalid:\n" + str(report))
-    vb = {}
-    for v in range(m.source.nv):
-        k = branch_vertex(m, v)
-        if k != 1:
-            vb[v] = k - 1
+    wraps = [branch_vertex(m, v) for v in range(m.source.nv)]
+    vb = {v: k - 1 for v, k in enumerate(wraps) if k != 1}
     qb = {q: 1 for q in range(m.source.nq) if is_biconstant_quad(m, q)}
     b = sum(vb.values()) + sum(qb.values())
     if b % 2:
         raise DqsError(f"total branching {b} is odd")
-    n = sheet_count(m)
+    n = _sheets(m, wraps.__getitem__)
     rep = BranchReport(n, vb, qb, b, genus(m.source), genus(m.target))
     if rep.genus_residual != 0:
         raise DqsError(

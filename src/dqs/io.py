@@ -5,6 +5,12 @@ The DQS format is UTF-8 JSON: {"vertices": [{"id", "color"}...],
 dense ids and "b"/"w" colors.  An optional "basis" key stores homology
 cycles as signed medial edge keys so that generated surfaces carry
 their preferred meridian/longitude basis through pipelines.
+
+A loaded document becomes a complex in one pass over its vertices and
+one over its quads, which builds the ``QuadComplex`` directly; the first
+entry that breaks the schema raises ``ParseError`` with its path, and no
+message is formatted for entries that pass.  Map bundles parse inline
+surfaces with the same function, without writing them out again.
 """
 
 from __future__ import annotations
@@ -25,76 +31,101 @@ def _require(cond, path, msg):
         raise ParseError(path, msg)
 
 
+def _load_json(text: str, name: str):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(name, f"invalid JSON: {exc}") from None
+
+
 # Types json.loads gives JSON numbers.  Checks compare type(x) exactly:
 # true and false load as bool, a subclass of int, and are not numbers here.
 _NUMBER = (int, float)
 
-
 def parse_dqs(text: str, name: str = "<dqs>"):
     """Parse a DQS document; returns (complex, basis-or-None)."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(name, f"invalid JSON: {exc}") from None
+    return _dqs_from_doc(_load_json(text, name), name)
+
+
+def _dqs_from_doc(doc, name: str):
+    """Complex and embedded basis of a loaded DQS document."""
     _require(isinstance(doc, dict), name, "top level must be an object")
     _require("vertices" in doc, name, "missing 'vertices'")
     _require("quads" in doc, name, "missing 'quads'")
-
-    verts = doc["vertices"]
-    _require(isinstance(verts, list), f"{name}:vertices", "must be an array")
-    colors = {}
-    for i, v in enumerate(verts):
-        path = f"{name}:vertices[{i}]"
-        _require(isinstance(v, dict), path, "must be an object")
-        _require("id" in v and "color" in v, path, "needs 'id' and 'color'")
-        _require(v["color"] in ("b", "w"), path, f"color {v['color']!r} not 'b' or 'w'")
-        vid = v["id"]
-        _require(type(vid) is int and vid >= 0, path, "id must be a nonnegative integer")
-        _require(vid not in colors, path, f"duplicate vertex id {vid}")
-        colors[vid] = BLACK if v["color"] == "b" else WHITE
-    _require(sorted(colors) == list(range(len(colors))), f"{name}:vertices",
-             "vertex ids must be dense 0..n-1")
-
-    quads_doc = doc["quads"]
-    _require(isinstance(quads_doc, list), f"{name}:quads", "must be an array")
-    quads = {}
-    rho = {}
-    for i, q in enumerate(quads_doc):
-        path = f"{name}:quads[{i}]"
-        _require(isinstance(q, dict), path, "must be an object")
-        for key in ("id", "bm", "wm", "bp", "wp"):
-            _require(key in q, path, f"missing '{key}'"
-                     + (f" (quad id {q['id']})" if key != "id" and "id" in q else ""))
-        qid = q["id"]
-        _require(type(qid) is int and qid >= 0, path, "id must be a nonnegative integer")
-        _require(qid not in quads, path, f"duplicate quad id {qid}")
-        _require("rho" in q, path, f"missing 'rho' (quad id {qid})")
-        r = q["rho"]
-        _require(isinstance(r, list) and len(r) == 2, f"{path}.rho",
-                 f"rho of quad {qid} must be [re, im]")
-        for v in (q["bm"], q["wm"], q["bp"], q["wp"]):
-            _require(type(v) is int and v in colors, path,
-                     f"quad {qid} references unknown vertex {v}")
-        quads[qid] = (q["bm"], q["wm"], q["bp"], q["wp"])
-        try:
-            if type(r[0]) not in _NUMBER or type(r[1]) not in _NUMBER:
-                raise TypeError
-            rho[qid] = complex(float(r[0]), float(r[1]))
-        except (TypeError, OverflowError):
-            raise ParseError(f"{path}.rho", f"rho of quad {qid} must be two numbers, "
-                             f"got {r}") from None
-        _require(cmath.isfinite(rho[qid]), f"{path}.rho",
-                 f"rho of quad {qid} must be finite, got {r}")
-    _require(sorted(quads) == list(range(len(quads))), f"{name}:quads",
-             "quad ids must be dense 0..n-1")
-
-    cx = QuadComplex.build([colors[i] for i in range(len(colors))],
-                           [quads[i] for i in range(len(quads))],
-                           [rho[i] for i in range(len(quads))])
+    colors = _parse_vertices(doc["vertices"], f"{name}:vertices")
+    quads, rho = _parse_quads(doc["quads"], len(colors), f"{name}:quads")
+    cx = QuadComplex(colors, quads, rho)
     basis = None
     if "basis" in doc:
         basis = _parse_basis(doc["basis"], cx, f"{name}:basis")
     return cx, basis
+
+
+def _parse_vertices(verts, path):
+    """Colors by vertex id of the 'vertices' array."""
+    _require(isinstance(verts, list), path, "must be an array")
+    colors = {}
+    for i, v in enumerate(verts):
+        if not isinstance(v, dict):
+            raise ParseError(f"{path}[{i}]", "must be an object")
+        if "id" not in v or "color" not in v:
+            raise ParseError(f"{path}[{i}]", "needs 'id' and 'color'")
+        c = v["color"]
+        if c not in ("b", "w"):
+            raise ParseError(f"{path}[{i}]", f"color {c!r} not 'b' or 'w'")
+        vid = v["id"]
+        if type(vid) is not int or vid < 0:
+            raise ParseError(f"{path}[{i}]", "id must be a nonnegative integer")
+        if vid in colors:
+            raise ParseError(f"{path}[{i}]", f"duplicate vertex id {vid}")
+        colors[vid] = BLACK if c == "b" else WHITE
+    n = len(colors)
+    _require(sorted(colors) == list(range(n)), path, "vertex ids must be dense 0..n-1")
+    return tuple(map(colors.__getitem__, range(n)))
+
+
+def _parse_quads(quads_doc, nv, path):
+    """Corner tuples and weights by quad id of the 'quads' array."""
+    _require(isinstance(quads_doc, list), path, "must be an array")
+    quads = {}
+    rho = {}
+    for i, q in enumerate(quads_doc):
+        if not isinstance(q, dict):
+            raise ParseError(f"{path}[{i}]", "must be an object")
+        try:
+            qid = q["id"]
+            t = (q["bm"], q["wm"], q["bp"], q["wp"])
+        except KeyError:
+            key = next(k for k in ("id", "bm", "wm", "bp", "wp") if k not in q)
+            raise ParseError(f"{path}[{i}]", f"missing '{key}'" + (
+                f" (quad id {q['id']})" if key != "id" else "")) from None
+        if type(qid) is not int or qid < 0:
+            raise ParseError(f"{path}[{i}]", "id must be a nonnegative integer")
+        if qid in quads:
+            raise ParseError(f"{path}[{i}]", f"duplicate quad id {qid}")
+        if "rho" not in q:
+            raise ParseError(f"{path}[{i}]", f"missing 'rho' (quad id {qid})")
+        r = q["rho"]
+        if not isinstance(r, list) or len(r) != 2:
+            raise ParseError(f"{path}[{i}].rho", f"rho of quad {qid} must be [re, im]")
+        for v in t:
+            if type(v) is not int or not 0 <= v < nv:
+                raise ParseError(f"{path}[{i}]", f"quad {qid} references unknown vertex {v}")
+        re, im = r
+        try:
+            if type(re) not in _NUMBER or type(im) not in _NUMBER:
+                raise TypeError
+            z = complex(float(re), float(im))
+        except (TypeError, OverflowError):
+            raise ParseError(f"{path}[{i}].rho",
+                             f"rho of quad {qid} must be two numbers, got {r}") from None
+        if not cmath.isfinite(z):
+            raise ParseError(f"{path}[{i}].rho", f"rho of quad {qid} must be finite, got {r}")
+        quads[qid] = t
+        rho[qid] = z
+    n = len(quads)
+    _require(sorted(quads) == list(range(n)), path, "quad ids must be dense 0..n-1")
+    return tuple(map(quads.__getitem__, range(n))), tuple(map(rho.__getitem__, range(n)))
 
 
 def _parse_basis(doc, cx, path):
@@ -102,8 +133,11 @@ def _parse_basis(doc, cx, path):
              "basis needs 'a' and 'b' cycle arrays")
 
     def cycles(key):
+        _require(isinstance(doc[key], list), f"{path}.{key}", "must be an array of cycles")
         out = []
         for i, edges in enumerate(doc[key]):
+            _require(isinstance(edges, list), f"{path}.{key}[{i}]",
+                     "cycle must be an array of edges")
             cyc = []
             for e in edges:
                 _require(isinstance(e, list) and len(e) == 3, f"{path}.{key}[{i}]",
@@ -147,10 +181,7 @@ def serialize_oneform(omega: DiamondForm) -> str:
 
 
 def parse_oneform(text: str, cx: QuadComplex, name: str = "<form>") -> DiamondForm:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(name, f"invalid JSON: {exc}") from None
+    doc = _load_json(text, name)
     _require(doc.get("type") == "oneform-diamond", name,
              "type must be 'oneform-diamond'")
     black = np.zeros(cx.nq, complex)
@@ -178,10 +209,8 @@ def parse_map_bundle(text: str, name: str = "<map>", loader=None):
 
     Returns (source, target, vertex_map, source_basis, target_basis).
     """
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(name, f"invalid JSON: {exc}") from None
+    doc = _load_json(text, name)
+    _require(isinstance(doc, dict), name, "top level must be an object")
     for key in ("source", "target", "vertex_map"):
         _require(key in doc, name, f"missing '{key}'")
 
@@ -191,10 +220,11 @@ def parse_map_bundle(text: str, name: str = "<map>", loader=None):
             if loader is None:
                 raise ParseError(name, f"'{side}' is a path but no loader given")
             return parse_dqs(loader(val), val)
-        return parse_dqs(json.dumps(val), f"{name}:{side}")
+        return _dqs_from_doc(val, f"{name}:{side}")
 
     source, sb = load_side("source")
     target, tb = load_side("target")
+    _require(isinstance(doc["vertex_map"], list), f"{name}:vertex_map", "must be an array")
     vm = [0] * source.nv
     seen = set()
     for i, pair in enumerate(doc["vertex_map"]):

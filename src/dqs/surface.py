@@ -18,6 +18,13 @@ Medial-graph conventions used by every other module:
   canonical orientation, in ccw star order around v.
 * In the normalized chart the canonical edge vectors are: slot 1 -> 1,
   slot 2 -> i*rho, slot 3 -> -1, slot 0 -> -i*rho.
+
+Beside the tuples, a complex caches array views of its combinatorics:
+the nq x 4 quad array, the incidences grouped by undirected edge, and
+the ccw successor of every incidence in its vertex star, found by
+matching each edge with its other traversal.  ``validate`` checks every
+surface invariant with linear numpy passes over these arrays and formats
+messages for the violators only; ``stars`` walks the successors.
 """
 
 from __future__ import annotations
@@ -143,25 +150,78 @@ class QuadComplex:
                 table.setdefault((min(u, w), max(u, w)), []).append((q, u, w))
         return table
 
-    @cached_property
-    def has_doubled_edges(self) -> bool:
-        return any(len(slots) != 2 for slots in self.edge_pairs.values())
+    # -- array views -------------------------------------------------
+    # Incidence 4*q + slot is corner `slot` of quad q, so the flattened
+    # quad array lists the incidences in (quad, slot) order.  The edge of
+    # an incidence is the boundary edge from its vertex to next(v).
 
     @cached_property
-    def edge_ids(self):
-        """Undirected pair -> dense edge id (only meaningful without doubles)."""
-        return {pair: i for i, pair in enumerate(sorted(self.edge_pairs))}
+    def quad_array(self) -> np.ndarray:
+        """The quads as an nq x 4 integer array, one (b-, w-, b+, w+) row each."""
+        return np.array(self.quads, dtype=np.int64).reshape(-1, 4)
+
+    @cached_property
+    def edge_groups(self):
+        """Incidences grouped by the undirected edge they start.
+
+        Returns (order, keys): ``order`` lists the incidences sorted by
+        the key min(v, next(v))*nv + max(v, next(v)) of their edge, in
+        ascending (quad, slot) order within one edge, and ``keys`` the
+        sorted keys.
+        """
+        Q = self.quad_array
+        R = np.roll(Q, -1, axis=1)
+        keys = (np.minimum(Q, R) * self.nv + np.maximum(Q, R)).ravel()
+        order = np.argsort(keys, kind="stable")
+        return order, keys[order]
+
+    @cached_property
+    def has_doubled_edges(self) -> bool:
+        return bool((_runs(self.edge_groups[1])[1] != 2).any())
+
+    @cached_property
+    def star_successor(self) -> np.ndarray:
+        """The incidence after each incidence in the ccw star of its vertex.
+
+        Walking ccw around v = quads[q][s] crosses the edge (prev(v), v);
+        the next incidence of v is the other traversal of that edge, which
+        must run v -> prev(v).  The entry is -1 where that one match does
+        not settle the step: the edge is not in exactly two boundaries,
+        both traverse it the same way, or a quad on either side repeats a
+        vertex.  ``stars`` settles those steps with ``_other_quad``, which
+        raises the gluing errors.
+        """
+        Q = self.quad_array
+        order, keys = self.edge_groups
+        start, length = _runs(keys)
+        size = np.repeat(length, length)
+        pos = np.arange(len(keys))
+        mate = np.empty_like(order)
+        mate[order] = order[np.where(size == 2, 2 * np.repeat(start, length) + 1 - pos, pos)]
+        paired = np.empty(len(keys), dtype=bool)
+        paired[order] = size == 2
+        before = np.roll(pos.reshape(-1, 4), 1, axis=1).ravel()  # edge (prev(v), v)
+        succ = mate[before]
+        verts = Q.ravel()
+        simple = ~_repeated_vertices(Q)
+        ok = (paired[before] & (verts[succ] == verts)
+              & np.repeat(simple, 4) & simple[succ // 4])
+        return np.where(ok, succ, -1)
 
     def _other_quad(self, q: int, u: int, w: int) -> int:
         """Quad traversing w -> u, i.e. the neighbor of q across edge {u, w}."""
-        entries = self.edge_pairs[(min(u, w), max(u, w))]
-        if len(entries) != 2:
+        order, keys = self.edge_groups
+        k = min(u, w) * self.nv + max(u, w)
+        lo = int(np.searchsorted(keys, k))
+        hi = int(np.searchsorted(keys, k, side="right"))
+        if hi - lo != 2:
             raise AmbiguousGluingError(
-                f"edge {{{u}, {w}}} occurs in {len(entries)} quad boundaries; "
+                f"edge {{{u}, {w}}} occurs in {hi - lo} quad boundaries; "
                 "rotation system is ambiguous"
             )
-        for q2, a, b in entries:
-            if (a, b) == (w, u):
+        for i in order[lo:hi].tolist():
+            q2, slot = divmod(i, 4)
+            if (self.quads[q2][slot], self.corner_next(q2, slot)) == (w, u):
                 return q2
         raise SurfaceError(f"edge {{{u}, {w}}} is not traversed in both directions")
 
@@ -170,27 +230,34 @@ class QuadComplex:
         """Per vertex: incident quads in ccw order, as (quad, slot) pairs.
 
         Walking ccw around v crosses the edge (v, prev(v)) of the current
-        quad.  Raises if the star does not close into a single cycle.
+        quad.  Each walk starts at the vertex's lowest (quad, slot) and
+        follows ``star_successor``.  Raises if the star does not close
+        into a single cycle.
         """
+        by_vertex, deg, start = _vertex_groups(self.quad_array, self.nv)
+        first = np.append(by_vertex, -1)[start].tolist()  # -1: in no quad
+        deg = deg.tolist()
+        succ = self.star_successor.tolist()
         out = []
         for v in range(self.nv):
-            inc = self.incidences[v]
-            if not inc:
+            if not deg[v]:
                 out.append(())
                 continue
-            q0, s0 = inc[0]
-            order = [(q0, s0)]
-            q, s = q0, s0
-            for _ in range(len(inc)):
-                p = self.corner_prev(q, s)
-                q = self._other_quad(q, p, v)
-                s = self.corner_slot(q, v)
-                if (q, s) == (q0, s0):
+            i0 = i = first[v]
+            order = [divmod(i0, 4)]
+            for _ in range(deg[v]):
+                j = succ[i]
+                if j < 0:
+                    q, s = divmod(i, 4)
+                    q = self._other_quad(q, self.corner_prev(q, s), v)
+                    j = 4 * q + self.corner_slot(q, v)
+                if j == i0:
                     break
-                order.append((q, s))
+                order.append(divmod(j, 4))
+                i = j
             else:
                 raise SurfaceError(f"star of vertex {v} does not close")
-            if len(order) != len(inc):
+            if len(order) != deg[v]:
                 raise SurfaceError(f"link of vertex {v} is not a single cycle")
             out.append(tuple(order))
         return tuple(out)
@@ -264,6 +331,11 @@ class ValidationReport:
         return "\n".join(str(v) for v in self.violations)
 
 
+_KIND_ORDER = {"quad-vertices": 0, "bipartite": 1, "closed-surface": 2,
+               "vertex-link": 3, "connectivity": 4, "rho-positivity": 5,
+               "strong-regularity": 6}
+
+
 def validate(cx: QuadComplex) -> ValidationReport:
     """Check every invariant of a compact discrete quad surface.
 
@@ -272,109 +344,205 @@ def validate(cx: QuadComplex) -> ValidationReport:
     Strong-regularity findings are reported but do not block the rest of
     the library (wrap-around grids of width two violate the letter of
     strong regularity while every computation on them is well defined).
+
+    Every invariant is one pass over the quad array and the incidence
+    arrays; messages are formatted for the violators only.
     """
+    Q = cx.quad_array
     bad = []
 
-    for q, t in enumerate(cx.quads):
-        if len(set(t)) != 4:
-            bad.append(Violation("quad-vertices", (q,), f"quad {q} has repeated vertices"))
+    for q in np.flatnonzero(_repeated_vertices(Q)).tolist():
+        bad.append(Violation("quad-vertices", (q,), f"quad {q} has repeated vertices"))
 
-    for q, t in enumerate(cx.quads):
-        cols = tuple(cx.colors[v] for v in t)
-        if cols != (BLACK, WHITE, BLACK, WHITE):
-            bad.append(Violation(
-                "bipartite", (q,),
-                f"quad {q} corner colors {cols} are not (b, w, b, w)"))
+    colors = np.array(cx.colors, dtype=np.int64)
+    for q in np.flatnonzero((colors[Q] != (BLACK, WHITE, BLACK, WHITE)).any(axis=1)).tolist():
+        cols = tuple(cx.colors[v] for v in cx.quads[q])
+        bad.append(Violation(
+            "bipartite", (q,),
+            f"quad {q} corner colors {cols} are not (b, w, b, w)"))
 
-    for pair, entries in sorted(cx.edge_pairs.items()):
-        fwd = sum(1 for (_, a, b) in entries if (a, b) == pair)
-        rev = len(entries) - fwd
-        if fwd != rev or len(entries) % 2:
-            bad.append(Violation(
-                "closed-surface", pair,
-                f"edge {pair} traversed {fwd}x forward, {rev}x backward"))
-        elif len(entries) > 2:
-            bad.append(Violation(
-                "strong-regularity", pair,
-                f"edge {pair} is shared by {len(entries)} quad boundaries"))
+    # each undirected edge (u, w), u <= w, with how often the boundaries
+    # traverse it u -> w (forward) and in all
+    order, keys = cx.edge_groups
+    start, count = _runs(keys)
+    forward = np.r_[0, np.cumsum((Q <= np.roll(Q, -1, axis=1)).ravel()[order])]
+    fwd = forward[start + count] - forward[start]
+    rev = count - fwd
+    for k in np.flatnonzero(fwd != rev).tolist():
+        pair = divmod(int(keys[start[k]]), cx.nv)
+        bad.append(Violation(
+            "closed-surface", pair,
+            f"edge {pair} traversed {fwd[k]}x forward, {rev[k]}x backward"))
+    for k in np.flatnonzero((fwd == rev) & (count > 2)).tolist():
+        pair = divmod(int(keys[start[k]]), cx.nv)
+        bad.append(Violation(
+            "strong-regularity", pair,
+            f"edge {pair} is shared by {count[k]} quad boundaries"))
 
-    for q, r in enumerate(cx.rho):
-        if not cmath.isfinite(r):
-            bad.append(Violation(
-                "rho-positivity", (q,), f"quad {q} has non-finite rho={r}"))
-        elif not r.real > 0:
-            bad.append(Violation(
-                "rho-positivity", (q,), f"quad {q} has rho={r} with Re <= 0"))
+    rho = np.array(cx.rho, dtype=complex)
+    for q in np.flatnonzero(~(np.isfinite(rho) & (rho.real > 0))).tolist():
+        r = cx.rho[q]
+        detail = (f"quad {q} has rho={r} with Re <= 0" if cmath.isfinite(r)
+                  else f"quad {q} has non-finite rho={r}")
+        bad.append(Violation("rho-positivity", (q,), detail))
 
-    structural = [v for v in bad if v.kind in ("quad-vertices", "bipartite", "closed-surface")]
-    if not structural:
-        if not cx.has_doubled_edges:
-            try:
-                cx.stars
-            except SurfaceError as exc:
-                bad.append(Violation("vertex-link", (), str(exc)))
-        bad.extend(_connectivity_violations(cx))
-        bad.extend(_strong_regularity_violations(cx))
+    if not any(v.kind in ("quad-vertices", "bipartite", "closed-surface") for v in bad):
+        # Now every quad has four distinct vertices and edges, and every
+        # edge is traversed once each way by each pair of quads on it.
+        groups = _vertex_groups(Q, cx.nv)
+        if (count == 2).all():
+            v = _split_link_vertex(cx, groups)
+            if v is not None:
+                bad.append(Violation("vertex-link", (),
+                                     f"link of vertex {v} is not a single cycle"))
+        bad.extend(_connectivity_violations(cx, groups))
+        bad.extend(_strong_regularity_violations(cx, groups, order // 4, count))
 
-    order = {"quad-vertices": 0, "bipartite": 1, "closed-surface": 2,
-             "vertex-link": 3, "connectivity": 4, "rho-positivity": 5,
-             "strong-regularity": 6}
-    bad.sort(key=lambda v: (order[v.kind], v.ids))
+    bad.sort(key=lambda v: (_KIND_ORDER[v.kind], v.ids))
     return ValidationReport(tuple(bad))
 
 
-def _connectivity_violations(cx):
+def _repeated_vertices(Q):
+    """Per quad row: True when it names some vertex twice."""
+    S = np.sort(Q, axis=1)
+    return (S[:, 1:] == S[:, :-1]).any(axis=1)
+
+
+def _runs(keys):
+    """Start and length of each run of equal values in a sorted array."""
+    new = np.ones(len(keys), dtype=bool)
+    new[1:] = keys[1:] != keys[:-1]
+    start = np.flatnonzero(new)
+    return start, np.diff(np.r_[start, len(keys)])
+
+
+def _tally(keys):
+    """Distinct values of keys in ascending order, and how often each occurs."""
+    keys = np.sort(keys)
+    start, count = _runs(keys)
+    return keys[start], count
+
+
+def _contains(distinct, x):
+    """Per entry of x: whether it occurs in the sorted array distinct."""
+    if not len(distinct):
+        return np.zeros(len(x), dtype=bool)
+    return distinct[np.minimum(np.searchsorted(distinct, x), len(distinct) - 1)] == x
+
+
+def _vertex_groups(Q, nv):
+    """Incidences grouped by vertex: (incidences sorted by vertex, ascending
+    within a vertex; degree per vertex; start of each vertex's group)."""
+    verts = Q.ravel()
+    deg = np.bincount(verts, minlength=nv)
+    return np.argsort(verts, kind="stable"), deg, np.cumsum(deg) - deg
+
+
+def _split_link_vertex(cx, groups):
+    """Lowest vertex whose star successors form more than one cycle, or None.
+
+    Needs every entry of ``cx.star_successor`` set.  Pointer doubling
+    labels each incidence with the lowest incidence on its cycle; a
+    vertex's star is one cycle iff that is its own lowest incidence.
+    """
+    by_vertex, deg, start = groups
+    if not len(by_vertex):
+        return None
+    succ = cx.star_successor
+    label = np.arange(len(succ))
+    span = 1
+    while span < deg.max():
+        label = np.minimum(label, label[succ])
+        succ = succ[succ]
+        span *= 2
+    verts = cx.quad_array.ravel()
+    split = label != by_vertex[start[verts]]
+    return int(verts[split].min()) if split.any() else None
+
+
+def _connectivity_violations(cx, groups):
     if cx.nv == 0:
         return [Violation("connectivity", (), "empty complex")]
-    seen = {0}
-    stack = [0]
-    adj = {}
-    for (u, w) in cx.edge_pairs:
-        adj.setdefault(u, []).append(w)
-        adj.setdefault(w, []).append(u)
-    while stack:
-        u = stack.pop()
-        for w in adj.get(u, ()):
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    if len(seen) != cx.nv:
-        return [Violation("connectivity", (), f"only {len(seen)} of {cx.nv} vertices connected")]
+    # Breadth-first search from vertex 0, one level at a time: a vertex
+    # reaches every vertex of its quads, which the quad's boundary edges
+    # connect.
+    Q = cx.quad_array
+    by_vertex, deg, start = groups
+    seen = np.zeros(cx.nv, dtype=bool)
+    seen[0] = True
+    slot = np.empty(cx.nv, dtype=np.int64)
+    front = np.zeros(1, dtype=np.int64)
+    while front.size:
+        n = deg[front]
+        incidences = by_vertex[np.repeat(start[front] - (np.cumsum(n) - n), n)
+                               + np.arange(n.sum())]
+        reached = Q[incidences // 4].ravel()
+        reached = reached[~seen[reached]]
+        # keep one copy of each vertex: the position whose rank survives
+        # the repeated writes
+        rank = np.arange(len(reached))
+        slot[reached] = rank
+        front = reached[slot[reached] == rank]
+        seen[front] = True
+    n_seen = int(np.count_nonzero(seen))
+    if n_seen != cx.nv:
+        return [Violation("connectivity", (), f"only {n_seen} of {cx.nv} vertices connected")]
     return []
 
 
-def _strong_regularity_violations(cx):
+def _strong_regularity_violations(cx, groups, edge_quads, count):
+    """Quad pairs sharing two edges, or two vertices and no edge.
+
+    Runs only when every quad has four distinct vertices, so no quad is
+    glued to itself and each group below lists distinct quads in
+    ascending order.  ``edge_quads`` lists the quads of each edge, edge
+    after edge, ``count`` how many each edge has.
+    """
+    nq = cx.nq
     out = []
-    shared_edges = {}
-    for pair, entries in cx.edge_pairs.items():
-        qs = sorted({q for (q, _, _) in entries})
-        for i in range(len(qs)):
-            for j in range(i + 1, len(qs)):
-                shared_edges.setdefault((qs[i], qs[j]), []).append(pair)
-        # a doubled edge inside a single quad pair appears with one q twice
-        if len(entries) == 2 and entries[0][0] == entries[1][0]:
-            q = entries[0][0]
-            out.append(Violation(
-                "strong-regularity", (q,),
-                f"quad {q} is glued to itself along edge {pair}"))
-    for (q1, q2), pairs in sorted(shared_edges.items()):
-        if len(pairs) > 1:
-            out.append(Violation(
-                "strong-regularity", (q1, q2),
-                f"quads {q1} and {q2} share {len(pairs)} edges"))
-    shared_vertices = {}
-    for v in range(cx.nv):
-        qs = sorted({q for (q, _) in cx.incidences[v]})
-        for i in range(len(qs)):
-            for j in range(i + 1, len(qs)):
-                shared_vertices.setdefault((qs[i], qs[j]), []).append(v)
-    for (q1, q2), vs in sorted(shared_vertices.items()):
-        if len(vs) < 2 or (q1, q2) in shared_edges:
-            continue
+    a, b, _ = _group_pairs(edge_quads, count)
+    edge_shared, n_edges = _tally(a * nq + b)
+    for k in np.flatnonzero(n_edges > 1).tolist():
+        q1, q2 = divmod(int(edge_shared[k]), nq)
         out.append(Violation(
             "strong-regularity", (q1, q2),
-            f"quads {q1} and {q2} share vertices {vs} but no edge"))
+            f"quads {q1} and {q2} share {n_edges[k]} edges"))
+
+    by_vertex, deg, _ = groups
+    a, b, v = _group_pairs(by_vertex // 4, deg)
+    keys = a * nq + b
+    shared, n_verts = _tally(keys)
+    bad = shared[n_verts > 1]
+    bad = bad[~_contains(edge_shared, bad)]
+    if bad.size:
+        sel = _contains(bad, keys)
+        keys, v = keys[sel], v[sel]
+        o = np.lexsort((v, keys))
+        keys, v = keys[o], v[o]
+        cuts = np.flatnonzero(np.diff(keys)) + 1
+        for key, vs in zip(keys[np.r_[0, cuts]].tolist(), np.split(v, cuts)):
+            q1, q2 = divmod(key, nq)
+            out.append(Violation(
+                "strong-regularity", (q1, q2),
+                f"quads {q1} and {q2} share vertices {vs.tolist()} but no edge"))
     return out
+
+
+def _group_pairs(members, sizes):
+    """All pairs (a, b) of members listed before/after each other in a group.
+
+    ``members`` holds the groups one after another, ``sizes`` their
+    lengths.  Returns (a, b, group) arrays, built in one block per group
+    size, so the work is the number of pairs.
+    """
+    start = np.cumsum(sizes) - sizes
+    parts = [(np.empty(0, np.int64),) * 3]
+    for k in (np.flatnonzero(np.bincount(sizes)[2:]) + 2).tolist():
+        groups = np.flatnonzero(sizes == k)
+        block = members[start[groups][:, None] + np.arange(k)]
+        i, j = np.triu_indices(k, 1)
+        parts.append((block[:, i].ravel(), block[:, j].ravel(), np.repeat(groups, len(i))))
+    return tuple(np.concatenate(x) for x in zip(*parts))
 
 
 def require_surface(cx: QuadComplex):

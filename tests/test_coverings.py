@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -207,3 +209,29 @@ def test_riemann_hurwitz_work_is_linear(counted_quads):
     m = CoveringMap(source, counted_quads(target), cmap.vertex_map)
     assert check_riemann_hurwitz(m).sheets == 2
     assert m.target.quads.reads <= 32 * (source.nq + target.nq)
+
+
+def test_hurwitz_command_validates_and_winds_once(monkeypatch, tmp_path, capsys):
+    """Call counts, no timing: ``dqs hurwitz`` checks the map once and
+    winds each source star once."""
+    from dqs import cli
+    from dqs.io import serialize_map_bundle
+
+    source, target, cmap = gen_torus_unbranched_cover(16, 16, 0.2 + 1.1j)
+    path = tmp_path / "cover.json"
+    path.write_text(serialize_map_bundle(source, target, cmap.vertex_map))
+    calls = {"validate_map": 0, "branch_vertex": 0}
+
+    def counting(name, original):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(cli, "validate_map", counting("validate_map", validate_map))
+    monkeypatch.setattr(coverings, "validate_map", counting("validate_map", validate_map))
+    monkeypatch.setattr(coverings, "branch_vertex", counting("branch_vertex", branch_vertex))
+    assert cli.main(["hurwitz", "--format", "json", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert json.loads(out)["outputs"]["sheets"] == 2
+    assert calls == {"validate_map": 1, "branch_vertex": source.nv}

@@ -5,6 +5,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from dqs import DiamondForm, gen_cube, gen_torus, standard_torus_basis
 from dqs.cli import main
@@ -298,6 +300,30 @@ def test_cli_import_leaves_scipy_out():
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
+def test_topology_commands_import_nothing_more(tmp_path):
+    """A job must not pull in numpy submodules after start-up (np.unique
+    imports numpy.ma on its first call in numpy 2.x), which every fresh
+    process would pay for."""
+    cx = gen_torus(8, 8, 1j)
+    surface = tmp_path / "t.dqs"
+    surface.write_text(serialize_dqs(cx))
+    bundle = tmp_path / "m.json"
+    bundle.write_text(serialize_map_bundle(cx, cx, range(cx.nv)))
+    code = (
+        "import sys, io, contextlib, dqs.cli\n"
+        "before = set(sys.modules)\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    for argv in (['check', {str(surface)!r}], ['homology', {str(surface)!r}],\n"
+        f"                 ['hurwitz', {str(bundle)!r}]):\n"
+        "        assert dqs.cli.main(argv) == 0\n"
+        "new = [m for m in set(sys.modules) - before if m.split('.')[0] in ('numpy', 'scipy')]\n"
+        "sys.exit(str(sorted(new)) if new else 0)\n")
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+
+
 @pytest.mark.parametrize("rho3", [[0.0, 0.0], [-1.0, 0.5]])
 @pytest.mark.parametrize("command", [["periods"], ["harmonic"], ["abelian", "--second", "1"],
                                      ["abel-jacobi", "--base", "0", "--point", "0"],
@@ -353,3 +379,164 @@ def test_map_bundle_rejects_non_integer_vertex_map(torus44):
     doc["vertex_map"][0] = [0.0, 0]
     with pytest.raises(ParseError):
         parse_map_bundle(json.dumps(doc))
+
+
+def _run_main(argv):
+    """Exit code (SystemExit included), stdout and stderr of one main call."""
+    import contextlib
+    import io as _io
+
+    out, err = _io.StringIO(), _io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def _strip_wall_time(text):
+    return [{k: v for k, v in json.loads(line).items() if k != "wall_time"}
+            for line in text.splitlines()]
+
+
+def test_cached_parser_behaves_like_fresh_ones(tmp_path):
+    """main builds its parser once; an argparse error in one call must not
+    change the next, and the other way round."""
+    from dqs import cli
+
+    path = str(_torus_file(tmp_path))
+    calls = [["check", "--format", "nope", path], ["genus", "--format", "json", path],
+             ["abelian", "--second", "1", "--third", "0", "2", path],
+             ["check", "--format", "json", path], ["frobnicate"]]
+    fresh = []
+    for argv in calls:
+        cli.build_parser.cache_clear()
+        fresh.append(_run_main(argv))
+    cli.build_parser.cache_clear()
+    reused = [_run_main(argv) for argv in calls]
+    assert cli.build_parser.cache_info().misses == 1
+    for (code, out, err), (code2, out2, err2) in zip(fresh, reused):
+        assert (code, err) == (code2, err2)
+        assert _strip_wall_time(out) == _strip_wall_time(out2)
+    assert [c for c, _, _ in reused] == [2, 0, 2, 0, 2]
+
+
+def test_map_bundle_reads_inline_sides_without_reserializing(monkeypatch, torus44):
+    doc = json.loads(serialize_map_bundle(torus44, torus44, range(16)))
+    text = json.dumps(doc)
+    doc["source"]["quads"][0]["rho"] = [float("nan"), 0]
+    bad = json.dumps(doc)
+
+    def no_dumps(*args, **kwargs):
+        raise AssertionError("parse_map_bundle re-serialized a side")
+
+    monkeypatch.setattr(json, "dumps", no_dumps)
+    src, tgt, vm, _, _ = parse_map_bundle(text, "m.json")
+    assert src.quads == torus44.quads and tgt.rho == torus44.rho
+    with pytest.raises(ParseError) as err:
+        parse_map_bundle(bad, "m.json")
+    assert str(err.value).startswith("m.json:source:quads[0].rho: rho of quad 0 must be finite")
+
+
+@pytest.mark.parametrize("edit", ["5", "[1, 2]", '"x"', "vertex_map"])
+def test_map_bundle_rejects_non_objects(edit, torus44):
+    doc = json.loads(serialize_map_bundle(torus44, torus44, range(16)))
+    if edit == "vertex_map":
+        doc["vertex_map"] = 3
+    else:
+        doc = json.loads(edit)
+    with pytest.raises(ParseError):
+        parse_map_bundle(json.dumps(doc), "m.json")
+
+
+@pytest.mark.parametrize("basis", [{"a": 5, "b": []}, {"a": [3], "b": []},
+                                   {"a": {}, "b": []}, {"a": [], "b": "x"}])
+def test_basis_must_be_arrays(basis, torus44):
+    doc = json.loads(serialize_dqs(torus44))
+    doc["basis"] = basis
+    with pytest.raises(ParseError):
+        parse_dqs(json.dumps(doc))
+
+
+# ---------------------------------------------------------------------------
+# fuzz: every malformed document is a ParseError and a clean CLI error
+
+_FUZZ_TORUS = gen_torus(4, 4, 0.2 + 1.1j)
+_FUZZ_DOC = json.loads(serialize_dqs(_FUZZ_TORUS, standard_torus_basis(_FUZZ_TORUS, 4, 4)))
+
+# JSON values of the wrong type for every field they replace below
+_WRONG = st.sampled_from([None, True, False, "1", "b ", [], [0, 0, 0], {}, 1.5, -0.0])
+
+
+@st.composite
+def _broken_dqs(draw):
+    """The 4x4 torus DQS with one edit that no valid document has."""
+    doc = json.loads(json.dumps(_FUZZ_DOC))
+    nv, nq = len(doc["vertices"]), len(doc["quads"])
+    kind = draw(st.sampled_from([
+        "drop-top", "wrong-top", "drop-vertex-key", "wrong-vertex-id", "wrong-color",
+        "vertex-id-range", "vertex-id-dup", "wrong-vertex", "drop-quad-key",
+        "wrong-quad-field", "quad-id-range", "quad-id-dup", "corner-range", "rho-value",
+        "rho-shape", "wrong-quad", "basis-type", "basis-quad-range"]))
+    i = draw(st.integers(0, nv - 1))
+    q = draw(st.integers(0, nq - 1))
+    vert, quad = doc["vertices"][i], doc["quads"][q]
+    if kind == "drop-top":
+        del doc[draw(st.sampled_from(["vertices", "quads"]))]
+    elif kind == "wrong-top":
+        doc[draw(st.sampled_from(["vertices", "quads"]))] = draw(_WRONG.filter(
+            lambda x: not isinstance(x, list)))
+    elif kind == "drop-vertex-key":
+        del vert[draw(st.sampled_from(["id", "color"]))]
+    elif kind == "wrong-vertex-id":
+        vert["id"] = draw(_WRONG)
+    elif kind == "wrong-color":
+        vert["color"] = draw(_WRONG)
+    elif kind == "vertex-id-range":
+        vert["id"] = draw(st.one_of(st.integers(max_value=-1), st.integers(min_value=nv)))
+    elif kind == "vertex-id-dup":
+        vert["id"] = draw(st.integers(0, nv - 1).filter(lambda j: j != i))
+    elif kind == "wrong-vertex":
+        doc["vertices"][i] = draw(_WRONG.filter(lambda x: not isinstance(x, dict)))
+    elif kind == "drop-quad-key":
+        del quad[draw(st.sampled_from(["id", "bm", "wm", "bp", "wp", "rho"]))]
+    elif kind == "wrong-quad-field":
+        quad[draw(st.sampled_from(["id", "bm", "wm", "bp", "wp", "rho"]))] = draw(_WRONG)
+    elif kind == "quad-id-range":
+        quad["id"] = draw(st.one_of(st.integers(max_value=-1), st.integers(min_value=nq)))
+    elif kind == "quad-id-dup":
+        quad["id"] = draw(st.integers(0, nq - 1).filter(lambda j: j != q))
+    elif kind == "corner-range":
+        quad[draw(st.sampled_from(["bm", "wm", "bp", "wp"]))] = draw(
+            st.one_of(st.integers(max_value=-1), st.integers(min_value=nv)))
+    elif kind == "rho-value":
+        quad["rho"][draw(st.integers(0, 1))] = draw(st.one_of(
+            st.sampled_from([float("nan"), float("inf"), -float("inf"), 10 ** 400]),
+            _WRONG.filter(lambda x: type(x) not in (int, float))))
+    elif kind == "rho-shape":
+        quad["rho"] = draw(st.lists(st.floats(0.5, 2.0), max_size=4).filter(
+            lambda r: len(r) != 2))
+    elif kind == "wrong-quad":
+        doc["quads"][q] = draw(_WRONG.filter(lambda x: not isinstance(x, dict)))
+    elif kind == "basis-type":
+        doc["basis"][draw(st.sampled_from(["a", "b"]))] = draw(_WRONG.filter(
+            lambda x: x != []))
+    else:
+        doc["basis"]["a"][0][0][0] = draw(st.one_of(st.integers(max_value=-1),
+                                                    st.integers(min_value=nq)))
+    return json.dumps(doc)
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_broken_dqs())
+def test_malformed_documents_are_clean_errors(text):
+    from unittest import mock
+    import io as _io
+
+    with pytest.raises(ParseError):
+        parse_dqs(text, "fuzz.dqs")
+    with mock.patch("sys.stdin", _io.StringIO(text)):
+        code, out, err = _run_main(["check", "-"])
+    assert code == 1 and out == ""
+    assert err.startswith("error: <stdin>") and err.count("\n") == 1

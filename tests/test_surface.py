@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from dqs import (
     WHITE,
     Obstruction,
     QuadComplex,
+    gen_cube,
     gen_torus,
     genus,
     intersection_angle,
@@ -19,8 +21,9 @@ from dqs import (
     vertex_chart,
     vertex_fan,
 )
-from dqs.errors import DqsError, MalformedSurfaceError
-from dqs.surface import SLOT_BM, SLOT_BP, SLOT_WM, SLOT_WP
+from dqs.coverings import gen_cube_double_cover
+from dqs.errors import AmbiguousGluingError, DqsError, MalformedSurfaceError, SurfaceError
+from dqs.surface import SLOT_BM, SLOT_BP, SLOT_WM, SLOT_WP, ValidationReport, Violation
 
 
 def pillow():
@@ -30,6 +33,147 @@ def pillow():
         [(0, 1, 2, 3), (2, 1, 0, 3)],
         [1.0, 1.0],
     )
+
+
+# ---------------------------------------------------------------------------
+# Reference implementations: the per-quad Python scans that validate and
+# stars were before they became array passes.  The tests compare the two.
+
+
+def _reference_other_quad(cx, u, w):
+    entries = cx.edge_pairs[(min(u, w), max(u, w))]
+    if len(entries) != 2:
+        raise AmbiguousGluingError(
+            f"edge {{{u}, {w}}} occurs in {len(entries)} quad boundaries; "
+            "rotation system is ambiguous"
+        )
+    for q2, a, b in entries:
+        if (a, b) == (w, u):
+            return q2
+    raise SurfaceError(f"edge {{{u}, {w}}} is not traversed in both directions")
+
+
+def _reference_stars(cx):
+    out = []
+    for v in range(cx.nv):
+        inc = cx.incidences[v]
+        if not inc:
+            out.append(())
+            continue
+        q0, s0 = inc[0]
+        order = [(q0, s0)]
+        q, s = q0, s0
+        for _ in range(len(inc)):
+            p = cx.corner_prev(q, s)
+            q = _reference_other_quad(cx, p, v)
+            s = cx.corner_slot(q, v)
+            if (q, s) == (q0, s0):
+                break
+            order.append((q, s))
+        else:
+            raise SurfaceError(f"star of vertex {v} does not close")
+        if len(order) != len(inc):
+            raise SurfaceError(f"link of vertex {v} is not a single cycle")
+        out.append(tuple(order))
+    return tuple(out)
+
+
+def _reference_validate(cx):
+    bad = []
+    for q, t in enumerate(cx.quads):
+        if len(set(t)) != 4:
+            bad.append(Violation("quad-vertices", (q,), f"quad {q} has repeated vertices"))
+    for q, t in enumerate(cx.quads):
+        cols = tuple(cx.colors[v] for v in t)
+        if cols != (BLACK, WHITE, BLACK, WHITE):
+            bad.append(Violation(
+                "bipartite", (q,),
+                f"quad {q} corner colors {cols} are not (b, w, b, w)"))
+    for pair, entries in sorted(cx.edge_pairs.items()):
+        fwd = sum(1 for (_, a, b) in entries if (a, b) == pair)
+        rev = len(entries) - fwd
+        if fwd != rev or len(entries) % 2:
+            bad.append(Violation(
+                "closed-surface", pair,
+                f"edge {pair} traversed {fwd}x forward, {rev}x backward"))
+        elif len(entries) > 2:
+            bad.append(Violation(
+                "strong-regularity", pair,
+                f"edge {pair} is shared by {len(entries)} quad boundaries"))
+    for q, r in enumerate(cx.rho):
+        if not cmath.isfinite(r):
+            bad.append(Violation(
+                "rho-positivity", (q,), f"quad {q} has non-finite rho={r}"))
+        elif not r.real > 0:
+            bad.append(Violation(
+                "rho-positivity", (q,), f"quad {q} has rho={r} with Re <= 0"))
+    structural = [v for v in bad if v.kind in ("quad-vertices", "bipartite", "closed-surface")]
+    if not structural:
+        if not any(len(e) != 2 for e in cx.edge_pairs.values()):
+            try:
+                _reference_stars(cx)
+            except SurfaceError as exc:
+                bad.append(Violation("vertex-link", (), str(exc)))
+        bad.extend(_reference_connectivity(cx))
+        bad.extend(_reference_strong_regularity(cx))
+    order = {"quad-vertices": 0, "bipartite": 1, "closed-surface": 2,
+             "vertex-link": 3, "connectivity": 4, "rho-positivity": 5,
+             "strong-regularity": 6}
+    bad.sort(key=lambda v: (order[v.kind], v.ids))
+    return ValidationReport(tuple(bad))
+
+
+def _reference_connectivity(cx):
+    if cx.nv == 0:
+        return [Violation("connectivity", (), "empty complex")]
+    seen = {0}
+    stack = [0]
+    adj = {}
+    for (u, w) in cx.edge_pairs:
+        adj.setdefault(u, []).append(w)
+        adj.setdefault(w, []).append(u)
+    while stack:
+        u = stack.pop()
+        for w in adj.get(u, ()):
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    if len(seen) != cx.nv:
+        return [Violation("connectivity", (), f"only {len(seen)} of {cx.nv} vertices connected")]
+    return []
+
+
+def _reference_strong_regularity(cx):
+    out = []
+    shared_edges = {}
+    for pair, entries in cx.edge_pairs.items():
+        qs = sorted({q for (q, _, _) in entries})
+        for i in range(len(qs)):
+            for j in range(i + 1, len(qs)):
+                shared_edges.setdefault((qs[i], qs[j]), []).append(pair)
+        if len(entries) == 2 and entries[0][0] == entries[1][0]:
+            q = entries[0][0]
+            out.append(Violation(
+                "strong-regularity", (q,),
+                f"quad {q} is glued to itself along edge {pair}"))
+    for (q1, q2), pairs in sorted(shared_edges.items()):
+        if len(pairs) > 1:
+            out.append(Violation(
+                "strong-regularity", (q1, q2),
+                f"quads {q1} and {q2} share {len(pairs)} edges"))
+    shared_vertices = {}
+    for v in range(cx.nv):
+        qs = sorted({q for (q, _) in cx.incidences[v]})
+        for i in range(len(qs)):
+            for j in range(i + 1, len(qs)):
+                shared_vertices.setdefault((qs[i], qs[j]), []).append(v)
+    for (q1, q2), vs in sorted(shared_vertices.items()):
+        if len(vs) < 2 or (q1, q2) in shared_edges:
+            continue
+        out.append(Violation(
+            "strong-regularity", (q1, q2),
+            f"quads {q1} and {q2} share vertices {vs} but no edge"))
+    return out
 
 
 class TestValidate:
@@ -66,6 +210,149 @@ class TestValidate:
         rep = validate(gen_torus(2, 4, 1j))
         assert rep.surface_ok
         assert not rep.ok and rep.kinds() == ["strong-regularity"]
+
+
+def _relabel(cx, quads, colors=None, rho=None):
+    return QuadComplex.build(cx.colors if colors is None else colors, quads,
+                             cx.rho if rho is None else rho)
+
+
+def _two_cubes():
+    cube = gen_cube()
+    quads = list(cube.quads) + [tuple(v + 8 for v in t) for t in cube.quads]
+    return QuadComplex.build(cube.colors * 2, quads, cube.rho * 2)
+
+
+def _glued_cubes(*shared):
+    """Two cubes with each listed vertex of the first identified with its
+    copy in the second."""
+    union = _two_cubes()
+    keep = [v for v in range(union.nv) if v - 8 not in shared]
+    merge = {v: i for i, v in enumerate(keep)}
+    merge.update({v + 8: merge[v] for v in shared})
+    return QuadComplex.build([union.colors[v] for v in keep],
+                             [tuple(merge[v] for v in t) for t in union.quads], union.rho)
+
+
+def _split_quad():
+    # cube face 0 cut into two quads through a new vertex of degree two
+    cube = gen_cube()
+    bm, wm, bp, wp = cube.quads[0]
+    quads = list(cube.quads[1:]) + [(bm, wm, bp, 8), (bm, 8, bp, wp)]
+    return QuadComplex.build(cube.colors + (WHITE,), quads, [1.0] * 7)
+
+
+def _surface(name):
+    """Surfaces for the reference comparison, with the kinds they violate."""
+    torus = gen_torus(4, 4, 1j)
+    if name == "cube":
+        return gen_cube(), []
+    if name == "pillow":
+        return pillow(), ["strong-regularity"]
+    if name == "torus-2x4":
+        return gen_torus(2, 4, 1j), ["strong-regularity"]
+    if name == "torus-4x4":
+        return torus, []
+    if name == "torus-32":
+        return gen_torus(32, 32, 0.2 + 1.1j), []
+    if name == "genus3":
+        return gen_cube_double_cover()[0], []
+    if name == "genus3-sub3":
+        return subdivide3(gen_cube_double_cover()[0]), []
+    quads = [list(t) for t in torus.quads]
+    if name == "repeated-vertex":
+        quads[5][1] = quads[5][3]
+        return _relabel(torus, quads), ["closed-surface", "quad-vertices"]
+    if name == "non-bipartite":
+        colors = list(torus.colors)
+        colors[6] = 1 - colors[6]
+        return _relabel(torus, quads, colors=colors), ["bipartite"]
+    if name == "open":
+        return _relabel(torus, quads[1:], rho=torus.rho[1:]), ["closed-surface"]
+    if name == "doubled-quad":
+        return _relabel(torus, quads + [quads[0]], rho=torus.rho + (1.0,)), ["closed-surface"]
+    if name == "two-cycle-link":
+        # the link of the shared vertex is two disjoint 3-cycles
+        return _glued_cubes(0), ["vertex-link"]
+    if name == "shared-diagonal":
+        # glued at both ends of a face diagonal, the two copies of that
+        # face share two vertices but no edge
+        return _glued_cubes(0, 3), ["strong-regularity", "vertex-link"]
+    if name == "degree-two-vertex":
+        return _split_quad(), ["strong-regularity"]
+    if name == "disconnected":
+        return _two_cubes(), ["connectivity"]
+    if name == "bad-weights":
+        rho = list(torus.rho)
+        rho[2], rho[7], rho[9], rho[11] = complex("nan"), 0j, -1 + 0.5j, complex(1, float("inf"))
+        return _relabel(torus, quads, rho=rho), ["rho-positivity"]
+    raise KeyError(name)
+
+
+def _stars_outcome(stars, cx):
+    """stars(cx) on a fresh copy of cx, or the type and text of its error."""
+    try:
+        return stars(QuadComplex(cx.colors, cx.quads, cx.rho))
+    except SurfaceError as exc:
+        return type(exc), str(exc)
+
+
+def _array_stars(cx):
+    return cx.stars
+
+
+@pytest.mark.parametrize("name", [
+    "cube", "pillow", "torus-2x4", "torus-4x4", "torus-32", "genus3", "genus3-sub3",
+    "repeated-vertex", "non-bipartite", "open", "doubled-quad", "two-cycle-link",
+    "shared-diagonal", "degree-two-vertex", "disconnected", "bad-weights"])
+def test_validate_and_stars_match_reference(name):
+    cx, kinds = _surface(name)
+    report = validate(cx)
+    assert report.kinds() == kinds
+    assert report == _reference_validate(QuadComplex(cx.colors, cx.quads, cx.rho))
+    assert _stars_outcome(_array_stars, cx) == _stars_outcome(_reference_stars, cx)
+
+
+def test_validate_matches_reference_on_random_edits(rng):
+    """Random corner, color, weight and orientation edits of valid surfaces."""
+    bases = [gen_cube(), gen_torus(4, 4, 1j), gen_torus(2, 4, 1j), pillow(),
+             gen_cube_double_cover()[0]]
+    for trial in range(300):
+        base = bases[trial % len(bases)]
+        colors, quads, rho = list(base.colors), [list(t) for t in base.quads], list(base.rho)
+        for _ in range(rng.integers(1, 4)):
+            q = rng.integers(len(quads))
+            edit = rng.integers(5)
+            if edit == 0:
+                quads[q][rng.integers(4)] = int(rng.integers(len(colors)))
+            elif edit == 1:
+                colors[rng.integers(len(colors))] ^= 1
+            elif edit == 2:
+                quads[q] = quads[q][::-1]
+            elif edit == 3:
+                rho[q] = complex(rng.choice([-1.0, 0.0, np.nan, 2.0]))
+            elif len(quads) > 1:
+                quads.pop(q)
+                rho.pop(q)
+        cx = QuadComplex.build(colors, quads, rho)
+        assert validate(cx) == _reference_validate(cx)
+        assert _stars_outcome(_array_stars, cx) == _stars_outcome(_reference_stars, cx)
+
+
+def test_validate_work_is_linear(monkeypatch, counted_quads):
+    """Operation counts, no timing: a per-vertex star walk makes one corner
+    lookup and one gluing lookup per incidence; the array passes read the
+    quad table once."""
+    cx = counted_quads(gen_torus(32, 32, 0.2 + 1.1j))
+    calls = [0]
+    for name in ("_other_quad", "corner_slot"):
+        def counted(self, *args, original=getattr(QuadComplex, name)):
+            calls[0] += 1
+            return original(self, *args)
+        monkeypatch.setattr(QuadComplex, name, counted)
+    assert validate(cx).ok
+    assert calls[0] == 0
+    assert cx.quads.reads <= 2 * cx.nq
 
 
 class TestGenus:
