@@ -1,19 +1,17 @@
 """Harmonic and holomorphic differentials, period matrices, Abelian forms.
 
-All solvers work in the per-quad unknowns of a diamond form.  A general
-form has two complex unknowns per quad (its black and white values); a
-form without antiholomorphic part has one (the dz coefficient p, whose
-black value is p and white value i*rho*p).  Every system comes from the
-one vertex-boundary operator of ``dqs.operators``: closedness is the
-operator itself, co-closedness is the operator after the Hodge star,
-and residues of p dz forms are the operator after the p dz embedding.
-Periods are doubled sums over the stored basis chains.  Each existence
-and uniqueness theorem is one linear system that is square once one
-black-vertex and one white-vertex row of every boundary block are
-dropped (the rows of each color sum to zero).  ``operators.solve``
-factors it with one dense LU, checks uniqueness by a condition estimate,
-the backward error, and the residual on the full system, and reports
-the exact rank when the system is singular.
+Every solver works in the dz coefficients p of forms without
+antiholomorphic part, one complex unknown per quad (black value p,
+white value i*rho*p); no system has two unknowns per quad.  Its rows
+are the vertex-boundary operator of ``dqs.operators`` after the p dz
+embedding (the residues) and the doubled a-periods over the stored
+basis chains.  Dropping one black-vertex and one white-vertex row (the
+rows of each color sum to zero) makes it square; ``operators.solve``
+factors it with one dense LU, checks uniqueness by a condition
+estimate, the backward error and the residual on the full system, and
+reports the exact rank when it is singular.  The Hodge star is real and
+squares to -1, so a harmonic form is a combination of the canonical
+holomorphic forms and their conjugates: co-closedness is never solved for.
 """
 
 from __future__ import annotations
@@ -44,22 +42,32 @@ def _dz_system(cx: QuadComplex, basis: HomologyBasis) -> np.ndarray:
     return np.vstack([boundary(cx), chain_rows(basis.a_chains, cx.nq)])
 
 
+def _values(cx: QuadComplex, p: np.ndarray) -> np.ndarray:
+    """Stacked (black, white) values of the forms p dz, one column per column of p."""
+    return np.vstack([p, 1j * np.asarray(cx.rho)[:, None] * p])
+
+
 def harmonic_with_periods(cx: QuadComplex, basis: HomologyBasis, targets,
                           tol: float = 1e-9) -> DiamondForm:
     """The unique closed and co-closed form with prescribed shadow periods.
 
     targets holds (A_black, A_white, B_black, B_white) stacked as four
-    length-g blocks.
+    length-g blocks.  The form is V c + conj(V) d over the canonical
+    holomorphic values V, with (c, d) from the 4g x 4g shadow periods of
+    V and conj(V).  At genus 0 the holomorphic solve, with no right-hand
+    side, certifies that zero is the only harmonic form.
     """
     g = basis.g
     targets = np.asarray(targets, dtype=complex).reshape(4 * g)
-    B = boundary(cx)
-    A = np.vstack([B, costar(cx, B), chain_rows(basis.a_chains, cx.nq),
-                   chain_rows(basis.b_chains, cx.nq)])
-    rhs = np.concatenate([np.zeros(2 * cx.nv, complex), targets])
-    dep = dependent_rows(cx)
-    sol = solve(A, rhs, tol, "harmonic", drop=dep + [cx.nv + r for r in dep])
-    return DiamondForm(sol[:cx.nq], sol[cx.nq:])
+    p = _holomorphic_solve(cx, basis, np.eye(2 * g), tol)
+    if g == 0:
+        return DiamondForm.zero(cx)
+    V = _values(cx, p)
+    P = np.vstack([chain_rows(basis.a_chains, cx.nq),
+                   chain_rows(basis.b_chains, cx.nq)]) @ V
+    c = solve(np.hstack([P, P.conj()]), targets, tol, "harmonic")
+    x = V @ c[:2 * g] + V.conj() @ c[2 * g:]
+    return DiamondForm(x[:cx.nq], x[cx.nq:])
 
 
 def nullity_harmonic(cx: QuadComplex, cutoff: float = 1e-9) -> int:
@@ -152,19 +160,13 @@ def period_matrices(cx: QuadComplex, basis: HomologyBasis,
     if hb is None:
         hb = canonical_bases(cx, basis)
     g = basis.g
-    BB = np.zeros((g, g), complex)
-    BW = np.zeros((g, g), complex)
-    WB = np.zeros((g, g), complex)
-    WW = np.zeros((g, g), complex)
-    Pi = np.zeros((g, g), complex)
-    for j in range(g):
-        bj = basis.b_chains[j]
-        for k in range(g):
-            BB[j, k] = 2.0 * integrate_black_chain(cx, hb.omega_black[k], bj.black)
-            BW[j, k] = 2.0 * integrate_black_chain(cx, hb.omega_white[k], bj.black)
-            WB[j, k] = 2.0 * integrate_white_chain(cx, hb.omega_black[k], bj.white)
-            WW[j, k] = 2.0 * integrate_white_chain(cx, hb.omega_white[k], bj.white)
-            Pi[j, k] = integrate_cycle(cx, hb.omega[k], basis.b[j])
+    # the black value of a form p dz is its dz coefficient p
+    p = np.array([w.black for w in hb.omega_black + hb.omega_white]).reshape(2 * g, cx.nq)
+    shadows = chain_rows(basis.b_chains, cx.nq) @ _values(cx, p.T)
+    BB, BW = shadows[:g, :g], shadows[:g, g:]
+    WB, WW = shadows[g:, :g], shadows[g:, g:]
+    Pi = np.array([[integrate_cycle(cx, w, bj) for w in hb.omega] for bj in basis.b],
+                  dtype=complex).reshape(g, g)
     Pi_full = np.block([[BW, BB], [WW, WB]])
     Pi_black = BW + BB
     Pi_white = WW + WB

@@ -182,17 +182,42 @@ def serialize_oneform(omega: DiamondForm) -> str:
 
 def parse_oneform(text: str, cx: QuadComplex, name: str = "<form>") -> DiamondForm:
     doc = _load_json(text, name)
+    _require(isinstance(doc, dict), name, "top level must be an object")
     _require(doc.get("type") == "oneform-diamond", name,
              "type must be 'oneform-diamond'")
+    rows = doc.get("values", [])
+    _require(isinstance(rows, list), f"{name}:values", "must be an array")
     black = np.zeros(cx.nq, complex)
     white = np.zeros(cx.nq, complex)
-    for i, row in enumerate(doc.get("values", [])):
-        _require(len(row) == 3, f"{name}:values[{i}]", "row must be [quad, black, white]")
+    for i, row in enumerate(rows):
+        if not isinstance(row, list) or len(row) != 3:
+            raise ParseError(f"{name}:values[{i}]", "row must be [quad, black, white]")
         q, b, w = row
-        _require(0 <= q < cx.nq, f"{name}:values[{i}]", f"unknown quad {q}")
-        black[q] = complex(b[0], b[1])
-        white[q] = complex(w[0], w[1])
+        if type(q) is not int or not 0 <= q < cx.nq:
+            raise ParseError(f"{name}:values[{i}]", f"unknown quad {q!r}")
+        black[q] = _complex_pair(b, f"{name}:values[{i}]", f"black value of quad {q}")
+        white[q] = _complex_pair(w, f"{name}:values[{i}]", f"white value of quad {q}")
     return DiamondForm(black, white)
+
+
+def _complex_pair(r, path, what) -> complex:
+    """The finite complex number of a JSON [re, im] pair of numbers.
+
+    ``_parse_quads`` makes the same checks inline: a call per quad adds
+    about 8 % to the parse time of a large surface.
+    """
+    if not isinstance(r, list) or len(r) != 2:
+        raise ParseError(path, f"{what} must be [re, im]")
+    re, im = r
+    try:
+        if type(re) not in _NUMBER or type(im) not in _NUMBER:
+            raise TypeError
+        z = complex(float(re), float(im))
+    except (TypeError, OverflowError):
+        raise ParseError(path, f"{what} must be two numbers, got {r}") from None
+    if not cmath.isfinite(z):
+        raise ParseError(path, f"{what} must be finite, got {r}")
+    return z
 
 
 def serialize_function(f) -> str:

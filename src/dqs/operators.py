@@ -131,14 +131,10 @@ def _lu_solve(S: np.ndarray, b: np.ndarray, eps_n: float):
     |S|_1 |S^-1 p|_1 / |p|_1, a lower bound on cond_1(S), must stay
     below 1 / eps_n, and the normwise backward error
     |S x - b| / (|S| |x| + |b|) (infinity norms) of every column must be
-    at most eps_n.  A real S with complex b is solved in real arithmetic
-    on [Re b | Im b].
+    at most eps_n.
     """
     n = S.shape[0]
     cols = b.reshape(n, -1)
-    split = np.isrealobj(S) and np.iscomplexobj(cols)
-    if split:
-        cols = np.hstack([cols.real, cols.imag])
     rng = np.random.default_rng(0)
     perm = rng.permutation(n)
     S = S.take(perm, axis=1)
@@ -154,11 +150,7 @@ def _lu_solve(S: np.ndarray, b: np.ndarray, eps_n: float):
     bound = eps_n * (abs_s.sum(axis=1).max() * np.abs(x).max(axis=0) + np.abs(y).max(axis=0))
     if not np.all(np.abs(S @ x - y).max(axis=0) <= bound):
         return None
-    x = x[np.argsort(perm), :-1]
-    if split:
-        k = x.shape[1] // 2
-        x = x[:, :k] + 1j * x[:, k:]
-    return x.reshape(b.shape)
+    return x[np.argsort(perm), :-1].reshape(b.shape)
 
 
 def nullity(A: np.ndarray, cutoff: float = 1e-9) -> int:

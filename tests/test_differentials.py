@@ -29,10 +29,12 @@ from dqs import (
     standard_torus_basis,
     transform_periods,
 )
+from dqs import operators
 from dqs.calculus import d_one_form, scalar_product
 from dqs.errors import DqsError
 from dqs.homology import Cycle, integrate_black_chain, integrate_white_chain
-from dqs.surface import genus
+from dqs.operators import boundary, chain_rows, costar
+from dqs.surface import genus, subdivide3
 
 
 @pytest.fixture(scope="module")
@@ -98,6 +100,56 @@ class TestHarmonic:
         anti = from_coefficients(cx, np.zeros(cx.nq), q)
         assert closedness_residual(cx, holo) < 1e-9
         assert closedness_residual(cx, anti) < 1e-9
+
+
+def _harmonic_reference(cx, basis, targets):
+    """Harmonic form values with given shadow periods, by dense least squares.
+
+    The unknowns are the black and white values of every quad; the rows
+    are closedness, co-closedness (closedness after the Hodge star) and
+    the doubled a- and b-periods.  The system is real, so the real and
+    imaginary parts of the targets are solved as two columns.
+    """
+    B = boundary(cx)
+    A = np.vstack([B, costar(cx, B), chain_rows(basis.a_chains, cx.nq),
+                   chain_rows(basis.b_chains, cx.nq)])
+    rhs = np.concatenate([np.zeros(2 * cx.nv), targets])
+    sol, _, rank, _ = np.linalg.lstsq(A, np.column_stack([rhs.real, rhs.imag]), rcond=None)
+    assert rank == A.shape[1]
+    return sol[:, 0] + 1j * sol[:, 1]
+
+
+@pytest.mark.parametrize("which", ["cube", "torus44", "torus86", "cover", "cover-sub3"])
+def test_harmonic_matches_reference(which, cube, torus44, cube_cover, monkeypatch):
+    """The holomorphic-basis construction agrees with the 2nq-unknown system."""
+    rng = np.random.default_rng(31)
+    if which == "torus44":
+        cx = randomize_rho(torus44, rng)
+        basis = standard_torus_basis(cx, 4, 4)
+    elif which == "torus86":
+        cx = randomize_rho(gen_torus(8, 6, 0.3 + 1.2j), rng)
+        basis = standard_torus_basis(cx, 8, 6)
+    else:
+        cx = cube if which == "cube" else cube_cover[0]
+        cx = randomize_rho(subdivide3(cx) if which == "cover-sub3" else cx, rng)
+        basis = homology_basis(cx)
+    g = basis.g
+    targets = rng.normal(size=4 * g) + 1j * rng.normal(size=4 * g)
+    lu_shapes = []
+    lu_solve = operators._lu_solve
+
+    def recording_lu(S, b, eps_n):
+        x = lu_solve(S, b, eps_n)
+        lu_shapes.append((S.shape, x is not None))
+        return x
+
+    monkeypatch.setattr(operators, "_lu_solve", recording_lu)
+    omega = harmonic_with_periods(cx, basis, targets)
+    ref = _harmonic_reference(cx, basis, targets)
+    got = np.concatenate([omega.black, omega.white])
+    assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+    assert lu_shapes[0] == ((cx.nq, cx.nq), True)
+    assert lu_shapes[1:] == ([((4 * g, 4 * g), True)] if g else [])
 
 
 class TestHolomorphic:

@@ -82,6 +82,32 @@ class TestFormsAndMaps:
         back = parse_oneform(serialize_oneform(omega), torus44)
         assert (back - omega).norm() == 0.0
 
+    @pytest.mark.parametrize("text, path", [
+        ("5", "<form>"),
+        ('{"type": "oneform-diamond", "values": 5}', "<form>:values"),
+        ('{"type": "oneform-diamond", "values": {"0": [1, 0]}}', "<form>:values"),
+        ("[7]", "<form>:values[0]"),
+        ("[[0, [1, 0], [1, 2]], [0, [1, 0]]]", "<form>:values[1]"),
+        ('[[0, "ab", [1, 2]]]', "<form>:values[0]"),
+        ("[[0, [1, 0], [1, 2, 3]]]", "<form>:values[0]"),
+        ("[[0, [1, 0], [null, 2]]]", "<form>:values[0]"),
+        ("[[0, [true, 0], [1, 2]]]", "<form>:values[0]"),
+        ("[[1.5, [1, 0], [1, 2]]]", "<form>:values[0]"),
+        ("[[true, [1, 0], [1, 2]]]", "<form>:values[0]"),
+        ("[[16, [1, 0], [1, 2]]]", "<form>:values[0]"),
+        ("[[-1, [1, 0], [1, 2]]]", "<form>:values[0]"),
+        ("[[0, [1e999, 0], [1, 2]]]", "<form>:values[0]"),
+        ("[[0, [1, 0], [NaN, 2]]]", "<form>:values[0]"),
+        pytest.param("[[0, [1" + "0" * 400 + ", 0], [1, 2]]]", "<form>:values[0]",
+                     id="int-overflow"),
+    ])
+    def test_malformed_oneforms_are_clean_errors(self, torus44, text, path):
+        if text.startswith("["):
+            text = '{"type": "oneform-diamond", "values": %s}' % text
+        with pytest.raises(ParseError) as exc:
+            parse_oneform(text, torus44)
+        assert exc.value.path == path
+
     def test_map_bundle_round_trip(self, torus44):
         text = serialize_map_bundle(torus44, torus44, list(range(16)))
         src, tgt, vm, _, _ = parse_map_bundle(text)
