@@ -6,12 +6,16 @@ white value i*rho*p); no system has two unknowns per quad.  Its rows
 are the vertex-boundary operator of ``dqs.operators`` after the p dz
 embedding (the residues) and the doubled a-periods over the stored
 basis chains.  Dropping one black-vertex and one white-vertex row (the
-rows of each color sum to zero) makes it square; ``operators.solve``
-factors it with one dense LU, checks uniqueness by a condition
-estimate, the backward error and the residual on the full system, and
-reports the exact rank when it is singular.  The Hodge star is real and
-squares to -1, so a harmonic form is a combination of the canonical
-holomorphic forms and their conjugates: co-closedness is never solved for.
+rows of each color sum to zero) makes it square.  ``_dz_system`` is the
+one place that picks its form: a numpy array below ``SPARSE_NQ`` quads,
+which ``operators.solve`` factors with one dense LU, and a scipy CSR
+array from there on, which it factors with SuperLU.  Both paths check
+uniqueness by a condition estimate, the backward error of every column
+and the residual on the full system, and report the exact rank when it
+is singular.  ``abelian_basis`` solves all its second- and third-kind
+forms as columns of one system.  The Hodge star is real and squares to
+-1, so a harmonic form is a combination of the canonical holomorphic
+forms and their conjugates: co-closedness is never solved for.
 """
 
 from __future__ import annotations
@@ -29,17 +33,42 @@ from .homology import (
     integrate_cycle,
     integrate_white_chain,
 )
-from .operators import boundary, chain_rows, costar, dependent_rows, dz, nullity, solve
+from .operators import (
+    boundary,
+    boundary_triplets,
+    chain_rows,
+    chain_triplets,
+    costar,
+    dense_matrix,
+    dependent_rows,
+    dz,
+    nullity,
+    solve,
+    sparse_matrix,
+)
 from .surface import BLACK, WHITE, QuadComplex, require_ids, varignon_area
 
 
-def _dz_system(cx: QuadComplex, basis: HomologyBasis) -> np.ndarray:
+# Surfaces with at least this many quads assemble the dz system sparse and
+# factor it with SuperLU; smaller ones factor it densely.  Timed per
+# solve in one process, scipy already imported: dense wins up to the
+# 108-quad genus-3 cover, sparse from the 144-quad torus on (CHANGES.md).
+SPARSE_NQ = 128
+
+
+def _dz_system(cx: QuadComplex, basis: HomologyBasis):
     """Vertex boundary and doubled a-periods over (black, white) values.
 
     Composed with the p dz embedding its rows are the residues and the
-    a-period normalization of a form without antiholomorphic part.
+    a-period normalization of a form without antiholomorphic part.  A
+    numpy array below ``SPARSE_NQ`` quads, a scipy CSR array from there on.
     """
-    return np.vstack([boundary(cx), chain_rows(basis.a_chains, cx.nq)])
+    rows, cols, vals = boundary_triplets(cx)
+    a_rows, a_cols, a_vals = chain_triplets(basis.a_chains, cx.nq)
+    triplets = (np.concatenate([rows, cx.nv + a_rows]), np.concatenate([cols, a_cols]),
+                np.concatenate([vals, a_vals]))
+    shape = (cx.nv + 2 * basis.g, 2 * cx.nq)
+    return (dense_matrix if cx.nq < SPARSE_NQ else sparse_matrix)(shape, triplets)
 
 
 def _values(cx: QuadComplex, p: np.ndarray) -> np.ndarray:
@@ -282,6 +311,23 @@ def b_period_average(cx: QuadComplex, omega: DiamondForm, basis: HomologyBasis,
                    + integrate_white_chain(cx, omega, ch.white))
 
 
+def _double_poles(cx: QuadComplex, quads):
+    """Pinned dzbar coefficients at quads, and the values of those dzbar parts.
+
+    In the normalized chart of each quad q the coefficient is
+    -pi / (2 * area of the medial parallelogram).  Column k of the
+    (black, white) values is the form with only that dzbar part at quads[k].
+    """
+    quads = np.asarray(quads)
+    rho = np.asarray(cx.rho)[quads]
+    qbar = -math.pi / (2.0 * varignon_area(rho))
+    values = np.zeros((2 * cx.nq, len(quads)), complex)
+    k = np.arange(len(quads))
+    values[quads, k] = qbar
+    values[cx.nq + quads, k] = -1j * np.conj(rho) * qbar
+    return qbar, values
+
+
 def abelian_second(cx: QuadComplex, basis: HomologyBasis, q0: int,
                    tol: float = 1e-9) -> AbelianDifferential:
     """Second-kind differential: one double pole at q0, no residues.
@@ -291,16 +337,12 @@ def abelian_second(cx: QuadComplex, basis: HomologyBasis, q0: int,
     a-periods vanish.
     """
     require_ids((q0,), cx.nq, "quad")
-    qbar = -math.pi / (2.0 * varignon_area(cx.rho[q0]))
-    defect = np.zeros(cx.nq, complex)
-    defect[q0] = qbar
-    defect_form = from_coefficients(cx, np.zeros(cx.nq, complex), defect)
+    qbar, values = _double_poles(cx, [q0])
     # the fixed dzbar part contributes to residues and periods
     M = _dz_system(cx, basis)
-    rhs = -M @ np.concatenate([defect_form.black, defect_form.white])
-    sol = solve(dz(cx, M), rhs, tol, "second-kind", drop=dependent_rows(cx))
-    form = from_coefficients(cx, sol) + defect_form
-    return AbelianDifferential(form, "second", {}, {q0: complex(qbar)})
+    sol = solve(dz(cx, M), -(M @ values[:, 0]), tol, "second-kind", drop=dependent_rows(cx))
+    form = from_coefficients(cx, sol) + DiamondForm(values[:cx.nq, 0], values[cx.nq:, 0])
+    return AbelianDifferential(form, "second", {}, {q0: complex(qbar[0])})
 
 
 def abelian_basis(cx: QuadComplex, basis: HomologyBasis, b0: int, w0: int,
@@ -310,21 +352,34 @@ def abelian_basis(cx: QuadComplex, basis: HomologyBasis, b0: int, w0: int,
     Returns 2g + nq + nv - 2 differentials: the canonical basis, one
     second-kind form per quad, and third-kind forms pairing b0 and w0
     with every other vertex of their color.  Their value vectors span
-    the full 2*nq-dimensional space of diamond forms.
+    the full 2*nq-dimensional space of diamond forms.  The second- and
+    third-kind forms, normalized as by ``abelian_second`` and
+    ``abelian_third``, are the columns of one solve of their common
+    system, so it is factored once.
     """
     if cx.colors[b0] != BLACK or cx.colors[w0] != WHITE:
         raise DqsError("base points must be one black and one white vertex")
     if hb is None:
         hb = canonical_bases(cx, basis)
+    nq = cx.nq
+    qbar, values = _double_poles(cx, np.arange(nq))
+    poles = np.array([v for v in range(cx.nv) if v not in (b0, w0)], dtype=np.intp)
+    bases = np.where(np.asarray(cx.colors)[poles] == BLACK, b0, w0)
+    third = np.zeros((cx.nv + 2 * basis.g, len(poles)), complex)
+    k = np.arange(len(poles))
+    third[bases, k] = 2j * math.pi
+    third[poles, k] = -2j * math.pi
+    M = _dz_system(cx, basis)
+    sol = solve(dz(cx, M), np.hstack([-(M @ values), third]), 1e-9, "Abelian basis",
+                drop=dependent_rows(cx))
     out = []
-    for k in range(basis.g):
-        out.append(AbelianDifferential(hb.omega_black[k], "first"))
-        out.append(AbelianDifferential(hb.omega_white[k], "first"))
-    for q in range(cx.nq):
-        out.append(abelian_second(cx, basis, q))
-    for v in range(cx.nv):
-        if v in (b0, w0):
-            continue
-        base = b0 if cx.colors[v] == BLACK else w0
-        out.append(abelian_third(cx, basis, base, v))
+    for j in range(basis.g):
+        out.append(AbelianDifferential(hb.omega_black[j], "first"))
+        out.append(AbelianDifferential(hb.omega_white[j], "first"))
+    for q in range(nq):
+        form = from_coefficients(cx, sol[:, q]) + DiamondForm(values[:nq, q], values[nq:, q])
+        out.append(AbelianDifferential(form, "second", {}, {q: complex(qbar[q])}))
+    for j, (base, v) in enumerate(zip(bases.tolist(), poles.tolist())):
+        out.append(AbelianDifferential(from_coefficients(cx, sol[:, nq + j]), "third",
+                                       {base: 1.0, v: -1.0}, {}))
     return out

@@ -173,14 +173,20 @@ def serialize_dqs(cx: QuadComplex, basis: HomologyBasis = None) -> str:
 # forms and functions
 
 
+def oneform_doc(omega: DiamondForm) -> dict:
+    """The oneform-diamond document of a form, as JSON-ready Python values."""
+    vals = np.column_stack([omega.black.real, omega.black.imag,
+                            omega.white.real, omega.white.imag]).tolist()
+    return {"type": "oneform-diamond",
+            "values": [[q, [br, bi], [wr, wi]] for q, (br, bi, wr, wi) in enumerate(vals)]}
+
+
 def serialize_oneform(omega: DiamondForm) -> str:
-    values = [[q, [omega.black[q].real, omega.black[q].imag],
-               [omega.white[q].real, omega.white[q].imag]]
-              for q in range(len(omega.black))]
-    return json.dumps({"type": "oneform-diamond", "values": values})
+    return json.dumps(oneform_doc(omega))
 
 
 def parse_oneform(text: str, cx: QuadComplex, name: str = "<form>") -> DiamondForm:
+    """The form of a oneform-diamond document: exactly one row per quad."""
     doc = _load_json(text, name)
     _require(isinstance(doc, dict), name, "top level must be an object")
     _require(doc.get("type") == "oneform-diamond", name,
@@ -189,14 +195,20 @@ def parse_oneform(text: str, cx: QuadComplex, name: str = "<form>") -> DiamondFo
     _require(isinstance(rows, list), f"{name}:values", "must be an array")
     black = np.zeros(cx.nq, complex)
     white = np.zeros(cx.nq, complex)
+    seen = np.zeros(cx.nq, bool)
     for i, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != 3:
             raise ParseError(f"{name}:values[{i}]", "row must be [quad, black, white]")
         q, b, w = row
         if type(q) is not int or not 0 <= q < cx.nq:
             raise ParseError(f"{name}:values[{i}]", f"unknown quad {q!r}")
+        if seen[q]:
+            raise ParseError(f"{name}:values[{i}]", f"repeated quad {q}")
+        seen[q] = True
         black[q] = _complex_pair(b, f"{name}:values[{i}]", f"black value of quad {q}")
         white[q] = _complex_pair(w, f"{name}:values[{i}]", f"white value of quad {q}")
+    if not seen.all():
+        raise ParseError(f"{name}:values", f"missing quad {int(np.argmin(seen))}")
     return DiamondForm(black, white)
 
 

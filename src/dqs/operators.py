@@ -6,13 +6,19 @@ ccw boundary integral around every vertex face, so closedness, residues
 and the double-value conditions are all rows or columns of it.  Every
 other system composes it with a per-quad map: the Hodge star blocks,
 or the embedding of p dz (black p, white i*rho*p).  Period functionals
-are doubled sums over diagonal chains.  Solves go through ``solve`` and
+are doubled sums over diagonal chains.  The boundary and the chain rows
+are (row, column, value) triplets first: ``dense_matrix`` sums them into
+a numpy array, ``sparse_matrix`` into a scipy CSR array, and ``compose``
+and ``dz`` scale the columns of either.  Solves go through ``solve`` and
 rank counts through ``nullity``, so every system gets the same rank,
 residual and cutoff rules.  Once the two row dependencies of each
 boundary block (``dependent_rows``) are dropped, every solver system is
-square, and ``solve`` factors it with one dense LU; dense least squares
-is left for systems that are singular, ill-conditioned or not square,
-and for LU solutions whose backward error is too large.
+square, and ``solve`` factors it with one LU: dense LAPACK for a numpy
+array, sparse SuperLU for a scipy sparse array, under the same
+acceptance checks.  Dense least squares is left for systems that are
+singular, ill-conditioned or not square, and for LU solutions whose
+backward error is too large.  scipy is imported on the sparse path
+only, so dense work never pays for it.
 """
 
 from __future__ import annotations
@@ -23,26 +29,47 @@ from .errors import SolveError
 from .surface import BLACK, SLOT_BM, SLOT_BP, SLOT_WM, SLOT_WP, WHITE, QuadComplex
 
 
+def boundary_triplets(cx: QuadComplex):
+    """(rows, cols, values) of the nv x 2nq vertex-boundary matrix."""
+    nq = cx.nq
+    t = cx.quad_array
+    cols = np.arange(nq)
+    return (np.concatenate([t[:, SLOT_WP], t[:, SLOT_WM], t[:, SLOT_BM], t[:, SLOT_BP]]),
+            np.concatenate([cols, cols, nq + cols, nq + cols]),
+            np.repeat([1.0, -1.0, 1.0, -1.0], nq))
+
+
 def boundary(cx: QuadComplex) -> np.ndarray:
     """Dense nv x 2nq vertex-boundary matrix over (black, white) values."""
-    nq = cx.nq
-    t = np.asarray(cx.quads, dtype=np.intp).reshape(-1, 4)
-    B = np.zeros((cx.nv, 2 * nq))
-    cols = np.arange(nq)
-    np.add.at(B, (t[:, SLOT_WP], cols), 1.0)
-    np.add.at(B, (t[:, SLOT_WM], cols), -1.0)
-    np.add.at(B, (t[:, SLOT_BM], nq + cols), 1.0)
-    np.add.at(B, (t[:, SLOT_BP], nq + cols), -1.0)
-    return B
+    return dense_matrix((cx.nv, 2 * cx.nq), boundary_triplets(cx))
 
 
-def compose(M: np.ndarray, black, white) -> np.ndarray:
-    """M over (black, white) values after the per-quad map x -> (black x, white x)."""
+def dense_matrix(shape, triplets) -> np.ndarray:
+    """numpy array of the given shape: the sum of (rows, cols, values) triplets."""
+    rows, cols, vals = triplets
+    M = np.zeros(shape)
+    np.add.at(M, (rows, cols), vals)
+    return M
+
+
+def sparse_matrix(shape, triplets):
+    """scipy CSR array of the given shape: the sum of (rows, cols, values) triplets."""
+    from scipy.sparse import csr_array
+
+    rows, cols, vals = triplets
+    return csr_array((vals, (rows, cols)), shape=shape)
+
+
+def compose(M, black, white):
+    """M over (black, white) values after the per-quad map x -> (black x, white x).
+
+    M is a numpy array or a scipy sparse array, and so is the result.
+    """
     nq = M.shape[1] // 2
     return M[:, :nq] * black + M[:, nq:] * white
 
 
-def dz(cx: QuadComplex, M: np.ndarray) -> np.ndarray:
+def dz(cx: QuadComplex, M):
     """M on forms p dz, in the unknowns p (black value p, white i*rho*p)."""
     return compose(M, 1.0, 1j * np.asarray(cx.rho))
 
@@ -60,18 +87,21 @@ def costar(cx: QuadComplex, B: np.ndarray) -> np.ndarray:
     return np.hstack([compose(B, sbb, swb), compose(B, sbw, sww)])
 
 
-def chain_rows(chains, nq: int) -> np.ndarray:
-    """Doubled shadow periods over (black, white) values.
+def chain_triplets(chains, nq: int):
+    """(rows, cols, values) of the doubled shadow periods, 2 len(chains) x 2nq.
 
     One row per black shadow of the chains, then one per white shadow.
     """
-    rows = np.zeros((2 * len(chains), 2 * nq))
-    for i, ch in enumerate(chains):
-        for q, s in ch.black:
-            rows[i, q] += 2.0 * s
-        for q, s in ch.white:
-            rows[len(chains) + i, nq + q] += 2.0 * s
-    return rows
+    k = len(chains)
+    entries = [(i, q, s) for i, ch in enumerate(chains) for q, s in ch.black]
+    entries += [(k + i, nq + q, s) for i, ch in enumerate(chains) for q, s in ch.white]
+    rows, cols, signs = np.array(entries, dtype=np.int64).reshape(-1, 3).T
+    return rows, cols, 2.0 * signs
+
+
+def chain_rows(chains, nq: int) -> np.ndarray:
+    """Dense doubled shadow periods over (black, white) values (``chain_triplets``)."""
+    return dense_matrix((2 * len(chains), 2 * nq), chain_triplets(chains, nq))
 
 
 def dependent_rows(cx: QuadComplex) -> list:
@@ -85,21 +115,24 @@ def dependent_rows(cx: QuadComplex) -> list:
     return [int(np.argmax(colors == BLACK)), int(np.argmax(colors == WHITE))]
 
 
-def solve(A: np.ndarray, rhs: np.ndarray, tol: float, what: str,
+def solve(A, rhs: np.ndarray, tol: float, what: str,
           drop=(), rank_error=SolveError) -> np.ndarray:
     """The unique solution of A x = rhs.
 
-    drop names rows of A implied by the others.  When the remaining rows
-    form a square system, ``_lu_solve`` solves it with one LU
-    factorization.  Dense least squares on all of A, which reports the
-    exact rank, takes over when that system is singular, ill-conditioned
-    or not solved backward-stably, and when it is not square (a
-    disconnected surface).  Raises rank_error if A lacks full column
+    A is a numpy array or a scipy sparse array.  drop names rows of A
+    implied by the others.  When the remaining rows form a square
+    system, ``_lu_solve`` solves it with one LU factorization, dense or
+    sparse after the type of A.  Dense least squares on all of A, which
+    reports the exact rank, takes over when that system is singular,
+    ill-conditioned or not solved backward-stably, and when it is not
+    square (a disconnected surface); for a sparse A it densifies A, at
+    O(rows x cols) memory.  Raises rank_error if A lacks full column
     rank, and SolveError if A or rhs is not finite or the residual on all
     of A exceeds tol * max(1, |rhs|).
     """
     rhs = np.asarray(rhs)
-    if not (np.isfinite(A).all() and np.isfinite(rhs).all()):
+    is_dense = isinstance(A, np.ndarray)
+    if not (np.isfinite(A if is_dense else A.data).all() and np.isfinite(rhs).all()):
         raise SolveError(f"{what} system has non-finite entries")
     n = A.shape[1]
     keep = np.delete(np.arange(A.shape[0]), drop)
@@ -108,7 +141,7 @@ def solve(A: np.ndarray, rhs: np.ndarray, tol: float, what: str,
         # lstsq(rcond=None) counts singular values below eps * max(shape) as zero
         sol = _lu_solve(A[keep], rhs[keep], np.finfo(float).eps * max(A.shape))
     if sol is None:
-        sol, _, rank, _ = np.linalg.lstsq(A, rhs, rcond=None)
+        sol, _, rank, _ = np.linalg.lstsq(A if is_dense else A.toarray(), rhs, rcond=None)
         if rank < n:
             raise rank_error(f"{what} system rank {rank} < {n}; "
                              "the solution is not unique")
@@ -118,39 +151,48 @@ def solve(A: np.ndarray, rhs: np.ndarray, tol: float, what: str,
     return sol
 
 
-def _lu_solve(S: np.ndarray, b: np.ndarray, eps_n: float):
+def _lu_solve(S, b: np.ndarray, eps_n: float):
     """Solution of the square system S x = b, or None where LU is not to be trusted.
 
-    The unknowns are eliminated in a seeded random order.  In the given
-    order, partial pivoting marches the discrete Cauchy-Riemann
-    equations around the surface, and its growth factor rises
-    exponentially with the width of a flat torus (at tau = -0.275+0.908i,
-    backward error 4e4 eps at 24 x 24 quads, 1e9 eps at 32 x 32); in a
-    random order it stays near eps.  A seeded probe column p rides along
-    in the same factorization.  The condition estimate
+    A numpy S is factored by LAPACK with the unknowns eliminated in a
+    seeded random order.  In the given order, partial pivoting marches
+    the discrete Cauchy-Riemann equations around the surface, and its
+    growth factor rises exponentially with the width of a flat torus (at
+    tau = -0.275+0.908i, backward error 4e4 eps at 24 x 24 quads, 1e9 eps
+    at 32 x 32); in a random order it stays near eps.  A scipy sparse S is
+    factored by SuperLU with the COLAMD column order, which keeps the
+    fill low and, on the same torus from 32 x 32 to 256 x 256 quads,
+    the backward error near eps.  Either way a seeded probe column p
+    rides along in the same factorization.  The condition estimate
     |S|_1 |S^-1 p|_1 / |p|_1, a lower bound on cond_1(S), must stay
     below 1 / eps_n, and the normwise backward error
     |S x - b| / (|S| |x| + |b|) (infinity norms) of every column must be
     at most eps_n.
     """
     n = S.shape[0]
-    cols = b.reshape(n, -1)
     rng = np.random.default_rng(0)
-    perm = rng.permutation(n)
-    S = S.take(perm, axis=1)
-    y = np.hstack([cols, rng.standard_normal((n, 1))])
-    try:
-        x = np.linalg.solve(S, y)
-    except np.linalg.LinAlgError:
-        return None
-    abs_s = np.abs(S)
+    perm = rng.permutation(n) if isinstance(S, np.ndarray) else None
+    y = np.hstack([b.reshape(n, -1), rng.standard_normal((n, 1))])
+    if perm is not None:
+        try:
+            x = np.linalg.solve(S.take(perm, axis=1), y)[np.argsort(perm)]
+        except np.linalg.LinAlgError:
+            return None
+    else:
+        from scipy.sparse.linalg import splu
+
+        try:
+            x = splu(S.tocsc(), permc_spec="COLAMD").solve(y)
+        except RuntimeError:  # SuperLU: the factor is exactly singular
+            return None
+    abs_s = abs(S)
     estimate = abs_s.sum(axis=0).max() * np.abs(x[:, -1]).sum() / np.abs(y[:, -1]).sum()
     if not estimate * eps_n < 1.0:
         return None
     bound = eps_n * (abs_s.sum(axis=1).max() * np.abs(x).max(axis=0) + np.abs(y).max(axis=0))
     if not np.all(np.abs(S @ x - y).max(axis=0) <= bound):
         return None
-    return x[np.argsort(perm), :-1].reshape(b.shape)
+    return x[:, :-1].reshape(b.shape)
 
 
 def nullity(A: np.ndarray, cutoff: float = 1e-9) -> int:

@@ -29,7 +29,7 @@ from dqs import (
     standard_torus_basis,
     transform_periods,
 )
-from dqs import operators
+from dqs import differentials, operators
 from dqs.calculus import d_one_form, scalar_product
 from dqs.errors import DqsError
 from dqs.homology import Cycle, integrate_black_chain, integrate_white_chain
@@ -135,12 +135,12 @@ def test_harmonic_matches_reference(which, cube, torus44, cube_cover, monkeypatc
         basis = homology_basis(cx)
     g = basis.g
     targets = rng.normal(size=4 * g) + 1j * rng.normal(size=4 * g)
-    lu_shapes = []
+    lu_paths = []
     lu_solve = operators._lu_solve
 
     def recording_lu(S, b, eps_n):
         x = lu_solve(S, b, eps_n)
-        lu_shapes.append((S.shape, x is not None))
+        lu_paths.append((S.shape, isinstance(S, np.ndarray), x is not None))
         return x
 
     monkeypatch.setattr(operators, "_lu_solve", recording_lu)
@@ -148,8 +148,9 @@ def test_harmonic_matches_reference(which, cube, torus44, cube_cover, monkeypatc
     ref = _harmonic_reference(cx, basis, targets)
     got = np.concatenate([omega.black, omega.white])
     assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
-    assert lu_shapes[0] == ((cx.nq, cx.nq), True)
-    assert lu_shapes[1:] == ([((4 * g, 4 * g), True)] if g else [])
+    # the dz system is dense below the crossover (every case but cover-sub3), sparse above
+    assert lu_paths[0] == ((cx.nq, cx.nq), cx.nq < differentials.SPARSE_NQ, True)
+    assert lu_paths[1:] == ([((4 * g, 4 * g), True, True)] if g else [])
 
 
 class TestHolomorphic:
@@ -366,6 +367,42 @@ class TestAbelianBasis:
         vecs = np.array([np.concatenate([f.form.black, f.form.white]) for f in fam])
         s = np.linalg.svd(vecs, compute_uv=False)
         assert int((s > 1e-9 * s.max()).sum()) == 12
+
+    @pytest.mark.parametrize("which", ["torus44", "cover", "torus12"])
+    def test_one_factorization_matches_per_form_solves(self, which, cube_cover, monkeypatch):
+        """Second- and third-kind forms are columns of one solve, below and above the crossover."""
+        rng = np.random.default_rng(23)
+        if which == "cover":
+            cx = randomize_rho(cube_cover[0], rng)
+            basis = homology_basis(cx)
+        else:
+            m = 4 if which == "torus44" else 12
+            cx = randomize_rho(gen_torus(m, m, 0.3 + 1.2j), rng)
+            basis = standard_torus_basis(cx, m, m)
+        hb = canonical_bases(cx, basis)
+        b0 = 0 if cx.colors[0] == BLACK else 1
+        w0 = next(v for v in range(cx.nv) if cx.colors[v] != BLACK)
+        factored = []
+        lu_solve = operators._lu_solve
+
+        def recording_lu(S, b, eps_n):
+            factored.append(S.shape)
+            return lu_solve(S, b, eps_n)
+
+        monkeypatch.setattr(operators, "_lu_solve", recording_lu)
+        fam = abelian_basis(cx, basis, b0, w0, hb)
+        assert factored == [(cx.nq, cx.nq)]
+        monkeypatch.undo()
+        refs = [abelian_second(cx, basis, q) for q in range(cx.nq)]
+        refs += [abelian_third(cx, basis, b0 if cx.colors[v] == BLACK else w0, v)
+                 for v in range(cx.nv) if v not in (b0, w0)]
+        assert [f.kind for f in fam] == ["first"] * 2 * basis.g + [r.kind for r in refs]
+        for got, ref in zip(fam[2 * basis.g:], refs):
+            assert got.prescribed_residues == ref.prescribed_residues
+            assert got.dzbar_defect == ref.dzbar_defect
+            ref_values = np.concatenate([ref.form.black, ref.form.white])
+            err = np.abs(np.concatenate([got.form.black, got.form.white]) - ref_values).max()
+            assert err <= 1e-12 * np.abs(ref_values).max()
 
     def test_expansion_of_random_form(self, random_torus, rng):
         cx, basis, hb = random_torus

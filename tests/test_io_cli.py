@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from dqs import DiamondForm, gen_cube, gen_torus, standard_torus_basis
 from dqs.cli import main
+from dqs.coverings import gen_cube_double_cover
 from dqs.errors import ParseError
 from dqs.io import (
     parse_divisor_string,
@@ -100,6 +101,10 @@ class TestFormsAndMaps:
         ("[[0, [1, 0], [NaN, 2]]]", "<form>:values[0]"),
         pytest.param("[[0, [1" + "0" * 400 + ", 0], [1, 2]]]", "<form>:values[0]",
                      id="int-overflow"),
+        pytest.param("[[1, [1, 0], [1, 2]], [0, [1, 0], [1, 2]], [1, [5, 0], [6, 0]]]",
+                     "<form>:values[2]", id="repeated-quad"),
+        pytest.param("[" + ", ".join(f"[{q}, [1, 0], [1, 2]]" for q in range(16) if q != 5)
+                     + "]", "<form>:values", id="missing-quad"),
     ])
     def test_malformed_oneforms_are_clean_errors(self, torus44, text, path):
         if text.startswith("["):
@@ -324,6 +329,30 @@ def test_cli_import_leaves_scipy_out():
     code = "import sys, dqs.cli; sys.exit('scipy' in sys.modules)"
     env = dict(os.environ, PYTHONPATH=src)
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+def test_solver_commands_below_the_crossover_leave_scipy_out(tmp_path):
+    """The 108-quad genus-3 cover and an 8 x 8 torus are solved densely, without scipy."""
+    cover = gen_cube_double_cover()[0]
+    torus = gen_torus(8, 8, 1j)
+    argvs = []
+    for name, cx, basis in (("cover", cover, None),
+                            ("torus", torus, standard_torus_basis(torus, 8, 8))):
+        path = tmp_path / f"{name}.dqs"
+        path.write_text(serialize_dqs(cx, basis))
+        v2 = next(v for v in range(2, cx.nv) if cx.colors[v] == cx.colors[0])
+        argvs += [[cmd, *extra, str(path)] for cmd, *extra in
+                  (["periods"], ["harmonic"], ["abelian", "--second", "1"],
+                   ["abelian", "--third", "0", str(v2)])]
+    code = ("import sys, io, contextlib, dqs.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    for argv in {argvs!r}:\n"
+            "        assert dqs.cli.main(argv) == 0, argv\n"
+            "sys.exit('scipy' in sys.modules)\n")
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
 
 
 def test_topology_commands_import_nothing_more(tmp_path):

@@ -4,7 +4,8 @@
 each vertex face; ``boundary`` and ``laplacian_matrix`` are assembled
 from the quad table.  Agreement pins every solver system to the
 definition of the exterior derivative.  Dense least squares is the
-oracle for the square LU solves of ``operators.solve``.
+oracle for the square LU solves of ``operators.solve``, and the dense LU
+for its sparse LU.
 """
 
 import numpy as np
@@ -22,10 +23,11 @@ from dqs import (
     randomize_rho,
     standard_torus_basis,
 )
-from dqs.calculus import d_one_form, laplacian, laplacian_matrix
+from dqs.calculus import d_one_form, from_coefficients, laplacian, laplacian_matrix
 from dqs.errors import AmbiguityError, SolveError
 from dqs.homology import integrate_black_chain, integrate_white_chain
-from dqs.operators import boundary, nullity, solve
+from dqs.operators import boundary, dependent_rows, dz, nullity, solve
+from dqs.surface import subdivide3
 
 
 @pytest.fixture(params=["cube", "torus44", "cover"])
@@ -161,12 +163,87 @@ def test_solve_rejects_non_finite_input():
 
 
 def test_square_lu_is_backward_stable_on_a_wide_torus(monkeypatch):
-    """Partial pivoting in the natural order loses 1e-6 of the residual here."""
+    """Partial pivoting in the natural order loses 1e-6 of the residual here.
+
+    The dense LU, given the dense matrix, eliminates in a random order;
+    the sparse LU, which the 1024-quad torus takes, in the COLAMD order.
+    """
     cx = gen_torus(32, 32, -0.275 + 0.908j)
     basis = standard_torus_basis(cx, 32, 32)
-    lu_results = _record_lu(monkeypatch)
-    hb = canonical_bases(cx, basis)
-    assert len(lu_results) == 1 and lu_results[0] is not None
+    A = dz(cx, differentials._dz_system(cx, basis))
+    assert not isinstance(A, np.ndarray)
+    rhs = np.vstack([np.zeros((cx.nv, 2)), np.eye(2)])
     ch = basis.a_chains[0]
-    assert abs(2 * integrate_black_chain(cx, hb.omega_black[0], ch.black) - 1) < 1e-13
-    assert abs(2 * integrate_white_chain(cx, hb.omega_white[0], ch.white) - 1) < 1e-13
+    paths = _record_lu_paths(monkeypatch)
+    for system in (A.toarray(), A):
+        p = solve(system, rhs, 1e-9, "holomorphic", drop=dependent_rows(cx))
+        black, white = (from_coefficients(cx, p[:, k]) for k in range(2))
+        assert abs(2 * integrate_black_chain(cx, black, ch.black) - 1) < 1e-13
+        assert abs(2 * integrate_white_chain(cx, white, ch.white) - 1) < 1e-13
+    assert paths == [(True, True), (False, True)]
+
+
+def _record_lu_paths(monkeypatch):
+    """(dense, accepted) of every square LU solve from now on."""
+    paths = []
+    lu_solve = operators._lu_solve
+
+    def recording_lu(S, b, eps_n):
+        x = lu_solve(S, b, eps_n)
+        paths.append((isinstance(S, np.ndarray), x is not None))
+        return x
+
+    monkeypatch.setattr(operators, "_lu_solve", recording_lu)
+    return paths
+
+
+@pytest.mark.parametrize("which", ["torus16", "wide32", "cover-sub3"])
+def test_sparse_lu_matches_dense_lu(which, cube_cover, monkeypatch):
+    """Above the crossover every dz solve takes the sparse LU and agrees with the dense LU."""
+    rng = np.random.default_rng(41)
+    if which == "torus16":
+        cx = randomize_rho(gen_torus(16, 16, 0.3 + 1.2j), rng)
+        basis = standard_torus_basis(cx, 16, 16)
+    elif which == "wide32":
+        cx = gen_torus(32, 32, -0.275 + 0.908j)
+        basis = standard_torus_basis(cx, 32, 32)
+    else:
+        cx = randomize_rho(subdivide3(cube_cover[0]), rng)
+        basis = homology_basis(cx)
+    assert cx.nq >= differentials.SPARSE_NQ
+    g = basis.g
+    targets = rng.normal(size=4 * g) + 1j * rng.normal(size=4 * g)
+    same = [v for v in range(1, cx.nv) if cx.colors[v] == cx.colors[0]]
+
+    def solves():
+        return [differentials._holomorphic_solve(cx, basis, np.eye(2 * g), 1e-9),
+                harmonic_with_periods(cx, basis, targets),
+                abelian_second(cx, basis, 5).form,
+                abelian_third(cx, basis, 0, same[-1]).form]
+
+    paths = _record_lu_paths(monkeypatch)
+    sparse = solves()
+    # holomorphic, harmonic (its holomorphic solve, then the dense 4g x 4g one), second, third
+    assert paths == [(False, True), (False, True), (True, True), (False, True), (False, True)]
+    monkeypatch.setattr(differentials, "SPARSE_NQ", cx.nq + 1)
+    dense = solves()
+    for what, got, ref in zip(("holomorphic", "harmonic", "second", "third"), sparse, dense):
+        if what != "holomorphic":
+            got = np.concatenate([got.black, got.white])
+            ref = np.concatenate([ref.black, ref.white])
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max(), what
+
+
+def test_sparse_solve_near_singular_square_system_falls_back_to_lstsq(monkeypatch):
+    from scipy.sparse import csr_array
+
+    rng = np.random.default_rng(3)
+    q1, _ = np.linalg.qr(rng.normal(size=(6, 6)))
+    q2, _ = np.linalg.qr(rng.normal(size=(6, 6)))
+    S = q1 @ np.diag([1.0, 1.0, 1.0, 1.0, 1.0, 1e-18]) @ q2.T
+    A = np.vstack([S, S[0] + S[1]])
+    rhs = A @ rng.normal(size=6)
+    paths = _record_lu_paths(monkeypatch)
+    with pytest.raises(AmbiguityError, match="rank 5 < 6; the solution is not unique"):
+        solve(csr_array(A), rhs, 1e-9, "test", drop=[6], rank_error=AmbiguityError)
+    assert paths == [(False, False)]
