@@ -13,6 +13,7 @@ import cmath
 import functools
 import hashlib
 import json
+import math
 import sys
 import time
 
@@ -201,8 +202,7 @@ def cmd_abelian(args):
     basis = _basis_for(cx, embedded)
     report = Report("abelian", args.format, _digest(text))
     if args.second is not None:
-        diff = di.abelian_second(cx, basis, args.second, tol=args.tol)
-        hb = di.canonical_bases(cx, basis)
+        diff, hb = di.abelian_second_with_bases(cx, basis, args.second, tol=args.tol)
         res = di.residues(cx, diff.form)
         report.outputs["form"] = oneform_doc(diff.form)
         report.check("residues-vanish", np.abs(res).max() < args.tol * 10,
@@ -422,6 +422,10 @@ def build_parser():
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if not (math.isfinite(args.tol) and args.tol > 0):
+        print(f"error: --tol must be a finite positive number, got {args.tol}",
+              file=sys.stderr)
+        return 1
     try:
         return args.fn(args)
     except ParseError as exc:

@@ -10,8 +10,10 @@ relation g = N(g' - 1) + 1 + b/2.
 
 The checks never scan the whole target: the star condition looks only
 at the target quads incident to the image of a quad's first corner, and
-``quad_image`` finds the target quad in a table of target quad rotations
-built once per map, so validating a map is linear in the two surfaces.
+``CoveringMap.quad_images`` looks up the image of every source quad once
+per map in a table of target quad rotations, also built once per map.
+The map checks, branch numbers and sheet counts all read those images,
+so validating a map is linear in the two surfaces.
 """
 
 from __future__ import annotations
@@ -58,10 +60,29 @@ class CoveringMap:
                 table.setdefault(t[shift:] + t[:shift], q2)
         return table
 
+    @cached_property
+    def quad_images(self) -> tuple:
+        """Per source quad: the target quad it maps onto (``_quad_images``)."""
+        return _quad_images(self)
+
+
+# quad_images entry of a quad whose image is no rotation of a target quad
+_NOT_A_ROTATION = -2
+
+
+def _quad_images(m: CoveringMap) -> tuple:
+    """Image of every source quad: its target quad id, -1 where the quad is
+    biconstant, ``_NOT_A_ROTATION`` where its image tuple is no rotation
+    of a target quad."""
+    imgs = np.asarray(m.vertex_map)[m.source.quad_array]
+    biconstant = (imgs[:, 0] == imgs[:, 2]) & (imgs[:, 1] == imgs[:, 3])
+    table = m.target_rotations
+    return tuple(-1 if b else table.get(tuple(t), _NOT_A_ROTATION)
+                 for t, b in zip(imgs.tolist(), biconstant.tolist()))
+
 
 def is_biconstant_quad(m: CoveringMap, q: int) -> bool:
-    bm, wm, bp, wp = m.source.quads[q]
-    return m.image(bm) == m.image(bp) and m.image(wm) == m.image(wp)
+    return m.quad_images[q] == -1
 
 
 def quad_image(m: CoveringMap, q: int):
@@ -70,13 +91,11 @@ def quad_image(m: CoveringMap, q: int):
     The image tuple must be a rotation (not a reflection) of the target
     quad with the same weight; anything else is invalid.
     """
-    imgs = tuple(m.image(v) for v in m.source.quads[q])
-    if is_biconstant_quad(m, q):
-        return None
-    q2 = m.target_rotations.get(imgs)
-    if q2 is not None:
-        return q2
-    raise DqsError(f"quad {q} image {imgs} is not a rotation of any target quad")
+    q2 = m.quad_images[q]
+    if q2 == _NOT_A_ROTATION:
+        imgs = tuple(m.image(v) for v in m.source.quads[q])
+        raise DqsError(f"quad {q} image {imgs} is not a rotation of any target quad")
+    return None if q2 == -1 else q2
 
 
 @dataclass(frozen=True)

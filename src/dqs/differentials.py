@@ -13,7 +13,8 @@ array from there on, which it factors with SuperLU.  Both paths check
 uniqueness by a condition estimate, the backward error of every column
 and the residual on the full system, and report the exact rank when it
 is singular.  ``abelian_basis`` solves all its second- and third-kind
-forms as columns of one system.  The Hodge star is real and squares to
+forms as columns of one system, and ``abelian_second_with_bases`` one
+second-kind form together with the canonical holomorphic forms.  The Hodge star is real and squares to
 -1, so a harmonic form is a combination of the canonical holomorphic
 forms and their conjugates: co-closedness is never solved for.
 """
@@ -150,10 +151,14 @@ class HolomorphicBasis:
 
 
 def canonical_bases(cx: QuadComplex, basis: HomologyBasis, tol: float = 1e-9) -> HolomorphicBasis:
-    g = basis.g
-    if g == 0:
+    if basis.g == 0:
         return HolomorphicBasis((), (), ())
-    p = _holomorphic_solve(cx, basis, np.eye(2 * g), tol)
+    return _canonical_forms(cx, _holomorphic_solve(cx, basis, np.eye(2 * basis.g), tol))
+
+
+def _canonical_forms(cx: QuadComplex, p: np.ndarray) -> HolomorphicBasis:
+    """The canonical set from the dz coefficients of its 2g a-normalized forms."""
+    g = p.shape[1] // 2
     ob = tuple(from_coefficients(cx, p[:, k]) for k in range(g))
     ow = tuple(from_coefficients(cx, p[:, g + k]) for k in range(g))
     return HolomorphicBasis(ob, ow, tuple(b + w for b, w in zip(ob, ow)))
@@ -336,13 +341,33 @@ def abelian_second(cx: QuadComplex, basis: HomologyBasis, q0: int,
     -pi / (2 * area of the medial parallelogram); all black and white
     a-periods vanish.
     """
+    return _second_kind(cx, basis, q0, np.zeros((2 * basis.g, 0)), tol)[0]
+
+
+def abelian_second_with_bases(cx: QuadComplex, basis: HomologyBasis, q0: int,
+                              tol: float = 1e-9):
+    """``abelian_second`` at q0 and ``canonical_bases``, from one factorization.
+
+    The second-kind right-hand side and the 2g a-period columns of the
+    canonical forms are columns of one solve of their common system.
+    Returns (AbelianDifferential, HolomorphicBasis).
+    """
+    diff, p = _second_kind(cx, basis, q0, np.eye(2 * basis.g), tol)
+    return diff, _canonical_forms(cx, p)
+
+
+def _second_kind(cx: QuadComplex, basis: HomologyBasis, q0: int, targets, tol: float):
+    """The second-kind form at q0, and the dz coefficients of the
+    holomorphic forms with a-periods given by the 2g x k targets."""
     require_ids((q0,), cx.nq, "quad")
     qbar, values = _double_poles(cx, [q0])
     # the fixed dzbar part contributes to residues and periods
     M = _dz_system(cx, basis)
-    sol = solve(dz(cx, M), -(M @ values[:, 0]), tol, "second-kind", drop=dependent_rows(cx))
-    form = from_coefficients(cx, sol) + DiamondForm(values[:cx.nq, 0], values[cx.nq:, 0])
-    return AbelianDifferential(form, "second", {}, {q0: complex(qbar[0])})
+    rhs = np.column_stack([-(M @ values[:, 0]),
+                           np.vstack([np.zeros((cx.nv, targets.shape[1])), targets])])
+    sol = solve(dz(cx, M), rhs, tol, "second-kind", drop=dependent_rows(cx))
+    form = from_coefficients(cx, sol[:, 0]) + DiamondForm(values[:cx.nq, 0], values[cx.nq:, 0])
+    return AbelianDifferential(form, "second", {}, {q0: complex(qbar[0])}), sol[:, 1:]
 
 
 def abelian_basis(cx: QuadComplex, basis: HomologyBasis, b0: int, w0: int,

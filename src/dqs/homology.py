@@ -11,12 +11,17 @@ integral over either shadow.
 Every walk on a diagonal graph (the tree-cotree split behind
 ``homology_basis`` and the paths of ``graph_path``) reads the neighbours
 of a vertex from its incidence list ``QuadComplex.incidences``, one
-helper for both colors, so no search scans the whole surface.
+helper for both colors, so no search scans the whole surface.  Lifting
+a diagonal walk back to the medial graph reads the quad tuples and
+steps around each vertex along ``QuadComplex.star_successor``.  Shadows
+are computed once per cycle, and an intersection matrix is one integer
+product of the black and white quad multiplicities of those shadows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
@@ -78,16 +83,23 @@ class BlackWhiteChains:
     white: tuple
 
     def black_multiplicity(self, nq: int) -> np.ndarray:
-        out = np.zeros(nq, dtype=int)
-        for q, s in self.black:
-            out[q] += s
-        return out
+        return _multiplicities([self.black], nq)[0]
 
     def white_multiplicity(self, nq: int) -> np.ndarray:
-        out = np.zeros(nq, dtype=int)
-        for q, s in self.white:
-            out[q] += s
-        return out
+        return _multiplicities([self.white], nq)[0]
+
+
+def _multiplicities(chains, nq: int) -> np.ndarray:
+    """len(chains) x nq integer matrix: the net multiplicity of every quad per chain."""
+    out = np.zeros((len(chains), nq), dtype=int)
+    entries = [(i, q, s) for i, chain in enumerate(chains) for q, s in chain]
+    rows, quads, signs = np.array(entries, dtype=np.int64).reshape(-1, 3).T
+    np.add.at(out, (rows, quads), signs)
+    return out
+
+
+# DIAG_SIGN by corner slot
+_SLOT_SIGN = np.array([DIAG_SIGN[slot] for slot in range(4)])
 
 
 def black_white(cx: QuadComplex, cycle: Cycle) -> BlackWhiteChains:
@@ -95,17 +107,18 @@ def black_white(cx: QuadComplex, cycle: Cycle) -> BlackWhiteChains:
 
     A medial edge keyed by a white vertex is parallel to the black
     diagonal of its quad and contributes it (and vice versa), with the
-    orientation induced by the traversal.
+    orientation induced by the traversal.  One array pass over the edge
+    indices of the cycle.
     """
-    blacks, whites = [], []
-    for e, s in cycle.edges:
-        q, slot = divmod(e, 4)
-        step = (q, s * DIAG_SIGN[slot])
-        if cx.colors[cx.quads[q][slot]] == WHITE:
-            blacks.append(step)
-        else:
-            whites.append(step)
-    return BlackWhiteChains(tuple(blacks), tuple(whites))
+    e, s = np.array(cycle.edges, dtype=np.int64).reshape(-1, 2).T
+    q = (e // 4).tolist()
+    d = (s * _SLOT_SIGN[e % 4]).tolist()
+    keys = cx.quad_array.ravel()[e].tolist()
+    white = np.fromiter(map(cx.colors.__getitem__, keys), dtype=np.int64,
+                        count=len(keys)) == WHITE
+    steps = list(zip(q, d))
+    return BlackWhiteChains(tuple(compress(steps, white.tolist())),
+                            tuple(compress(steps, (~white).tolist())))
 
 
 def chain_is_closed(cx: QuadComplex, chain, color: int) -> bool:
@@ -243,7 +256,7 @@ class HomologyBasis:
 def build_basis(cx: QuadComplex, a_cycles, b_cycles) -> HomologyBasis:
     a_ch = tuple(black_white(cx, c) for c in a_cycles)
     b_ch = tuple(black_white(cx, c) for c in b_cycles)
-    inter = intersection_matrix(cx, list(a_cycles) + list(b_cycles))
+    inter = intersection_matrix(cx, a_ch + b_ch)
     return HomologyBasis(tuple(a_cycles), tuple(b_cycles), a_ch, b_ch, inter)
 
 
@@ -296,13 +309,18 @@ def intersection_number(cx: QuadComplex, c1: Cycle, c2: Cycle) -> int:
     return int(np.dot(b, w))
 
 
-def intersection_matrix(cx: QuadComplex, cycles) -> np.ndarray:
-    n = len(cycles)
-    M = np.zeros((n, n), dtype=int)
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                M[i, j] = intersection_number(cx, cycles[i], cycles[j])
+def intersection_matrix(cx: QuadComplex, chains) -> np.ndarray:
+    """Pairwise intersection numbers of the cycles with the given shadows.
+
+    chains holds ``black_white`` of each cycle.  Entry (i, j) pairs the
+    black shadow of cycle i with the white shadow of cycle j, as in
+    ``intersection_number``: one integer product of their quad
+    multiplicities, with the diagonal set to zero.
+    """
+    B = _multiplicities([ch.black for ch in chains], cx.nq)
+    W = _multiplicities([ch.white for ch in chains], cx.nq)
+    M = B @ W.T
+    np.fill_diagonal(M, 0)
     return M
 
 
@@ -310,20 +328,9 @@ def intersection_matrix(cx: QuadComplex, cycles) -> np.ndarray:
 # lifting diagonal walks to the medial graph
 
 
-def _lift_step_edge(cx: QuadComplex, q: int, direction: int, color: int):
-    """Medial edge parallel to the (q, direction) diagonal of given color."""
-    if color == BLACK:
-        slot = SLOT_WM if direction > 0 else SLOT_WP
-    else:
-        slot = SLOT_BP if direction > 0 else SLOT_BM
-    return medial_edge_index(q, slot), 1
-
-
-def _medial_vertex_of(cx: QuadComplex, e: int, s: int, end: bool):
-    a, b = cx.medial_endpoints(e)
-    if s < 0:
-        a, b = b, a
-    return b if end else a
+# slot of the medial edge parallel to a diagonal step, by color and
+# direction (+1, -1); the edge runs from the step's start to its end
+_LIFT_SLOT = {BLACK: (SLOT_WM, SLOT_WP), WHITE: (SLOT_BP, SLOT_BM)}
 
 
 def lift_diagonal_walk(cx: QuadComplex, walk, color: int) -> Cycle:
@@ -332,34 +339,47 @@ def lift_diagonal_walk(cx: QuadComplex, walk, color: int) -> Cycle:
     walk is a list of (quad, direction) steps whose diagonals chain into
     a closed walk on the color graph.  Each step contributes the
     parallel medial edge; consecutive steps are joined by arcs of the
-    vertex face at the shared vertex, walked in ccw face order.
+    vertex face at the shared vertex, walked in ccw face order along
+    ``QuadComplex.star_successor``.  Where the successor is -1 the arc
+    steps across the edge with ``_other_quad``, which raises the gluing
+    errors.  Medial endpoints come straight from the quad tuples.
     """
     if not walk:
         return Cycle(())
-    steps = [_lift_step_edge(cx, q, d, color) for (q, d) in walk]
+    quads = cx.quads
+    succ = cx.star_successor.item
+    plus, minus = _LIFT_SLOT[color]
+    edges = [4 * q + (plus if d > 0 else minus) for (q, d) in walk]
     out = []
     n = len(walk)
-    for i in range(n):
-        e, s = steps[i]
-        out.append((e, s))
-        q, d = walk[i]
-        a, b = cx.black_diagonal(q) if color == BLACK else cx.white_diagonal(q)
-        v = b if d > 0 else a  # vertex the step arrives at
-        e2, s2 = steps[(i + 1) % n]
-        pos = _medial_vertex_of(cx, e, s, end=True)
-        target = _medial_vertex_of(cx, e2, s2, end=False)
-        cur = q
+    for k in range(n):
+        e = edges[k]
+        out.append((e, 1))
+        q, slot = divmod(e, 4)
+        t = quads[q]
+        v, w = t[(slot + 1) % 4], t[slot]  # v: vertex the step arrives at
+        pos = (v, w) if v < w else (w, v)
+        q2, slot2 = divmod(edges[(k + 1) % n], 4)
+        u, u2 = quads[q2][slot2], quads[q2][(slot2 - 1) % 4]
+        target = (u, u2) if u < u2 else (u2, u)
+        if pos == target:
+            continue
+        i = 4 * q + t.index(v)
+        limit = len(cx.incidences[v]) + 1
         guard = 0
         while pos != target:
-            slot = cx.corner_slot(cur, v)
-            p = cx.corner_prev(cur, slot)
-            cur = cx._other_quad(cur, p, v)
-            slot = cx.corner_slot(cur, v)
-            out.append((medial_edge_index(cur, slot), -1))
-            pv = cx.corner_prev(cur, slot)
-            pos = (min(v, pv), max(v, pv))
+            j = succ(i)
+            if j < 0:
+                cur, slot = divmod(i, 4)
+                cur = cx._other_quad(cur, quads[cur][(slot - 1) % 4], v)
+                j = 4 * cur + quads[cur].index(v)
+            out.append((j, -1))
+            cur, slot = divmod(j, 4)
+            pv = quads[cur][(slot - 1) % 4]
+            pos = (v, pv) if v < pv else (pv, v)
+            i = j
             guard += 1
-            if guard > len(cx.incidences[v]) + 1:
+            if guard > limit:
                 raise SurfaceError(f"stuck connecting walk steps at vertex {v}")
     return Cycle(tuple(out))
 
@@ -501,7 +521,7 @@ def homology_basis(cx: QuadComplex) -> HomologyBasis:
         fundamental.append(walk)
 
     lifts = [lift_diagonal_walk(cx, w, BLACK) for w in fundamental]
-    M = intersection_matrix(cx, [Cycle(l.edges) for l in lifts])
+    M = intersection_matrix(cx, [black_white(cx, l) for l in lifts])
     if np.any(M + M.T != 0):
         raise DqsError("intersection matrix of fundamental cycles is not skew")
     U = _symplectic_reduce(M)

@@ -315,7 +315,10 @@ def parse_obj(text: str, name: str = "<obj>"):
 
 
 def parse_divisor_string(terms: str):
-    """Parse "v:3=-1,q:7=-2" into vertex and quad coefficient dicts."""
+    """Parse "v:3=-1,q:7=-2" into vertex and quad coefficient dicts.
+
+    Each vertex or quad may occur in one term only.
+    """
     from .riemann_roch import Divisor
 
     vc, qc = {}, {}
@@ -328,10 +331,10 @@ def parse_divisor_string(terms: str):
                 ident, coef = int(ident), int(coef)
             except ValueError:
                 raise ParseError("<divisor>", f"bad term {tok!r}; use v:ID=C or q:ID=C")
-            if kind == "v":
-                vc[ident] = coef
-            elif kind == "q":
-                qc[ident] = coef
-            else:
+            if kind not in ("v", "q"):
                 raise ParseError("<divisor>", f"unknown kind {kind!r} in {tok!r}")
+            coeffs = vc if kind == "v" else qc
+            if ident in coeffs:
+                raise ParseError("<divisor>", f"repeated term {kind}:{ident} in {tok!r}")
+            coeffs[ident] = coef
     return Divisor(vc, qc)

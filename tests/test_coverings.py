@@ -159,7 +159,7 @@ class TestGenerators:
 def _scan_quad_image(m, q):
     """Reference quad_image: compare with both rotations of every target quad."""
     imgs = tuple(m.image(v) for v in m.source.quads[q])
-    if is_biconstant_quad(m, q):
+    if imgs[0] == imgs[2] and imgs[1] == imgs[3]:
         return None
     for q2, t in enumerate(m.target.quads):
         for shift in (0, 2):
@@ -235,3 +235,28 @@ def test_hurwitz_command_validates_and_winds_once(monkeypatch, tmp_path, capsys)
     out = capsys.readouterr().out
     assert json.loads(out)["outputs"]["sheets"] == 2
     assert calls == {"validate_map": 1, "branch_vertex": source.nv}
+
+
+def test_hurwitz_command_images_each_quad_once(monkeypatch, tmp_path, capsys):
+    """Work count, no timing: a ``dqs hurwitz`` job computes the image of
+    each source quad at most once, and its report is unchanged."""
+    from dqs import cli
+    from dqs.io import serialize_map_bundle
+
+    source, target, cmap = gen_torus_unbranched_cover(16, 16, 0.2 + 1.1j)
+    path = tmp_path / "cover.json"
+    path.write_text(serialize_map_bundle(source, target, cmap.vertex_map))
+    computed = [0]
+
+    def counting(m, original=coverings._quad_images):
+        images = original(m)
+        computed[0] += len(images)
+        return images
+
+    monkeypatch.setattr(coverings, "_quad_images", counting)
+    assert cli.main(["hurwitz", "--format", "json", str(path)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert 0 < computed[0] <= source.nq
+    assert doc["outputs"]["sheets"] == 2 and doc["outputs"]["total_branching"] == 0
+    assert all(c["pass"] for c in doc["checks"])
+

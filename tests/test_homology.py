@@ -22,7 +22,7 @@ from dqs import (
     verify_rbi,
 )
 from dqs import homology
-from dqs.errors import DqsError, NotClosedError
+from dqs.errors import AmbiguousGluingError, DqsError, NotClosedError, SurfaceError
 from dqs.homology import (
     GraphPath,
     _spanning_tree,
@@ -30,7 +30,16 @@ from dqs.homology import (
     cycle_is_closed_walk,
     lift_diagonal_walk,
 )
-from dqs.surface import FACE_Q_ORDER, QuadComplex, medial_edge_index
+from dqs.surface import (
+    DIAG_SIGN,
+    FACE_Q_ORDER,
+    SLOT_BM,
+    SLOT_BP,
+    SLOT_WM,
+    SLOT_WP,
+    QuadComplex,
+    medial_edge_index,
+)
 
 
 def torus_dz(cx, m, n, tau):
@@ -366,3 +375,164 @@ def test_homology_basis_work_is_linear(monkeypatch, counted_quads):
     assert homology_basis(cx).g == 1
     assert calls[0] <= cx.nq
     assert cx.quads.reads <= 64 * cx.nq
+
+
+# ---------------------------------------------------------------------------
+# successor lifts and product intersection matrices against the per-step
+# searches and pairwise counts they replaced
+
+
+def _reference_lift(cx, walk, color):
+    """Reference lift_diagonal_walk: every arc step searches the edge groups."""
+    if not walk:
+        return Cycle(())
+
+    def step_edge(q, d):
+        if color == BLACK:
+            return medial_edge_index(q, SLOT_WM if d > 0 else SLOT_WP)
+        return medial_edge_index(q, SLOT_BP if d > 0 else SLOT_BM)
+
+    edges = [step_edge(q, d) for (q, d) in walk]
+    out = []
+    n = len(walk)
+    for i in range(n):
+        out.append((edges[i], 1))
+        q, d = walk[i]
+        a, b = cx.black_diagonal(q) if color == BLACK else cx.white_diagonal(q)
+        v = b if d > 0 else a
+        pos = cx.medial_endpoints(edges[i])[1]
+        target = cx.medial_endpoints(edges[(i + 1) % n])[0]
+        cur = q
+        guard = 0
+        while pos != target:
+            slot = cx.corner_slot(cur, v)
+            cur = cx._other_quad(cur, cx.corner_prev(cur, slot), v)
+            slot = cx.corner_slot(cur, v)
+            out.append((medial_edge_index(cur, slot), -1))
+            pv = cx.corner_prev(cur, slot)
+            pos = (min(v, pv), max(v, pv))
+            guard += 1
+            if guard > len(cx.incidences[v]) + 1:
+                raise SurfaceError(f"stuck connecting walk steps at vertex {v}")
+    return Cycle(tuple(out))
+
+
+def _reference_black_white(cx, cycle):
+    """Reference black_white: one edge at a time."""
+    blacks, whites = [], []
+    for e, s in cycle.edges:
+        q, slot = divmod(e, 4)
+        step = (q, s * DIAG_SIGN[slot])
+        (blacks if cx.colors[cx.quads[q][slot]] == WHITE else whites).append(step)
+    return tuple(blacks), tuple(whites)
+
+
+def _reference_intersection_matrix(cx, cycles):
+    """Reference intersection matrix: intersection_number for every ordered pair."""
+    n = len(cycles)
+    M = np.zeros((n, n), dtype=int)
+    for i in range(n):
+        for j in range(n):
+            if i != j:
+                M[i, j] = intersection_number(cx, cycles[i], cycles[j])
+    return M
+
+
+def _outcome(fn, *args):
+    """The result of fn(*args), or the type and message of what it raised."""
+    try:
+        return fn(*args)
+    except DqsError as exc:
+        return type(exc), str(exc)
+
+
+def _lift_surface(name):
+    if name == "torus2x4":
+        return gen_torus(2, 4, 0.4 + 1j)
+    return _topology_surface(name)
+
+
+@pytest.mark.parametrize("name", ["cube", "torus44", "torus64", "torus2x4", "cover",
+                                  "cover-sub3"])
+def test_homology_basis_matches_reference_lifts_and_pairs(name, monkeypatch):
+    cx = _lift_surface(name)
+    # back-and-forth walks along every diagonal: one arc around each end
+    for color in (BLACK, WHITE):
+        for q in range(cx.nq):
+            for walk in ([(q, 1), (q, -1)], [(q, -1), (q, 1)]):
+                assert _outcome(lift_diagonal_walk, cx, walk, color) \
+                    == _outcome(_reference_lift, cx, walk, color)
+
+    fast = _outcome(homology_basis, cx)
+    monkeypatch.setattr(homology, "lift_diagonal_walk", _reference_lift)
+    ref = _outcome(homology_basis, cx)
+    if name == "torus2x4":
+        # doubled edges: the fallback raises the same gluing error
+        assert fast == ref and fast[0] is AmbiguousGluingError
+        return
+    cycles = fast.all_cycles()
+    assert [c.edges for c in cycles] == [c.edges for c in ref.all_cycles()]
+    assert [(ch.black, ch.white) for ch in fast.all_chains()] \
+        == [_reference_black_white(cx, c) for c in cycles]
+    M = _reference_intersection_matrix(cx, cycles)
+    assert fast.intersection.dtype == M.dtype
+    assert np.array_equal(fast.intersection, M)
+    # reversed cycles pair with their originals
+    both = cycles + [c.reversed() for c in cycles]
+    assert np.array_equal(
+        homology.intersection_matrix(cx, [black_white(cx, c) for c in both]),
+        _reference_intersection_matrix(cx, both))
+    # the shadows of an open prefix can cross each other; the diagonal
+    # leaves that out
+    for c in cycles:
+        for k in range(1, min(len(c), 40)):
+            pair = [Cycle(c.edges[:k]), c]
+            assert np.array_equal(
+                homology.intersection_matrix(cx, [black_white(cx, p) for p in pair]),
+                _reference_intersection_matrix(cx, pair))
+
+
+def test_lift_fallback_runs_on_doubled_edges(monkeypatch):
+    """torus2x4 has doubled edges: some arcs step with _other_quad and
+    still close, others raise its gluing error."""
+    cx = gen_torus(2, 4, 0.4 + 1j)
+    assert int((cx.star_successor < 0).sum()) == 16
+    calls = [0]
+
+    def counted(self, q, u, w, original=QuadComplex._other_quad):
+        calls[0] += 1
+        return original(self, q, u, w)
+
+    monkeypatch.setattr(QuadComplex, "_other_quad", counted)
+    lifted, raised = 0, 0
+    for q in range(cx.nq):
+        for color in (BLACK, WHITE):
+            got = _outcome(lift_diagonal_walk, cx, [(q, 1), (q, -1)], color)
+            if isinstance(got, Cycle):
+                lifted += 1
+            else:
+                raised += 1
+    assert calls[0] > 0 and lifted > 0 and raised > 0
+
+
+def test_homology_basis_cover_work(monkeypatch):
+    """Call counts, no timing: no arc of the cover needs an edge search,
+    and each intersection matrix takes the shadows of each of its cycles once."""
+    cx = gen_cube_double_cover()[0]
+    calls = {"_other_quad": 0, "black_white": 0, "intersection_matrix": 0}
+
+    def counting(name, original):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(QuadComplex, "_other_quad",
+                        counting("_other_quad", QuadComplex._other_quad))
+    monkeypatch.setattr(homology, "black_white", counting("black_white", black_white))
+    monkeypatch.setattr(homology, "intersection_matrix",
+                        counting("intersection_matrix", homology.intersection_matrix))
+    basis = homology_basis(cx)
+    # the fundamental cycles, then the canonical ones in build_basis
+    assert calls == {"_other_quad": 0, "black_white": 2 * 2 * basis.g,
+                     "intersection_matrix": 2}

@@ -595,3 +595,67 @@ def test_malformed_documents_are_clean_errors(text):
         code, out, err = _run_main(["check", "-"])
     assert code == 1 and out == ""
     assert err.startswith("error: <stdin>") and err.count("\n") == 1
+
+
+def test_repeated_divisor_term_is_a_parse_error(tmp_path, capsys):
+    for terms in ("v:0=-1,v:0=-1", "q:3=1,v:3=-1,q:3=-2"):
+        with pytest.raises(ParseError, match="repeated term"):
+            parse_divisor_string(terms)
+    code = main(["riemann-roch", "--divisor", "v:0=-1,v:0=-1", _torus_file(tmp_path)])
+    out = capsys.readouterr()
+    assert code == 1 and out.out == ""
+    assert out.err.startswith("error: <divisor>: ") and out.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["periods", "--tol", "-1"],
+    ["periods", "--tol", "0"],
+    ["abelian", "--second", "0", "--tol", "nan"],
+    ["periods", "--tol", "inf"],
+])
+def test_bad_tolerance_is_a_clean_error(argv, tmp_path, capsys, monkeypatch):
+    from dqs import differentials
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("solved before the tolerance was checked")
+
+    monkeypatch.setattr(differentials, "_dz_system", no_work)
+    code = main(argv + [_torus_file(tmp_path)])
+    out = capsys.readouterr()
+    assert code == 1 and out.out == ""
+    assert out.err.startswith("error: --tol") and out.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("which", ["cover", "torus12"])
+def test_abelian_second_command_factors_once(which, tmp_path, capsys, monkeypatch):
+    """One factorization per job, below and above the sparse crossover; the
+    form agrees with a separate second-kind solve."""
+    from dqs import abelian_second, homology_basis, operators, randomize_rho
+
+    rng = np.random.default_rng(5)
+    if which == "cover":
+        cx = randomize_rho(gen_cube_double_cover()[0], rng)
+        basis, text = homology_basis(cx), serialize_dqs(cx)
+    else:
+        cx = randomize_rho(gen_torus(12, 12, 0.3 + 1.2j), rng)
+        basis = standard_torus_basis(cx, 12, 12)
+        text = serialize_dqs(cx, basis)
+    path = tmp_path / "s.dqs"
+    path.write_text(text)
+    factored = []
+    lu_solve = operators._lu_solve
+
+    def recording_lu(S, b, eps_n):
+        factored.append(S.shape)
+        return lu_solve(S, b, eps_n)
+
+    monkeypatch.setattr(operators, "_lu_solve", recording_lu)
+    assert main(["abelian", "--second", "7", "--format", "json", str(path)]) == 0
+    assert factored == [(cx.nq, cx.nq)]
+    doc = json.loads(capsys.readouterr().out)
+    assert all(c["pass"] for c in doc["checks"])
+    got = parse_oneform(json.dumps(doc["outputs"]["form"]), cx)
+    ref = abelian_second(cx, basis, 7).form
+    ref_values = np.concatenate([ref.black, ref.white])
+    err = np.abs(np.concatenate([got.black, got.white]) - ref_values).max()
+    assert err <= 1e-12 * np.abs(ref_values).max()
