@@ -28,21 +28,19 @@ import numpy as np
 
 from .errors import AmbiguityError, DqsError, SolveError
 from .calculus import DiamondForm, d_one_form, decompose_all, from_coefficients
-from .homology import (
-    HomologyBasis,
-    integrate_black_chain,
-    integrate_cycle,
-    integrate_white_chain,
-)
+from .homology import HomologyBasis
 from .operators import (
     boundary,
     boundary_triplets,
     chain_rows,
+    chain_steps,
     chain_triplets,
     costar,
     dense_matrix,
     dependent_rows,
     dz,
+    integrals,
+    medial_steps,
     nullity,
     solve,
     sparse_matrix,
@@ -194,13 +192,11 @@ def period_matrices(cx: QuadComplex, basis: HomologyBasis,
     if hb is None:
         hb = canonical_bases(cx, basis)
     g = basis.g
-    # the black value of a form p dz is its dz coefficient p
-    p = np.array([w.black for w in hb.omega_black + hb.omega_white]).reshape(2 * g, cx.nq)
-    shadows = chain_rows(basis.b_chains, cx.nq) @ _values(cx, p.T)
+    shadows = integrals(chain_steps(basis.b_chains), 2 * g, hb.omega_black + hb.omega_white,
+                        cx.nq)
     BB, BW = shadows[:g, :g], shadows[:g, g:]
     WB, WW = shadows[g:, :g], shadows[g:, g:]
-    Pi = np.array([[integrate_cycle(cx, w, bj) for w in hb.omega] for bj in basis.b],
-                  dtype=complex).reshape(g, g)
+    Pi = integrals(medial_steps([c.edges for c in basis.b]), g, hb.omega, cx.nq)
     Pi_full = np.block([[BW, BB], [WW, WB]])
     Pi_black = BW + BB
     Pi_white = WW + WB
@@ -311,9 +307,8 @@ def b_period_average(cx: QuadComplex, omega: DiamondForm, basis: HomologyBasis,
     with simple poles it is the quantity entering the third-kind
     b-period law.
     """
-    ch = basis.b_chains[k]
-    return complex(integrate_black_chain(cx, omega, ch.black)
-                   + integrate_white_chain(cx, omega, ch.white))
+    doubled = integrals(chain_steps([basis.b_chains[k]]), 2, [omega], cx.nq)
+    return complex(doubled.sum() / 2.0)
 
 
 def _double_poles(cx: QuadComplex, quads):

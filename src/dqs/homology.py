@@ -6,7 +6,10 @@ the black and white diagonal graphs obtained by replacing each medial
 edge with the parallel diagonal (keyed by the quad, so doubled diagonals
 are unproblematic).  Periods of a closed diamond form over a homology
 class come in three flavors: the plain medial integral, and twice the
-integral over either shadow.
+integral over either shadow.  All of them, and the doubled integrals
+along diagonal graph paths, are products of rows from the one row
+builder ``operators.step_triplets`` with the (black, white) values:
+``periods`` is one product for all 6g periods.
 
 Every walk on a diagonal graph (the tree-cotree split behind
 ``homology_basis`` and the paths of ``graph_path``) reads the neighbours
@@ -27,6 +30,7 @@ import numpy as np
 
 from .errors import DqsError, NotClosedError, SurfaceError
 from .calculus import DiamondForm, closedness_residual
+from .operators import chain_steps, diagonal_steps, integrals, medial_steps
 from .surface import (
     BLACK,
     DIAG_SIGN,
@@ -138,18 +142,25 @@ def chain_is_closed(cx: QuadComplex, chain, color: int) -> bool:
 
 
 def integrate_cycle(cx: QuadComplex, omega, cycle: Cycle) -> complex:
+    """Integral of a diamond form, or of a one-form on medial edges, along a medial walk."""
     if isinstance(omega, DiamondForm):
-        omega = omega.expand(cx)
-    return complex(sum(s * omega.values[e] for (e, s) in cycle.edges))
+        return _integral(cx, omega, medial_steps([cycle.edges]))
+    e, s = np.array(cycle.edges, dtype=np.int64).reshape(-1, 2).T
+    return complex(s @ omega.values[e])
 
 
 def integrate_black_chain(cx: QuadComplex, omega: DiamondForm, chain) -> complex:
     """Integral over a black diagonal chain (single, not doubled)."""
-    return complex(sum(s * omega.black[q] for (q, s) in chain))
+    return _integral(cx, omega, diagonal_steps([chain], BLACK, weight=1.0))
 
 
 def integrate_white_chain(cx: QuadComplex, omega: DiamondForm, chain) -> complex:
-    return complex(sum(s * omega.white[q] for (q, s) in chain))
+    return _integral(cx, omega, diagonal_steps([chain], WHITE, weight=1.0))
+
+
+def _integral(cx: QuadComplex, omega: DiamondForm, steps) -> complex:
+    """Integral of one form along the steps of one row."""
+    return complex(integrals(steps, 1, [omega], cx.nq)[0, 0])
 
 
 @dataclass(frozen=True)
@@ -162,11 +173,9 @@ class GraphPath:
 
 def integrate_graph_path(cx: QuadComplex, omega: DiamondForm, path: GraphPath) -> complex:
     """Doubled integral along a diagonal-graph path (the graph convention)."""
-    if path.color == BLACK:
-        return 2.0 * integrate_black_chain(cx, omega, path.steps)
-    if path.color == WHITE:
-        return 2.0 * integrate_white_chain(cx, omega, path.steps)
-    raise DqsError("path must live on a single color class")
+    if path.color not in (BLACK, WHITE):
+        raise DqsError("path must live on a single color class")
+    return _integral(cx, omega, diagonal_steps([path.steps], path.color))
 
 
 def _diagonal_neighbours(cx: QuadComplex, u: int, color: int, skip=()):
@@ -268,14 +277,11 @@ def periods(cx: QuadComplex, omega: DiamondForm, basis: HomologyBasis,
     if res > tol * scale:
         raise NotClosedError(res)
     g = basis.g
-    A = np.array([integrate_cycle(cx, omega, c) for c in basis.a])
-    B = np.array([integrate_cycle(cx, omega, c) for c in basis.b])
-    AB = np.array([2.0 * integrate_black_chain(cx, omega, ch.black) for ch in basis.a_chains])
-    AW = np.array([2.0 * integrate_white_chain(cx, omega, ch.white) for ch in basis.a_chains])
-    BB = np.array([2.0 * integrate_black_chain(cx, omega, ch.black) for ch in basis.b_chains])
-    BW = np.array([2.0 * integrate_white_chain(cx, omega, ch.white) for ch in basis.b_chains])
-    return PeriodReport(A.reshape(g), B.reshape(g), AB.reshape(g), AW.reshape(g),
-                        BB.reshape(g), BW.reshape(g))
+    # rows: plain a- and b-periods, then the doubled black and white shadows
+    steps = medial_steps([c.edges for c in basis.all_cycles()]) \
+        + chain_steps(basis.all_chains(), 2 * g)
+    A, B, AB, BB, AW, BW = integrals(steps, 6 * g, [omega], cx.nq).reshape(6, g)
+    return PeriodReport(A, B, AB, AW, BB, BW)
 
 
 def verify_rbi(cx: QuadComplex, omega: DiamondForm, other: DiamondForm,

@@ -6,7 +6,10 @@ integrals) after half a diagonal of the base quad, white targets along
 white diagonals; quad targets via the medial graph.  Values are
 well-defined modulo the lattice spanned by the identity columns and the
 corresponding period matrix, and path choices differ exactly by lattice
-vectors.
+vectors.  Each value is one row of ``operators.step_triplets`` steps,
+integrated against all g canonical forms in one product: the black and
+white vertex maps share one body, and the quad map builds its plain,
+black and white rows with the same builders.
 """
 
 from __future__ import annotations
@@ -15,21 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DqsError
-from .calculus import DiamondForm
+from .errors import AmbiguousGluingError, DqsError
 from .differentials import HolomorphicBasis, PeriodMatrices
-from .homology import GraphPath, HomologyBasis, graph_path, integrate_graph_path
-from .surface import (
-    BLACK,
-    SLOT_BM,
-    SLOT_BP,
-    SLOT_WM,
-    SLOT_WP,
-    WHITE,
-    QuadComplex,
-    medial_edge_index,
-    require_ids,
-)
+from .homology import Cycle, GraphPath, HomologyBasis, black_white, graph_path
+from .operators import diagonal_steps, integrals, medial_steps
+from .surface import BLACK, SLOT_BM, SLOT_WM, WHITE, QuadComplex, require_ids
 
 
 @dataclass(frozen=True)
@@ -103,28 +96,6 @@ def jacobians(pm: PeriodMatrices):
             Jacobian(pm.Pi_white, "white"))
 
 
-def _half_diagonal(cx: QuadComplex, omega: DiamondForm, q: int, toward: int) -> complex:
-    """Integral of the medial edge parallel to a diagonal, ending at its side.
-
-    toward must be one of the quad's corners; the edge runs along the
-    diagonal of toward's color, oriented so the diagonal points at it.
-    """
-    t = cx.quads[q]
-    if toward == t[SLOT_BP]:
-        return complex(omega.black[q])
-    if toward == t[SLOT_BM]:
-        return complex(-omega.black[q])
-    if toward == t[SLOT_WP]:
-        return complex(omega.white[q])
-    if toward == t[SLOT_WM]:
-        return complex(-omega.white[q])
-    raise DqsError(f"vertex {toward} is not a corner of quad {q}")
-
-
-def _integrate_set(cx: QuadComplex, forms, evaluate) -> np.ndarray:
-    return np.array([evaluate(f) for f in forms], dtype=complex)
-
-
 def abel_jacobi_black(cx: QuadComplex, basis: HomologyBasis, hb: HolomorphicBasis,
                       jac_black: Jacobian, base_quad: int, target: int,
                       path: GraphPath = None) -> AJValue:
@@ -134,69 +105,46 @@ def abel_jacobi_black(cx: QuadComplex, basis: HomologyBasis, hb: HolomorphicBasi
     black diagonal and then a black path to the target; the anchor
     corner drops out because diagonal steps double the half-diagonal.
     """
-    require_ids((base_quad,), cx.nq, "quad")
-    require_ids((target,), cx.nv, "vertex")
-    if cx.colors[target] != BLACK:
-        raise DqsError("target must be a black vertex")
-    anchor = cx.quads[base_quad][SLOT_BM]
-    if path is None:
-        path = graph_path(cx, BLACK, anchor, target)
-    elif path.color != BLACK:
-        raise DqsError("path must run on the black graph")
-    vec = _integrate_set(
-        cx, hb.omega,
-        lambda f: _half_diagonal(cx, f, base_quad, anchor)
-        + integrate_graph_path(cx, f, path))
-    return AJValue(vec, jac_black)
+    return _abel_jacobi_vertex(cx, hb, jac_black, base_quad, target, path, BLACK)
 
 
 def abel_jacobi_white(cx: QuadComplex, basis: HomologyBasis, hb: HolomorphicBasis,
                       jac_white: Jacobian, base_quad: int, target: int,
                       path: GraphPath = None) -> AJValue:
     """White mirror of the black Abel-Jacobi map."""
+    return _abel_jacobi_vertex(cx, hb, jac_white, base_quad, target, path, WHITE)
+
+
+def _abel_jacobi_vertex(cx: QuadComplex, hb: HolomorphicBasis, jac: Jacobian,
+                        base_quad: int, target: int, path, color: int) -> AJValue:
+    """Abel-Jacobi value of a vertex of one color: one row over the canonical set.
+
+    The row runs from the centre of the base quad to the minus corner of
+    its diagonal of that color (half a diagonal), then along a path on
+    the diagonal graph of that color to the target.
+    """
+    name = ("black", "white")[color]
     require_ids((base_quad,), cx.nq, "quad")
     require_ids((target,), cx.nv, "vertex")
-    if cx.colors[target] != WHITE:
-        raise DqsError("target must be a white vertex")
-    anchor = cx.quads[base_quad][SLOT_WM]
+    if cx.colors[target] != color:
+        raise DqsError(f"target must be a {name} vertex")
+    anchor = cx.quads[base_quad][SLOT_BM if color == BLACK else SLOT_WM]
     if path is None:
-        path = graph_path(cx, WHITE, anchor, target)
-    elif path.color != WHITE:
-        raise DqsError("path must run on the white graph")
-    vec = _integrate_set(
-        cx, hb.omega,
-        lambda f: _half_diagonal(cx, f, base_quad, anchor)
-        + integrate_graph_path(cx, f, path))
-    return AJValue(vec, jac_white)
+        path = graph_path(cx, color, anchor, target)
+    elif path.color != color:
+        raise DqsError(f"path must run on the {name} graph")
+    steps = diagonal_steps([[(base_quad, -1)]], color, weight=1.0) \
+        + diagonal_steps([path.steps], color)
+    return AJValue(integrals(steps, 1, hb.omega, cx.nq)[0], jac)
 
 
 # ---------------------------------------------------------------------------
 # quad-to-quad map along the medial graph
 
 
-def _medial_vertex_edges(cx: QuadComplex, q: int):
-    """For each medial vertex of the quad face: the two edges pointing at it.
-
-    Returns a dict keyed by the undirected boundary edge of the quad,
-    with ((edge_index, sign), (edge_index, sign)) oriented toward it.
-    """
-    out = {}
-    t = cx.quads[q]
-    for slot, v in enumerate(t):
-        nxt = cx.corner_next(q, slot)
-        pair = (min(v, nxt), max(v, nxt))
-        e_end = medial_edge_index(q, slot)          # canonical ends at mid(v, nxt)
-        nslot = t.index(nxt)
-        e_start = medial_edge_index(q, nslot)       # canonical starts at mid(nxt, v)
-        out[pair] = ((e_end, 1), (e_start, -1))
-    return out
-
-
 def _medial_bfs_path(cx: QuadComplex, start_pair, goal_pair):
     """Signed medial edges from one edge midpoint to another (BFS)."""
     if cx.has_doubled_edges:
-        from .errors import AmbiguousGluingError
-
         raise AmbiguousGluingError(
             "medial paths need unambiguous edge midpoints; this complex "
             "has doubled edges")
@@ -258,39 +206,18 @@ def abel_jacobi_quad(cx: QuadComplex, hb: HolomorphicBasis,
     x1 = (min(b1, w1), max(b1, w1))
     x2 = (min(b2, w2), max(b2, w2))
     path = _medial_bfs_path(cx, x1, x2)
-
-    def entry_half(f, q, pair, sign):
-        ends = _medial_vertex_edges(cx, q)[pair]
-        vals = f.expand(cx).values
-        return sign * 0.5 * sum(s * vals[e] for (e, s) in ends)
-
-    def total(f):
-        vals = f.expand(cx).values
-        mid = sum(s * vals[e] for (e, s) in path)
-        return entry_half(f, q1, x1, +1) + mid - entry_half(f, q2, x2, +1)
-
-    value = _integrate_set(cx, hb.omega, total)
-
-    # shadow versions built from the same medial path
-    from .homology import Cycle, black_white
-
     chains = black_white(cx, Cycle(tuple(path)))
-
-    def shadow(f, color):
-        if color == BLACK:
-            from .homology import integrate_black_chain
-            mid = 2.0 * integrate_black_chain(cx, f, chains.black)
-            start = _half_diagonal(cx, f, q1, b1)
-            end = _half_diagonal(cx, f, q2, b2)
-        else:
-            from .homology import integrate_white_chain
-            mid = 2.0 * integrate_white_chain(cx, f, chains.white)
-            start = _half_diagonal(cx, f, q1, w1)
-            end = _half_diagonal(cx, f, q2, w2)
-        return start + mid - end
-
-    black_value = _integrate_set(cx, hb.omega, lambda f: shadow(f, BLACK))
-    white_value = _integrate_set(cx, hb.omega, lambda f: shadow(f, WHITE))
+    # row 0: half of the two medial edges that meet at mid(b-, w-) of
+    # each end quad, and the medial path between those midpoints; rows 1
+    # and 2: half of each end quad's diagonal from its minus corner, and
+    # the shadows of the path
+    ends = ((4 * q1 + SLOT_BM, 1), (4 * q1 + SLOT_WM, -1),
+            (4 * q2 + SLOT_BM, -1), (4 * q2 + SLOT_WM, 1))
+    steps = medial_steps([ends], weight=0.5) + medial_steps([path])
+    for row, (color, shadow) in enumerate(((BLACK, chains.black), (WHITE, chains.white)), 1):
+        steps += diagonal_steps([[(q1, -1), (q2, 1)]], color, row, weight=1.0)
+        steps += diagonal_steps([shadow], color, row)
+    value, black_value, white_value = integrals(steps, 3, hb.omega, cx.nq)
     return QuadToQuadValue(value, black_value, white_value, tuple(path))
 
 

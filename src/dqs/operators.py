@@ -6,8 +6,10 @@ ccw boundary integral around every vertex face, so closedness, residues
 and the double-value conditions are all rows or columns of it.  Every
 other system composes it with a per-quad map: the Hodge star blocks,
 or the embedding of p dz (black p, white i*rho*p).  Period functionals
-are doubled sums over diagonal chains.  The boundary and the chain rows
-are (row, column, value) triplets first: ``dense_matrix`` sums them into
+are rows of one builder, ``step_triplets``, over signed diagonal steps
+(medial edges read their parallel diagonal via ``MEDIAL_SLOT``), and
+``integrals`` applies them to all forms in one product.  The boundary
+and these rows are (row, column, value) triplets first: ``dense_matrix`` sums them into
 a numpy array, ``sparse_matrix`` into a scipy CSR array, and ``compose``
 and ``dz`` scale the columns of either.  Solves go through ``solve`` and
 rank counts through ``nullity``, so every system gets the same rank,
@@ -26,7 +28,16 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import SolveError
-from .surface import BLACK, SLOT_BM, SLOT_BP, SLOT_WM, SLOT_WP, WHITE, QuadComplex
+from .surface import (
+    BLACK,
+    MEDIAL_SLOT,
+    SLOT_BM,
+    SLOT_BP,
+    SLOT_WM,
+    SLOT_WP,
+    WHITE,
+    QuadComplex,
+)
 
 
 def boundary_triplets(cx: QuadComplex):
@@ -87,21 +98,69 @@ def costar(cx: QuadComplex, B: np.ndarray) -> np.ndarray:
     return np.hstack([compose(B, sbb, swb), compose(B, sbw, sww)])
 
 
-def chain_triplets(chains, nq: int):
-    """(rows, cols, values) of the doubled shadow periods, 2 len(chains) x 2nq.
+def step_triplets(steps, nq: int):
+    """(rows, cols, values) of weighted diagonal steps over the stacked (black, white) columns.
 
-    One row per black shadow of the chains, then one per white shadow.
+    Every period functional is built here.  steps holds (row, color,
+    quad, value) entries: the step along the quad's diagonal of that
+    color reads value times the quad's value of the color.  value is
+    the step's direction (+1 for b- -> b+ or w- -> w+) times its weight.
     """
-    k = len(chains)
-    entries = [(i, q, s) for i, ch in enumerate(chains) for q, s in ch.black]
-    entries += [(k + i, nq + q, s) for i, ch in enumerate(chains) for q, s in ch.white]
-    rows, cols, signs = np.array(entries, dtype=np.int64).reshape(-1, 3).T
-    return rows, cols, 2.0 * signs
+    steps = np.asarray(steps, dtype=float).reshape(-1, 4)
+    rows, colors, quads = steps[:, :3].astype(np.int64).T
+    return rows, quads + nq * colors, steps[:, 3]
+
+
+def diagonal_steps(walks, color: int, first_row: int = 0, weight: float = 2.0) -> list:
+    """Steps of signed (quad, direction) walks on one diagonal graph, walk i on row first_row + i.
+
+    The default weight doubles every diagonal, the convention of shadow
+    periods and diagonal graph paths; half a diagonal has weight 1.
+    """
+    return [(first_row + i, color, q, weight * s) for i, walk in enumerate(walks) for q, s in walk]
+
+
+def medial_steps(walks, first_row: int = 0, weight: float = 1.0) -> list:
+    """Steps of signed medial edge walks, walk i on row first_row + i.
+
+    A medial edge reads the value of its parallel diagonal, with the
+    color and sign of its corner slot in ``MEDIAL_SLOT``, the table that
+    ``expand_diamond`` writes edge values from.
+    """
+    out = []
+    for i, walk in enumerate(walks):
+        for e, s in walk:
+            color, sign = MEDIAL_SLOT[e % 4]
+            out.append((first_row + i, color, e // 4, weight * s * sign))
+    return out
+
+
+def chain_steps(chains, first_row: int = 0) -> list:
+    """Doubled shadow steps: the black shadow of chain i on row first_row + i,
+    then the white shadows on the len(chains) rows below."""
+    return (diagonal_steps([ch.black for ch in chains], BLACK, first_row)
+            + diagonal_steps([ch.white for ch in chains], WHITE, first_row + len(chains)))
+
+
+def chain_triplets(chains, nq: int):
+    """(rows, cols, values) of the doubled shadow periods, 2 len(chains) x 2nq."""
+    return step_triplets(chain_steps(chains), nq)
 
 
 def chain_rows(chains, nq: int) -> np.ndarray:
     """Dense doubled shadow periods over (black, white) values (``chain_triplets``)."""
     return dense_matrix((2 * len(chains), 2 * nq), chain_triplets(chains, nq))
+
+
+def integrals(steps, n_rows: int, forms, nq: int) -> np.ndarray:
+    """n_rows x len(forms): the integrals of diamond forms along the rows of the steps.
+
+    One product of the step rows with the stacked (black, white) values
+    of the forms, one column per form.
+    """
+    values = np.array([np.concatenate([f.black, f.white]) for f in forms], dtype=complex)
+    return dense_matrix((n_rows, 2 * nq), step_triplets(steps, nq)) \
+        @ values.reshape(len(forms), 2 * nq).T
 
 
 def dependent_rows(cx: QuadComplex) -> list:

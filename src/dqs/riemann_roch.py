@@ -133,8 +133,10 @@ def i_system(cx: QuadComplex, d: Divisor):
     """
     _require_admissible(cx, d)
     B = boundary(cx)
-    dzbar_quads = sorted(q for q, c in d.quad_coeffs.items() if c == -2)
-    cols = np.hstack([dz(cx, B), compose(B, 1.0, -1j * np.conj(cx.rho))[:, dzbar_quads]])
+    dzbar_quads = np.array(sorted(q for q, c in d.quad_coeffs.items() if c == -2), dtype=np.intp)
+    dzbar = compose(B[:, np.concatenate([dzbar_quads, cx.nq + dzbar_quads])], 1.0,
+                    -1j * np.conj(np.asarray(cx.rho)[dzbar_quads]))
+    cols = np.hstack([dz(cx, B), dzbar])
     n_unknowns = cols.shape[1]
     residue_free = [v for v in range(cx.nv) if d.vertex_coeffs.get(v) != -1]
     zero_quads = sorted(q for q, c in d.quad_coeffs.items() if c == 1)

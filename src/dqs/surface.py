@@ -68,6 +68,11 @@ _EDGE_VECTOR = {
 # (+1 means b- -> b+ resp. w- -> w+)
 DIAG_SIGN = {SLOT_WM: 1, SLOT_WP: -1, SLOT_BP: 1, SLOT_BM: -1}
 
+# (color, sign) of the diamond-form value on the canonical medial edge of
+# each corner slot: the value of its parallel diagonal, negated where the
+# edge runs against it (``expand_diamond``, ``operators.medial_steps``)
+MEDIAL_SLOT = ((WHITE, -1), (BLACK, 1), (WHITE, 1), (BLACK, -1))
+
 
 def medial_edge_index(q: int, slot: int) -> int:
     return 4 * q + slot
@@ -950,8 +955,7 @@ def subdivide3_with_provenance(cx: QuadComplex):
 def expand_diamond(cx: QuadComplex, black: np.ndarray, white: np.ndarray) -> np.ndarray:
     """Values of a diamond form on all 4*nq canonical medial edges."""
     vals = np.empty(cx.n_medial_edges, dtype=complex)
-    vals[SLOT_WM::4] = black
-    vals[SLOT_BP::4] = white
-    vals[SLOT_WP::4] = -black
-    vals[SLOT_BM::4] = -white
+    for slot, (color, sign) in enumerate(MEDIAL_SLOT):
+        value = black if color == BLACK else white
+        vals[slot::4] = value if sign > 0 else -value
     return vals

@@ -597,6 +597,87 @@ def test_malformed_documents_are_clean_errors(text):
     assert err.startswith("error: <stdin>") and err.count("\n") == 1
 
 
+# fuzz: malformed command-line values are clean errors on a torus and a sphere
+
+_FUZZ_SURFACES = {"torus": serialize_dqs(_FUZZ_TORUS, standard_torus_basis(_FUZZ_TORUS, 4, 4)),
+                  "cube": serialize_dqs(gen_cube())}
+
+_ID = st.one_of(st.integers(-40, 40), st.integers(max_value=-41), st.integers(min_value=41))
+
+_COMPLEX_TEXT = st.one_of(
+    st.sampled_from(["1", "0+1i", "1+i", "2j", "-0.5-1e-320i", "0", "-1", "nan", "inf",
+                     "-inf", "nan+1i", "1e308", "-1e308+1e308i", "1e400", "", " ", "i",
+                     "abc", "(1+2j)", "1+2i+3i"]),
+    st.floats().map(repr),
+    st.complex_numbers(max_magnitude=1e6).map(lambda z: f"{z.real!r}{z.imag:+.17g}i"),
+    st.text(alphabet="0123456789+-.eij nafIN", max_size=8))
+
+_DIVISOR_TERM = st.one_of(
+    st.builds("{}:{}={}".format, st.sampled_from(["v", "q", "x", "V", ""]), _ID,
+              st.integers(-3, 3)),
+    st.text(alphabet="vqx:=-+,0123456789 .e", max_size=10))
+
+
+@st.composite
+def _malformed_argv(draw):
+    """One command line with fuzzed ids or values on the torus or the cube."""
+    kind = draw(st.sampled_from(["second", "third", "abel-jacobi", "riemann-roch",
+                                 "harmonic", "one-pole", "torus"]))
+    if kind == "second":
+        argv = ["abelian", "-", f"--second={draw(_ID)}"]
+    elif kind == "third":
+        argv = ["abelian", "-", "--third", str(draw(_ID)), str(draw(_ID))]
+    elif kind == "abel-jacobi":
+        argv = ["abel-jacobi", "-", f"--base={draw(_ID)}", f"--point={draw(_ID)}"]
+    elif kind == "riemann-roch":
+        terms = draw(st.lists(_DIVISOR_TERM, max_size=4))
+        argv = ["riemann-roch", "-", "--divisor=" + ",".join(terms)]
+    elif kind == "harmonic":
+        targets = draw(st.lists(_COMPLEX_TEXT, max_size=6))
+        argv = ["harmonic", "-", "--targets=" + ",".join(targets)]
+    elif kind == "one-pole":
+        argv = ["gen", "one-pole", "--base", "-", f"--quad={draw(_ID)}",
+                f"--rho1={draw(_COMPLEX_TEXT)}", f"--rho2={draw(_COMPLEX_TEXT)}"]
+    else:
+        argv = ["gen", "torus", "--m", "4", "--n", "4", f"--tau={draw(_COMPLEX_TEXT)}"]
+    if argv[0] != "gen":
+        argv.append("--format=json")
+    return draw(st.sampled_from(sorted(_FUZZ_SURFACES))), argv
+
+
+def _strict_json(line):
+    def reject(constant):
+        raise ValueError(f"non-finite number {constant} in a report")
+    return json.loads(line, parse_constant=reject)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_malformed_argv())
+def test_malformed_arguments_are_clean_errors(case):
+    from unittest import mock
+    import io as _io
+
+    surface, argv = case
+    with mock.patch("sys.stdin", _io.StringIO(_FUZZ_SURFACES[surface])):
+        code, out, err = _run_main(argv)
+    assert "Traceback" not in err
+    if code == 0:
+        if argv[0] != "gen":
+            assert all(_strict_json(line) for line in out.splitlines())
+    else:
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_third_kind_command_on_the_sphere(tmp_path, capsys):
+    # genus 0 has no a-periods to check; the check reads zero, not a traceback
+    path = tmp_path / "cube.dqs"
+    path.write_text(_FUZZ_SURFACES["cube"])
+    assert main(["abelian", "--third", "0", "3", "--format", "json", str(path)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert {c["name"]: c["residual"] for c in doc["checks"]}["a-periods-vanish"] == 0.0
+
+
 def test_repeated_divisor_term_is_a_parse_error(tmp_path, capsys):
     for terms in ("v:0=-1,v:0=-1", "q:3=1,v:3=-1,q:3=-2"):
         with pytest.raises(ParseError, match="repeated term"):
