@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DqsError
-from .operators import boundary, costar, nullity
+from .operators import costar, nullity
 from .surface import (
     SLOT_BM,
     SLOT_BP,
@@ -138,7 +138,7 @@ def d_function(cx: QuadComplex, f) -> DiamondForm:
     difference of f across that diagonal.
     """
     f = as_vertex_function(cx, f)
-    t = np.asarray(cx.quads)
+    t = cx.quad_array
     black = (f[t[:, SLOT_BP]] - f[t[:, SLOT_BM]]) / 2.0
     white = (f[t[:, SLOT_WP]] - f[t[:, SLOT_WM]]) / 2.0
     return DiamondForm(black, white)
@@ -151,7 +151,7 @@ def decompose_quad(cx: QuadComplex, omega: DiamondForm, q: int):
 
 
 def decompose_all(cx: QuadComplex, omega: DiamondForm):
-    rho = np.asarray(cx.rho)
+    rho = cx.rho_array
     det = -2j * rho.real  # determinant of [[1, 1], [i rho, -i conj(rho)]]
     p = (-1j * np.conj(rho) * omega.black - omega.white) / det
     q = (-1j * rho * omega.black + omega.white) / det
@@ -161,7 +161,7 @@ def decompose_all(cx: QuadComplex, omega: DiamondForm):
 def from_coefficients(cx: QuadComplex, p, q=None) -> DiamondForm:
     """Diamond form with given dz (and optional dzbar) coefficients."""
     p = np.asarray(p, dtype=complex)
-    rho = np.asarray(cx.rho)
+    rho = cx.rho_array
     if q is None:
         return DiamondForm(p.copy(), 1j * rho * p)
     q = np.asarray(q, dtype=complex)
@@ -190,7 +190,7 @@ def multiply_vertex(cx: QuadComplex, f, omega) -> OneForm:
     f = as_vertex_function(cx, f)
     if isinstance(omega, DiamondForm):
         omega = omega.expand(cx)
-    keys = np.asarray(cx.quads).reshape(-1)  # key vertex of edge 4q+slot
+    keys = cx.quad_array.reshape(-1)  # key vertex of edge 4q+slot
     return OneForm(f[keys] * omega.values)
 
 
@@ -201,7 +201,7 @@ def d_one_form(cx: QuadComplex, omega) -> TwoForm:
     vals = omega.values
     quad_values = vals.reshape(-1, 4).sum(axis=1)
     vertex_values = np.zeros(cx.nv, dtype=complex)
-    np.add.at(vertex_values, np.asarray(cx.quads, dtype=np.intp).reshape(-1), -vals)
+    np.add.at(vertex_values, cx.quad_array.reshape(-1), -vals)
     return TwoForm(vertex_values, quad_values)
 
 
@@ -217,7 +217,7 @@ def closedness_residual(cx: QuadComplex, omega: DiamondForm) -> float:
 
 def diamond_area_form(cx: QuadComplex) -> np.ndarray:
     """Integral of the coordinate area form over each quad face: -4i*Re(rho)."""
-    return -4j * np.asarray(cx.rho).real
+    return -4j * cx.rho_array.real
 
 
 def wedge(cx: QuadComplex, omega: DiamondForm, other: DiamondForm) -> TwoForm:
@@ -255,7 +255,7 @@ def scalar_product(cx: QuadComplex, omega: DiamondForm, other: DiamondForm) -> c
     """Hermitian inner product  integral of omega wedge star(conj(other))."""
     p1, q1 = decompose_all(cx, omega)
     p2, q2 = decompose_all(cx, other)
-    rho = np.asarray(cx.rho)
+    rho = cx.rho_array
     return complex(np.sum(4.0 * rho.real * (p1 * np.conj(p2) + q1 * np.conj(q2))))
 
 
@@ -275,7 +275,7 @@ def laplacian_matrix(cx: QuadComplex) -> np.ndarray:
     vertex face F_v.  Harmonicity of f at v is independent of the face
     volume normalization.
     """
-    B = boundary(cx)
+    B = cx.boundary_matrix
     nq = cx.nq
     d = 0.5 * np.vstack([-B[:, nq:].T, B[:, :nq].T])  # df in (black, white) values
     return costar(cx, B) @ d

@@ -59,7 +59,7 @@ def _read_surface(args, solver=False):
     text, name = _read_input(args.surface)
     cx, embedded = parse_dqs(text, name)
     if solver:
-        rho = np.array(cx.rho)
+        rho = cx.rho_array
         ok = np.isfinite(rho) & (rho.real > 0)
         if not ok.all():
             q = int(np.argmin(ok))
@@ -210,8 +210,7 @@ def cmd_abelian(args):
         res = np.abs(di.residues(cx, diff.form)).max()
         report.outputs["form"] = oneform_doc(diff.form)
         report.check("residues-vanish", res < args.tol * 10, res)
-        lhs = op.integrals(op.medial_steps([c.edges for c in basis.b]), basis.g,
-                           [diff.form], cx.nq)[:, 0]
+        lhs = op.integrals(basis.b_medial_steps, basis.g, [diff.form], cx.nq)[:, 0]
         p = np.array([ca.decompose_all(cx, w)[0][args.second] for w in hb.omega], dtype=complex)
         worst = np.abs(lhs - 2j * np.pi * p).max(initial=0.0)
         report.check("b-period-law", worst < 1e-8, worst)
@@ -224,7 +223,7 @@ def cmd_abelian(args):
         report.check("residue-minus", abs(res[v2] + 1) < args.tol * 10, abs(res[v2] + 1))
         others = np.abs(np.delete(res, [v, v2])).max(initial=0.0)
         report.check("no-other-poles", others < args.tol * 10, others)
-        aper = np.abs(op.integrals(op.chain_steps(basis.a_chains), 2 * basis.g,
+        aper = np.abs(op.integrals(basis.a_shadow_steps, 2 * basis.g,
                                    [diff.form], cx.nq)).max(initial=0.0)
         report.check("a-periods-vanish", aper < args.tol * 10, aper)
     return report.emit()

@@ -8,8 +8,9 @@ embedding (the residues) and the doubled a-periods over the stored
 basis chains.  Dropping one black-vertex and one white-vertex row (the
 rows of each color sum to zero) makes it square.  ``_dz_system`` is the
 one place that picks its form: a numpy array below ``SPARSE_NQ`` quads,
-which ``operators.solve`` factors with one dense LU, and a scipy CSR
-array from there on, which it factors with SuperLU.  Both paths check
+which ``operators.solve`` factors with one dense LU, and from there on
+a scipy sparse array, which ``operators.dz`` folds into CSR and
+``operators.solve`` factors with SuperLU.  Both paths check
 uniqueness by a condition estimate, the backward error of every column
 and the residual on the full system, and report the exact rank when it
 is singular.  ``abelian_basis`` solves all its second- and third-kind
@@ -30,20 +31,17 @@ from .errors import AmbiguityError, DqsError, SolveError
 from .calculus import DiamondForm, d_one_form, decompose_all, from_coefficients
 from .homology import HomologyBasis
 from .operators import (
-    boundary,
     boundary_triplets,
-    chain_rows,
-    chain_steps,
-    chain_triplets,
     costar,
     dense_matrix,
     dependent_rows,
     dz,
     integrals,
-    medial_steps,
     nullity,
     solve,
     sparse_matrix,
+    step_rows,
+    step_triplets,
 )
 from .surface import BLACK, WHITE, QuadComplex, require_ids, varignon_area
 
@@ -59,11 +57,14 @@ def _dz_system(cx: QuadComplex, basis: HomologyBasis):
     """Vertex boundary and doubled a-periods over (black, white) values.
 
     Composed with the p dz embedding its rows are the residues and the
-    a-period normalization of a form without antiholomorphic part.  A
-    numpy array below ``SPARSE_NQ`` quads, a scipy CSR array from there on.
+    a-period normalization of a form without antiholomorphic part.  The
+    triplets of the boundary and of the a-period rows cached on the basis
+    are assembled once: a numpy array below ``SPARSE_NQ`` quads, a scipy
+    COO array from there on, which ``dz`` folds into the CSR array that
+    is factored, so no dense boundary is built.
     """
     rows, cols, vals = boundary_triplets(cx)
-    a_rows, a_cols, a_vals = chain_triplets(basis.a_chains, cx.nq)
+    a_rows, a_cols, a_vals = step_triplets(basis.a_shadow_steps, cx.nq)
     triplets = (np.concatenate([rows, cx.nv + a_rows]), np.concatenate([cols, a_cols]),
                 np.concatenate([vals, a_vals]))
     shape = (cx.nv + 2 * basis.g, 2 * cx.nq)
@@ -72,7 +73,7 @@ def _dz_system(cx: QuadComplex, basis: HomologyBasis):
 
 def _values(cx: QuadComplex, p: np.ndarray) -> np.ndarray:
     """Stacked (black, white) values of the forms p dz, one column per column of p."""
-    return np.vstack([p, 1j * np.asarray(cx.rho)[:, None] * p])
+    return np.vstack([p, 1j * cx.rho_array[:, None] * p])
 
 
 def harmonic_with_periods(cx: QuadComplex, basis: HomologyBasis, targets,
@@ -91,8 +92,8 @@ def harmonic_with_periods(cx: QuadComplex, basis: HomologyBasis, targets,
     if g == 0:
         return DiamondForm.zero(cx)
     V = _values(cx, p)
-    P = np.vstack([chain_rows(basis.a_chains, cx.nq),
-                   chain_rows(basis.b_chains, cx.nq)]) @ V
+    P = np.vstack([step_rows(basis.a_shadow_steps, 2 * g, cx.nq),
+                   step_rows(basis.b_shadow_steps, 2 * g, cx.nq)]) @ V
     c = solve(np.hstack([P, P.conj()]), targets, tol, "harmonic")
     x = V @ c[:2 * g] + V.conj() @ c[2 * g:]
     return DiamondForm(x[:cx.nq], x[cx.nq:])
@@ -100,13 +101,13 @@ def harmonic_with_periods(cx: QuadComplex, basis: HomologyBasis, targets,
 
 def nullity_harmonic(cx: QuadComplex, cutoff: float = 1e-9) -> int:
     """Dimension of the space of harmonic forms (expected 4g)."""
-    B = boundary(cx)
+    B = cx.boundary_matrix
     return nullity(np.vstack([B, costar(cx, B)]), cutoff)
 
 
 def nullity_holomorphic(cx: QuadComplex, cutoff: float = 1e-9) -> int:
     """Dimension of the space of holomorphic forms (expected 2g)."""
-    return nullity(dz(cx, boundary(cx)), cutoff)
+    return nullity(cx.dz_boundary, cutoff)
 
 
 def _holomorphic_solve(cx: QuadComplex, basis: HomologyBasis, targets,
@@ -192,11 +193,10 @@ def period_matrices(cx: QuadComplex, basis: HomologyBasis,
     if hb is None:
         hb = canonical_bases(cx, basis)
     g = basis.g
-    shadows = integrals(chain_steps(basis.b_chains), 2 * g, hb.omega_black + hb.omega_white,
-                        cx.nq)
+    shadows = integrals(basis.b_shadow_steps, 2 * g, hb.omega_black + hb.omega_white, cx.nq)
     BB, BW = shadows[:g, :g], shadows[:g, g:]
     WB, WW = shadows[g:, :g], shadows[g:, g:]
-    Pi = integrals(medial_steps([c.edges for c in basis.b]), g, hb.omega, cx.nq)
+    Pi = integrals(basis.b_medial_steps, g, hb.omega, cx.nq)
     Pi_full = np.block([[BW, BB], [WW, WB]])
     Pi_black = BW + BB
     Pi_white = WW + WB
@@ -307,8 +307,8 @@ def b_period_average(cx: QuadComplex, omega: DiamondForm, basis: HomologyBasis,
     with simple poles it is the quantity entering the third-kind
     b-period law.
     """
-    doubled = integrals(chain_steps([basis.b_chains[k]]), 2, [omega], cx.nq)
-    return complex(doubled.sum() / 2.0)
+    doubled = integrals(basis.b_shadow_steps, 2 * basis.g, [omega], cx.nq)
+    return complex((doubled[k, 0] + doubled[basis.g + k, 0]) / 2.0)
 
 
 def _double_poles(cx: QuadComplex, quads):
@@ -319,7 +319,7 @@ def _double_poles(cx: QuadComplex, quads):
     (black, white) values is the form with only that dzbar part at quads[k].
     """
     quads = np.asarray(quads)
-    rho = np.asarray(cx.rho)[quads]
+    rho = cx.rho_array[quads]
     qbar = -math.pi / (2.0 * varignon_area(rho))
     values = np.zeros((2 * cx.nq, len(quads)), complex)
     k = np.arange(len(quads))

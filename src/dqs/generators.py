@@ -47,10 +47,14 @@ def gen_torus(m: int, n: int, tau: complex) -> QuadComplex:
 
 def randomize_rho(cx: QuadComplex, rng: np.random.Generator,
                   re_range=(0.2, 3.0), im_max=2.0) -> QuadComplex:
-    """Same combinatorics with fresh random weights."""
+    """Same combinatorics with fresh random weights.
+
+    The combinatorics of cx have passed ``QuadComplex.build`` or the
+    parser already, so the complex is made directly from its tuples.
+    """
     re = rng.uniform(re_range[0], re_range[1], cx.nq)
     im = rng.uniform(-im_max, im_max, cx.nq)
-    return QuadComplex.build(cx.colors, cx.quads, re + 1j * im)
+    return QuadComplex(cx.colors, cx.quads, tuple((re + 1j * im).tolist()))
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,10 @@ class come in three flavors: the plain medial integral, and twice the
 integral over either shadow.  All of them, and the doubled integrals
 along diagonal graph paths, are products of rows from the one row
 builder ``operators.step_triplets`` with the (black, white) values:
-``periods`` is one product for all 6g periods.
+``periods`` is one product for all 6g periods.  A ``HomologyBasis``
+builds the steps of its period rows once, on first use, and caches them
+as read-only arrays (``period_steps``, ``b_medial_steps``,
+``a_shadow_steps``, ``b_shadow_steps``) for every period product on it.
 
 Every walk on a diagonal graph (the tree-cotree split behind
 ``homology_basis`` and the paths of ``graph_path``) reads the neighbours
@@ -24,13 +27,14 @@ product of the black and white quad multiplicities of those shadows.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import compress
 
 import numpy as np
 
 from .errors import DqsError, NotClosedError, SurfaceError
 from .calculus import DiamondForm, closedness_residual
-from .operators import chain_steps, diagonal_steps, integrals, medial_steps
+from .operators import chain_steps, diagonal_steps, integrals, medial_steps, step_array
 from .surface import (
     BLACK,
     DIAG_SIGN,
@@ -42,6 +46,7 @@ from .surface import (
     QuadComplex,
     genus,
     medial_edge_index,
+    read_only,
     require_surface,
 )
 
@@ -261,6 +266,31 @@ class HomologyBasis:
     def all_chains(self):
         return list(self.a_chains) + list(self.b_chains)
 
+    # The steps of the period rows, built on first use as read-only
+    # ``operators.step_array`` arrays and read by every period product.
+
+    @cached_property
+    def period_steps(self) -> np.ndarray:
+        """The 6g rows of ``periods``: plain a- and b-periods, then the
+        doubled black shadows of a and b, then the doubled white ones."""
+        return read_only(step_array(medial_steps([c.edges for c in self.all_cycles()])
+                                    + chain_steps(self.all_chains(), 2 * self.g)))
+
+    @cached_property
+    def b_medial_steps(self) -> np.ndarray:
+        """The g plain b-periods."""
+        return read_only(step_array(medial_steps([c.edges for c in self.b])))
+
+    @cached_property
+    def a_shadow_steps(self) -> np.ndarray:
+        """The 2g doubled a-shadow periods, black rows then white (``chain_steps``)."""
+        return read_only(step_array(chain_steps(self.a_chains)))
+
+    @cached_property
+    def b_shadow_steps(self) -> np.ndarray:
+        """The 2g doubled b-shadow periods, black rows then white."""
+        return read_only(step_array(chain_steps(self.b_chains)))
+
 
 def build_basis(cx: QuadComplex, a_cycles, b_cycles) -> HomologyBasis:
     a_ch = tuple(black_white(cx, c) for c in a_cycles)
@@ -277,10 +307,7 @@ def periods(cx: QuadComplex, omega: DiamondForm, basis: HomologyBasis,
     if res > tol * scale:
         raise NotClosedError(res)
     g = basis.g
-    # rows: plain a- and b-periods, then the doubled black and white shadows
-    steps = medial_steps([c.edges for c in basis.all_cycles()]) \
-        + chain_steps(basis.all_chains(), 2 * g)
-    A, B, AB, BB, AW, BW = integrals(steps, 6 * g, [omega], cx.nq).reshape(6, g)
+    A, B, AB, BB, AW, BW = integrals(basis.period_steps, 6 * g, [omega], cx.nq).reshape(6, g)
     return PeriodReport(A, B, AB, AW, BB, BW)
 
 

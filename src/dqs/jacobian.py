@@ -229,7 +229,7 @@ def aj_cr_residual(cx: QuadComplex, hb: HolomorphicBasis) -> float:
     quad and component is 2 |white - i rho black|; it vanishes exactly
     because the canonical differentials are holomorphic.
     """
-    rho = np.asarray(cx.rho)
+    rho = cx.rho_array
     worst = 0.0
     for f in hb.omega:
         worst = max(worst, float(np.abs(2.0 * (f.white - 1j * rho * f.black)).max(initial=0.0)))

@@ -9,18 +9,31 @@ or the embedding of p dz (black p, white i*rho*p).  Period functionals
 are rows of one builder, ``step_triplets``, over signed diagonal steps
 (medial edges read their parallel diagonal via ``MEDIAL_SLOT``), and
 ``integrals`` applies them to all forms in one product.  The boundary
-and these rows are (row, column, value) triplets first: ``dense_matrix`` sums them into
-a numpy array, ``sparse_matrix`` into a scipy CSR array, and ``compose``
-and ``dz`` scale the columns of either.  Solves go through ``solve`` and
-rank counts through ``nullity``, so every system gets the same rank,
-residual and cutoff rules.  Once the two row dependencies of each
-boundary block (``dependent_rows``) are dropped, every solver system is
-square, and ``solve`` factors it with one LU: dense LAPACK for a numpy
-array, sparse SuperLU for a scipy sparse array, under the same
-acceptance checks.  Dense least squares is left for systems that are
-singular, ill-conditioned or not square, and for LU solutions whose
-backward error is too large.  scipy is imported on the sparse path
-only, so dense work never pays for it.
+and these rows are (row, column, value) triplets first: ``dense_matrix``
+sums them into a numpy array, ``sparse_matrix`` keeps them in a scipy
+COO array, ``compose`` scales the column blocks of a numpy array, and
+``dz`` composes a numpy array or folds the triplets of a sparse one into
+the CSR array that is factored.
+
+Solves go through ``solve`` and rank counts through ``nullity``, so
+every system gets the same rank, residual and cutoff rules.  Once the
+two row dependencies of each boundary block (``dependent_rows``) are
+dropped, every solver system is square, and ``solve`` factors it with
+one LU: dense LAPACK for a numpy array, sparse SuperLU for a scipy
+sparse array, under the same acceptance checks.  Dense least squares is
+left for systems that are singular, ill-conditioned or not square, and
+for LU solutions whose backward error is too large.  scipy is imported
+on the sparse path only, so dense work never pays for it.
+
+Each operator is built once per object that determines it and is
+read-only from then on.  A ``QuadComplex`` caches its weights
+(``rho_array``), its dense boundary (``boundary_matrix``, assembled by
+``boundary``) and the p dz composition of that boundary
+(``dz_boundary``); the kernel counts and the Laplacian read them, while
+each solver system is assembled once from triplets, so the sparse path
+never asks for a dense boundary.  A ``HomologyBasis`` caches the steps of its
+period rows as ``step_array`` arrays, which ``step_triplets`` and
+``integrals`` take in place of step lists.
 """
 
 from __future__ import annotations
@@ -51,7 +64,11 @@ def boundary_triplets(cx: QuadComplex):
 
 
 def boundary(cx: QuadComplex) -> np.ndarray:
-    """Dense nv x 2nq vertex-boundary matrix over (black, white) values."""
+    """Dense nv x 2nq vertex-boundary matrix over (black, white) values.
+
+    Every consumer reads the copy cached on the complex,
+    ``QuadComplex.boundary_matrix``; this assembles it.
+    """
     return dense_matrix((cx.nv, 2 * cx.nq), boundary_triplets(cx))
 
 
@@ -64,30 +81,46 @@ def dense_matrix(shape, triplets) -> np.ndarray:
 
 
 def sparse_matrix(shape, triplets):
-    """scipy CSR array of the given shape: the sum of (rows, cols, values) triplets."""
-    from scipy.sparse import csr_array
+    """scipy COO array of the given shape: the sum of (rows, cols, values) triplets.
+
+    The triplets are kept as they are, so ``dz`` can fold them before
+    anything is assembled; products sum the repeated entries.
+    """
+    from scipy.sparse import coo_array
 
     rows, cols, vals = triplets
-    return csr_array((vals, (rows, cols)), shape=shape)
+    return coo_array((vals, (rows, cols)), shape=shape)
 
 
-def compose(M, black, white):
-    """M over (black, white) values after the per-quad map x -> (black x, white x).
-
-    M is a numpy array or a scipy sparse array, and so is the result.
-    """
+def compose(M: np.ndarray, black, white) -> np.ndarray:
+    """M over (black, white) values after the per-quad map x -> (black x, white x)."""
     nq = M.shape[1] // 2
     return M[:, :nq] * black + M[:, nq:] * white
 
 
 def dz(cx: QuadComplex, M):
-    """M on forms p dz, in the unknowns p (black value p, white i*rho*p)."""
-    return compose(M, 1.0, 1j * np.asarray(cx.rho))
+    """M on forms p dz, in the unknowns p (black value p, white i*rho*p).
+
+    A numpy M is composed column block by column block.  A scipy sparse
+    M is folded triplet by triplet: each white entry is scaled by i*rho
+    of its quad and moved onto the quad's column, and the nq columns are
+    assembled once, into a CSR array.
+    """
+    white = 1j * cx.rho_array
+    if isinstance(M, np.ndarray):
+        return compose(M, 1.0, white)
+    from scipy.sparse import csr_array
+
+    M = M.tocoo()
+    is_white = M.col >= cx.nq
+    q = M.col - cx.nq * is_white
+    return csr_array((np.where(is_white, white[q], 1.0) * M.data, (M.row, q)),
+                     shape=(M.shape[0], cx.nq))
 
 
 def star_blocks(cx: QuadComplex):
     """Per-quad 2x2 blocks of the Hodge star in (black, white) values."""
-    rho = np.asarray(cx.rho)
+    rho = cx.rho_array
     re, im, a2 = rho.real, rho.imag, np.abs(rho) ** 2
     return (-im / re, -1.0 / re, a2 / re, im / re)  # bb, bw, wb, ww
 
@@ -105,10 +138,20 @@ def step_triplets(steps, nq: int):
     quad, value) entries: the step along the quad's diagonal of that
     color reads value times the quad's value of the color.  value is
     the step's direction (+1 for b- -> b+ or w- -> w+) times its weight.
+    steps is a list of these tuples or their ``step_array``.
     """
-    steps = np.asarray(steps, dtype=float).reshape(-1, 4)
+    steps = step_array(steps)
     rows, colors, quads = steps[:, :3].astype(np.int64).T
     return rows, quads + nq * colors, steps[:, 3]
+
+
+def step_array(steps) -> np.ndarray:
+    """Steps as an n x 4 float array of (row, color, quad, value) rows.
+
+    An array is returned as it is, so rows built once (those cached on a
+    ``HomologyBasis``) pass through ``step_triplets`` without a copy.
+    """
+    return np.asarray(steps, dtype=float).reshape(-1, 4)
 
 
 def diagonal_steps(walks, color: int, first_row: int = 0, weight: float = 2.0) -> list:
@@ -142,14 +185,14 @@ def chain_steps(chains, first_row: int = 0) -> list:
             + diagonal_steps([ch.white for ch in chains], WHITE, first_row + len(chains)))
 
 
-def chain_triplets(chains, nq: int):
-    """(rows, cols, values) of the doubled shadow periods, 2 len(chains) x 2nq."""
-    return step_triplets(chain_steps(chains), nq)
+def step_rows(steps, n_rows: int, nq: int) -> np.ndarray:
+    """Dense n_rows x 2nq period rows of the steps over (black, white) values."""
+    return dense_matrix((n_rows, 2 * nq), step_triplets(steps, nq))
 
 
 def chain_rows(chains, nq: int) -> np.ndarray:
-    """Dense doubled shadow periods over (black, white) values (``chain_triplets``)."""
-    return dense_matrix((2 * len(chains), 2 * nq), chain_triplets(chains, nq))
+    """Dense doubled shadow periods over (black, white) values, 2 len(chains) x 2nq."""
+    return step_rows(chain_steps(chains), 2 * len(chains), nq)
 
 
 def integrals(steps, n_rows: int, forms, nq: int) -> np.ndarray:
@@ -159,8 +202,7 @@ def integrals(steps, n_rows: int, forms, nq: int) -> np.ndarray:
     of the forms, one column per form.
     """
     values = np.array([np.concatenate([f.black, f.white]) for f in forms], dtype=complex)
-    return dense_matrix((n_rows, 2 * nq), step_triplets(steps, nq)) \
-        @ values.reshape(len(forms), 2 * nq).T
+    return step_rows(steps, n_rows, nq) @ values.reshape(len(forms), 2 * nq).T
 
 
 def dependent_rows(cx: QuadComplex) -> list:
@@ -186,8 +228,11 @@ def solve(A, rhs: np.ndarray, tol: float, what: str,
     ill-conditioned or not solved backward-stably, and when it is not
     square (a disconnected surface); for a sparse A it densifies A, at
     O(rows x cols) memory.  Raises rank_error if A lacks full column
-    rank, and SolveError if A or rhs is not finite or the residual on all
-    of A exceeds tol * max(1, |rhs|).
+    rank, and SolveError if A or rhs is not finite, the solution
+    overflows, or the residual on all of A exceeds tol * max(1, |rhs|).
+    The residual is measured with rhs and the solution scaled by the
+    power of two that brings the largest part of rhs to at most 1: the
+    same test, without overflow near the largest float.
     """
     rhs = np.asarray(rhs)
     is_dense = isinstance(A, np.ndarray)
@@ -204,10 +249,21 @@ def solve(A, rhs: np.ndarray, tol: float, what: str,
         if rank < n:
             raise rank_error(f"{what} system rank {rank} < {n}; "
                              "the solution is not unique")
-    res = np.abs(A @ sol - rhs).max(initial=0.0)
-    if not res <= tol * max(1.0, np.abs(rhs).max(initial=0.0)):
-        raise SolveError(f"{what} system residual {res:.3e} exceeds tolerance")
+    if not np.isfinite(sol).all():
+        raise SolveError(f"{what} solution overflows")
+    unit = np.ldexp(1.0, -max(0, int(_exponents(rhs).max(initial=0))))
+    res = np.abs(A @ (sol * unit) - rhs * unit).max(initial=0.0)
+    if not res <= tol * max(unit, np.abs(rhs * unit).max(initial=0.0)):
+        raise SolveError(f"{what} system residual {float(res) / unit:.3e} exceeds tolerance")
     return sol
+
+
+def _exponents(b: np.ndarray):
+    """Per column of b, the binary exponent e of its largest real or imaginary
+    part, 2^(e-1) <= part < 2^e (0 for a zero column), kept within +-1022 so
+    that 2^e and 2^-e are normal floats."""
+    largest = np.maximum(np.abs(b.real), np.abs(b.imag)).max(axis=0, initial=0.0)
+    return np.minimum(np.maximum(np.frexp(largest)[1], -1022), 1022)
 
 
 def _lu_solve(S, b: np.ndarray, eps_n: float):
@@ -226,12 +282,19 @@ def _lu_solve(S, b: np.ndarray, eps_n: float):
     |S|_1 |S^-1 p|_1 / |p|_1, a lower bound on cond_1(S), must stay
     below 1 / eps_n, and the normwise backward error
     |S x - b| / (|S| |x| + |b|) (infinity norms) of every column must be
-    at most eps_n.
+    at most eps_n.  Each column of b is solved scaled by 2^-e, e its
+    ``_exponents``, to a largest part in [1/2, 1).  A power of two
+    changes no bit of a solution that neither over- nor underflows and
+    leaves the backward error as it is, and it keeps these checks finite
+    for right-hand sides near the largest float.  A solution that
+    overflows comes back with an inf.
     """
     n = S.shape[0]
     rng = np.random.default_rng(0)
     perm = rng.permutation(n) if isinstance(S, np.ndarray) else None
-    y = np.hstack([b.reshape(n, -1), rng.standard_normal((n, 1))])
+    shape, b = b.shape, b.reshape(n, -1)
+    e = _exponents(b)
+    y = np.hstack([b * np.ldexp(1.0, -e), rng.standard_normal((n, 1))])
     if perm is not None:
         try:
             x = np.linalg.solve(S.take(perm, axis=1), y)[np.argsort(perm)]
@@ -251,7 +314,8 @@ def _lu_solve(S, b: np.ndarray, eps_n: float):
     bound = eps_n * (abs_s.sum(axis=1).max() * np.abs(x).max(axis=0) + np.abs(y).max(axis=0))
     if not np.all(np.abs(S @ x - y).max(axis=0) <= bound):
         return None
-    return x[:, :-1].reshape(b.shape)
+    with np.errstate(over="ignore"):
+        return (x[:, :-1] * np.ldexp(1.0, e)).reshape(shape)
 
 
 def nullity(A: np.ndarray, cutoff: float = 1e-9) -> int:

@@ -8,7 +8,12 @@ simple pole is allowed (quad coefficient 1), with double values forced
 where the coefficient is -2 and zeros forced at vertices with -1.  The
 differential space H(D) mirrors it on forms.  Both dimensions come from
 numerical kernels; the identity l(-D) = deg D - 2g + 2 + i(D) ties them
-together and is checked in integers.
+together and is checked in integers.  Both systems are cut from the
+operators cached on the complex, read-only: the rows of ``l_system`` and
+the p columns of ``i_system`` come from the one p dz operator
+``QuadComplex.dz_boundary``, the double-value and dzbar parts from
+``QuadComplex.boundary_matrix``, and unit rows are written directly, so
+every divisor on one surface reuses one assembly.
 """
 
 from __future__ import annotations
@@ -20,12 +25,13 @@ import numpy as np
 from .errors import DqsError
 from .calculus import as_vertex_function, d_function, decompose_all
 from .differentials import (
+    HolomorphicBasis,
     abelian_second,
     abelian_third,
     canonical_bases,
 )
 from .homology import HomologyBasis
-from .operators import boundary, compose, dz, nullity
+from .operators import compose, nullity
 from .surface import BLACK, WHITE, QuadComplex, genus, require_ids
 
 
@@ -98,24 +104,42 @@ def _require_admissible(cx: QuadComplex, d: Divisor):
         raise DqsError("divisor is not admissible (vertex in {-1,0}, quad in {-2,0,1})")
 
 
+def _ids_with(d: dict, coeff: int) -> np.ndarray:
+    """Ids whose coefficient in d is coeff, ascending."""
+    return np.array(sorted(i for i, c in d.items() if c == coeff), dtype=np.intp)
+
+
+def _ids_without(n: int, d: dict, coeff: int) -> np.ndarray:
+    """Ids below n, ascending, whose coefficient in d is not coeff."""
+    keep = np.ones(n, dtype=bool)
+    keep[_ids_with(d, coeff)] = False
+    return np.flatnonzero(keep)
+
+
+def _unit_rows(ids: np.ndarray, n: int) -> np.ndarray:
+    """Rows of the n x n identity at ids."""
+    rows = np.zeros((len(ids), n))
+    rows[np.arange(len(ids)), ids] = 1.0
+    return rows
+
+
 def l_system(cx: QuadComplex, d: Divisor) -> np.ndarray:
     """Constraint matrix whose kernel is L(-D) inside C^V.
 
     Quads with coefficient 1 in D allow a pole (no holomorphicity row);
     quads with -2 force a double value; vertices with -1 force a zero.
     The holomorphicity rows are the transposed residue rows of p dz
-    forms, and the double-value rows are the black and white rows of
-    2 * d_function at each double quad.
+    forms (``QuadComplex.dz_boundary``), and the double-value rows are
+    the black and white rows of 2 * d_function at each double quad.
     """
     _require_admissible(cx, d)
-    B = boundary(cx)
+    B = cx.boundary_matrix
     nq = cx.nq
-    cr = dz(cx, B).T
-    holomorphic = [q for q in range(nq) if d.quad_coeffs.get(q) != 1]
-    double = np.array(sorted(q for q, c in d.quad_coeffs.items() if c == -2), dtype=np.intp)
+    holomorphic = _ids_without(nq, d.quad_coeffs, 1)
+    double = _ids_with(d.quad_coeffs, -2)
     double_rows = np.stack([-B[:, nq + double].T, B[:, double].T], axis=1).reshape(-1, cx.nv)
-    zeros = np.eye(cx.nv)[sorted(v for v, c in d.vertex_coeffs.items() if c == -1)]
-    return np.vstack([cr[holomorphic], double_rows, zeros])
+    zeros = _unit_rows(_ids_with(d.vertex_coeffs, -1), cx.nv)
+    return np.vstack([cx.dz_boundary.T[holomorphic], double_rows, zeros])
 
 
 def l_dim(cx: QuadComplex, d: Divisor, cutoff: float = 1e-9) -> int:
@@ -129,18 +153,18 @@ def i_system(cx: QuadComplex, d: Divisor):
     Unknowns: the dz coefficient p per quad, plus one dzbar coefficient
     per quad with coefficient -2 in D (double pole allowed).  Rows force
     zero residues at every vertex without a pole allowance and vanishing
-    of the form at quads with coefficient 1.
+    of the form at quads with coefficient 1.  The p columns of the
+    residue rows are ``QuadComplex.dz_boundary``.
     """
     _require_admissible(cx, d)
-    B = boundary(cx)
-    dzbar_quads = np.array(sorted(q for q, c in d.quad_coeffs.items() if c == -2), dtype=np.intp)
-    dzbar = compose(B[:, np.concatenate([dzbar_quads, cx.nq + dzbar_quads])], 1.0,
-                    -1j * np.conj(np.asarray(cx.rho)[dzbar_quads]))
-    cols = np.hstack([dz(cx, B), dzbar])
-    n_unknowns = cols.shape[1]
-    residue_free = [v for v in range(cx.nv) if d.vertex_coeffs.get(v) != -1]
-    zero_quads = sorted(q for q, c in d.quad_coeffs.items() if c == 1)
-    A = np.vstack([cols[residue_free], np.eye(cx.nq, n_unknowns)[zero_quads]])
+    B = cx.boundary_matrix
+    dzbar_quads = _ids_with(d.quad_coeffs, -2)
+    residue_free = _ids_without(cx.nv, d.vertex_coeffs, -1)
+    dzbar = compose(B[np.ix_(residue_free, np.concatenate([dzbar_quads, cx.nq + dzbar_quads]))],
+                    1.0, -1j * np.conj(cx.rho_array[dzbar_quads]))
+    n_unknowns = cx.nq + len(dzbar_quads)
+    A = np.vstack([np.hstack([cx.dz_boundary[residue_free], dzbar]),
+                   _unit_rows(_ids_with(d.quad_coeffs, 1), n_unknowns)])
     return A, n_unknowns
 
 
@@ -170,18 +194,20 @@ def check_riemann_roch(cx: QuadComplex, d: Divisor) -> DimensionReport:
 
 
 def i_dim_basis_route(cx: QuadComplex, basis: HomologyBasis, d: Divisor,
-                      cutoff: float = 1e-9) -> int:
+                      cutoff: float = 1e-9, hb: HolomorphicBasis = None) -> int:
     """i(D) via the spanning-family elimination matrix.
 
     Columns are the normalized differentials allowed by D (first kind,
     second kind at double-pole quads, third kind pairing the allowed
     pole vertices); rows evaluate their dz coefficient at every quad
     where D forces a zero.  The kernel is H(D), computed independently
-    of the direct route.
+    of the direct route.  hb, the canonical forms of the basis, is
+    solved for when not given.
     """
     _require_admissible(cx, d)
     g = basis.g
-    hb = canonical_bases(cx, basis)
+    if hb is None:
+        hb = canonical_bases(cx, basis)
     columns = []
     for k in range(g):
         columns.append(hb.omega_black[k])

@@ -3,7 +3,11 @@
 Each criterion function returns a CheckResult with a pass flag, the
 worst residual observed, and its wall time.  The CLI selftest command
 and the acceptance test module both run these; tolerances are fixed
-here and nowhere else.
+here and nowhere else.  Every criterion takes a seed and, optionally,
+the genus-3 cube cover (the triple of ``gen_cube_double_cover``), which
+it builds itself when none is given: ``run_all`` builds the cover once
+and hands it to every criterion, so the operators cached on its total
+space serve all of them.
 """
 
 from __future__ import annotations
@@ -48,20 +52,23 @@ def _standard_tori():
     ]
 
 
-def _genus3(seed=None):
-    total, _, _ = gen_cube_double_cover()
-    if seed is None:
-        return total
-    return randomize_rho(total, np.random.default_rng(seed))
+def _cover(cover):
+    """The given genus-3 cube cover, or a new one."""
+    return cover if cover is not None else gen_cube_double_cover()
 
 
-def shipped_surfaces():
+def _genus3(cover):
+    """The total space of the genus-3 cube cover."""
+    return _cover(cover)[0]
+
+
+def shipped_surfaces(cover=None):
     """Every generated surface the suite must handle."""
     out = [("cube", gen_cube())]
     for cx, m, n, tau in _standard_tori():
         out.append((f"torus{m}x{n}", cx))
     out.append(("torus2x4", gen_torus(2, 4, 1j)))
-    out.append(("genus3-cover", _genus3()))
+    out.append(("genus3-cover", _genus3(cover)))
     verts, faces = tetrahedron_mesh()
     out.append(("tetra-kites", delaunay_voronoi(verts, faces)))
     one_pole, _ = rr.gen_one_pole_surface(gen_torus(4, 4, 1j), 10, 1 + 0.5j, 0.8)
@@ -70,16 +77,22 @@ def shipped_surfaces():
 
 
 def _random_closed(cx, basis, hb, rng):
+    """d of a random function plus random multiples of the canonical forms and
+    their conjugates, summed value array by value array."""
     f = rng.normal(size=cx.nv) + 1j * rng.normal(size=cx.nv)
-    omega = ca.d_function(cx, f)
+    exact = ca.d_function(cx, f)
+    black, white = exact.black, exact.white
     for k in range(basis.g):
         c = rng.normal(size=4) + 1j * rng.normal(size=4)
-        omega = omega + c[0] * hb.omega_black[k] + c[1] * hb.omega_white[k] \
-            + c[2] * hb.omega_black[k].conjugate() + c[3] * hb.omega_white[k].conjugate()
-    return omega
+        ob, ow = hb.omega_black[k], hb.omega_white[k]
+        black = black + c[0] * ob.black + c[1] * ow.black \
+            + c[2] * np.conj(ob.black) + c[3] * np.conj(ow.black)
+        white = white + c[0] * ob.white + c[1] * ow.white \
+            + c[2] * np.conj(ob.white) + c[3] * np.conj(ow.white)
+    return ca.DiamondForm(black, white)
 
 
-def criterion_1(seed=0):
+def criterion_1(seed=0, cover=None):
     """Torus periods equal the modulus."""
     start = time.perf_counter()
     worst = 0.0
@@ -95,14 +108,14 @@ def criterion_1(seed=0):
                    f"max|Pi - tau| = {worst:.2e}, slowest {slowest:.2f} s")
 
 
-def criterion_2(seed=0):
+def criterion_2(seed=0, cover=None):
     """Period matrix symmetry and positivity on random-weight surfaces."""
     start = time.perf_counter()
     rng = np.random.default_rng(seed)
     worst_sym = 0.0
     worst_eig = np.inf
     t44 = gen_torus(4, 4, 1j)
-    g3 = _genus3()
+    g3 = _genus3(cover)
     for i in range(25):
         if i < 20:
             cx = randomize_rho(t44, rng)
@@ -126,7 +139,7 @@ def criterion_2(seed=0):
                    f"max asymmetry {worst_sym:.2e}, min Im eig {worst_eig:.3e}")
 
 
-def criterion_3(seed=0):
+def criterion_3(seed=0, cover=None):
     """Bilinear identity on random closed forms."""
     start = time.perf_counter()
     rng = np.random.default_rng(seed)
@@ -137,7 +150,7 @@ def criterion_3(seed=0):
     surfaces.append((t44, ho.standard_torus_basis(t44, 4, 4)))
     t46 = gen_torus(4, 6, 0.3 + 1.2j)
     surfaces.append((t46, ho.standard_torus_basis(t46, 4, 6)))
-    g3 = _genus3()
+    g3 = _genus3(cover)
     surfaces.append((g3, ho.homology_basis(g3)))
     for cx, basis in surfaces:
         hb = di.canonical_bases(cx, basis) if basis.g else None
@@ -149,12 +162,12 @@ def criterion_3(seed=0):
                    f"max residual {worst:.2e}")
 
 
-def criterion_4(seed=0):
+def criterion_4(seed=0, cover=None):
     """Harmonic and holomorphic dimension counts."""
     start = time.perf_counter()
     lines = []
     ok = True
-    for name, cx in shipped_surfaces():
+    for name, cx in shipped_surfaces(cover):
         g = genus(cx)
         nh = di.nullity_harmonic(cx)
         no = di.nullity_holomorphic(cx)
@@ -166,20 +179,20 @@ def criterion_4(seed=0):
                    "all 4g/2g" if ok else "; ".join(lines))
 
 
-def criterion_5(seed=0):
+def criterion_5(seed=0, cover=None):
     """Laplacian kernel is the biconstants."""
     start = time.perf_counter()
-    bad = [name for name, cx in shipped_surfaces() if ca.check_liouville(cx) != 2]
+    bad = [name for name, cx in shipped_surfaces(cover) if ca.check_liouville(cx) != 2]
     return _result(5, "liouville", start, not bad,
                    "kernel dim 2 everywhere" if not bad else f"failed on {bad}")
 
 
-def criterion_6(seed=0):
+def criterion_6(seed=0, cover=None):
     """Pointwise calculus identities on random data."""
     start = time.perf_counter()
     rng = np.random.default_rng(seed)
     t44 = gen_torus(4, 4, 1j)
-    g3 = _genus3()
+    g3 = _genus3(cover)
     worst = {"ddf": 0.0, "derivation": 0.0, "star2": 0.0, "residue-sum": 0.0}
     for i in range(100):
         cx = randomize_rho(t44 if i % 2 else g3, rng)
@@ -200,10 +213,10 @@ def criterion_6(seed=0):
     return _result(6, "calculus-identities", start, ok, detail)
 
 
-def criterion_7(seed=0):
+def criterion_7(seed=0, cover=None):
     """Branched double cover of the cube satisfies the genus identity."""
     start = time.perf_counter()
-    total, base, cmap = gen_cube_double_cover()
+    total, base, cmap = _cover(cover)
     rep = check_riemann_hurwitz(cmap)
     g, g2 = genus(total), genus(base)
     ok = (g == 3 and g2 == 0 and rep.sheets == 2 and rep.total_branching == 8
@@ -244,7 +257,7 @@ def _random_admissible(cx, rng, max_terms=4):
     return rr.Divisor(vc, qc)
 
 
-def criterion_8(seed=0):
+def criterion_8(seed=0, cover=None):
     """Index identity, exhaustively on a small torus and sampled on genus 3."""
     start = time.perf_counter()
     rng = np.random.default_rng(seed)
@@ -256,7 +269,7 @@ def criterion_8(seed=0):
         count += 1
         if rep.residual != 0:
             bad += 1
-    g3 = _genus3()
+    g3 = _genus3(cover)
     for _ in range(50):
         d = _random_admissible(g3, rng)
         rep = rr.check_riemann_roch(g3, d)
@@ -265,10 +278,11 @@ def criterion_8(seed=0):
             bad += 1
     # independent route for i(D)
     basis3 = ho.homology_basis(g3)
+    hb3 = di.canonical_bases(g3, basis3)
     cross_bad = 0
     for _ in range(10):
         d = _random_admissible(g3, rng, max_terms=3)
-        if rr.i_dim(g3, d) != rr.i_dim_basis_route(g3, basis3, d):
+        if rr.i_dim(g3, d) != rr.i_dim_basis_route(g3, basis3, d, hb=hb3):
             cross_bad += 1
     elapsed = time.perf_counter() - start
     ok = bad == 0 and cross_bad == 0 and elapsed < 60.0
@@ -276,7 +290,7 @@ def criterion_8(seed=0):
                    f"{count} divisors, {bad} violations, {cross_bad} cross-check mismatches")
 
 
-def criterion_9(seed=0):
+def criterion_9(seed=0, cover=None):
     """Period laws of second and third kind differentials."""
     start = time.perf_counter()
     rng = np.random.default_rng(seed)
@@ -314,7 +328,7 @@ def criterion_9(seed=0):
                    f"second {worst2:.1e}, symmetry {worst_sym:.1e}, third {worst3:.1e}")
 
 
-def criterion_10(seed=0):
+def criterion_10(seed=0, cover=None):
     """Single-pole counterexample surface."""
     start = time.perf_counter()
     base = gen_torus(4, 4, 1j)
@@ -332,7 +346,7 @@ def criterion_10(seed=0):
                    f"common zero |p| = {p_at:.1e}")
 
 
-def criterion_11(seed=0):
+def criterion_11(seed=0, cover=None):
     """Abel-Jacobi holomorphicity and lattice reduction."""
     start = time.perf_counter()
     rng = np.random.default_rng(seed)
@@ -357,7 +371,7 @@ def criterion_11(seed=0):
                    f"CR {worst_cr:.1e}, lattice reduction {worst_lat:.1e}")
 
 
-def criterion_12(seed=0):
+def criterion_12(seed=0, cover=None):
     """Rhombic realization and its obstruction."""
     start = time.perf_counter()
     import math
@@ -386,4 +400,5 @@ ALL_CRITERIA = [criterion_1, criterion_2, criterion_3, criterion_4, criterion_5,
 
 
 def run_all(seed: int = 0):
-    return [fn(seed) for fn in ALL_CRITERIA]
+    cover = gen_cube_double_cover()
+    return [fn(seed, cover) for fn in ALL_CRITERIA]

@@ -22,9 +22,13 @@ Medial-graph conventions used by every other module:
 Beside the tuples, a complex caches array views of its combinatorics:
 the nq x 4 quad array, the incidences grouped by undirected edge, and
 the ccw successor of every incidence in its vertex star, found by
-matching each edge with its other traversal.  ``validate`` checks every
-surface invariant with linear numpy passes over these arrays and formats
-messages for the violators only; ``stars`` walks the successors.
+matching each edge with its other traversal.  It also caches the weights
+as a complex array and, on first use, its dense operators: the
+vertex-boundary matrix and its p dz composition.  Every cached array is
+read-only, so all consumers of one surface can share it.  ``validate``
+checks every surface invariant with linear numpy passes over these
+arrays and formats messages for the violators only; ``stars`` walks the
+successors.
 """
 
 from __future__ import annotations
@@ -163,7 +167,12 @@ class QuadComplex:
     @cached_property
     def quad_array(self) -> np.ndarray:
         """The quads as an nq x 4 integer array, one (b-, w-, b+, w+) row each."""
-        return np.array(self.quads, dtype=np.int64).reshape(-1, 4)
+        return read_only(np.array(self.quads, dtype=np.int64).reshape(-1, 4))
+
+    @cached_property
+    def rho_array(self) -> np.ndarray:
+        """The weights as a complex array, one entry per quad."""
+        return read_only(np.array(self.rho, dtype=complex))
 
     @cached_property
     def edge_groups(self):
@@ -178,7 +187,7 @@ class QuadComplex:
         R = np.roll(Q, -1, axis=1)
         keys = (np.minimum(Q, R) * self.nv + np.maximum(Q, R)).ravel()
         order = np.argsort(keys, kind="stable")
-        return order, keys[order]
+        return read_only(order), read_only(keys[order])
 
     @cached_property
     def has_doubled_edges(self) -> bool:
@@ -211,7 +220,27 @@ class QuadComplex:
         simple = ~_repeated_vertices(Q)
         ok = (paired[before] & (verts[succ] == verts)
               & np.repeat(simple, 4) & simple[succ // 4])
-        return np.where(ok, succ, -1)
+        return read_only(np.where(ok, succ, -1))
+
+    # -- dense operators ---------------------------------------------
+    # Built on first use by dqs.operators, which builds on this module and
+    # is therefore imported here.  The kernel counts and the Laplacian of
+    # the surface read them; the solvers assemble their systems from
+    # triplets and never ask for them.
+
+    @cached_property
+    def boundary_matrix(self) -> np.ndarray:
+        """The dense nv x 2nq vertex-boundary matrix ``operators.boundary``."""
+        from .operators import boundary
+
+        return read_only(boundary(self))
+
+    @cached_property
+    def dz_boundary(self) -> np.ndarray:
+        """The boundary on forms p dz, nv x nq: ``operators.dz`` of ``boundary_matrix``."""
+        from .operators import dz
+
+        return read_only(dz(self, self.boundary_matrix))
 
     def _other_quad(self, q: int, u: int, w: int) -> int:
         """Quad traversing w -> u, i.e. the neighbor of q across edge {u, w}."""
@@ -384,7 +413,7 @@ def validate(cx: QuadComplex) -> ValidationReport:
             "strong-regularity", pair,
             f"edge {pair} is shared by {count[k]} quad boundaries"))
 
-    rho = np.array(cx.rho, dtype=complex)
+    rho = cx.rho_array
     for q in np.flatnonzero(~(np.isfinite(rho) & (rho.real > 0))).tolist():
         r = cx.rho[q]
         detail = (f"quad {q} has rho={r} with Re <= 0" if cmath.isfinite(r)
@@ -405,6 +434,12 @@ def validate(cx: QuadComplex) -> ValidationReport:
 
     bad.sort(key=lambda v: (_KIND_ORDER[v.kind], v.ids))
     return ValidationReport(tuple(bad))
+
+
+def read_only(a: np.ndarray) -> np.ndarray:
+    """a, with writes to it refused: the arrays cached on a surface or basis are shared."""
+    a.flags.writeable = False
+    return a
 
 
 def _repeated_vertices(Q):

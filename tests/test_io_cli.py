@@ -740,3 +740,22 @@ def test_abelian_second_command_factors_once(which, tmp_path, capsys, monkeypatc
     ref_values = np.concatenate([ref.black, ref.white])
     err = np.abs(np.concatenate([got.black, got.white]) - ref_values).max()
     assert err <= 1e-12 * np.abs(ref_values).max()
+
+
+@pytest.mark.parametrize("targets", ["1e308,1e308,1,1e308", "1.7e308,-1.7e308,1.7e308,-1.7e308",
+                                     "1e308+1e308i,1e308,1,-1e308", "1e-310,1e-310,1e-310,1"])
+def test_harmonic_targets_at_the_float_limits(targets, tmp_path):
+    """No overflow reaches a solve check: with warnings as errors the
+    command passes every check or is one clean error."""
+    import warnings
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = _run_main(["harmonic", f"--targets={targets}", "--format=json",
+                                    _torus_file(tmp_path)])
+    if code == 0:
+        doc = _strict_json(out)
+        assert doc["checks"] and all(c["pass"] for c in doc["checks"])
+    else:
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1

@@ -247,3 +247,23 @@ def test_sparse_solve_near_singular_square_system_falls_back_to_lstsq(monkeypatc
     with pytest.raises(AmbiguityError, match="rank 5 < 6; the solution is not unique"):
         solve(csr_array(A), rhs, 1e-9, "test", drop=[6], rank_error=AmbiguityError)
     assert paths == [(False, False)]
+
+
+def test_lu_solve_commutes_with_power_of_two_scaling():
+    """Every column is solved scaled into [1/2, 1): scaling the right-hand
+    side by a power of two scales the solution bit for bit, up to the
+    largest floats, where the backward-error check stays finite."""
+    import warnings
+
+    warnings.simplefilter("error")
+    rng = np.random.default_rng(12)
+    S = rng.normal(size=(7, 7)) + 7 * np.eye(7)
+    b = rng.normal(size=(7, 3)) + 1j * rng.normal(size=(7, 3))
+    b /= np.abs(b).max()
+    x = operators._lu_solve(S, b, 1e-14)
+    assert x is not None
+    for k in (-1000, -30, 1, 40, 1023):
+        xk = operators._lu_solve(S, np.ldexp(b.real, k) + 1j * np.ldexp(b.imag, k), 1e-14)
+        assert xk is not None
+        assert np.array_equal(xk.real, np.ldexp(x.real, k))
+        assert np.array_equal(xk.imag, np.ldexp(x.imag, k))
