@@ -273,13 +273,14 @@ def cmd_hurwitz(args):
 
 def cmd_abel_jacobi(args):
     text, cx, embedded = _read_surface(args, solver=True)
+    v = args.point
+    require_ids((args.base,), cx.nq, "quad")
+    require_ids((v,), cx.nv, "vertex")
     basis = _basis_for(cx, embedded)
     hb = di.canonical_bases(cx, basis)
     pm = di.period_matrices(cx, basis, hb)
     jac, jb, jw = ja.jacobians(pm)
     report = Report("abel-jacobi", args.format, _digest(text))
-    v = args.point
-    require_ids((v,), cx.nv, "vertex")
     if cx.colors[v] == 0:
         val = ja.abel_jacobi_black(cx, basis, hb, jb, args.base, v)
         lattice = jb

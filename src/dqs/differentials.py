@@ -6,18 +6,21 @@ white value i*rho*p); no system has two unknowns per quad.  Its rows
 are the vertex-boundary operator of ``dqs.operators`` after the p dz
 embedding (the residues) and the doubled a-periods over the stored
 basis chains.  Dropping one black-vertex and one white-vertex row (the
-rows of each color sum to zero) makes it square.  ``_dz_system`` is the
-one place that picks its form: a numpy array below ``SPARSE_NQ`` quads,
-which ``operators.solve`` factors with one dense LU, and from there on
-a scipy sparse array, which ``operators.dz`` folds into CSR and
-``operators.solve`` factors with SuperLU.  Both paths check
-uniqueness by a condition estimate, the backward error of every column
-and the residual on the full system, and report the exact rank when it
-is singular.  ``abelian_basis`` solves all its second- and third-kind
-forms as columns of one system, and ``abelian_second_with_bases`` one
-second-kind form together with the canonical holomorphic forms.  The Hodge star is real and squares to
--1, so a harmonic form is a combination of the canonical holomorphic
-forms and their conjugates: co-closedness is never solved for.
+rows of each color sum to zero) makes it square.  Abelian forms of all
+three kinds solve this one system and differ only in the right-hand
+side: a-period targets, the pinned dzbar part of a double pole, or
+residues +1 and -1 at two vertices.  ``_dz_solve`` solves any batch of
+them as columns of one factorization, and every solver here and the
+i(D) basis route of ``dqs.riemann_roch`` is a slice of its columns.
+``_dz_system`` assembles the system: a numpy array below ``SPARSE_NQ``
+quads, which ``operators.solve`` factors with one dense LU, and from
+there on a scipy sparse array, which ``operators.dz`` folds into CSR
+and ``operators.solve`` factors with SuperLU.  Both paths check
+uniqueness by a condition estimate, the backward error and the residual
+of every column, and report the exact rank when it is singular.  The
+Hodge star is real and squares to -1, so a harmonic form is a
+combination of the canonical holomorphic forms and their conjugates:
+co-closedness is never solved for.
 """
 
 from __future__ import annotations
@@ -71,6 +74,34 @@ def _dz_system(cx: QuadComplex, basis: HomologyBasis):
     return (dense_matrix if cx.nq < SPARSE_NQ else sparse_matrix)(shape, triplets)
 
 
+def _dz_solve(cx: QuadComplex, basis: HomologyBasis, targets=None, double_quads=(),
+              pole_pairs=(), tol: float = 1e-9, what: str = "holomorphic",
+              rank_error=SolveError) -> np.ndarray:
+    """dz coefficients of a batch of forms, from one solve of their common system.
+
+    The columns, in this order:
+    - one holomorphic form per column of the 2g x k a-period targets;
+    - one second-kind form per quad of double_quads, without its pinned
+      dzbar part, whose residues and a-periods move to the right-hand side;
+    - one third-kind form per (plus, minus) vertex pair of pole_pairs,
+      with residues +1 and -1 there and vanishing a-periods.
+    """
+    require_ids(double_quads, cx.nq, "quad")
+    require_ids([v for pair in pole_pairs for v in pair], cx.nv, "vertex")
+    _, values = _double_poles(cx, double_quads)
+    pairs = np.asarray(pole_pairs, dtype=np.intp).reshape(-1, 2)
+    if targets is None:
+        targets = np.zeros((2 * basis.g, 0))
+    third = np.zeros((cx.nv + 2 * basis.g, len(pairs)), complex)
+    k = np.arange(len(pairs))
+    third[pairs[:, 0], k] = 2j * math.pi
+    third[pairs[:, 1], k] = -2j * math.pi
+    M = _dz_system(cx, basis)
+    rhs = np.hstack([np.vstack([np.zeros((cx.nv, targets.shape[1]), complex), targets]),
+                     -(M @ values), third])
+    return solve(dz(cx, M), rhs, tol, what, drop=dependent_rows(cx), rank_error=rank_error)
+
+
 def _values(cx: QuadComplex, p: np.ndarray) -> np.ndarray:
     """Stacked (black, white) values of the forms p dz, one column per column of p."""
     return np.vstack([p, 1j * cx.rho_array[:, None] * p])
@@ -88,7 +119,7 @@ def harmonic_with_periods(cx: QuadComplex, basis: HomologyBasis, targets,
     """
     g = basis.g
     targets = np.asarray(targets, dtype=complex).reshape(4 * g)
-    p = _holomorphic_solve(cx, basis, np.eye(2 * g), tol)
+    p = _dz_solve(cx, basis, np.eye(2 * g), tol=tol)
     if g == 0:
         return DiamondForm.zero(cx)
     V = _values(cx, p)
@@ -110,17 +141,6 @@ def nullity_holomorphic(cx: QuadComplex, cutoff: float = 1e-9) -> int:
     return nullity(cx.dz_boundary, cutoff)
 
 
-def _holomorphic_solve(cx: QuadComplex, basis: HomologyBasis, targets,
-                       tol: float) -> np.ndarray:
-    """dz coefficients of the holomorphic forms with given a-periods.
-
-    targets is 2g x k, one column of (A_black, A_white) per form.
-    """
-    rhs = np.vstack([np.zeros((cx.nv, targets.shape[1]), complex), targets])
-    return solve(dz(cx, _dz_system(cx, basis)), rhs, tol, "holomorphic",
-                 drop=dependent_rows(cx))
-
-
 def holomorphic_with_a_periods(cx: QuadComplex, basis: HomologyBasis, targets,
                                tol: float = 1e-9) -> DiamondForm:
     """The unique holomorphic form with prescribed black/white a-periods.
@@ -128,7 +148,7 @@ def holomorphic_with_a_periods(cx: QuadComplex, basis: HomologyBasis, targets,
     targets holds (A_black_1..g, A_white_1..g).
     """
     targets = np.asarray(targets, dtype=complex).reshape(2 * basis.g, 1)
-    return from_coefficients(cx, _holomorphic_solve(cx, basis, targets, tol)[:, 0])
+    return from_coefficients(cx, _dz_solve(cx, basis, targets, tol=tol)[:, 0])
 
 
 @dataclass(frozen=True)
@@ -152,7 +172,7 @@ class HolomorphicBasis:
 def canonical_bases(cx: QuadComplex, basis: HomologyBasis, tol: float = 1e-9) -> HolomorphicBasis:
     if basis.g == 0:
         return HolomorphicBasis((), (), ())
-    return _canonical_forms(cx, _holomorphic_solve(cx, basis, np.eye(2 * basis.g), tol))
+    return _canonical_forms(cx, _dz_solve(cx, basis, np.eye(2 * basis.g), tol=tol))
 
 
 def _canonical_forms(cx: QuadComplex, p: np.ndarray) -> HolomorphicBasis:
@@ -290,12 +310,9 @@ def abelian_third(cx: QuadComplex, basis: HomologyBasis, v: int, v2: int,
     require_ids((v, v2), cx.nv, "vertex")
     if v == v2 or cx.colors[v] != cx.colors[v2]:
         raise DqsError("poles must be two distinct vertices of the same color")
-    rhs = np.zeros(cx.nv + 2 * basis.g, complex)
-    rhs[v] = 2j * math.pi
-    rhs[v2] = -2j * math.pi
-    sol = solve(dz(cx, _dz_system(cx, basis)), rhs, tol, "third-kind",
-                drop=dependent_rows(cx), rank_error=AmbiguityError)
-    return AbelianDifferential(from_coefficients(cx, sol), "third",
+    p = _dz_solve(cx, basis, pole_pairs=[(v, v2)], tol=tol, what="third-kind",
+                  rank_error=AmbiguityError)
+    return AbelianDifferential(from_coefficients(cx, p[:, 0]), "third",
                                {v: 1.0, v2: -1.0}, {})
 
 
@@ -318,7 +335,7 @@ def _double_poles(cx: QuadComplex, quads):
     -pi / (2 * area of the medial parallelogram).  Column k of the
     (black, white) values is the form with only that dzbar part at quads[k].
     """
-    quads = np.asarray(quads)
+    quads = np.asarray(quads, dtype=np.intp)
     rho = cx.rho_array[quads]
     qbar = -math.pi / (2.0 * varignon_area(rho))
     values = np.zeros((2 * cx.nq, len(quads)), complex)
@@ -336,70 +353,57 @@ def abelian_second(cx: QuadComplex, basis: HomologyBasis, q0: int,
     -pi / (2 * area of the medial parallelogram); all black and white
     a-periods vanish.
     """
-    return _second_kind(cx, basis, q0, np.zeros((2 * basis.g, 0)), tol)[0]
+    p = _dz_solve(cx, basis, double_quads=[q0], tol=tol, what="second-kind")
+    return _second_kind_forms(cx, [q0], p)[0]
 
 
 def abelian_second_with_bases(cx: QuadComplex, basis: HomologyBasis, q0: int,
                               tol: float = 1e-9):
     """``abelian_second`` at q0 and ``canonical_bases``, from one factorization.
 
-    The second-kind right-hand side and the 2g a-period columns of the
-    canonical forms are columns of one solve of their common system.
+    The 2g a-period columns of the canonical forms and the second-kind
+    column are columns of one solve of their common system.
     Returns (AbelianDifferential, HolomorphicBasis).
     """
-    diff, p = _second_kind(cx, basis, q0, np.eye(2 * basis.g), tol)
-    return diff, _canonical_forms(cx, p)
+    g2 = 2 * basis.g
+    p = _dz_solve(cx, basis, np.eye(g2), [q0], tol=tol, what="second-kind")
+    return _second_kind_forms(cx, [q0], p[:, g2:])[0], _canonical_forms(cx, p[:, :g2])
 
 
-def _second_kind(cx: QuadComplex, basis: HomologyBasis, q0: int, targets, tol: float):
-    """The second-kind form at q0, and the dz coefficients of the
-    holomorphic forms with a-periods given by the 2g x k targets."""
-    require_ids((q0,), cx.nq, "quad")
-    qbar, values = _double_poles(cx, [q0])
-    # the fixed dzbar part contributes to residues and periods
-    M = _dz_system(cx, basis)
-    rhs = np.column_stack([-(M @ values[:, 0]),
-                           np.vstack([np.zeros((cx.nv, targets.shape[1])), targets])])
-    sol = solve(dz(cx, M), rhs, tol, "second-kind", drop=dependent_rows(cx))
-    form = from_coefficients(cx, sol[:, 0]) + DiamondForm(values[:cx.nq, 0], values[cx.nq:, 0])
-    return AbelianDifferential(form, "second", {}, {q0: complex(qbar[0])}), sol[:, 1:]
+def _second_kind_forms(cx: QuadComplex, quads, p) -> list:
+    """Second-kind differentials with double poles at quads: column k of p
+    dz plus the pinned dzbar part at quads[k]."""
+    qbar, values = _double_poles(cx, quads)
+    nq = cx.nq
+    return [AbelianDifferential(from_coefficients(cx, p[:, k])
+                                + DiamondForm(values[:nq, k], values[nq:, k]),
+                                "second", {}, {q: complex(qbar[k])})
+            for k, q in enumerate(quads)]
 
 
-def abelian_basis(cx: QuadComplex, basis: HomologyBasis, b0: int, w0: int,
-                  hb: HolomorphicBasis = None):
+def abelian_basis(cx: QuadComplex, basis: HomologyBasis, b0: int, w0: int):
     """The spanning family: first, second, and third kind differentials.
 
     Returns 2g + nq + nv - 2 differentials: the canonical basis, one
     second-kind form per quad, and third-kind forms pairing b0 and w0
     with every other vertex of their color.  Their value vectors span
-    the full 2*nq-dimensional space of diamond forms.  The second- and
-    third-kind forms, normalized as by ``abelian_second`` and
+    the full 2*nq-dimensional space of diamond forms.  All of them,
+    normalized as by ``canonical_bases``, ``abelian_second`` and
     ``abelian_third``, are the columns of one solve of their common
     system, so it is factored once.
     """
+    require_ids((b0, w0), cx.nv, "vertex")
     if cx.colors[b0] != BLACK or cx.colors[w0] != WHITE:
         raise DqsError("base points must be one black and one white vertex")
-    if hb is None:
-        hb = canonical_bases(cx, basis)
-    nq = cx.nq
-    qbar, values = _double_poles(cx, np.arange(nq))
+    g2, nq = 2 * basis.g, cx.nq
     poles = np.array([v for v in range(cx.nv) if v not in (b0, w0)], dtype=np.intp)
     bases = np.where(np.asarray(cx.colors)[poles] == BLACK, b0, w0)
-    third = np.zeros((cx.nv + 2 * basis.g, len(poles)), complex)
-    k = np.arange(len(poles))
-    third[bases, k] = 2j * math.pi
-    third[poles, k] = -2j * math.pi
-    M = _dz_system(cx, basis)
-    sol = solve(dz(cx, M), np.hstack([-(M @ values), third]), 1e-9, "Abelian basis",
-                drop=dependent_rows(cx))
-    out = []
-    for j in range(basis.g):
-        out.append(AbelianDifferential(hb.omega_black[j], "first"))
-        out.append(AbelianDifferential(hb.omega_white[j], "first"))
-    for q in range(nq):
-        form = from_coefficients(cx, sol[:, q]) + DiamondForm(values[:nq, q], values[nq:, q])
-        out.append(AbelianDifferential(form, "second", {}, {q: complex(qbar[q])}))
+    p = _dz_solve(cx, basis, np.eye(g2), range(nq), np.column_stack([bases, poles]),
+                  what="Abelian basis")
+    out = [AbelianDifferential(from_coefficients(cx, p[:, k]), "first")
+           for j in range(basis.g) for k in (j, basis.g + j)]
+    out += _second_kind_forms(cx, range(nq), p[:, g2:])
     for j, (base, v) in enumerate(zip(bases.tolist(), poles.tolist())):
-        out.append(AbelianDifferential(from_coefficients(cx, sol[:, nq + j]), "third",
+        out.append(AbelianDifferential(from_coefficients(cx, p[:, g2 + nq + j]), "third",
                                        {base: 1.0, v: -1.0}, {}))
     return out

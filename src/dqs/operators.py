@@ -229,10 +229,12 @@ def solve(A, rhs: np.ndarray, tol: float, what: str,
     square (a disconnected surface); for a sparse A it densifies A, at
     O(rows x cols) memory.  Raises rank_error if A lacks full column
     rank, and SolveError if A or rhs is not finite, the solution
-    overflows, or the residual on all of A exceeds tol * max(1, |rhs|).
-    The residual is measured with rhs and the solution scaled by the
-    power of two that brings the largest part of rhs to at most 1: the
-    same test, without overflow near the largest float.
+    overflows, or the residual of any column on all of A exceeds
+    tol * max(1, |b_j|), b_j that column of rhs: a column solved in a
+    batch passes the test it passes alone.  Each residual is measured
+    with b_j and its solution scaled by the power of two that brings the
+    largest part of b_j to at most 1: the same test, without overflow
+    near the largest float.
     """
     rhs = np.asarray(rhs)
     is_dense = isinstance(A, np.ndarray)
@@ -251,10 +253,13 @@ def solve(A, rhs: np.ndarray, tol: float, what: str,
                              "the solution is not unique")
     if not np.isfinite(sol).all():
         raise SolveError(f"{what} solution overflows")
-    unit = np.ldexp(1.0, -max(0, int(_exponents(rhs).max(initial=0))))
-    res = np.abs(A @ (sol * unit) - rhs * unit).max(initial=0.0)
-    if not res <= tol * max(unit, np.abs(rhs * unit).max(initial=0.0)):
-        raise SolveError(f"{what} system residual {float(res) / unit:.3e} exceeds tolerance")
+    b, x = rhs.reshape(len(rhs), -1), sol.reshape(n, -1)
+    unit = np.ldexp(1.0, -np.maximum(0, _exponents(b)))
+    res = np.abs(A @ (x * unit) - b * unit).max(axis=0, initial=0.0)
+    ok = res <= tol * np.maximum(unit, np.abs(b * unit).max(axis=0, initial=0.0))
+    if not ok.all():
+        j = int(np.argmin(ok))
+        raise SolveError(f"{what} system residual {res[j] / unit[j]:.3e} exceeds tolerance")
     return sol
 
 

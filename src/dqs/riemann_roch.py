@@ -13,7 +13,11 @@ operators cached on the complex, read-only: the rows of ``l_system`` and
 the p columns of ``i_system`` come from the one p dz operator
 ``QuadComplex.dz_boundary``, the double-value and dzbar parts from
 ``QuadComplex.boundary_matrix``, and unit rows are written directly, so
-every divisor on one surface reuses one assembly.
+every divisor on one surface reuses one assembly.  ``i_dim_basis_route``
+counts i(D) a second way, from the spanning family of Abelian
+differentials: the forms D allows are columns of one batch solve in
+``dqs.differentials``, and its elimination matrix is their dz
+coefficients at the quads where D forces a zero.
 """
 
 from __future__ import annotations
@@ -24,12 +28,7 @@ import numpy as np
 
 from .errors import DqsError
 from .calculus import as_vertex_function, d_function, decompose_all
-from .differentials import (
-    HolomorphicBasis,
-    abelian_second,
-    abelian_third,
-    canonical_bases,
-)
+from .differentials import _dz_solve
 from .homology import HomologyBasis
 from .operators import compose, nullity
 from .surface import BLACK, WHITE, QuadComplex, genus, require_ids
@@ -194,44 +193,25 @@ def check_riemann_roch(cx: QuadComplex, d: Divisor) -> DimensionReport:
 
 
 def i_dim_basis_route(cx: QuadComplex, basis: HomologyBasis, d: Divisor,
-                      cutoff: float = 1e-9, hb: HolomorphicBasis = None) -> int:
+                      cutoff: float = 1e-9) -> int:
     """i(D) via the spanning-family elimination matrix.
 
     Columns are the normalized differentials allowed by D (first kind,
     second kind at double-pole quads, third kind pairing the allowed
-    pole vertices); rows evaluate their dz coefficient at every quad
-    where D forces a zero.  The kernel is H(D), computed independently
-    of the direct route.  hb, the canonical forms of the basis, is
-    solved for when not given.
+    pole vertices of each color with the first of them), all solved as
+    columns of one ``differentials._dz_solve``; rows read their dz
+    coefficient at every quad where D forces a zero.  The kernel is
+    H(D), computed independently of the direct route.
     """
     _require_admissible(cx, d)
-    g = basis.g
-    if hb is None:
-        hb = canonical_bases(cx, basis)
-    columns = []
-    for k in range(g):
-        columns.append(hb.omega_black[k])
-        columns.append(hb.omega_white[k])
-    for q in sorted(q for q, c in d.quad_coeffs.items() if c == -2):
-        columns.append(abelian_second(cx, basis, q).form)
-    poles_b = sorted(v for v, c in d.vertex_coeffs.items()
-                     if c == -1 and cx.colors[v] == BLACK)
-    poles_w = sorted(v for v, c in d.vertex_coeffs.items()
-                     if c == -1 and cx.colors[v] == WHITE)
-    for group in (poles_b, poles_w):
-        if len(group) >= 2:
-            base = group[0]
-            for v in group[1:]:
-                columns.append(abelian_third(cx, basis, base, v).form)
-    zero_quads = sorted(q for q, c in d.quad_coeffs.items() if c == 1)
-    if not columns:
-        return 0
-    M = np.zeros((len(zero_quads), len(columns)), dtype=complex)
-    for j, form in enumerate(columns):
-        p, _ = decompose_all(cx, form)
-        for i, q in enumerate(zero_quads):
-            M[i, j] = p[q]
-    return nullity(M, cutoff)
+    poles = _ids_with(d.vertex_coeffs, -1)
+    pairs = []
+    for color in (BLACK, WHITE):
+        group = [v for v in poles.tolist() if cx.colors[v] == color]
+        pairs += [(group[0], v) for v in group[1:]]
+    p = _dz_solve(cx, basis, np.eye(2 * basis.g), _ids_with(d.quad_coeffs, -2), pairs,
+                  what="i(D) basis")
+    return nullity(p[_ids_with(d.quad_coeffs, 1)], cutoff)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import pytest
 
 from dqs import (
     BLACK,
+    AbelianDifferential,
     DiamondForm,
     abelian_basis,
     abelian_second,
@@ -353,7 +354,7 @@ class TestAbelianSecond:
 class TestAbelianBasis:
     def test_torus_family_counts_and_rank(self, t44_setup):
         cx, basis, hb = t44_setup
-        fam = abelian_basis(cx, basis, 0, 1, hb)
+        fam = abelian_basis(cx, basis, 0, 1)
         assert len(fam) == 2 * 1 + 16 + (16 - 2) == 32 == 2 * cx.nq
         vecs = np.array([np.concatenate([f.form.black, f.form.white]) for f in fam])
         s = np.linalg.svd(vecs, compute_uv=False)
@@ -370,7 +371,8 @@ class TestAbelianBasis:
 
     @pytest.mark.parametrize("which", ["torus44", "cover", "torus12"])
     def test_one_factorization_matches_per_form_solves(self, which, cube_cover, monkeypatch):
-        """Second- and third-kind forms are columns of one solve, below and above the crossover."""
+        """First-, second- and third-kind forms are columns of one solve, below and above
+        the crossover."""
         rng = np.random.default_rng(23)
         if which == "cover":
             cx = randomize_rho(cube_cover[0], rng)
@@ -379,7 +381,6 @@ class TestAbelianBasis:
             m = 4 if which == "torus44" else 12
             cx = randomize_rho(gen_torus(m, m, 0.3 + 1.2j), rng)
             basis = standard_torus_basis(cx, m, m)
-        hb = canonical_bases(cx, basis)
         b0 = 0 if cx.colors[0] == BLACK else 1
         w0 = next(v for v in range(cx.nv) if cx.colors[v] != BLACK)
         factored = []
@@ -390,23 +391,38 @@ class TestAbelianBasis:
             return lu_solve(S, b, eps_n)
 
         monkeypatch.setattr(operators, "_lu_solve", recording_lu)
-        fam = abelian_basis(cx, basis, b0, w0, hb)
+        fam = abelian_basis(cx, basis, b0, w0)
         assert factored == [(cx.nq, cx.nq)]
         monkeypatch.undo()
-        refs = [abelian_second(cx, basis, q) for q in range(cx.nq)]
+        hb = canonical_bases(cx, basis)
+        refs = [AbelianDifferential(w, "first") for pair in zip(hb.omega_black, hb.omega_white)
+                for w in pair]
+        refs += [abelian_second(cx, basis, q) for q in range(cx.nq)]
         refs += [abelian_third(cx, basis, b0 if cx.colors[v] == BLACK else w0, v)
                  for v in range(cx.nv) if v not in (b0, w0)]
-        assert [f.kind for f in fam] == ["first"] * 2 * basis.g + [r.kind for r in refs]
-        for got, ref in zip(fam[2 * basis.g:], refs):
+        assert [f.kind for f in fam] == [r.kind for r in refs]
+        assert [f.kind for f in fam[:2 * basis.g]] == ["first"] * 2 * basis.g
+        for got, ref in zip(fam, refs):
             assert got.prescribed_residues == ref.prescribed_residues
             assert got.dzbar_defect == ref.dzbar_defect
             ref_values = np.concatenate([ref.form.black, ref.form.white])
             err = np.abs(np.concatenate([got.form.black, got.form.white]) - ref_values).max()
             assert err <= 1e-12 * np.abs(ref_values).max()
 
+    def test_out_of_range_ids_are_clean_errors(self, t44_setup):
+        cx, basis, _ = t44_setup
+        for b0, w0 in ((-1, 1), (0, cx.nv + 5), (10 ** 30, 1)):
+            with pytest.raises(DqsError, match="vertex id .* out of range"):
+                abelian_basis(cx, basis, b0, w0)
+        # the batch solve checks its ids before converting them to indices
+        with pytest.raises(DqsError, match="quad id .* out of range"):
+            differentials._dz_solve(cx, basis, double_quads=[2, 10 ** 30])
+        with pytest.raises(DqsError, match="vertex id .* out of range"):
+            differentials._dz_solve(cx, basis, pole_pairs=[(0, 2), (-1, 0)])
+
     def test_expansion_of_random_form(self, random_torus, rng):
         cx, basis, hb = random_torus
-        fam = abelian_basis(cx, basis, 0, 1, hb)
+        fam = abelian_basis(cx, basis, 0, 1)
         vecs = np.array([np.concatenate([f.form.black, f.form.white])
                          for f in fam]).T
         target = rng.normal(size=2 * cx.nq) + 1j * rng.normal(size=2 * cx.nq)
@@ -424,3 +440,21 @@ class TestHolomorphicPeriodInequality:
             val = np.sum(rep.A_black * np.conj(rep.B_white)
                          + rep.A_white * np.conj(rep.B_black))
             assert val.imag < 0
+
+
+def test_dz_system_is_assembled_only_by_the_batch_solve():
+    """Every differential, the Abelian basis and the i(D) basis route solve
+    through ``differentials._dz_solve``; nothing else assembles the system."""
+    import ast
+    from pathlib import Path
+
+    callers = []
+    for path in sorted((Path(__file__).resolve().parent.parent / "src" / "dqs").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for node in ast.walk(fn):
+                    if isinstance(node, ast.Call) and "_dz_system" in (
+                            getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+                        callers.append(f"{path.stem}.{fn.name}")
+    assert callers == ["differentials._dz_solve"]

@@ -707,6 +707,26 @@ def test_bad_tolerance_is_a_clean_error(argv, tmp_path, capsys, monkeypatch):
     assert out.err.startswith("error: --tol") and out.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("ids,message", [
+    (["--base", "16", "--point", "0"], "error: quad id 16 out of range"),
+    (["--base", "-1", "--point", "0"], "error: quad id -1 out of range"),
+    (["--base", "0", "--point", "16"], "error: vertex id 16 out of range"),
+    (["--base", "0", "--point", "-1"], "error: vertex id -1 out of range"),
+])
+def test_abel_jacobi_ids_are_checked_before_solving(ids, message, tmp_path, capsys,
+                                                    monkeypatch):
+    from dqs import differentials
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("solved before the ids were checked")
+
+    monkeypatch.setattr(differentials, "_dz_system", no_work)
+    code = main(["abel-jacobi", *ids, _torus_file(tmp_path)])
+    out = capsys.readouterr()
+    assert code == 1 and out.out == ""
+    assert out.err.startswith(message) and out.err.count("\n") == 1
+
+
 @pytest.mark.parametrize("which", ["cover", "torus12"])
 def test_abelian_second_command_factors_once(which, tmp_path, capsys, monkeypatch):
     """One factorization per job, below and above the sparse crossover; the

@@ -83,6 +83,25 @@ def test_solve_rank_and_residual_checks():
         solve(np.ones((3, 2)), np.ones(3), 1e-9, "test", rank_error=AmbiguityError)
 
 
+def test_solve_residual_bound_is_per_column():
+    """A column batched with a much larger one is held to its own bound.
+
+    The large column 2^40 e_0 is solved exactly, with residual zero, so
+    under a bound shared by all columns the batch would pass although the
+    small column alone fails.
+    """
+    A = np.diag([1.0, 3.0, 7.0, 0.1, 11.0, 13.0])
+    b = np.random.default_rng(8).normal(size=6)
+    big = np.zeros(6)
+    big[0] = 2.0 ** 40
+    with pytest.raises(SolveError, match="residual") as alone:
+        solve(A, b[:, None], 1e-20, "test")
+    with pytest.raises(SolveError, match="residual") as batched:
+        solve(A, np.column_stack([b, big]), 1e-20, "test")
+    assert str(batched.value) == str(alone.value)
+    assert np.array_equal(solve(A, big, 1e-20, "test"), big)
+
+
 def test_nullity_edge_cases():
     assert nullity(np.zeros((0, 4))) == 4
     assert nullity(np.zeros((3, 4))) == 4
@@ -216,7 +235,7 @@ def test_sparse_lu_matches_dense_lu(which, cube_cover, monkeypatch):
     same = [v for v in range(1, cx.nv) if cx.colors[v] == cx.colors[0]]
 
     def solves():
-        return [differentials._holomorphic_solve(cx, basis, np.eye(2 * g), 1e-9),
+        return [differentials._dz_solve(cx, basis, np.eye(2 * g)),
                 harmonic_with_periods(cx, basis, targets),
                 abelian_second(cx, basis, 5).form,
                 abelian_third(cx, basis, 0, same[-1]).form]

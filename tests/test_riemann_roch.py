@@ -2,7 +2,11 @@ import numpy as np
 import pytest
 
 from dqs import (
+    BLACK,
+    WHITE,
     Divisor,
+    abelian_second,
+    abelian_third,
     canonical_bases,
     check_riemann_roch,
     cr_residuals,
@@ -12,6 +16,7 @@ from dqs import (
     gen_one_pole_surface,
     gen_torus,
     genus,
+    homology_basis,
     i_dim,
     i_dim_basis_route,
     l_dim,
@@ -21,8 +26,9 @@ from dqs import (
     torus_single_pole_search,
     validate,
 )
+from dqs import operators
 from dqs.errors import DqsError
-from dqs.operators import boundary, compose, dz
+from dqs.operators import boundary, compose, dz, nullity
 from dqs.riemann_roch import i_system, is_degenerate_divisor
 from dqs.selftest import _admissible_divisors_upto2, _random_admissible
 
@@ -101,6 +107,30 @@ class TestDimensions:
             i_dim(torus44, Divisor({}, {0: 2}))
 
 
+def _route_surface(which, cube_cover):
+    """The genus-3 cover (dense solves) or a 12^2 torus (sparse solves), weights drawn."""
+    rng = np.random.default_rng(17)
+    if which == "cover":
+        cx = randomize_rho(cube_cover[0], rng)
+        return cx, homology_basis(cx)
+    cx = randomize_rho(gen_torus(12, 12, 0.3 + 1.2j), rng)
+    return cx, standard_torus_basis(cx, 12, 12)
+
+
+def _i_dim_per_column(cx, basis, d, hb, cutoff=1e-9):
+    """i(D) by the spanning family, one public solve per differential."""
+    forms = [w for pair in zip(hb.omega_black, hb.omega_white) for w in pair]
+    forms += [abelian_second(cx, basis, q).form
+              for q, c in sorted(d.quad_coeffs.items()) if c == -2]
+    for color in (BLACK, WHITE):
+        group = sorted(v for v, c in d.vertex_coeffs.items()
+                       if c == -1 and cx.colors[v] == color)
+        forms += [abelian_third(cx, basis, group[0], v).form for v in group[1:]]
+    zeros = sorted(q for q, c in d.quad_coeffs.items() if c == 1)
+    M = np.array([decompose_all(cx, f)[0][zeros] for f in forms], dtype=complex)
+    return nullity(M.reshape(len(forms), len(zeros)).T, cutoff)
+
+
 class TestRiemannRoch:
     def test_trivial_divisor_identity(self, cube, torus44, cube_cover):
         for cx in (cube, torus44, cube_cover[0]):
@@ -126,6 +156,42 @@ class TestRiemannRoch:
         for _ in range(10):
             d = _random_admissible(torus44, rng, max_terms=3)
             assert i_dim(torus44, d) == i_dim_basis_route(torus44, basis, d)
+
+    @pytest.mark.parametrize("which", ["cover", "torus12"])
+    def test_basis_route_factors_once(self, which, cube_cover, monkeypatch):
+        """One factorization per call, below (cover) and above (12^2 torus) the
+        sparse crossover."""
+        cx, basis = _route_surface(which, cube_cover)
+        black = [v for v in range(cx.nv) if cx.colors[v] == BLACK][:3]
+        white = [v for v in range(cx.nv) if cx.colors[v] == WHITE][:2]
+        d = Divisor({v: -1 for v in black + white}, {5: -2, 9: -2, 1: 1, 40: 1, 70: 1})
+        factored = []
+        lu_solve = operators._lu_solve
+
+        def recording_lu(S, b, eps_n):
+            factored.append(S.shape)
+            return lu_solve(S, b, eps_n)
+
+        monkeypatch.setattr(operators, "_lu_solve", recording_lu)
+        got = i_dim_basis_route(cx, basis, d)
+        assert factored == [(cx.nq, cx.nq)]
+        monkeypatch.undo()
+        assert got == _i_dim_per_column(cx, basis, d, canonical_bases(cx, basis))
+
+    def test_basis_route_matches_per_column_reference(self, cube_cover):
+        """Every divisor of up to two terms on the 2x4 torus, and random
+        divisors on the genus-3 cover and on a 12^2 torus."""
+        rng = np.random.default_rng(31)
+        t24 = gen_torus(2, 4, 1j)
+        cases = [(t24, standard_torus_basis(t24, 2, 4), _admissible_divisors_upto2(t24))]
+        assert len(cases[0][2]) == 293
+        for which in ("cover", "torus12"):
+            cx, basis = _route_surface(which, cube_cover)
+            cases.append((cx, basis, [_random_admissible(cx, rng) for _ in range(50)]))
+        for cx, basis, divisors in cases:
+            hb = canonical_bases(cx, basis)
+            for d in divisors:
+                assert i_dim_basis_route(cx, basis, d) == _i_dim_per_column(cx, basis, d, hb), d
 
     def test_i_system_scales_only_the_dzbar_columns(self, cube_cover, rng):
         # the earlier assembly scaled every column of the conjugate
