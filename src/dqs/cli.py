@@ -38,7 +38,7 @@ from .io import (
     serialize_function,
     serialize_map_bundle,
 )
-from .surface import genus, require_ids, validate
+from .surface import _quad_violations, genus, require_ids, validate
 from .selftest import run_all
 
 
@@ -52,20 +52,18 @@ def _read_input(path):
 def _read_surface(args, solver=False):
     """Read and parse the surface argument: (text, complex, embedded basis).
 
-    With solver=True the weights must also be finite with Re rho > 0, the
-    one check cheap enough to run before every solve; ``check`` runs the
-    full validation instead and lists every violation.
+    With solver=True every quad must also pass the per-quad checks of
+    ``validate`` (four distinct vertices colored (b, w, b, w), a finite
+    weight with Re rho > 0), the checks cheap enough to run before every
+    solve; the first violation is raised.  ``check`` runs the full
+    validation instead and lists every violation.
     """
     text, name = _read_input(args.surface)
     cx, embedded = parse_dqs(text, name)
     if solver:
-        rho = cx.rho_array
-        ok = np.isfinite(rho) & (rho.real > 0)
-        if not ok.all():
-            q = int(np.argmin(ok))
-            r = cx.rho[q]
-            raise SurfaceError(f"quad {q} has rho={r} with Re <= 0" if cmath.isfinite(r)
-                               else f"quad {q} has non-finite rho={r}")
+        bad = _quad_violations(cx)
+        if bad:
+            raise SurfaceError(bad[0].detail)
     return text, cx, embedded
 
 
@@ -210,7 +208,9 @@ def cmd_abelian(args):
         res = np.abs(di.residues(cx, diff.form)).max()
         report.outputs["form"] = oneform_doc(diff.form)
         report.check("residues-vanish", res < args.tol * 10, res)
-        lhs = op.integrals(basis.b_medial_steps, basis.g, [diff.form], cx.nq)[:, 0]
+        # plain b-periods: half the sums of the doubled b-shadow periods
+        doubled = op.integrals(basis.b_shadow_steps, 2 * basis.g, [diff.form], cx.nq)[:, 0]
+        lhs = (doubled[:basis.g] + doubled[basis.g:]) / 2.0
         p = np.array([ca.decompose_all(cx, w)[0][args.second] for w in hb.omega], dtype=complex)
         worst = np.abs(lhs - 2j * np.pi * p).max(initial=0.0)
         report.check("b-period-law", worst < 1e-8, worst)

@@ -20,7 +20,10 @@ uniqueness by a condition estimate, the backward error and the residual
 of every column, and report the exact rank when it is singular.  The
 Hodge star is real and squares to -1, so a harmonic form is a
 combination of the canonical holomorphic forms and their conjugates:
-co-closedness is never solved for.
+co-closedness is never solved for.  Every period read here is a doubled
+shadow row of the basis: ``period_matrices`` integrates the canonical
+set along the 2g b-shadow rows in one product, and the plain period
+matrix Pi is the average of the black and white ones.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AmbiguityError, DqsError, SolveError
-from .calculus import DiamondForm, d_one_form, decompose_all, from_coefficients
+from .calculus import DiamondForm, d_one_form, from_coefficients
 from .homology import HomologyBasis
 from .operators import (
     boundary_triplets,
@@ -190,7 +193,8 @@ class PeriodMatrices:
     Pi is g x g; Pi_full is the 2g x 2g block matrix
     [[BW, BB], [WW, WB]] (rows: black then white b-shadows; columns:
     white-normalized then black-normalized basis forms); Pi_black and
-    Pi_white are the shadow b-periods of the canonical set.
+    Pi_white are the shadow b-periods of the canonical set, and Pi, its
+    plain b-periods, is their average.
     """
 
     Pi: np.ndarray
@@ -216,14 +220,12 @@ def period_matrices(cx: QuadComplex, basis: HomologyBasis,
     shadows = integrals(basis.b_shadow_steps, 2 * g, hb.omega_black + hb.omega_white, cx.nq)
     BB, BW = shadows[:g, :g], shadows[:g, g:]
     WB, WW = shadows[g:, :g], shadows[g:, g:]
-    Pi = integrals(basis.b_medial_steps, g, hb.omega, cx.nq)
     Pi_full = np.block([[BW, BB], [WW, WB]])
     Pi_black = BW + BB
     Pi_white = WW + WB
+    Pi = (Pi_black + Pi_white) / 2.0
     if g:
-        avg = (BW + BB + WW + WB) / 2.0
         checks = [
-            ("Pi vs shadow average", np.abs(Pi - avg).max()),
             ("Pi symmetry", np.abs(Pi - Pi.T).max()),
             ("Pi_full symmetry", np.abs(Pi_full - Pi_full.T).max()),
             ("BB^T = WW", np.abs(BB.T - WW).max()),
@@ -288,10 +290,6 @@ class AbelianDifferential:
     kind: str
     prescribed_residues: dict = field(default_factory=dict)
     dzbar_defect: dict = field(default_factory=dict)
-
-    def p_coefficient(self, cx: QuadComplex, q: int) -> complex:
-        p, _ = decompose_all(cx, self.form)
-        return complex(p[q])
 
 
 def abelian_third(cx: QuadComplex, basis: HomologyBasis, v: int, v2: int,

@@ -4,15 +4,16 @@ Cycles are closed walks on the medial graph, stored as signed canonical
 edge indices.  Every cycle has black and white shadows: closed walks on
 the black and white diagonal graphs obtained by replacing each medial
 edge with the parallel diagonal (keyed by the quad, so doubled diagonals
-are unproblematic).  Periods of a closed diamond form over a homology
-class come in three flavors: the plain medial integral, and twice the
-integral over either shadow.  All of them, and the doubled integrals
-along diagonal graph paths, are products of rows from the one row
-builder ``operators.step_triplets`` with the (black, white) values:
-``periods`` is one product for all 6g periods.  A ``HomologyBasis``
-builds the steps of its period rows once, on first use, and caches them
-as read-only arrays (``period_steps``, ``b_medial_steps``,
-``a_shadow_steps``, ``b_shadow_steps``) for every period product on it.
+are unproblematic).  Each medial edge of a diamond form carries the
+value of its parallel diagonal, so the plain period of a closed form is
+half the sum of its doubled black and white shadow periods.  The doubled
+shadow rows, built by ``operators.step_triplets`` like the doubled
+integrals along diagonal graph paths, are the one period functional:
+``periods`` is one product over the a-shadow rows and one over the
+b-shadow rows, which a ``HomologyBasis`` builds once, on first use, and
+caches as read-only arrays (``a_shadow_steps``, ``b_shadow_steps``).
+Medial rows are built only by ``integrate_cycle``, the independent
+reference integral along one walk.
 
 Every walk on a diagonal graph (the tree-cotree split behind
 ``homology_basis`` and the paths of ``graph_path``) reads the neighbours
@@ -268,18 +269,7 @@ class HomologyBasis:
 
     # The steps of the period rows, built on first use as read-only
     # ``operators.step_array`` arrays and read by every period product.
-
-    @cached_property
-    def period_steps(self) -> np.ndarray:
-        """The 6g rows of ``periods``: plain a- and b-periods, then the
-        doubled black shadows of a and b, then the doubled white ones."""
-        return read_only(step_array(medial_steps([c.edges for c in self.all_cycles()])
-                                    + chain_steps(self.all_chains(), 2 * self.g)))
-
-    @cached_property
-    def b_medial_steps(self) -> np.ndarray:
-        """The g plain b-periods."""
-        return read_only(step_array(medial_steps([c.edges for c in self.b])))
+    # Plain periods are half the sums of the black and white rows.
 
     @cached_property
     def a_shadow_steps(self) -> np.ndarray:
@@ -307,8 +297,9 @@ def periods(cx: QuadComplex, omega: DiamondForm, basis: HomologyBasis,
     if res > tol * scale:
         raise NotClosedError(res)
     g = basis.g
-    A, B, AB, BB, AW, BW = integrals(basis.period_steps, 6 * g, [omega], cx.nq).reshape(6, g)
-    return PeriodReport(A, B, AB, AW, BB, BW)
+    AB, AW = integrals(basis.a_shadow_steps, 2 * g, [omega], cx.nq).reshape(2, g)
+    BB, BW = integrals(basis.b_shadow_steps, 2 * g, [omega], cx.nq).reshape(2, g)
+    return PeriodReport((AB + AW) / 2.0, (BB + BW) / 2.0, AB, AW, BB, BW)
 
 
 def verify_rbi(cx: QuadComplex, omega: DiamondForm, other: DiamondForm,

@@ -8,8 +8,9 @@ well-defined modulo the lattice spanned by the identity columns and the
 corresponding period matrix, and path choices differ exactly by lattice
 vectors.  Each value is one row of ``operators.step_triplets`` steps,
 integrated against all g canonical forms in one product: the black and
-white vertex maps share one body, and the quad map builds its plain,
-black and white rows with the same builders.
+white vertex maps share one body, and the quad map builds its black and
+white rows with the same builder and returns their average as the plain
+value.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 from .errors import AmbiguousGluingError, DqsError
 from .differentials import HolomorphicBasis, PeriodMatrices
 from .homology import Cycle, GraphPath, HomologyBasis, black_white, graph_path
-from .operators import diagonal_steps, integrals, medial_steps
+from .operators import diagonal_steps, integrals
 from .surface import BLACK, SLOT_BM, SLOT_WM, WHITE, QuadComplex, require_ids
 
 
@@ -181,8 +182,8 @@ class QuadToQuadValue:
     """Abel-Jacobi style integral between quad centers, with path data.
 
     The value depends on the chosen medial path (it lives on the
-    universal cover); black/white split values computed from the same
-    path satisfy black + white = 2 * value.
+    universal cover); it is the average of the black and white values
+    computed along the shadows of the same path.
     """
 
     value: np.ndarray
@@ -195,9 +196,12 @@ def abel_jacobi_quad(cx: QuadComplex, hb: HolomorphicBasis,
                      q1: int, q2: int) -> QuadToQuadValue:
     """Integral of the canonical set from quad q1 to quad q2.
 
-    Starts and ends with half-steps onto a medial vertex of each quad
-    face, connected by a deterministic medial path; the black and white
-    shadow values follow the same route along the diagonal graphs.
+    A deterministic medial path joins the midpoints of (b-, w-) of the
+    two quads.  The black and white values follow its shadows along the
+    diagonal graphs, from half of q1's diagonal to half of q2's; the
+    plain value, the integral from centre to centre along the medial
+    path, is their average, because every medial edge carries the value
+    of its parallel diagonal.
     """
     require_ids((q1, q2), cx.nq, "quad")
     t1, t2 = cx.quads[q1], cx.quads[q2]
@@ -207,18 +211,15 @@ def abel_jacobi_quad(cx: QuadComplex, hb: HolomorphicBasis,
     x2 = (min(b2, w2), max(b2, w2))
     path = _medial_bfs_path(cx, x1, x2)
     chains = black_white(cx, Cycle(tuple(path)))
-    # row 0: half of the two medial edges that meet at mid(b-, w-) of
-    # each end quad, and the medial path between those midpoints; rows 1
-    # and 2: half of each end quad's diagonal from its minus corner, and
-    # the shadows of the path
-    ends = ((4 * q1 + SLOT_BM, 1), (4 * q1 + SLOT_WM, -1),
-            (4 * q2 + SLOT_BM, -1), (4 * q2 + SLOT_WM, 1))
-    steps = medial_steps([ends], weight=0.5) + medial_steps([path])
-    for row, (color, shadow) in enumerate(((BLACK, chains.black), (WHITE, chains.white)), 1):
+    # rows 0 and 1: half of each end quad's black (white) diagonal from
+    # its minus corner, and the black (white) shadow of the path
+    steps = []
+    for row, (color, shadow) in enumerate(((BLACK, chains.black), (WHITE, chains.white))):
         steps += diagonal_steps([[(q1, -1), (q2, 1)]], color, row, weight=1.0)
         steps += diagonal_steps([shadow], color, row)
-    value, black_value, white_value = integrals(steps, 3, hb.omega, cx.nq)
-    return QuadToQuadValue(value, black_value, white_value, tuple(path))
+    black_value, white_value = integrals(steps, 2, hb.omega, cx.nq)
+    return QuadToQuadValue((black_value + white_value) / 2.0, black_value, white_value,
+                           tuple(path))
 
 
 def aj_cr_residual(cx: QuadComplex, hb: HolomorphicBasis) -> float:

@@ -6,9 +6,12 @@ ccw boundary integral around every vertex face, so closedness, residues
 and the double-value conditions are all rows or columns of it.  Every
 other system composes it with a per-quad map: the Hodge star blocks,
 or the embedding of p dz (black p, white i*rho*p).  Period functionals
-are rows of one builder, ``step_triplets``, over signed diagonal steps
-(medial edges read their parallel diagonal via ``MEDIAL_SLOT``), and
-``integrals`` applies them to all forms in one product.  The boundary
+are rows of one builder, ``step_triplets``, over signed diagonal steps,
+and ``integrals`` applies them to all forms in one product.  Periods are
+read from doubled shadow steps (``chain_steps``) alone; ``medial_steps``
+builds the rows of plain medial walks, which read their parallel
+diagonals via ``MEDIAL_SLOT``, for the reference integral
+``homology.integrate_cycle``.  The boundary
 and these rows are (row, column, value) triplets first: ``dense_matrix``
 sums them into a numpy array, ``sparse_matrix`` keeps them in a scipy
 COO array, ``compose`` scales the column blocks of a numpy array, and
@@ -32,8 +35,8 @@ read-only from then on.  A ``QuadComplex`` caches its weights
 (``dz_boundary``); the kernel counts and the Laplacian read them, while
 each solver system is assembled once from triplets, so the sparse path
 never asks for a dense boundary.  A ``HomologyBasis`` caches the steps of its
-period rows as ``step_array`` arrays, which ``step_triplets`` and
-``integrals`` take in place of step lists.
+doubled a- and b-shadow rows as ``step_array`` arrays, which
+``step_triplets`` and ``integrals`` take in place of step lists.
 """
 
 from __future__ import annotations
@@ -163,18 +166,20 @@ def diagonal_steps(walks, color: int, first_row: int = 0, weight: float = 2.0) -
     return [(first_row + i, color, q, weight * s) for i, walk in enumerate(walks) for q, s in walk]
 
 
-def medial_steps(walks, first_row: int = 0, weight: float = 1.0) -> list:
-    """Steps of signed medial edge walks, walk i on row first_row + i.
+def medial_steps(walks) -> list:
+    """Steps of signed medial edge walks, walk i on row i.
 
     A medial edge reads the value of its parallel diagonal, with the
     color and sign of its corner slot in ``MEDIAL_SLOT``, the table that
-    ``expand_diamond`` writes edge values from.
+    ``expand_diamond`` writes edge values from.  Only the reference
+    integral ``homology.integrate_cycle`` builds these rows; periods
+    read the doubled shadow rows of ``chain_steps``.
     """
     out = []
     for i, walk in enumerate(walks):
         for e, s in walk:
             color, sign = MEDIAL_SLOT[e % 4]
-            out.append((first_row + i, color, e // 4, weight * s * sign))
+            out.append((i, color, e // 4, s * sign))
     return out
 
 

@@ -58,16 +58,6 @@ SLOT_BM, SLOT_WM, SLOT_BP, SLOT_WP = 0, 1, 2, 3
 # ccw boundary order of the quad face F_Q, by corner slot
 FACE_Q_ORDER = (SLOT_WM, SLOT_BP, SLOT_WP, SLOT_BM)
 
-# canonical edge vector of [Q, v] in the normalized chart, as (a, b)
-# meaning a + b*rho; slots 1,3 are parallel to the black diagonal,
-# slots 2,0 to the white diagonal.
-_EDGE_VECTOR = {
-    SLOT_WM: (1.0, 0.0),
-    SLOT_BP: (0.0, 1j),
-    SLOT_WP: (-1.0, 0.0),
-    SLOT_BM: (0.0, -1j),
-}
-
 # sign of the parallel diagonal induced by the canonical orientation
 # (+1 means b- -> b+ resp. w- -> w+)
 DIAG_SIGN = {SLOT_WM: 1, SLOT_WP: -1, SLOT_BP: 1, SLOT_BM: -1}
@@ -313,12 +303,6 @@ class QuadComplex:
         """BLACK if parallel to a black diagonal (key vertex white)."""
         return BLACK if self.colors[self.medial_key_vertex(e)] == WHITE else WHITE
 
-    def edge_vector(self, e: int) -> complex:
-        """Canonical edge vector in the normalized chart of its quad."""
-        q, slot = divmod(e, 4)
-        a, b = _EDGE_VECTOR[slot]
-        return a + b * self.rho[q]
-
 
 # ---------------------------------------------------------------------------
 # validation
@@ -383,17 +367,7 @@ def validate(cx: QuadComplex) -> ValidationReport:
     arrays; messages are formatted for the violators only.
     """
     Q = cx.quad_array
-    bad = []
-
-    for q in np.flatnonzero(_repeated_vertices(Q)).tolist():
-        bad.append(Violation("quad-vertices", (q,), f"quad {q} has repeated vertices"))
-
-    colors = np.array(cx.colors, dtype=np.int64)
-    for q in np.flatnonzero((colors[Q] != (BLACK, WHITE, BLACK, WHITE)).any(axis=1)).tolist():
-        cols = tuple(cx.colors[v] for v in cx.quads[q])
-        bad.append(Violation(
-            "bipartite", (q,),
-            f"quad {q} corner colors {cols} are not (b, w, b, w)"))
+    bad = _quad_violations(cx)
 
     # each undirected edge (u, w), u <= w, with how often the boundaries
     # traverse it u -> w (forward) and in all
@@ -413,13 +387,6 @@ def validate(cx: QuadComplex) -> ValidationReport:
             "strong-regularity", pair,
             f"edge {pair} is shared by {count[k]} quad boundaries"))
 
-    rho = cx.rho_array
-    for q in np.flatnonzero(~(np.isfinite(rho) & (rho.real > 0))).tolist():
-        r = cx.rho[q]
-        detail = (f"quad {q} has rho={r} with Re <= 0" if cmath.isfinite(r)
-                  else f"quad {q} has non-finite rho={r}")
-        bad.append(Violation("rho-positivity", (q,), detail))
-
     if not any(v.kind in ("quad-vertices", "bipartite", "closed-surface") for v in bad):
         # Now every quad has four distinct vertices and edges, and every
         # edge is traversed once each way by each pair of quads on it.
@@ -436,6 +403,35 @@ def validate(cx: QuadComplex) -> ValidationReport:
     return ValidationReport(tuple(bad))
 
 
+def _quad_violations(cx: QuadComplex) -> list:
+    """The per-quad findings of ``validate``, by kind and then by quad.
+
+    A quad must name four distinct vertices (quad-vertices), colored
+    (b, w, b, w) in slot order (bipartite), and carry a finite weight
+    with Re rho > 0 (rho-positivity).  One pass over the quad array per
+    kind, cheap enough to run before every solve; messages are formatted
+    for the violators only.
+    """
+    Q = cx.quad_array
+    bad = [Violation("quad-vertices", (q,), f"quad {q} has repeated vertices")
+           for q in np.flatnonzero(_repeated_vertices(Q)).tolist()]
+
+    colors = np.array(cx.colors, dtype=np.int64)
+    for q in np.flatnonzero((colors[Q] != (BLACK, WHITE, BLACK, WHITE)).any(axis=1)).tolist():
+        cols = tuple(cx.colors[v] for v in cx.quads[q])
+        bad.append(Violation(
+            "bipartite", (q,),
+            f"quad {q} corner colors {cols} are not (b, w, b, w)"))
+
+    rho = cx.rho_array
+    for q in np.flatnonzero(~(np.isfinite(rho) & (rho.real > 0))).tolist():
+        r = cx.rho[q]
+        detail = (f"quad {q} has rho={r} with Re <= 0" if cmath.isfinite(r)
+                  else f"quad {q} has non-finite rho={r}")
+        bad.append(Violation("rho-positivity", (q,), detail))
+    return bad
+
+
 def read_only(a: np.ndarray) -> np.ndarray:
     """a, with writes to it refused: the arrays cached on a surface or basis are shared."""
     a.flags.writeable = False
@@ -443,9 +439,10 @@ def read_only(a: np.ndarray) -> np.ndarray:
 
 
 def _repeated_vertices(Q):
-    """Per quad row: True when it names some vertex twice."""
-    S = np.sort(Q, axis=1)
-    return (S[:, 1:] == S[:, :-1]).any(axis=1)
+    """Per quad row: True when it names some vertex twice, that is when one
+    of its six corner pairs is equal."""
+    a, b, c, d = Q.T
+    return (a == b) | (a == c) | (a == d) | (b == c) | (b == d) | (c == d)
 
 
 def _runs(keys):

@@ -391,6 +391,37 @@ def test_non_positive_weights_are_clean_errors(rho3, command, tmp_path, capsys):
     assert err == f"error: quad 3 has rho={r} with Re <= 0\n"
 
 
+def _recolor_vertex_5(doc):
+    doc["vertices"][5]["color"] = "w" if doc["vertices"][5]["color"] == "b" else "b"
+
+
+def _repeat_bm_in_quad_3(doc):
+    doc["quads"][3]["bp"] = doc["quads"][3]["bm"]
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_recolor_vertex_5, "quad 0 corner colors (0, 1, 1, 1) are not (b, w, b, w)"),
+    (_repeat_bm_in_quad_3, "quad 3 has repeated vertices"),
+])
+@pytest.mark.parametrize("command", [["periods"], ["harmonic"], ["abelian", "--second", "2"],
+                                     ["abelian", "--third", "0", "2"],
+                                     ["abel-jacobi", "--base", "0", "--point", "0"],
+                                     ["riemann-roch"]])
+def test_solver_commands_refuse_malformed_quads(edit, message, command, tmp_path, capsys):
+    """Solver commands run the per-quad checks of ``validate`` and stop at its
+    first violation, as ``check`` lists it."""
+    cx = gen_torus(4, 4, 0.1 + 1.1j)
+    doc = json.loads(serialize_dqs(cx, standard_torus_basis(cx, 4, 4)))
+    edit(doc)
+    path = tmp_path / "t.dqs"
+    path.write_text(json.dumps(doc))
+    assert main(command + [str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert main(["check", "--format", "json", str(path)]) == 1
+    violations = json.loads(capsys.readouterr().out)["outputs"]["violations"]
+    assert violations[0].endswith(f"] {message}")
+
+
 def test_check_still_lists_non_positive_weight(tmp_path, capsys):
     code = main(["check", "--format", "json", _torus_file(tmp_path, [0.0, 0.0])])
     doc = json.loads(capsys.readouterr().out)

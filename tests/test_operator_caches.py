@@ -2,7 +2,8 @@
 
 A ``QuadComplex`` caches its weights as an array, its dense vertex
 boundary and the p dz composition of that boundary; a ``HomologyBasis``
-caches the steps of its period rows.  The references below assemble
+caches the steps of its doubled a- and b-shadow rows, the only period
+rows.  The references below assemble
 everything afresh on every call, as the library did before, and every
 consumer must give bit-identical systems and periods.  The work tests
 count how often the shared pieces are built.
@@ -33,7 +34,6 @@ from dqs.operators import (
     chain_steps,
     compose,
     dense_matrix,
-    medial_steps,
     step_triplets,
 )
 from dqs.riemann_roch import check_riemann_roch, i_system, l_system
@@ -77,11 +77,17 @@ def _ref_i_system(cx, d):
 
 
 def _ref_periods(cx, omega, basis):
+    """(A, B, A_black, B_black, A_white, B_white) from per-call shadow rows;
+    the plain periods are half the sums of the black and white rows."""
     g = basis.g
-    steps = medial_steps([c.edges for c in basis.all_cycles()]) \
-        + chain_steps(basis.all_chains(), 2 * g)
     values = np.concatenate([omega.black, omega.white])[:, None]
-    return (dense_matrix((6 * g, 2 * cx.nq), step_triplets(steps, cx.nq)) @ values).ravel()
+
+    def doubled(chains):
+        rows = dense_matrix((2 * g, 2 * cx.nq), step_triplets(chain_steps(chains), cx.nq))
+        return (rows @ values).reshape(2, g)
+
+    (AB, AW), (BB, BW) = doubled(basis.a_chains), doubled(basis.b_chains)
+    return np.concatenate([(AB + AW) / 2.0, (BB + BW) / 2.0, AB, BB, AW, BW])
 
 
 def _same_bits(a, b):
@@ -136,8 +142,7 @@ def test_cached_arrays_reject_writes():
     cx = randomize_rho(gen_torus(4, 4, 1j), np.random.default_rng(2))
     basis = standard_torus_basis(cx, 4, 4)
     arrays = [cx.quad_array, cx.rho_array, cx.boundary_matrix, cx.dz_boundary,
-              cx.star_successor, *cx.edge_groups, basis.period_steps, basis.b_medial_steps,
-              basis.a_shadow_steps, basis.b_shadow_steps]
+              cx.star_successor, *cx.edge_groups, basis.a_shadow_steps, basis.b_shadow_steps]
     for a in arrays:
         with pytest.raises(ValueError, match="read-only"):
             a[(0,) * a.ndim] = 0
@@ -178,7 +183,7 @@ def test_bilinear_checks_build_the_period_rows_once(monkeypatch):
     for _ in range(6):
         w1, w2 = (calculus.d_function(cx, rng.normal(size=cx.nv)) for _ in range(2))
         assert verify_rbi(cx, w1, w2, basis) < 1e-9
-    assert medial == ["medial_steps"] and chains == ["chain_steps"]
+    assert medial == [] and chains == ["chain_steps"] * 2
 
 
 def test_periods_on_a_large_torus_build_no_dense_boundary(monkeypatch):
