@@ -287,9 +287,9 @@ def laplacian(cx: QuadComplex, f) -> np.ndarray:
     return d_one_form(cx, hodge_star(cx, d_function(cx, f))).vertex_values
 
 
-def check_liouville(cx: QuadComplex, cutoff: float = 1e-9) -> int:
+def check_liouville(cx: QuadComplex) -> int:
     """Kernel dimension of the Laplacian; 2 on any compact surface."""
-    return nullity(laplacian_matrix(cx), cutoff)
+    return nullity(laplacian_matrix(cx))
 
 
 # ---------------------------------------------------------------------------

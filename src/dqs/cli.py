@@ -14,6 +14,7 @@ import functools
 import hashlib
 import json
 import math
+import os
 import sys
 import time
 
@@ -38,32 +39,48 @@ from .io import (
     serialize_function,
     serialize_map_bundle,
 )
-from .surface import _quad_violations, genus, require_ids, validate
+from .surface import (
+    _edge_violations,
+    _quad_violations,
+    _violation_order,
+    genus,
+    require_ids,
+    validate,
+)
 from .selftest import run_all
 
 
 def _read_input(path):
-    if path in (None, "-"):
-        return sys.stdin.read(), "<stdin>"
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read(), path
+    """(text, name) of a UTF-8 file, or of stdin for None or "-"; a file
+    that cannot be opened or decoded raises DqsError."""
+    name = "<stdin>" if path in (None, "-") else path
+    try:
+        if name == "<stdin>":
+            return sys.stdin.read(), name
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read(), name
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DqsError(f"{name}: cannot read: {getattr(exc, 'strerror', None) or exc}") from None
 
 
 def _read_surface(args, solver=False):
     """Read and parse the surface argument: (text, complex, embedded basis).
 
-    With solver=True every quad must also pass the per-quad checks of
-    ``validate`` (four distinct vertices colored (b, w, b, w), a finite
-    weight with Re rho > 0), the checks cheap enough to run before every
-    solve; the first violation is raised.  ``check`` runs the full
-    validation instead and lists every violation.
+    With solver=True the surface must also pass the per-quad and per-edge
+    checks of ``validate`` (four distinct vertices colored (b, w, b, w),
+    each edge traversed once each way, a finite weight with Re rho > 0),
+    the checks cheap enough to run before every solve; the first
+    violation in ``validate``'s order is raised.  Edges shared by more
+    than two quads (strong regularity) do not block a solve.  ``check``
+    runs the full validation instead and lists every violation.
     """
     text, name = _read_input(args.surface)
     cx, embedded = parse_dqs(text, name)
     if solver:
-        bad = _quad_violations(cx)
+        bad = [v for v in _quad_violations(cx) + _edge_violations(cx)
+               if v.kind != "strong-regularity"]
         if bad:
-            raise SurfaceError(bad[0].detail)
+            raise SurfaceError(min(bad, key=_violation_order).detail)
     return text, cx, embedded
 
 
@@ -246,12 +263,10 @@ def cmd_riemann_roch(args):
 
 def cmd_hurwitz(args):
     text, name = _read_input(args.map)
-    import os
 
     def loader(p):
         base = os.path.dirname(name) if name != "<stdin>" else "."
-        with open(os.path.join(base, p), "r", encoding="utf-8") as fh:
-            return fh.read()
+        return _read_input(os.path.join(base, p))[0]
 
     source, target, vm, _, _ = parse_map_bundle(text, name, loader)
     cmap = CoveringMap(source, target, vm)
@@ -318,8 +333,11 @@ def cmd_gen(args):
                 basis = None
         sys.stdout.write(serialize_dqs(out, basis) + "\n")
         if args.function_out:
-            with open(args.function_out, "w", encoding="utf-8") as fh:
-                fh.write(serialize_function(f) + "\n")
+            try:
+                with open(args.function_out, "w", encoding="utf-8") as fh:
+                    fh.write(serialize_function(f) + "\n")
+            except OSError as exc:
+                raise DqsError(f"{args.function_out}: cannot write: {exc.strerror}") from None
     elif args.kind == "delaunay":
         text, name = _read_input(args.obj)
         verts, faces = parse_obj(text, name)
@@ -422,15 +440,12 @@ def build_parser():
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if not (math.isfinite(args.tol) and args.tol > 0):
-        print(f"error: --tol must be a finite positive number, got {args.tol}",
-              file=sys.stderr)
-        return 1
     try:
+        if not (math.isfinite(args.tol) and args.tol > 0):
+            raise DqsError(f"--tol must be a finite positive number, got {args.tol}")
+        if args.seed < 0:
+            raise DqsError(f"--seed must be a nonnegative integer, got {args.seed}")
         return args.fn(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except DqsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

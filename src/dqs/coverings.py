@@ -118,11 +118,14 @@ def validate_map(m: CoveringMap, tol: float = 1e-12) -> MapReport:
             bad.append(f"vertex {v} maps across colors")
     if bad:
         return MapReport(tuple(bad))
+    by_vertex, deg, start = m.target.vertex_groups
+    quads_at, deg, start = (by_vertex // 4).tolist(), deg.tolist(), start.tolist()
     for q in range(m.source.nq):
         imgs = [m.image(v) for v in m.source.quads[q]]
         # a target quad holding every image also holds imgs[0]
+        i = imgs[0]
         if not any(all(v in m.target.quads[q2] for v in imgs)
-                   for q2, _ in m.target.incidences[imgs[0]]):
+                   for q2 in quads_at[start[i]:start[i] + deg[i]]):
             bad.append(f"quad {q}: images {imgs} share no target quad (star condition)")
             continue
         if is_biconstant_quad(m, q):

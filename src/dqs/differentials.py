@@ -133,15 +133,15 @@ def harmonic_with_periods(cx: QuadComplex, basis: HomologyBasis, targets,
     return DiamondForm(x[:cx.nq], x[cx.nq:])
 
 
-def nullity_harmonic(cx: QuadComplex, cutoff: float = 1e-9) -> int:
+def nullity_harmonic(cx: QuadComplex) -> int:
     """Dimension of the space of harmonic forms (expected 4g)."""
     B = cx.boundary_matrix
-    return nullity(np.vstack([B, costar(cx, B)]), cutoff)
+    return nullity(np.vstack([B, costar(cx, B)]))
 
 
-def nullity_holomorphic(cx: QuadComplex, cutoff: float = 1e-9) -> int:
+def nullity_holomorphic(cx: QuadComplex) -> int:
     """Dimension of the space of holomorphic forms (expected 2g)."""
-    return nullity(cx.dz_boundary, cutoff)
+    return nullity(cx.dz_boundary)
 
 
 def holomorphic_with_a_periods(cx: QuadComplex, basis: HomologyBasis, targets,

@@ -63,9 +63,10 @@ def randomize_rho(cx: QuadComplex, rng: np.random.Generator,
 
 def _triangle_angles(p0, p1, p2):
     def angle(a, b, c):
+        # 0 at a corner with a zero-length side: the triangle is degenerate
         u, v = b - a, c - a
-        cosv = float(np.dot(u, v) / (np.linalg.norm(u) * np.linalg.norm(v)))
-        return math.acos(max(-1.0, min(1.0, cosv)))
+        n = float(np.linalg.norm(u) * np.linalg.norm(v))
+        return math.acos(max(-1.0, min(1.0, float(np.dot(u, v)) / n))) if n else 0.0
     return angle(p0, p1, p2), angle(p1, p2, p0), angle(p2, p0, p1)
 
 
@@ -97,6 +98,8 @@ def delaunay_voronoi(vertices, faces, tol: float = 1e-12) -> QuadComplex:
     cot = {}
     for ti, (a, b, c) in enumerate(tris):
         angs = _triangle_angles(pts[a], pts[b], pts[c])
+        if not all(0.0 < x < math.pi for x in angs):
+            raise DqsError(f"triangle {ti} is degenerate: angles {angs}")
         # angle at a is opposite edge (b, c), etc.
         cot[(ti, frozenset((b, c)))] = 1.0 / math.tan(angs[0])
         cot[(ti, frozenset((c, a)))] = 1.0 / math.tan(angs[1])

@@ -16,13 +16,14 @@ Medial rows are built only by ``integrate_cycle``, the independent
 reference integral along one walk.
 
 Every walk on a diagonal graph (the tree-cotree split behind
-``homology_basis`` and the paths of ``graph_path``) reads the neighbours
-of a vertex from its incidence list ``QuadComplex.incidences``, one
-helper for both colors, so no search scans the whole surface.  Lifting
-a diagonal walk back to the medial graph reads the quad tuples and
-steps around each vertex along ``QuadComplex.star_successor``.  Shadows
-are computed once per cycle, and an intersection matrix is one integer
-product of the black and white quad multiplicities of those shadows.
+``homology_basis`` and the paths of ``graph_path``) is one breadth-first
+search, ``surface._bfs``, over the flat adjacency the surface caches for
+each color (``QuadComplex.diagonal_adjacency``), so no search scans the
+whole surface or reads a quad tuple.  Lifting a diagonal walk back to
+the medial graph reads the quad tuples and steps around each vertex
+along ``QuadComplex.star_successor``.  Shadows are computed once per
+cycle, and an intersection matrix is one integer product of the black
+and white quad multiplicities of those shadows.
 """
 
 from __future__ import annotations
@@ -45,9 +46,12 @@ from .surface import (
     SLOT_WP,
     WHITE,
     QuadComplex,
+    _bfs,
+    _path_to,
     genus,
     medial_edge_index,
     read_only,
+    require_ids,
     require_surface,
 )
 
@@ -184,51 +188,17 @@ def integrate_graph_path(cx: QuadComplex, omega: DiamondForm, path: GraphPath) -
     return _integral(cx, omega, diagonal_steps([path.steps], path.color))
 
 
-def _diagonal_neighbours(cx: QuadComplex, u: int, color: int, skip=()):
-    """Neighbours of u along the diagonals of one color, from its incidences.
-
-    Returns (w, quad, direction) triples in ascending quad order, leaving
-    out the quads in skip; direction +1 means u is the minus end (b- or
-    w-) of the quad's diagonal.
-    """
-    lo, hi = (SLOT_BM, SLOT_BP) if color == BLACK else (SLOT_WM, SLOT_WP)
-    out = []
-    for q, slot in cx.incidences[u]:
-        if q in skip:
-            continue
-        if slot == lo:
-            out.append((cx.quads[q][hi], q, 1))
-        elif slot == hi:
-            out.append((cx.quads[q][lo], q, -1))
-    return out
-
-
 def graph_path(cx: QuadComplex, color: int, start: int, goal: int,
                forbidden_quads=()) -> GraphPath:
-    """BFS path between same-color vertices along diagonals of that color."""
+    """BFS path between same-color vertices along diagonals of that color,
+    each level in the order it was reached, crossing no forbidden quad."""
+    require_ids((start, goal), cx.nv, "vertex")
     if cx.colors[start] != color or cx.colors[goal] != color:
         raise DqsError("endpoints must both carry the path color")
-    prev = {start: None}
-    queue = [start]
-    while queue:
-        nxt = []
-        for u in queue:
-            for (w, q, s) in sorted(_diagonal_neighbours(cx, u, color, forbidden_quads)):
-                if w not in prev:
-                    prev[w] = (u, q, s)
-                    nxt.append(w)
-        queue = nxt
-        if goal in prev:
-            break
-    if goal not in prev:
+    parent = _bfs(cx.diagonal_adjacency[color], start, goal, forbidden_quads)
+    if goal not in parent:
         raise DqsError(f"no {('black', 'white')[color]} path from {start} to {goal}")
-    steps = []
-    v = goal
-    while prev[v] is not None:
-        u, q, s = prev[v]
-        steps.append((q, s))
-        v = u
-    return GraphPath(color, tuple(reversed(steps)))
+    return GraphPath(color, tuple(_path_to(parent, goal)))
 
 
 # ---------------------------------------------------------------------------
@@ -372,6 +342,7 @@ def lift_diagonal_walk(cx: QuadComplex, walk, color: int) -> Cycle:
         return Cycle(())
     quads = cx.quads
     succ = cx.star_successor.item
+    degree = cx.vertex_groups[1].item
     plus, minus = _LIFT_SLOT[color]
     edges = [4 * q + (plus if d > 0 else minus) for (q, d) in walk]
     out = []
@@ -389,7 +360,7 @@ def lift_diagonal_walk(cx: QuadComplex, walk, color: int) -> Cycle:
         if pos == target:
             continue
         i = 4 * q + t.index(v)
-        limit = len(cx.incidences[v]) + 1
+        limit = degree(v) + 1
         guard = 0
         while pos != target:
             j = succ(i)
@@ -476,25 +447,11 @@ def _concatenate_walks(walks_with_mult):
 def _spanning_tree(cx: QuadComplex, root: int, color: int, skip=()):
     """Breadth-first spanning tree of one diagonal graph, avoiding skip quads.
 
-    Each vertex of a level walks its own incidences in quad order, and
-    the next level is visited in vertex order.  Returns the parent
-    pointers, vertex -> (parent, quad, direction) or None at the root,
-    and the set of tree quads.
+    Each level lists its vertices in ascending order.  Returns the
+    ``_bfs`` parent pointers and the set of tree quads.
     """
-    parent = {root: None}
-    quads = set()
-    queue = [root]
-    while queue:
-        nxt = []
-        for u in queue:
-            for w, q, d in _diagonal_neighbours(cx, u, color, skip):
-                if w in parent:
-                    continue
-                parent[w] = (u, q, d)
-                quads.add(q)
-                nxt.append(w)
-        queue = sorted(nxt)
-    return parent, quads
+    parent = _bfs(cx.diagonal_adjacency[color], root, skip=skip, sort_levels=True)
+    return parent, {step[1] for step in parent.values() if step}
 
 
 def homology_basis(cx: QuadComplex) -> HomologyBasis:
@@ -505,7 +462,7 @@ def homology_basis(cx: QuadComplex) -> HomologyBasis:
     integer symplectic reduction of their intersection matrix produces
     cycles with the standard pairing, which are then rerouted onto the
     medial graph.  Both trees grow by breadth-first search over the
-    per-vertex incidence lists, so the split is linear in nq up to the
+    cached diagonal adjacencies, so the split is linear in nq up to the
     sort of each BFS level.
     """
     require_surface(cx)
@@ -528,20 +485,13 @@ def homology_basis(cx: QuadComplex) -> HomologyBasis:
         raise SurfaceError(
             f"tree-cotree split left {len(extra)} quads, expected {2 * g}")
 
-    def tree_walk_to_root(v):
-        steps = []
-        while parent[v] is not None:
-            u, q, d = parent[v]
-            steps.append((q, -d))  # traversed from child v toward parent u
-            v = u
-        return steps
-
     fundamental = []
     for q in extra:
+        # root -> a along the tree, across q, and back from b to the root
         a, b = cx.black_diagonal(q)
-        walk = [(qq, -d) for (qq, d) in reversed(tree_walk_to_root(a))]
+        walk = _path_to(parent, a)
         walk.append((q, 1))
-        walk.extend(tree_walk_to_root(b))
+        walk.extend((qq, -d) for (qq, d) in reversed(_path_to(parent, b)))
         fundamental.append(walk)
 
     lifts = [lift_diagonal_walk(cx, w, BLACK) for w in fundamental]

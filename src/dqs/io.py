@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import cmath
 import json
+import math
 
 import numpy as np
 
@@ -292,7 +293,12 @@ def serialize_map_bundle(source: QuadComplex, target: QuadComplex, vertex_map,
 
 
 def parse_obj(text: str, name: str = "<obj>"):
-    """Wavefront OBJ subset: v and f records, triangles only."""
+    """Wavefront OBJ subset: v and f records, triangles only.
+
+    Coordinates must be finite numbers and each face three distinct
+    integers in 1..(number of vertices); the first record that breaks
+    this raises ParseError with its line number.
+    """
     verts = []
     faces = []
     for ln, line in enumerate(text.splitlines(), 1):
@@ -301,13 +307,29 @@ def parse_obj(text: str, name: str = "<obj>"):
             continue
         if parts[0] == "v":
             _require(len(parts) >= 4, f"{name}:{ln}", "vertex needs 3 coordinates")
-            verts.append([float(x) for x in parts[1:4]])
+            try:
+                xyz = [float(x) for x in parts[1:4]]
+            except ValueError:
+                raise ParseError(f"{name}:{ln}", f"bad coordinates {parts[1:4]}") from None
+            if not all(map(math.isfinite, xyz)):
+                raise ParseError(f"{name}:{ln}", f"coordinates {parts[1:4]} must be finite")
+            verts.append(xyz)
         elif parts[0] == "f":
             idx = [p.split("/")[0] for p in parts[1:]]
             _require(len(idx) == 3, f"{name}:{ln}", "faces must be triangles")
-            faces.append(tuple(int(i) - 1 for i in idx))
+            try:
+                face = tuple(int(i) for i in idx)
+            except ValueError:
+                raise ParseError(f"{name}:{ln}", f"bad vertex indices {idx}") from None
+            faces.append((ln, face))
     _require(len(verts) > 0 and len(faces) > 0, name, "no geometry found")
-    return np.array(verts, dtype=float), faces
+    for ln, face in faces:
+        if not all(1 <= i <= len(verts) for i in face):
+            raise ParseError(f"{name}:{ln}",
+                             f"vertex index out of range 1..{len(verts)} in {list(face)}")
+        if len(set(face)) != 3:
+            raise ParseError(f"{name}:{ln}", f"face {list(face)} repeats a vertex")
+    return np.array(verts, dtype=float), [tuple(i - 1 for i in face) for _, face in faces]
 
 
 # ---------------------------------------------------------------------------

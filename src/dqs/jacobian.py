@@ -23,7 +23,18 @@ from .errors import AmbiguousGluingError, DqsError
 from .differentials import HolomorphicBasis, PeriodMatrices
 from .homology import Cycle, GraphPath, HomologyBasis, black_white, graph_path
 from .operators import diagonal_steps, integrals
-from .surface import BLACK, SLOT_BM, SLOT_WM, WHITE, QuadComplex, require_ids
+from .surface import (
+    BLACK,
+    SLOT_BM,
+    SLOT_WM,
+    WHITE,
+    QuadComplex,
+    _adjacency,
+    _bfs,
+    _path_to,
+    _runs,
+    require_ids,
+)
 
 
 @dataclass(frozen=True)
@@ -144,37 +155,30 @@ def _abel_jacobi_vertex(cx: QuadComplex, hb: HolomorphicBasis, jac: Jacobian,
 
 
 def _medial_bfs_path(cx: QuadComplex, start_pair, goal_pair):
-    """Signed medial edges from one edge midpoint to another (BFS)."""
+    """Signed medial edges from one edge midpoint to another (BFS, each
+    level in the order it was reached).
+
+    The medial nodes are the edges of the surface in ascending order, and
+    medial edge 4q + slot runs from the edge (v, prev(v)) to (v, next(v)).
+    """
     if cx.has_doubled_edges:
         raise AmbiguousGluingError(
             "medial paths need unambiguous edge midpoints; this complex "
             "has doubled edges")
     if start_pair == goal_pair:
         return []
-    adj = {}
-    for e in range(cx.n_medial_edges):
-        a, b = cx.medial_endpoints(e)
-        adj.setdefault(a, []).append((b, e, 1))
-        adj.setdefault(b, []).append((a, e, -1))
-    prev = {start_pair: None}
-    queue = [start_pair]
-    while queue and goal_pair not in prev:
-        nxt = []
-        for u in queue:
-            for (w, e, s) in sorted(adj.get(u, ())):
-                if w not in prev:
-                    prev[w] = (u, e, s)
-                    nxt.append(w)
-        queue = nxt
-    if goal_pair not in prev:
+    order, keys = cx.edge_groups
+    first, count = _runs(keys)
+    node = np.empty(len(keys), dtype=np.int64)  # node of the edge each incidence starts
+    node[order] = np.repeat(np.arange(len(first)), count)
+    before = np.roll(np.arange(len(keys)).reshape(-1, 4), 1, axis=1).ravel()
+    adj = _adjacency(len(first), node[before], node, np.arange(len(keys)))
+    start, goal = (int(np.searchsorted(keys[first], min(p) * cx.nv + max(p)))
+                   for p in (start_pair, goal_pair))
+    parent = _bfs(adj, start, goal)
+    if goal not in parent:
         raise DqsError("medial graph is not connected")
-    steps = []
-    v = goal_pair
-    while prev[v] is not None:
-        u, e, s = prev[v]
-        steps.append((e, s))
-        v = u
-    return list(reversed(steps))
+    return _path_to(parent, goal)
 
 
 @dataclass(frozen=True)

@@ -141,9 +141,9 @@ def l_system(cx: QuadComplex, d: Divisor) -> np.ndarray:
     return np.vstack([cx.dz_boundary.T[holomorphic], double_rows, zeros])
 
 
-def l_dim(cx: QuadComplex, d: Divisor, cutoff: float = 1e-9) -> int:
+def l_dim(cx: QuadComplex, d: Divisor) -> int:
     """dim L(-D): meromorphic functions with divisor >= -D."""
-    return nullity(l_system(cx, d), cutoff)
+    return nullity(l_system(cx, d))
 
 
 def i_system(cx: QuadComplex, d: Divisor):
@@ -167,10 +167,10 @@ def i_system(cx: QuadComplex, d: Divisor):
     return A, n_unknowns
 
 
-def i_dim(cx: QuadComplex, d: Divisor, cutoff: float = 1e-9) -> int:
+def i_dim(cx: QuadComplex, d: Divisor) -> int:
     """dim H(D): Abelian differentials with divisor >= D."""
     A, _ = i_system(cx, d)
-    return nullity(A, cutoff)
+    return nullity(A)
 
 
 @dataclass(frozen=True)
@@ -192,8 +192,7 @@ def check_riemann_roch(cx: QuadComplex, d: Divisor) -> DimensionReport:
     return rep
 
 
-def i_dim_basis_route(cx: QuadComplex, basis: HomologyBasis, d: Divisor,
-                      cutoff: float = 1e-9) -> int:
+def i_dim_basis_route(cx: QuadComplex, basis: HomologyBasis, d: Divisor) -> int:
     """i(D) via the spanning-family elimination matrix.
 
     Columns are the normalized differentials allowed by D (first kind,
@@ -211,7 +210,7 @@ def i_dim_basis_route(cx: QuadComplex, basis: HomologyBasis, d: Divisor,
         pairs += [(group[0], v) for v in group[1:]]
     p = _dz_solve(cx, basis, np.eye(2 * basis.g), _ids_with(d.quad_coeffs, -2), pairs,
                   what="i(D) basis")
-    return nullity(p[_ids_with(d.quad_coeffs, 1)], cutoff)
+    return nullity(p[_ids_with(d.quad_coeffs, 1)])
 
 
 # ---------------------------------------------------------------------------

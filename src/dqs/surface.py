@@ -20,15 +20,18 @@ Medial-graph conventions used by every other module:
   slot 2 -> i*rho, slot 3 -> -1, slot 0 -> -i*rho.
 
 Beside the tuples, a complex caches array views of its combinatorics:
-the nq x 4 quad array, the incidences grouped by undirected edge, and
-the ccw successor of every incidence in its vertex star, found by
-matching each edge with its other traversal.  It also caches the weights
-as a complex array and, on first use, its dense operators: the
-vertex-boundary matrix and its p dz composition.  Every cached array is
-read-only, so all consumers of one surface can share it.  ``validate``
-checks every surface invariant with linear numpy passes over these
-arrays and formats messages for the violators only; ``stars`` walks the
-successors.
+the nq x 4 quad array, the incidences grouped by vertex and by
+undirected edge, the ccw successor of every incidence in its vertex
+star, found by matching each edge with its other traversal, and the
+black and white diagonal graphs as flat adjacency tables.  It also
+caches the weights as a complex array and, on first use, its dense
+operators: the vertex-boundary matrix and its p dz composition.  Every
+cached array is read-only, so all consumers of one surface can share
+it.  ``validate`` checks every surface invariant with linear numpy
+passes over these arrays and formats messages for the violators only;
+``stars`` walks the successors.  Every walk on the surface (the
+tree-cotree split, paths on the diagonal and medial graphs) is one
+breadth-first search, ``_bfs``, over one adjacency format.
 """
 
 from __future__ import annotations
@@ -127,15 +130,6 @@ class QuadComplex:
     # -- derived incidence tables ------------------------------------
 
     @cached_property
-    def incidences(self):
-        """Per vertex: list of (quad, slot) incidences, sorted by quad id."""
-        inc = [[] for _ in range(self.nv)]
-        for q, t in enumerate(self.quads):
-            for slot, v in enumerate(t):
-                inc[v].append((q, slot))
-        return tuple(tuple(sorted(x)) for x in inc)
-
-    @cached_property
     def edge_pairs(self):
         """Undirected vertex pairs of quad boundary edges with directed slots.
 
@@ -165,6 +159,16 @@ class QuadComplex:
         return read_only(np.array(self.rho, dtype=complex))
 
     @cached_property
+    def vertex_groups(self):
+        """Incidences grouped by vertex: (by_vertex, deg, start), vertex v
+        having the ``deg[v]`` incidences of ``by_vertex`` from ``start[v]`` on,
+        in ascending order."""
+        verts = self.quad_array.ravel()
+        deg = np.bincount(verts, minlength=self.nv)
+        return (read_only(np.argsort(verts, kind="stable")), read_only(deg),
+                read_only(np.cumsum(deg) - deg))
+
+    @cached_property
     def edge_groups(self):
         """Incidences grouped by the undirected edge they start.
 
@@ -178,6 +182,16 @@ class QuadComplex:
         keys = (np.minimum(Q, R) * self.nv + np.maximum(Q, R)).ravel()
         order = np.argsort(keys, kind="stable")
         return read_only(order), read_only(keys[order])
+
+    @cached_property
+    def diagonal_adjacency(self):
+        """The black and white diagonal graphs, in that order, as ``_adjacency``
+        tuples over the vertex ids: quad q joins the minus to the plus end
+        of its diagonal of each color, with label q."""
+        Q = self.quad_array
+        quads = np.arange(self.nq)
+        return tuple(_adjacency(self.nv, Q[:, lo], Q[:, lo + 2], quads)
+                     for lo in (SLOT_BM, SLOT_WM))
 
     @cached_property
     def has_doubled_edges(self) -> bool:
@@ -258,7 +272,7 @@ class QuadComplex:
         follows ``star_successor``.  Raises if the star does not close
         into a single cycle.
         """
-        by_vertex, deg, start = _vertex_groups(self.quad_array, self.nv)
+        by_vertex, deg, start = self.vertex_groups
         first = np.append(by_vertex, -1)[start].tolist()  # -1: in no quad
         deg = deg.tolist()
         succ = self.star_successor.tolist()
@@ -366,41 +380,27 @@ def validate(cx: QuadComplex) -> ValidationReport:
     Every invariant is one pass over the quad array and the incidence
     arrays; messages are formatted for the violators only.
     """
-    Q = cx.quad_array
-    bad = _quad_violations(cx)
-
-    # each undirected edge (u, w), u <= w, with how often the boundaries
-    # traverse it u -> w (forward) and in all
-    order, keys = cx.edge_groups
-    start, count = _runs(keys)
-    forward = np.r_[0, np.cumsum((Q <= np.roll(Q, -1, axis=1)).ravel()[order])]
-    fwd = forward[start + count] - forward[start]
-    rev = count - fwd
-    for k in np.flatnonzero(fwd != rev).tolist():
-        pair = divmod(int(keys[start[k]]), cx.nv)
-        bad.append(Violation(
-            "closed-surface", pair,
-            f"edge {pair} traversed {fwd[k]}x forward, {rev[k]}x backward"))
-    for k in np.flatnonzero((fwd == rev) & (count > 2)).tolist():
-        pair = divmod(int(keys[start[k]]), cx.nv)
-        bad.append(Violation(
-            "strong-regularity", pair,
-            f"edge {pair} is shared by {count[k]} quad boundaries"))
-
+    bad = _quad_violations(cx) + _edge_violations(cx)
     if not any(v.kind in ("quad-vertices", "bipartite", "closed-surface") for v in bad):
         # Now every quad has four distinct vertices and edges, and every
         # edge is traversed once each way by each pair of quads on it.
-        groups = _vertex_groups(Q, cx.nv)
+        order, keys = cx.edge_groups
+        count = _runs(keys)[1]
         if (count == 2).all():
-            v = _split_link_vertex(cx, groups)
+            v = _split_link_vertex(cx)
             if v is not None:
                 bad.append(Violation("vertex-link", (),
                                      f"link of vertex {v} is not a single cycle"))
-        bad.extend(_connectivity_violations(cx, groups))
-        bad.extend(_strong_regularity_violations(cx, groups, order // 4, count))
+        bad.extend(_connectivity_violations(cx))
+        bad.extend(_strong_regularity_violations(cx, order // 4, count))
 
-    bad.sort(key=lambda v: (_KIND_ORDER[v.kind], v.ids))
+    bad.sort(key=_violation_order)
     return ValidationReport(tuple(bad))
+
+
+def _violation_order(v: Violation):
+    """Sort key of the violations in a report: by kind, then by ids."""
+    return _KIND_ORDER[v.kind], v.ids
 
 
 def _quad_violations(cx: QuadComplex) -> list:
@@ -429,6 +429,31 @@ def _quad_violations(cx: QuadComplex) -> list:
         detail = (f"quad {q} has rho={r} with Re <= 0" if cmath.isfinite(r)
                   else f"quad {q} has non-finite rho={r}")
         bad.append(Violation("rho-positivity", (q,), detail))
+    return bad
+
+
+def _edge_violations(cx: QuadComplex) -> list:
+    """The per-edge findings of ``validate``, by edge: each undirected edge
+    (u, w), u <= w, is traversed as often u -> w as w -> u by the quad
+    boundaries (closed-surface), and by two of them only (strong-regularity).
+    """
+    Q = cx.quad_array
+    order, keys = cx.edge_groups
+    start, count = _runs(keys)
+    forward = np.r_[0, np.cumsum((Q <= np.roll(Q, -1, axis=1)).ravel()[order])]
+    fwd = forward[start + count] - forward[start]
+    rev = count - fwd
+    bad = []
+    for k in np.flatnonzero(fwd != rev).tolist():
+        pair = divmod(int(keys[start[k]]), cx.nv)
+        bad.append(Violation(
+            "closed-surface", pair,
+            f"edge {pair} traversed {fwd[k]}x forward, {rev[k]}x backward"))
+    for k in np.flatnonzero((fwd == rev) & (count > 2)).tolist():
+        pair = divmod(int(keys[start[k]]), cx.nv)
+        bad.append(Violation(
+            "strong-regularity", pair,
+            f"edge {pair} is shared by {count[k]} quad boundaries"))
     return bad
 
 
@@ -467,22 +492,14 @@ def _contains(distinct, x):
     return distinct[np.minimum(np.searchsorted(distinct, x), len(distinct) - 1)] == x
 
 
-def _vertex_groups(Q, nv):
-    """Incidences grouped by vertex: (incidences sorted by vertex, ascending
-    within a vertex; degree per vertex; start of each vertex's group)."""
-    verts = Q.ravel()
-    deg = np.bincount(verts, minlength=nv)
-    return np.argsort(verts, kind="stable"), deg, np.cumsum(deg) - deg
-
-
-def _split_link_vertex(cx, groups):
+def _split_link_vertex(cx):
     """Lowest vertex whose star successors form more than one cycle, or None.
 
     Needs every entry of ``cx.star_successor`` set.  Pointer doubling
     labels each incidence with the lowest incidence on its cycle; a
     vertex's star is one cycle iff that is its own lowest incidence.
     """
-    by_vertex, deg, start = groups
+    by_vertex, deg, start = cx.vertex_groups
     if not len(by_vertex):
         return None
     succ = cx.star_successor
@@ -497,14 +514,14 @@ def _split_link_vertex(cx, groups):
     return int(verts[split].min()) if split.any() else None
 
 
-def _connectivity_violations(cx, groups):
+def _connectivity_violations(cx):
     if cx.nv == 0:
         return [Violation("connectivity", (), "empty complex")]
     # Breadth-first search from vertex 0, one level at a time: a vertex
     # reaches every vertex of its quads, which the quad's boundary edges
     # connect.
     Q = cx.quad_array
-    by_vertex, deg, start = groups
+    by_vertex, deg, start = cx.vertex_groups
     seen = np.zeros(cx.nv, dtype=bool)
     seen[0] = True
     slot = np.empty(cx.nv, dtype=np.int64)
@@ -527,7 +544,7 @@ def _connectivity_violations(cx, groups):
     return []
 
 
-def _strong_regularity_violations(cx, groups, edge_quads, count):
+def _strong_regularity_violations(cx, edge_quads, count):
     """Quad pairs sharing two edges, or two vertices and no edge.
 
     Runs only when every quad has four distinct vertices, so no quad is
@@ -545,7 +562,7 @@ def _strong_regularity_violations(cx, groups, edge_quads, count):
             "strong-regularity", (q1, q2),
             f"quads {q1} and {q2} share {n_edges[k]} edges"))
 
-    by_vertex, deg, _ = groups
+    by_vertex, deg, _ = cx.vertex_groups
     a, b, v = _group_pairs(by_vertex // 4, deg)
     keys = a * nq + b
     shared, n_verts = _tally(keys)
@@ -580,6 +597,62 @@ def _group_pairs(members, sizes):
         i, j = np.triu_indices(k, 1)
         parts.append((block[:, i].ravel(), block[:, j].ravel(), np.repeat(groups, len(i))))
     return tuple(np.concatenate(x) for x in zip(*parts))
+
+
+# ---------------------------------------------------------------------------
+# breadth-first walks
+
+
+def _adjacency(n: int, tails, heads, labels):
+    """Flat adjacency of the graph on nodes 0..n-1 with the labelled edges
+    tails[k] -> heads[k], label labels[k], read both ways.
+
+    Returns (start, nbr, label, sign) as tuples of ints: the entries of
+    node u are start[u]:start[u + 1], sorted by (neighbour, label), with
+    sign +1 where u is the tail of the edge and -1 where it is the head.
+    """
+    node = np.concatenate([tails, heads])
+    nbr = np.concatenate([heads, tails])
+    label = np.concatenate([labels, labels])
+    sign = np.repeat(np.array([1, -1]), len(labels))
+    o = np.lexsort((label, nbr, node))
+    start = np.r_[0, np.cumsum(np.bincount(node, minlength=n))]
+    return tuple(tuple(a.tolist()) for a in (start, nbr[o], label[o], sign[o]))
+
+
+def _bfs(adj, root: int, goal=None, skip=(), sort_levels=False) -> dict:
+    """Breadth-first tree of an ``_adjacency`` from root.
+
+    A new node's parent is the first node of its level with an edge to
+    it, through the lowest label.  The next level lists the new nodes as
+    they were reached or, with sort_levels, ascending.  Edges labelled
+    in skip are left out, and the search stops after the level that
+    reaches goal.  Returns node -> (parent, label, sign), None at root.
+    """
+    start, nbr, label, sign = adj
+    skip = set(skip)
+    parent = {root: None}
+    front = [root]
+    while front and goal not in parent:
+        reached = []
+        for u in front:
+            for i in range(start[u], start[u + 1]):
+                w = nbr[i]
+                if w not in parent and label[i] not in skip:
+                    parent[w] = (u, label[i], sign[i])
+                    reached.append(w)
+        front = sorted(reached) if sort_levels else reached
+    return parent
+
+
+def _path_to(parent: dict, goal: int) -> list:
+    """(label, sign) steps from the root of a ``_bfs`` tree to goal."""
+    steps = []
+    v = goal
+    while parent[v] is not None:
+        v, q, s = parent[v]
+        steps.append((q, s))
+    return steps[::-1]
 
 
 def require_surface(cx: QuadComplex):

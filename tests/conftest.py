@@ -1,3 +1,4 @@
+import functools
 import os
 import sys
 
@@ -9,6 +10,17 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 from dqs import gen_cube, gen_torus  # noqa: E402
 from dqs.coverings import gen_cube_double_cover  # noqa: E402
 from dqs.surface import QuadComplex  # noqa: E402
+
+
+@functools.lru_cache(maxsize=16)
+def incidences(cx):
+    """Reference incidence table: per vertex, its (quad, slot) incidences
+    in ascending order, read from the quad tuples one quad at a time."""
+    inc = [[] for _ in range(cx.nv)]
+    for q, t in enumerate(cx.quads):
+        for slot, v in enumerate(t):
+            inc[v].append((q, slot))
+    return tuple(map(tuple, inc))
 
 
 @pytest.fixture(scope="session")

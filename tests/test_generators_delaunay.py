@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dqs import delaunay_voronoi, genus, tetrahedron_mesh, validate
-from dqs.errors import NonDelaunayError
+from dqs.errors import DqsError, NonDelaunayError
 
 
 def expected_tetra_weight():
@@ -97,3 +97,16 @@ class TestTorusMesh:
         with pytest.raises(NonDelaunayError) as err:
             delaunay_voronoi(verts, faces)
         assert err.value.edge in ((b, d), (d, b))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("verts, triangle", [
+    ([[0, 0, 0], [1, 0, 0], [2, 0, 0], [0, 0, 1]], 0),  # the first three collinear
+    ([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [1, 1, 1]], 1),  # the first and last coincide
+])
+def test_degenerate_triangle_rejected(verts, triangle):
+    """A triangle with a zero angle has no circumcentre: a DqsError, not a
+    division by zero or a numpy warning."""
+    faces = [(0, 1, 2), (0, 3, 1), (0, 2, 3), (1, 3, 2)]
+    with pytest.raises(DqsError, match=f"triangle {triangle} is degenerate"):
+        delaunay_voronoi(verts, faces)

@@ -41,6 +41,8 @@ from dqs.surface import (
     medial_edge_index,
 )
 
+from conftest import incidences
+
 
 def torus_dz(cx, m, n, tau):
     """The globally defined coordinate differential of a flat grid torus."""
@@ -404,6 +406,7 @@ def _reference_lift(cx, walk, color):
         target = cx.medial_endpoints(edges[(i + 1) % n])[0]
         cur = q
         guard = 0
+        limit = len(incidences(cx)[v]) + 1
         while pos != target:
             slot = cx.corner_slot(cur, v)
             cur = cx._other_quad(cur, cx.corner_prev(cur, slot), v)
@@ -412,7 +415,7 @@ def _reference_lift(cx, walk, color):
             pv = cx.corner_prev(cur, slot)
             pos = (min(v, pv), max(v, pv))
             guard += 1
-            if guard > len(cx.incidences[v]) + 1:
+            if guard > limit:
                 raise SurfaceError(f"stuck connecting walk steps at vertex {v}")
     return Cycle(tuple(out))
 

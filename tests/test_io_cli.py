@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import subprocess
@@ -399,17 +400,23 @@ def _repeat_bm_in_quad_3(doc):
     doc["quads"][3]["bp"] = doc["quads"][3]["bm"]
 
 
+def _reflect_quad_3(doc):
+    q = doc["quads"][3]
+    q["wm"], q["wp"] = q["wp"], q["wm"]
+
+
 @pytest.mark.parametrize("edit, message", [
     (_recolor_vertex_5, "quad 0 corner colors (0, 1, 1, 1) are not (b, w, b, w)"),
     (_repeat_bm_in_quad_3, "quad 3 has repeated vertices"),
+    (_reflect_quad_3, "edge (0, 3) traversed 2x forward, 0x backward"),
 ])
 @pytest.mark.parametrize("command", [["periods"], ["harmonic"], ["abelian", "--second", "2"],
                                      ["abelian", "--third", "0", "2"],
                                      ["abel-jacobi", "--base", "0", "--point", "0"],
                                      ["riemann-roch"]])
 def test_solver_commands_refuse_malformed_quads(edit, message, command, tmp_path, capsys):
-    """Solver commands run the per-quad checks of ``validate`` and stop at its
-    first violation, as ``check`` lists it."""
+    """Solver commands run the per-quad and per-edge checks of ``validate``
+    and stop at its first violation, as ``check`` lists it."""
     cx = gen_torus(4, 4, 0.1 + 1.1j)
     doc = json.loads(serialize_dqs(cx, standard_torus_basis(cx, 4, 4)))
     edit(doc)
@@ -810,3 +817,64 @@ def test_harmonic_targets_at_the_float_limits(targets, tmp_path):
     else:
         assert code == 1 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def _unreadable_inputs(tmp_path):
+    """Command lines that name a missing file, a directory or a non-UTF-8 file."""
+    latin = tmp_path / "latin1.dqs"
+    latin.write_bytes(b'{"vertices": "\xe9"}')
+    bundle = tmp_path / "map.json"
+    bundle.write_text(json.dumps({"source": "missing.dqs", "target": "missing.dqs",
+                                  "vertex_map": []}))
+    torus = _torus_file(tmp_path)
+    one_pole = ["gen", "one-pole", "--quad", "10", "--rho1", "1", "--rho2", "1"]
+    return [
+        ["check", str(tmp_path / "missing.dqs")],
+        ["check", str(tmp_path)],
+        ["check", str(latin)],
+        ["periods", str(latin)],
+        ["hurwitz", str(tmp_path / "missing.json")],
+        ["hurwitz", str(bundle)],
+        [*one_pole, "--base", str(tmp_path)],
+        [*one_pole, "--base", torus, "--function-out", str(tmp_path)],
+        ["gen", "delaunay", "--obj", str(latin)],
+        ["gen", "delaunay", "--obj", str(tmp_path / "missing.obj")],
+    ]
+
+
+def test_unreadable_inputs_are_clean_errors(tmp_path, capsys):
+    for argv in _unreadable_inputs(tmp_path):
+        assert main(argv) == 1, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+
+
+@pytest.mark.parametrize("text, line, what", [
+    ("v a b c\n", 1, "bad coordinates"),
+    ("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3x\n", 4, "bad vertex indices"),
+    ("v 0 0 0\nv nan 0 0\nv 0 1 0\nf 1 2 3\n", 2, "must be finite"),
+    ("v 0 0 0\nv 1 0 0\nv 0 1 inf\nf 1 2 3\n", 3, "must be finite"),
+    ("v 0 0 0\nv 1 0 0\nv 0 1 0\nv 0 0 1\nf 1 2 -1\n", 5, "out of range 1..4"),
+    ("v 0 0 0\nv 1 0 0\nv 0 1 0\nv 0 0 1\n\nf 1 2 5\n", 6, "out of range 1..4"),
+    ("v 0 0 0\nv 1 0 0\nv 0 1 0\nv 0 0 1\nf 0 1 2\n", 5, "out of range 1..4"),
+    ("v 0 0 0\nv 1 0 0\nv 0 1 0\nv 0 0 1\nf 1 2 3\nf 1 1 2\n", 6, "repeats a vertex"),
+])
+def test_obj_records_are_checked(text, line, what, capsys, monkeypatch):
+    with pytest.raises(ParseError, match=f"^<obj>:{line}: .*{what}"):
+        parse_obj(text)
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    assert main(["gen", "delaunay"]) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith(f"error: <stdin>:{line}: ")
+
+
+def test_negative_seed_is_a_clean_error(capsys, monkeypatch):
+    from dqs import cli
+
+    def no_work(seed):
+        raise AssertionError("ran the selftest before the seed was checked")
+
+    monkeypatch.setattr(cli, "run_all", no_work)
+    assert main(["selftest", "--seed", "-1"]) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == "error: --seed must be a nonnegative integer, got -1\n"

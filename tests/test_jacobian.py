@@ -17,9 +17,11 @@ from dqs import (
     randomize_rho,
     standard_torus_basis,
 )
+from dqs.coverings import gen_cube_double_cover
 from dqs.errors import DqsError
 from dqs.homology import Cycle, GraphPath
-from dqs.surface import SLOT_BM, SLOT_WM
+from dqs.jacobian import _medial_bfs_path
+from dqs.surface import SLOT_BM, SLOT_WM, subdivide3
 
 
 @pytest.fixture(scope="module")
@@ -160,3 +162,57 @@ class TestQuadMap:
     def test_component_holomorphicity(self, setup44, setup_random):
         for cx, _, hb, _ in (setup44, setup_random):
             assert aj_cr_residual(cx, hb) < 1e-10
+
+
+# ---------------------------------------------------------------------------
+# medial paths against the whole-surface scan they replaced
+
+
+def _scan_medial_adjacency(cx):
+    """Reference medial adjacency: a dict over edge pairs built from every medial edge."""
+    adj = {}
+    for e in range(cx.n_medial_edges):
+        a, b = cx.medial_endpoints(e)
+        adj.setdefault(a, []).append((b, e, 1))
+        adj.setdefault(b, []).append((a, e, -1))
+    return adj
+
+
+def _scan_medial_path(adj, start_pair, goal_pair):
+    """Reference _medial_bfs_path: level by level, each node's entries sorted."""
+    if start_pair == goal_pair:
+        return []
+    prev = {start_pair: None}
+    queue = [start_pair]
+    while queue and goal_pair not in prev:
+        nxt = []
+        for u in queue:
+            for (w, e, s) in sorted(adj.get(u, ())):
+                if w not in prev:
+                    prev[w] = (u, e, s)
+                    nxt.append(w)
+        queue = nxt
+    if goal_pair not in prev:
+        return None
+    steps = []
+    v = goal_pair
+    while prev[v] is not None:
+        u, e, s = prev[v]
+        steps.append((e, s))
+        v = u
+    return list(reversed(steps))
+
+
+@pytest.mark.parametrize("name", ["torus64", "cover", "cover-sub3"])
+def test_medial_path_matches_full_scan(name):
+    cover = gen_cube_double_cover()[0]
+    cx = {"torus64": gen_torus(6, 4, 0.3 + 1.2j), "cover": cover,
+          "cover-sub3": subdivide3(cover)}[name]
+    adj = _scan_medial_adjacency(cx)
+    pairs = sorted(adj)
+    rng = np.random.default_rng(5)
+    for i in rng.choice(len(pairs), 4, replace=False):
+        for j in [i, *rng.choice(len(pairs), min(49, len(pairs)), replace=False)]:
+            start, goal = pairs[i], pairs[j]
+            assert _medial_bfs_path(cx, start, goal) == _scan_medial_path(adj, start, goal), \
+                (start, goal)

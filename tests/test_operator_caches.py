@@ -142,7 +142,8 @@ def test_cached_arrays_reject_writes():
     cx = randomize_rho(gen_torus(4, 4, 1j), np.random.default_rng(2))
     basis = standard_torus_basis(cx, 4, 4)
     arrays = [cx.quad_array, cx.rho_array, cx.boundary_matrix, cx.dz_boundary,
-              cx.star_successor, *cx.edge_groups, basis.a_shadow_steps, basis.b_shadow_steps]
+              cx.star_successor, *cx.edge_groups, *cx.vertex_groups,
+              basis.a_shadow_steps, basis.b_shadow_steps]
     for a in arrays:
         with pytest.raises(ValueError, match="read-only"):
             a[(0,) * a.ndim] = 0

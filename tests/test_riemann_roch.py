@@ -117,7 +117,7 @@ def _route_surface(which, cube_cover):
     return cx, standard_torus_basis(cx, 12, 12)
 
 
-def _i_dim_per_column(cx, basis, d, hb, cutoff=1e-9):
+def _i_dim_per_column(cx, basis, d, hb):
     """i(D) by the spanning family, one public solve per differential."""
     forms = [w for pair in zip(hb.omega_black, hb.omega_white) for w in pair]
     forms += [abelian_second(cx, basis, q).form
@@ -128,7 +128,7 @@ def _i_dim_per_column(cx, basis, d, hb, cutoff=1e-9):
         forms += [abelian_third(cx, basis, group[0], v).form for v in group[1:]]
     zeros = sorted(q for q, c in d.quad_coeffs.items() if c == 1)
     M = np.array([decompose_all(cx, f)[0][zeros] for f in forms], dtype=complex)
-    return nullity(M.reshape(len(forms), len(zeros)).T, cutoff)
+    return nullity(M.reshape(len(forms), len(zeros)).T)
 
 
 class TestRiemannRoch:
@@ -269,3 +269,15 @@ class TestOnePoleSurface:
     def test_bad_weights_rejected(self, torus44):
         with pytest.raises(DqsError):
             gen_one_pole_surface(torus44, 0, -1.0, 1.0)
+
+
+def test_every_kernel_count_uses_the_one_nullity_cutoff():
+    """The cutoff lives in operators.nullity only; no kernel count takes its own."""
+    import inspect
+
+    from dqs import check_liouville, nullity_harmonic, nullity_holomorphic
+
+    for f in (nullity_harmonic, nullity_holomorphic, check_liouville, l_dim, i_dim,
+              i_dim_basis_route):
+        assert "cutoff" not in inspect.signature(f).parameters, f.__name__
+    assert "cutoff" in inspect.signature(nullity).parameters

@@ -25,6 +25,8 @@ from dqs.coverings import gen_cube_double_cover
 from dqs.errors import AmbiguousGluingError, DqsError, MalformedSurfaceError, SurfaceError
 from dqs.surface import SLOT_BM, SLOT_BP, SLOT_WM, SLOT_WP, ValidationReport, Violation
 
+from conftest import incidences
+
 
 def pillow():
     # two quads glued along all four edges: a strongly irregular sphere
@@ -55,8 +57,9 @@ def _reference_other_quad(cx, u, w):
 
 def _reference_stars(cx):
     out = []
+    table = incidences(cx)
     for v in range(cx.nv):
-        inc = cx.incidences[v]
+        inc = table[v]
         if not inc:
             out.append(())
             continue
@@ -162,8 +165,8 @@ def _reference_strong_regularity(cx):
                 "strong-regularity", (q1, q2),
                 f"quads {q1} and {q2} share {len(pairs)} edges"))
     shared_vertices = {}
-    for v in range(cx.nv):
-        qs = sorted({q for (q, _) in cx.incidences[v]})
+    for v, inc in enumerate(incidences(cx)):
+        qs = sorted({q for (q, _) in inc})
         for i in range(len(qs)):
             for j in range(i + 1, len(qs)):
                 shared_vertices.setdefault((qs[i], qs[j]), []).append(v)
