@@ -27,7 +27,7 @@ from . import jacobian as ja
 from . import operators as op
 from . import riemann_roch as rr
 from .coverings import CoveringMap, check_riemann_hurwitz, gen_cube_double_cover, validate_map
-from .errors import DqsError, ParseError, SurfaceError
+from .errors import DqsError, ParseError
 from .generators import delaunay_voronoi, gen_torus
 from .io import (
     oneform_doc,
@@ -39,14 +39,7 @@ from .io import (
     serialize_function,
     serialize_map_bundle,
 )
-from .surface import (
-    _edge_violations,
-    _quad_violations,
-    _violation_order,
-    genus,
-    require_ids,
-    validate,
-)
+from .surface import genus, require_ids, require_surface, validate
 from .selftest import run_all
 
 
@@ -63,24 +56,18 @@ def _read_input(path):
         raise DqsError(f"{name}: cannot read: {getattr(exc, 'strerror', None) or exc}") from None
 
 
-def _read_surface(args, solver=False):
-    """Read and parse the surface argument: (text, complex, embedded basis).
+def _read_surface(args):
+    """Read, parse and check the surface argument: (text, complex, embedded
+    basis).
 
-    With solver=True the surface must also pass the per-quad and per-edge
-    checks of ``validate`` (four distinct vertices colored (b, w, b, w),
-    each edge traversed once each way, a finite weight with Re rho > 0),
-    the checks cheap enough to run before every solve; the first
-    violation in ``validate``'s order is raised.  Edges shared by more
-    than two quads (strong regularity) do not block a solve.  ``check``
-    runs the full validation instead and lists every violation.
+    The surface must pass ``require_surface``: the first violation in
+    ``validate``'s order is raised.  Edges shared by more than two quads
+    (strong regularity) do not block a command.  ``check`` parses the
+    surface itself and lists every violation instead.
     """
     text, name = _read_input(args.surface)
     cx, embedded = parse_dqs(text, name)
-    if solver:
-        bad = [v for v in _quad_violations(cx) + _edge_violations(cx)
-               if v.kind != "strong-regularity"]
-        if bad:
-            raise SurfaceError(min(bad, key=_violation_order).detail)
+    require_surface(cx)
     return text, cx, embedded
 
 
@@ -146,7 +133,8 @@ def _basis_for(cx, embedded):
 
 
 def cmd_check(args):
-    text, cx, _ = _read_surface(args)
+    text, name = _read_input(args.surface)
+    cx, _ = parse_dqs(text, name)
     report = Report("check", args.format, _digest(text))
     vr = validate(cx)
     report.outputs["violations"] = [str(v) for v in vr.violations]
@@ -177,7 +165,7 @@ def cmd_homology(args):
 
 
 def cmd_periods(args):
-    text, cx, embedded = _read_surface(args, solver=True)
+    text, cx, embedded = _read_surface(args)
     basis = _basis_for(cx, embedded)
     pm = di.period_matrices(cx, basis)
     report = Report("periods", args.format, _digest(text))
@@ -197,7 +185,7 @@ def cmd_periods(args):
 
 
 def cmd_harmonic(args):
-    text, cx, embedded = _read_surface(args, solver=True)
+    text, cx, embedded = _read_surface(args)
     basis = _basis_for(cx, embedded)
     targets = [_complex_arg(t) for t in args.targets.split(",")] if args.targets \
         else [0.0] * (4 * basis.g)
@@ -217,7 +205,7 @@ def cmd_harmonic(args):
 
 
 def cmd_abelian(args):
-    text, cx, embedded = _read_surface(args, solver=True)
+    text, cx, embedded = _read_surface(args)
     basis = _basis_for(cx, embedded)
     report = Report("abelian", args.format, _digest(text))
     if args.second is not None:
@@ -247,7 +235,7 @@ def cmd_abelian(args):
 
 
 def cmd_riemann_roch(args):
-    text, cx, _ = _read_surface(args, solver=True)
+    text, cx, _ = _read_surface(args)
     d = parse_divisor_string(args.divisor)
     rep = rr.check_riemann_roch(cx, d)
     report = Report("riemann-roch", args.format, _digest(text))
@@ -287,7 +275,7 @@ def cmd_hurwitz(args):
 
 
 def cmd_abel_jacobi(args):
-    text, cx, embedded = _read_surface(args, solver=True)
+    text, cx, embedded = _read_surface(args)
     v = args.point
     require_ids((args.base,), cx.nq, "quad")
     require_ids((v,), cx.nv, "vertex")

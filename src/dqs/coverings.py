@@ -271,8 +271,10 @@ def double_cover(base: QuadComplex, flip_edges) -> tuple:
     def slot_id(q, s, slot):
         return (q * 2 + s) * 4 + slot
 
-    for pair, entries in base.edge_pairs.items():
-        (q1, _, _), (q2, _, _) = entries
+    order, keys = base.edge_groups
+    for (i1, i2), key in zip(order.reshape(-1, 2).tolist(), keys[::2].tolist()):
+        pair = divmod(key, base.nv)
+        q1, q2 = i1 // 4, i2 // 4
         f = 1 if pair in flip_edges else 0
         for s in (0, 1):
             s2 = s ^ f
@@ -324,7 +326,7 @@ def gen_cube_double_cover():
         return tag[0] == "e" and (tag[1], tag[2]) == pair
 
     flip_edges = set()
-    for (u, w) in base.edge_pairs:
+    for u, w in (divmod(k, base.nv) for k in dict.fromkeys(base.edge_groups[1].tolist())):
         for pair in vertical_pairs:
             if on_vertical(u, pair) and on_vertical(w, pair):
                 flip_edges.add((u, w))

@@ -28,10 +28,14 @@ caches the weights as a complex array and, on first use, its dense
 operators: the vertex-boundary matrix and its p dz composition.  Every
 cached array is read-only, so all consumers of one surface can share
 it.  ``validate`` checks every surface invariant with linear numpy
-passes over these arrays and formats messages for the violators only;
-``stars`` walks the successors.  Every walk on the surface (the
-tree-cotree split, paths on the diagonal and medial graphs) is one
-breadth-first search, ``_bfs``, over one adjacency format.
+passes over these arrays and formats messages for the violators only.
+Its findings but strong regularity are cached as ``defects``, and
+``require_surface``, the one check before any computation, raises the
+first of them, so a surface is checked once however many commands or
+constructions ask.  ``stars`` walks the successors.  Every walk on the
+surface (the tree-cotree split, paths on the diagonal and medial
+graphs) is one breadth-first search, ``_bfs``, over one adjacency
+format.
 """
 
 from __future__ import annotations
@@ -127,22 +131,6 @@ class QuadComplex:
         t = self.quads[q]
         return t[SLOT_WM], t[SLOT_WP]
 
-    # -- derived incidence tables ------------------------------------
-
-    @cached_property
-    def edge_pairs(self):
-        """Undirected vertex pairs of quad boundary edges with directed slots.
-
-        Maps frozenset-like sorted pair -> list of (q, u, w) meaning quad q
-        traverses u -> w on its ccw boundary.
-        """
-        table = {}
-        for q, t in enumerate(self.quads):
-            for i in range(4):
-                u, w = t[i], t[(i + 1) % 4]
-                table.setdefault((min(u, w), max(u, w)), []).append((q, u, w))
-        return table
-
     # -- array views -------------------------------------------------
     # Incidence 4*q + slot is corner `slot` of quad q, so the flattened
     # quad array lists the incidences in (quad, slot) order.  The edge of
@@ -225,6 +213,14 @@ class QuadComplex:
         ok = (paired[before] & (verts[succ] == verts)
               & np.repeat(simple, 4) & simple[succ // 4])
         return read_only(np.where(ok, succ, -1))
+
+    @cached_property
+    def defects(self) -> tuple:
+        """The findings of ``validate`` but strong regularity, in its order:
+        the violations that keep the complex from being a closed connected
+        oriented quad surface.  ``require_surface`` reads them, so each
+        surface is checked once."""
+        return _defects(self)
 
     # -- dense operators ---------------------------------------------
     # Built on first use by dqs.operators, which builds on this module and
@@ -336,15 +332,6 @@ class Violation:
 class ValidationReport:
     violations: tuple
 
-    STRUCTURAL = (
-        "quad-vertices",
-        "bipartite",
-        "closed-surface",
-        "vertex-link",
-        "connectivity",
-        "rho-positivity",
-    )
-
     @property
     def ok(self) -> bool:
         return not self.violations
@@ -367,6 +354,10 @@ _KIND_ORDER = {"quad-vertices": 0, "bipartite": 1, "closed-surface": 2,
                "vertex-link": 3, "connectivity": 4, "rho-positivity": 5,
                "strong-regularity": 6}
 
+# the kinds after which the quads are not glued into a closed oriented
+# surface, so the link, connectivity and quad-pair passes do not run
+_UNGLUED = ("quad-vertices", "bipartite", "closed-surface")
+
 
 def validate(cx: QuadComplex) -> ValidationReport:
     """Check every invariant of a compact discrete quad surface.
@@ -376,26 +367,43 @@ def validate(cx: QuadComplex) -> ValidationReport:
     Strong-regularity findings are reported but do not block the rest of
     the library (wrap-around grids of width two violate the letter of
     strong regularity while every computation on them is well defined).
+    They come last, after the cached ``cx.defects``.
 
     Every invariant is one pass over the quad array and the incidence
     arrays; messages are formatted for the violators only.
     """
+    order, keys = cx.edge_groups
+    start, count = _runs(keys)
+    # an edge in more than two quad boundaries, traversed as often each way
+    unclosed = {v.ids for v in cx.defects if v.kind == "closed-surface"}
+    bad = []
+    for k in np.flatnonzero(count > 2).tolist():
+        pair = divmod(int(keys[start[k]]), cx.nv)
+        if pair not in unclosed:
+            bad.append(Violation(
+                "strong-regularity", pair,
+                f"edge {pair} is shared by {count[k]} quad boundaries"))
+    if not any(v.kind in _UNGLUED for v in cx.defects):
+        bad.extend(_strong_regularity_violations(cx, order // 4, count))
+    bad.sort(key=_violation_order)
+    return ValidationReport(cx.defects + tuple(bad))
+
+
+def _defects(cx: QuadComplex) -> tuple:
+    """Every finding of ``validate`` but strong regularity, sorted."""
     bad = _quad_violations(cx) + _edge_violations(cx)
-    if not any(v.kind in ("quad-vertices", "bipartite", "closed-surface") for v in bad):
+    if not any(v.kind in _UNGLUED for v in bad):
         # Now every quad has four distinct vertices and edges, and every
-        # edge is traversed once each way by each pair of quads on it.
-        order, keys = cx.edge_groups
-        count = _runs(keys)[1]
-        if (count == 2).all():
+        # edge is traversed once each way by each pair of quads on it, so
+        # the star successors are all set unless some edge is doubled.
+        if (cx.star_successor >= 0).all():
             v = _split_link_vertex(cx)
             if v is not None:
                 bad.append(Violation("vertex-link", (),
                                      f"link of vertex {v} is not a single cycle"))
         bad.extend(_connectivity_violations(cx))
-        bad.extend(_strong_regularity_violations(cx, order // 4, count))
-
     bad.sort(key=_violation_order)
-    return ValidationReport(tuple(bad))
+    return tuple(bad)
 
 
 def _violation_order(v: Violation):
@@ -433,10 +441,9 @@ def _quad_violations(cx: QuadComplex) -> list:
 
 
 def _edge_violations(cx: QuadComplex) -> list:
-    """The per-edge findings of ``validate``, by edge: each undirected edge
-    (u, w), u <= w, is traversed as often u -> w as w -> u by the quad
-    boundaries (closed-surface), and by two of them only (strong-regularity).
-    """
+    """The closed-surface findings of ``validate``, by edge: each undirected
+    edge (u, w), u <= w, is traversed as often u -> w as w -> u by the quad
+    boundaries."""
     Q = cx.quad_array
     order, keys = cx.edge_groups
     start, count = _runs(keys)
@@ -449,11 +456,6 @@ def _edge_violations(cx: QuadComplex) -> list:
         bad.append(Violation(
             "closed-surface", pair,
             f"edge {pair} traversed {fwd[k]}x forward, {rev[k]}x backward"))
-    for k in np.flatnonzero((fwd == rev) & (count > 2)).tolist():
-        pair = divmod(int(keys[start[k]]), cx.nv)
-        bad.append(Violation(
-            "strong-regularity", pair,
-            f"edge {pair} is shared by {count[k]} quad boundaries"))
     return bad
 
 
@@ -497,48 +499,46 @@ def _split_link_vertex(cx):
 
     Needs every entry of ``cx.star_successor`` set.  Pointer doubling
     labels each incidence with the lowest incidence on its cycle; a
-    vertex's star is one cycle iff that is its own lowest incidence.
+    vertex's star is one cycle iff one of its incidences keeps its own
+    label.
     """
-    by_vertex, deg, start = cx.vertex_groups
-    if not len(by_vertex):
+    verts = cx.quad_array.ravel()
+    if not len(verts):
         return None
     succ = cx.star_successor
     label = np.arange(len(succ))
-    span = 1
-    while span < deg.max():
+    own = label
+    span, longest = 1, np.bincount(verts).max()
+    while span < longest:
         label = np.minimum(label, label[succ])
         succ = succ[succ]
         span *= 2
-    verts = cx.quad_array.ravel()
-    split = label != by_vertex[start[verts]]
-    return int(verts[split].min()) if split.any() else None
+    split = np.bincount(verts[label == own], minlength=cx.nv) > 1
+    return int(split.argmax()) if split.any() else None
 
 
 def _connectivity_violations(cx):
     if cx.nv == 0:
         return [Violation("connectivity", (), "empty complex")]
-    # Breadth-first search from vertex 0, one level at a time: a vertex
-    # reaches every vertex of its quads, which the quad's boundary edges
-    # connect.
+    # Union by hooking and pointer jumping: root[v] is the lowest vertex of
+    # v's tree.  Each round hooks the root of every quad corner to the
+    # lowest root on that quad, then jumps every pointer to its root.  A
+    # tree short of a whole component joins another in every round, so
+    # the rounds are logarithmic in nv.  When a round hooks nothing, every
+    # quad lies in one tree, and the tree of vertex 0 is its component.
     Q = cx.quad_array
-    by_vertex, deg, start = cx.vertex_groups
-    seen = np.zeros(cx.nv, dtype=bool)
-    seen[0] = True
-    slot = np.empty(cx.nv, dtype=np.int64)
-    front = np.zeros(1, dtype=np.int64)
-    while front.size:
-        n = deg[front]
-        incidences = by_vertex[np.repeat(start[front] - (np.cumsum(n) - n), n)
-                               + np.arange(n.sum())]
-        reached = Q[incidences // 4].ravel()
-        reached = reached[~seen[reached]]
-        # keep one copy of each vertex: the position whose rank survives
-        # the repeated writes
-        rank = np.arange(len(reached))
-        slot[reached] = rank
-        front = reached[slot[reached] == rank]
-        seen[front] = True
-    n_seen = int(np.count_nonzero(seen))
+    root = np.arange(cx.nv)
+    while True:
+        c = root[Q]
+        low = np.minimum(np.minimum(c[:, 0], c[:, 1]), np.minimum(c[:, 2], c[:, 3]))
+        hooked = root.copy()
+        np.minimum.at(hooked, c.ravel(), np.repeat(low, 4))
+        if np.array_equal(hooked, root):
+            break
+        root = hooked
+        while not np.array_equal(root[root], root):
+            root = root[root]
+    n_seen = int(np.count_nonzero(root == 0))
     if n_seen != cx.nv:
         return [Violation("connectivity", (), f"only {n_seen} of {cx.nv} vertices connected")]
     return []
@@ -655,13 +655,13 @@ def _path_to(parent: dict, goal: int) -> list:
     return steps[::-1]
 
 
-def require_surface(cx: QuadComplex):
-    """Raise unless the structural surface invariants hold."""
-    report = validate(cx)
-    if not report.surface_ok:
-        msgs = [str(v) for v in report.violations if v.kind != "strong-regularity"]
-        raise SurfaceError("not a discrete quad surface:\n" + "\n".join(msgs))
-    return report
+def require_surface(cx: QuadComplex) -> None:
+    """Raise SurfaceError with the first of ``cx.defects``, if any.
+
+    Strong regularity is not required.  The check runs on the first call
+    for a surface; later calls read the cached findings."""
+    if cx.defects:
+        raise SurfaceError(cx.defects[0].detail)
 
 
 def require_ids(ids, n: int, what: str):
@@ -882,7 +882,7 @@ class MedialGraph:
 
     @property
     def n_vertices(self) -> int:
-        return len(self.complex.edge_pairs)
+        return len(_runs(self.complex.edge_groups[1])[0])
 
     @property
     def n_edges(self) -> int:

@@ -23,6 +23,18 @@ def incidences(cx):
     return tuple(map(tuple, inc))
 
 
+@functools.lru_cache(maxsize=16)
+def edge_pairs(cx):
+    """Reference edge table: per undirected edge (u, w), u < w, the
+    (q, a, b) of each quad q traversing it a -> b, read one quad at a time."""
+    table = {}
+    for q, t in enumerate(cx.quads):
+        for i in range(4):
+            u, w = t[i], t[(i + 1) % 4]
+            table.setdefault((min(u, w), max(u, w)), []).append((q, u, w))
+    return table
+
+
 @pytest.fixture(scope="session")
 def cube():
     return gen_cube()

@@ -405,18 +405,38 @@ def _reflect_quad_3(doc):
     q["wm"], q["wp"] = q["wp"], q["wm"]
 
 
+def _second_copy(shared=()):
+    """Append a copy of the surface whose vertices in shared are the originals."""
+    def edit(doc):
+        vertices, quads = doc["vertices"], doc["quads"]
+        new = {}
+        for v in list(vertices):
+            if v["id"] in shared:
+                new[v["id"]] = v["id"]
+            else:
+                new[v["id"]] = len(vertices)
+                vertices.append(dict(v, id=len(vertices)))
+        for q in list(quads):
+            corners = {c: new[q[c]] for c in ("bm", "wm", "bp", "wp")}
+            quads.append(dict(q, id=len(quads), **corners))
+    return edit
+
+
 @pytest.mark.parametrize("edit, message", [
     (_recolor_vertex_5, "quad 0 corner colors (0, 1, 1, 1) are not (b, w, b, w)"),
     (_repeat_bm_in_quad_3, "quad 3 has repeated vertices"),
     (_reflect_quad_3, "edge (0, 3) traversed 2x forward, 0x backward"),
+    (_second_copy(), "only 16 of 32 vertices connected"),
+    (_second_copy(shared=(0,)), "link of vertex 0 is not a single cycle"),
 ])
 @pytest.mark.parametrize("command", [["periods"], ["harmonic"], ["abelian", "--second", "2"],
                                      ["abelian", "--third", "0", "2"],
                                      ["abel-jacobi", "--base", "0", "--point", "0"],
-                                     ["riemann-roch"]])
+                                     ["riemann-roch"], ["genus"], ["homology"]])
 def test_solver_commands_refuse_malformed_quads(edit, message, command, tmp_path, capsys):
-    """Solver commands run the per-quad and per-edge checks of ``validate``
-    and stop at its first violation, as ``check`` lists it."""
+    """Every surface command but ``check`` runs ``require_surface`` and stops
+    at the first violation of ``validate``, as ``check`` lists it; the
+    embedded basis does not let a command skip the check."""
     cx = gen_torus(4, 4, 0.1 + 1.1j)
     doc = json.loads(serialize_dqs(cx, standard_torus_basis(cx, 4, 4)))
     edit(doc)

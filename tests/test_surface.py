@@ -12,20 +12,23 @@ from dqs import (
     gen_cube,
     gen_torus,
     genus,
+    homology_basis,
     intersection_angle,
     medial_graph,
     quad_chart,
     realize_rhombic,
+    require_surface,
     subdivide3,
     validate,
     vertex_chart,
     vertex_fan,
 )
+from dqs import surface
 from dqs.coverings import gen_cube_double_cover
 from dqs.errors import AmbiguousGluingError, DqsError, MalformedSurfaceError, SurfaceError
 from dqs.surface import SLOT_BM, SLOT_BP, SLOT_WM, SLOT_WP, ValidationReport, Violation
 
-from conftest import incidences
+from conftest import edge_pairs, incidences
 
 
 def pillow():
@@ -43,7 +46,7 @@ def pillow():
 
 
 def _reference_other_quad(cx, u, w):
-    entries = cx.edge_pairs[(min(u, w), max(u, w))]
+    entries = edge_pairs(cx)[(min(u, w), max(u, w))]
     if len(entries) != 2:
         raise AmbiguousGluingError(
             f"edge {{{u}, {w}}} occurs in {len(entries)} quad boundaries; "
@@ -92,7 +95,7 @@ def _reference_validate(cx):
             bad.append(Violation(
                 "bipartite", (q,),
                 f"quad {q} corner colors {cols} are not (b, w, b, w)"))
-    for pair, entries in sorted(cx.edge_pairs.items()):
+    for pair, entries in sorted(edge_pairs(cx).items()):
         fwd = sum(1 for (_, a, b) in entries if (a, b) == pair)
         rev = len(entries) - fwd
         if fwd != rev or len(entries) % 2:
@@ -112,7 +115,7 @@ def _reference_validate(cx):
                 "rho-positivity", (q,), f"quad {q} has rho={r} with Re <= 0"))
     structural = [v for v in bad if v.kind in ("quad-vertices", "bipartite", "closed-surface")]
     if not structural:
-        if not any(len(e) != 2 for e in cx.edge_pairs.values()):
+        if not any(len(e) != 2 for e in edge_pairs(cx).values()):
             try:
                 _reference_stars(cx)
             except SurfaceError as exc:
@@ -132,7 +135,7 @@ def _reference_connectivity(cx):
     seen = {0}
     stack = [0]
     adj = {}
-    for (u, w) in cx.edge_pairs:
+    for (u, w) in edge_pairs(cx):
         adj.setdefault(u, []).append(w)
         adj.setdefault(w, []).append(u)
     while stack:
@@ -149,7 +152,7 @@ def _reference_connectivity(cx):
 def _reference_strong_regularity(cx):
     out = []
     shared_edges = {}
-    for pair, entries in cx.edge_pairs.items():
+    for pair, entries in edge_pairs(cx).items():
         qs = sorted({q for (q, _, _) in entries})
         for i in range(len(qs)):
             for j in range(i + 1, len(qs)):
@@ -285,6 +288,13 @@ def _surface(name):
         return _split_quad(), ["strong-regularity"]
     if name == "disconnected":
         return _two_cubes(), ["connectivity"]
+    if name == "disconnected-interleaved":
+        # the two cubes' vertex ids alternate, so no id range is one component
+        cubes = _two_cubes()
+        new = [2 * (v % 8) + v // 8 for v in range(16)]
+        colors = [cubes.colors[new.index(v)] for v in range(16)]
+        return _relabel(cubes, [[new[v] for v in t] for t in cubes.quads],
+                        colors=colors), ["connectivity"]
     if name == "bad-weights":
         rho = list(torus.rho)
         rho[2], rho[7], rho[9], rho[11] = complex("nan"), 0j, -1 + 0.5j, complex(1, float("inf"))
@@ -307,12 +317,15 @@ def _array_stars(cx):
 @pytest.mark.parametrize("name", [
     "cube", "pillow", "torus-2x4", "torus-4x4", "torus-32", "genus3", "genus3-sub3",
     "repeated-vertex", "non-bipartite", "open", "doubled-quad", "two-cycle-link",
-    "shared-diagonal", "degree-two-vertex", "disconnected", "bad-weights"])
+    "shared-diagonal", "degree-two-vertex", "disconnected", "disconnected-interleaved",
+    "bad-weights"])
 def test_validate_and_stars_match_reference(name):
     cx, kinds = _surface(name)
     report = validate(cx)
     assert report.kinds() == kinds
-    assert report == _reference_validate(QuadComplex(cx.colors, cx.quads, cx.rho))
+    reference = _reference_validate(QuadComplex(cx.colors, cx.quads, cx.rho))
+    assert report == reference
+    assert cx.defects == _structural(reference)
     assert _stars_outcome(_array_stars, cx) == _stars_outcome(_reference_stars, cx)
 
 
@@ -338,8 +351,44 @@ def test_validate_matches_reference_on_random_edits(rng):
                 quads.pop(q)
                 rho.pop(q)
         cx = QuadComplex.build(colors, quads, rho)
-        assert validate(cx) == _reference_validate(cx)
+        reference = _reference_validate(cx)
+        assert validate(cx) == reference
+        assert cx.defects == _structural(reference)
         assert _stars_outcome(_array_stars, cx) == _stars_outcome(_reference_stars, cx)
+
+
+def _structural(report):
+    """The findings of a report that ``require_surface`` acts on."""
+    return tuple(v for v in report.violations if v.kind != "strong-regularity")
+
+
+def test_require_surface_checks_each_surface_once(monkeypatch):
+    calls = []
+
+    def counted(cx, original=surface._quad_violations):
+        calls.append(cx)
+        return original(cx)
+
+    monkeypatch.setattr(surface, "_quad_violations", counted)
+    cx = gen_torus(4, 4, 1j)
+    require_surface(cx)
+    require_surface(cx)
+    assert validate(cx).ok
+    assert len(calls) == 1
+    bad = _surface("disconnected")[0]
+    for _ in range(2):
+        with pytest.raises(SurfaceError, match="^only 8 of 16 vertices connected$"):
+            require_surface(bad)
+    assert len(calls) == 2
+
+
+def test_require_surface_leaves_strong_regularity_out(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("strong regularity is not required")
+
+    monkeypatch.setattr(surface, "_strong_regularity_violations", refuse)
+    assert homology_basis(gen_torus(4, 4, 1j)).g == 1
+    require_surface(pillow())
 
 
 def test_validate_work_is_linear(monkeypatch, counted_quads):
