@@ -28,6 +28,7 @@ from .surface import (
     SLOT_WP,
     QuadComplex,
     expand_diamond,
+    intersection_angle,
 )
 
 
@@ -243,7 +244,7 @@ def hodge_star_edge_formula(cx: QuadComplex, omega: DiamondForm, q: int):
     """Star via the cot/sin edge formulas; agrees with hodge_star per quad."""
     import math
     rho = cx.rho[q]
-    phi = math.acos(max(-1.0, min(1.0, (1j * rho / abs(rho)).real)))
+    phi = intersection_angle(rho)
     cot, sin = math.cos(phi) / math.sin(phi), math.sin(phi)
     b, w = omega.black[q], omega.white[q]
     star_b = cot * b - (1.0 / (abs(rho) * sin)) * w

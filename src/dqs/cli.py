@@ -27,7 +27,7 @@ from . import jacobian as ja
 from . import operators as op
 from . import riemann_roch as rr
 from .coverings import CoveringMap, check_riemann_hurwitz, gen_cube_double_cover, validate_map
-from .errors import DqsError, ParseError
+from .errors import DqsError, ParseError, SurfaceError
 from .generators import delaunay_voronoi, gen_torus
 from .io import (
     oneform_doc,
@@ -257,6 +257,11 @@ def cmd_hurwitz(args):
         return _read_input(os.path.join(base, p))[0]
 
     source, target, vm, _, _ = parse_map_bundle(text, name, loader)
+    for side, cx in (("source", source), ("target", target)):
+        try:
+            require_surface(cx)
+        except SurfaceError as exc:
+            raise SurfaceError(f"{side}: {exc}") from None
     cmap = CoveringMap(source, target, vm)
     report = Report("hurwitz", args.format, _digest(text))
     vrep = validate_map(cmap)

@@ -13,7 +13,15 @@ at the target quads incident to the image of a quad's first corner, and
 ``CoveringMap.quad_images`` looks up the image of every source quad once
 per map in a table of target quad rotations, also built once per map.
 The map checks, branch numbers and sheet counts all read those images,
-so validating a map is linear in the two surfaces.
+so validating a map is linear in the two surfaces; the star condition
+is checked only where an image is no rotation of a target quad.  The
+genus relation holds for closed connected surfaces, so ``dqs hurwitz``
+passes both sides through ``require_surface`` first.
+
+``double_cover`` glues the corner slots of the two sheets across the
+base edges, reading the base's edge table, and takes the cover vertices
+from the same union pass (``surface._components``) as the connectivity
+check.
 """
 
 from __future__ import annotations
@@ -27,6 +35,7 @@ from .errors import DqsError, SurfaceError
 from .generators import gen_cube, gen_torus
 from .surface import (
     QuadComplex,
+    _components,
     genus,
     require_surface,
     subdivide3_with_provenance,
@@ -93,9 +102,13 @@ def quad_image(m: CoveringMap, q: int):
     """
     q2 = m.quad_images[q]
     if q2 == _NOT_A_ROTATION:
-        imgs = tuple(m.image(v) for v in m.source.quads[q])
-        raise DqsError(f"quad {q} image {imgs} is not a rotation of any target quad")
+        raise DqsError(_not_a_rotation(m, q))
     return None if q2 == -1 else q2
+
+
+def _not_a_rotation(m: CoveringMap, q: int) -> str:
+    imgs = tuple(m.image(v) for v in m.source.quads[q])
+    return f"quad {q} image {imgs} is not a rotation of any target quad"
 
 
 @dataclass(frozen=True)
@@ -111,7 +124,12 @@ class MapReport:
 
 
 def validate_map(m: CoveringMap, tol: float = 1e-12) -> MapReport:
-    """Check color preservation, the star condition, and per-quad rigidity."""
+    """Check color preservation, the star condition, and per-quad rigidity.
+
+    A quad whose image is a rotation of target quad q2 lies in q2, which
+    holds the image of its first corner, so the star condition is checked
+    only for biconstant quads and quads whose image is no rotation.
+    """
     bad = []
     for v in range(m.source.nv):
         if m.source.colors[v] != m.target.colors[m.image(v)]:
@@ -120,20 +138,16 @@ def validate_map(m: CoveringMap, tol: float = 1e-12) -> MapReport:
         return MapReport(tuple(bad))
     by_vertex, deg, start = m.target.vertex_groups
     quads_at, deg, start = (by_vertex // 4).tolist(), deg.tolist(), start.tolist()
-    for q in range(m.source.nq):
-        imgs = [m.image(v) for v in m.source.quads[q]]
-        # a target quad holding every image also holds imgs[0]
-        i = imgs[0]
-        if not any(all(v in m.target.quads[q2] for v in imgs)
-                   for q2 in quads_at[start[i]:start[i] + deg[i]]):
-            bad.append(f"quad {q}: images {imgs} share no target quad (star condition)")
-            continue
-        if is_biconstant_quad(m, q):
-            continue
-        try:
-            q2 = quad_image(m, q)
-        except DqsError as exc:
-            bad.append(str(exc))
+    for q, q2 in enumerate(m.quad_images):
+        if q2 < 0:
+            imgs = [m.image(v) for v in m.source.quads[q]]
+            # a target quad holding every image also holds imgs[0]
+            i = imgs[0]
+            if not any(all(v in m.target.quads[t] for v in imgs)
+                       for t in quads_at[start[i]:start[i] + deg[i]]):
+                bad.append(f"quad {q}: images {imgs} share no target quad (star condition)")
+            elif q2 == _NOT_A_ROTATION:
+                bad.append(_not_a_rotation(m, q))
             continue
         if abs(m.source.rho[q] - m.target.rho[q2]) > tol * max(1.0, abs(m.target.rho[q2])):
             bad.append(
@@ -256,52 +270,25 @@ def double_cover(base: QuadComplex, flip_edges) -> tuple:
         raise SurfaceError("double cover construction needs simple edges")
     flip_edges = {(min(u, w), max(u, w)) for (u, w) in flip_edges}
 
-    nq = base.nq
-    parent = list(range(2 * 4 * nq))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x, y):
-        parent[find(x)] = find(y)
-
-    def slot_id(q, s, slot):
-        return (q * 2 + s) * 4 + slot
-
+    # Corner i of the base (slot i % 4 of quad i // 4) has the slot
+    # i + 4 * (i // 4 + s) on sheet s.  Of the two traversals of an edge,
+    # each starts at the corner where the other ends, and the edge glues
+    # those corners, on one sheet or across.
     order, keys = base.edge_groups
-    for (i1, i2), key in zip(order.reshape(-1, 2).tolist(), keys[::2].tolist()):
-        pair = divmod(key, base.nv)
-        q1, q2 = i1 // 4, i2 // 4
-        f = 1 if pair in flip_edges else 0
-        for s in (0, 1):
-            s2 = s ^ f
-            for v in pair:
-                union(slot_id(q1, s, base.quads[q1].index(v)),
-                      slot_id(q2, s2, base.quads[q2].index(v)))
-
-    classes = {}
-    for q in range(nq):
-        for s in (0, 1):
-            for slot in range(4):
-                r = find(slot_id(q, s, slot))
-                if r not in classes:
-                    classes[r] = len(classes)
-
-    colors = [0] * len(classes)
-    vm = [0] * len(classes)
-    quads = []
-    rho = []
-    for q in range(nq):
-        for s in (0, 1):
-            t = tuple(classes[find(slot_id(q, s, slot))] for slot in range(4))
-            quads.append(t)
-            rho.append(base.rho[q])
-            for slot in range(4):
-                colors[t[slot]] = base.colors[base.quads[q][slot]]
-                vm[t[slot]] = base.quads[q][slot]
+    ends = order - order % 4 + (order + 1) % 4
+    mates = ends.reshape(-1, 2)[:, ::-1].ravel()
+    flip = np.repeat([divmod(k, base.nv) in flip_edges
+                      for k in keys[base.edge_runs[0]].tolist()], 2).astype(np.int64)
+    rows = np.concatenate([np.stack([order + 4 * (order // 4 + s),
+                                     mates + 4 * (mates // 4 + (s ^ flip))], axis=1)
+                           for s in (0, 1)])
+    # classes numbered by their lowest slot
+    lowest, slot_class = np.unique(_components(8 * base.nq, rows), return_inverse=True)
+    quads = slot_class.reshape(-1, 4)
+    vm = np.empty(len(lowest), dtype=np.int64)
+    vm[quads.ravel()] = np.repeat(base.quad_array, 2, axis=0).ravel()
+    colors = [base.colors[v] for v in vm.tolist()]
+    rho = [r for r in base.rho for _ in (0, 1)]
     total = QuadComplex.build(colors, quads, rho)
     return total, CoveringMap(total, base, vm)
 
@@ -326,7 +313,8 @@ def gen_cube_double_cover():
         return tag[0] == "e" and (tag[1], tag[2]) == pair
 
     flip_edges = set()
-    for u, w in (divmod(k, base.nv) for k in dict.fromkeys(base.edge_groups[1].tolist())):
+    edges = base.edge_groups[1][base.edge_runs[0]].tolist()
+    for u, w in (divmod(k, base.nv) for k in edges):
         for pair in vertical_pairs:
             if on_vertical(u, pair) and on_vertical(w, pair):
                 flip_edges.add((u, w))

@@ -45,15 +45,15 @@ def gen_torus(m: int, n: int, tau: complex) -> QuadComplex:
     return QuadComplex.build(colors, quads, rho)
 
 
-def randomize_rho(cx: QuadComplex, rng: np.random.Generator,
-                  re_range=(0.2, 3.0), im_max=2.0) -> QuadComplex:
-    """Same combinatorics with fresh random weights.
+def randomize_rho(cx: QuadComplex, rng: np.random.Generator) -> QuadComplex:
+    """Same combinatorics with fresh random weights, Re rho uniform in
+    [0.2, 3) and Im rho in [-2, 2).
 
     The combinatorics of cx have passed ``QuadComplex.build`` or the
     parser already, so the complex is made directly from its tuples.
     """
-    re = rng.uniform(re_range[0], re_range[1], cx.nq)
-    im = rng.uniform(-im_max, im_max, cx.nq)
+    re = rng.uniform(0.2, 3.0, cx.nq)
+    im = rng.uniform(-2.0, 2.0, cx.nq)
     return QuadComplex(cx.colors, cx.quads, tuple((re + 1j * im).tolist()))
 
 

@@ -20,8 +20,9 @@ Every walk on a diagonal graph (the tree-cotree split behind
 search, ``surface._bfs``, over the flat adjacency the surface caches for
 each color (``QuadComplex.diagonal_adjacency``), so no search scans the
 whole surface or reads a quad tuple.  Lifting a diagonal walk back to
-the medial graph reads the quad tuples and steps around each vertex
-along ``QuadComplex.star_successor``.  Shadows are computed once per
+the medial graph reads the quad tuples and, behind ``require_surface``,
+steps around each vertex along ``QuadComplex.star_successor`` alone, as
+``QuadComplex.stars`` does.  Shadows are computed once per
 cycle, and an intersection matrix is one integer product of the black
 and white quad multiplicities of those shadows.
 """
@@ -46,6 +47,7 @@ from .surface import (
     SLOT_WP,
     WHITE,
     QuadComplex,
+    _ambiguous_gluing,
     _bfs,
     _path_to,
     genus,
@@ -334,12 +336,14 @@ def lift_diagonal_walk(cx: QuadComplex, walk, color: int) -> Cycle:
     a closed walk on the color graph.  Each step contributes the
     parallel medial edge; consecutive steps are joined by arcs of the
     vertex face at the shared vertex, walked in ccw face order along
-    ``QuadComplex.star_successor``.  Where the successor is -1 the arc
-    steps across the edge with ``_other_quad``, which raises the gluing
-    errors.  Medial endpoints come straight from the quad tuples.
+    ``QuadComplex.star_successor`` behind ``require_surface``.  An arc
+    that meets a doubled edge raises AmbiguousGluingError, and one that
+    circles its vertex without reaching the next step raises
+    SurfaceError.  Medial endpoints come straight from the quad tuples.
     """
     if not walk:
         return Cycle(())
+    require_surface(cx)
     quads = cx.quads
     succ = cx.star_successor.item
     degree = cx.vertex_groups[1].item
@@ -366,8 +370,7 @@ def lift_diagonal_walk(cx: QuadComplex, walk, color: int) -> Cycle:
             j = succ(i)
             if j < 0:
                 cur, slot = divmod(i, 4)
-                cur = cx._other_quad(cur, quads[cur][(slot - 1) % 4], v)
-                j = 4 * cur + quads[cur].index(v)
+                raise _ambiguous_gluing(cx, quads[cur][(slot - 1) % 4], v)
             out.append((j, -1))
             cur, slot = divmod(j, 4)
             pv = quads[cur][(slot - 1) % 4]

@@ -137,17 +137,16 @@ def _parse_basis(doc, cx, path):
         _require(isinstance(doc[key], list), f"{path}.{key}", "must be an array of cycles")
         out = []
         for i, edges in enumerate(doc[key]):
-            _require(isinstance(edges, list), f"{path}.{key}[{i}]",
-                     "cycle must be an array of edges")
+            if not isinstance(edges, list):
+                raise ParseError(f"{path}.{key}[{i}]", "cycle must be an array of edges")
             cyc = []
             for e in edges:
-                _require(isinstance(e, list) and len(e) == 3, f"{path}.{key}[{i}]",
-                         "edge must be [quad, corner, sign]")
+                if not (isinstance(e, list) and len(e) == 3):
+                    raise ParseError(f"{path}.{key}[{i}]", "edge must be [quad, corner, sign]")
                 q, corner, sign = e
-                _require(type(q) is int and type(corner) is int and type(sign) is int
-                         and 0 <= q < cx.nq
-                         and 0 <= corner < 4 and sign in (1, -1),
-                         f"{path}.{key}[{i}]", f"bad edge key {e}")
+                if not (type(q) is int and type(corner) is int and type(sign) is int
+                        and 0 <= q < cx.nq and 0 <= corner < 4 and sign in (1, -1)):
+                    raise ParseError(f"{path}.{key}[{i}]", f"bad edge key {e}")
                 cyc.append((4 * q + corner, sign))
             out.append(Cycle(tuple(cyc), f"{key}{i+1}"))
         return out

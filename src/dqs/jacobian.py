@@ -32,7 +32,6 @@ from .surface import (
     _adjacency,
     _bfs,
     _path_to,
-    _runs,
     require_ids,
 )
 
@@ -168,7 +167,7 @@ def _medial_bfs_path(cx: QuadComplex, start_pair, goal_pair):
     if start_pair == goal_pair:
         return []
     order, keys = cx.edge_groups
-    first, count = _runs(keys)
+    first, count = cx.edge_runs
     node = np.empty(len(keys), dtype=np.int64)  # node of the edge each incidence starts
     node[order] = np.repeat(np.arange(len(first)), count)
     before = np.roll(np.arange(len(keys)).reshape(-1, 4), 1, axis=1).ravel()

@@ -183,11 +183,11 @@ def medial_steps(walks) -> list:
     return out
 
 
-def chain_steps(chains, first_row: int = 0) -> list:
-    """Doubled shadow steps: the black shadow of chain i on row first_row + i,
-    then the white shadows on the len(chains) rows below."""
-    return (diagonal_steps([ch.black for ch in chains], BLACK, first_row)
-            + diagonal_steps([ch.white for ch in chains], WHITE, first_row + len(chains)))
+def chain_steps(chains) -> list:
+    """Doubled shadow steps: the black shadow of chain i on row i, then the
+    white shadows on the len(chains) rows below."""
+    return (diagonal_steps([ch.black for ch in chains], BLACK)
+            + diagonal_steps([ch.white for ch in chains], WHITE, len(chains)))
 
 
 def step_rows(steps, n_rows: int, nq: int) -> np.ndarray:

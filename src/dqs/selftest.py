@@ -104,8 +104,7 @@ def criterion_1(seed=0, cover=None):
         worst = max(worst, abs(pm.Pi[0, 0] - tau))
         slowest = max(slowest, time.perf_counter() - t0)
     ok = worst < 1e-9 and slowest < 1.0
-    return _result(1, "torus-period", start, ok,
-                   f"max|Pi - tau| = {worst:.2e}, slowest {slowest:.2f} s")
+    return _result(1, "torus-period", start, ok, f"max|Pi - tau| = {worst:.2e}")
 
 
 def criterion_2(seed=0, cover=None):

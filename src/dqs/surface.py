@@ -21,21 +21,25 @@ Medial-graph conventions used by every other module:
 
 Beside the tuples, a complex caches array views of its combinatorics:
 the nq x 4 quad array, the incidences grouped by vertex and by
-undirected edge, the ccw successor of every incidence in its vertex
-star, found by matching each edge with its other traversal, and the
-black and white diagonal graphs as flat adjacency tables.  It also
-caches the weights as a complex array and, on first use, its dense
-operators: the vertex-boundary matrix and its p dz composition.  Every
-cached array is read-only, so all consumers of one surface can share
-it.  ``validate`` checks every surface invariant with linear numpy
-passes over these arrays and formats messages for the violators only.
-Its findings but strong regularity are cached as ``defects``, and
-``require_surface``, the one check before any computation, raises the
-first of them, so a surface is checked once however many commands or
-constructions ask.  ``stars`` walks the successors.  Every walk on the
-surface (the tree-cotree split, paths on the diagonal and medial
-graphs) is one breadth-first search, ``_bfs``, over one adjacency
-format.
+undirected edge, the one edge table (``edge_runs``: where each edge's
+incidences start in that grouping, and how many there are), the ccw
+successor of every incidence in its vertex star, found by matching each
+edge with its other traversal, and the black and white diagonal graphs
+as flat adjacency tables.  It also caches the weights as a complex
+array and, on first use, its dense operators: the vertex-boundary
+matrix and its p dz composition.  Every cached array is read-only, so
+all consumers of one surface can share it.  ``validate`` checks every
+surface invariant with linear numpy passes over these arrays and
+formats messages for the violators only.  Its findings but strong
+regularity are cached as ``defects``, and ``require_surface``, the one
+check before any computation, raises the first of them, so a surface is
+checked once however many commands or constructions ask.  ``stars``
+walks the successors behind that check, where a missing successor can
+only be a doubled edge.  Connected components, of the vertices here and
+of the corner slots of a double cover, come from one union pass,
+``_components``.  Every walk on the surface (the tree-cotree split,
+paths on the diagonal and medial graphs) is one breadth-first search,
+``_bfs``, over one adjacency format.
 """
 
 from __future__ import annotations
@@ -182,8 +186,16 @@ class QuadComplex:
                      for lo in (SLOT_BM, SLOT_WM))
 
     @cached_property
+    def edge_runs(self):
+        """The undirected edges as runs of ``edge_groups``: (start, count),
+        edge k having the ``count[k]`` incidences of ``order`` from
+        ``start[k]`` on.  The one edge table every edge pass reads."""
+        start, count = _runs(self.edge_groups[1])
+        return read_only(start), read_only(count)
+
+    @cached_property
     def has_doubled_edges(self) -> bool:
-        return bool((_runs(self.edge_groups[1])[1] != 2).any())
+        return bool((self.edge_runs[1] != 2).any())
 
     @cached_property
     def star_successor(self) -> np.ndarray:
@@ -191,28 +203,20 @@ class QuadComplex:
 
         Walking ccw around v = quads[q][s] crosses the edge (prev(v), v);
         the next incidence of v is the other traversal of that edge, which
-        must run v -> prev(v).  The entry is -1 where that one match does
-        not settle the step: the edge is not in exactly two boundaries,
-        both traverse it the same way, or a quad on either side repeats a
-        vertex.  ``stars`` settles those steps with ``_other_quad``, which
-        raises the gluing errors.
+        runs v -> prev(v) on a complex that passes the quad and edge
+        passes of ``require_surface`` (four distinct vertices per quad,
+        every edge traversed as often each way).  Read it only there: the
+        entry is then -1 exactly where the edge is doubled, that is in more
+        than two quad boundaries.
         """
-        Q = self.quad_array
-        order, keys = self.edge_groups
-        start, length = _runs(keys)
-        size = np.repeat(length, length)
-        pos = np.arange(len(keys))
-        mate = np.empty_like(order)
-        mate[order] = order[np.where(size == 2, 2 * np.repeat(start, length) + 1 - pos, pos)]
-        paired = np.empty(len(keys), dtype=bool)
-        paired[order] = size == 2
+        order = self.edge_groups[0]
+        start, count = self.edge_runs
+        pos = np.arange(len(order))
+        two = np.repeat(count == 2, count)
+        mate = np.full_like(order, -1)  # the other traversal of each incidence's edge
+        mate[order[two]] = order[(2 * np.repeat(start, count) + 1 - pos)[two]]
         before = np.roll(pos.reshape(-1, 4), 1, axis=1).ravel()  # edge (prev(v), v)
-        succ = mate[before]
-        verts = Q.ravel()
-        simple = ~_repeated_vertices(Q)
-        ok = (paired[before] & (verts[succ] == verts)
-              & np.repeat(simple, 4) & simple[succ // 4])
-        return read_only(np.where(ok, succ, -1))
+        return read_only(mate[before])
 
     @cached_property
     def defects(self) -> tuple:
@@ -242,32 +246,18 @@ class QuadComplex:
 
         return read_only(dz(self, self.boundary_matrix))
 
-    def _other_quad(self, q: int, u: int, w: int) -> int:
-        """Quad traversing w -> u, i.e. the neighbor of q across edge {u, w}."""
-        order, keys = self.edge_groups
-        k = min(u, w) * self.nv + max(u, w)
-        lo = int(np.searchsorted(keys, k))
-        hi = int(np.searchsorted(keys, k, side="right"))
-        if hi - lo != 2:
-            raise AmbiguousGluingError(
-                f"edge {{{u}, {w}}} occurs in {hi - lo} quad boundaries; "
-                "rotation system is ambiguous"
-            )
-        for i in order[lo:hi].tolist():
-            q2, slot = divmod(i, 4)
-            if (self.quads[q2][slot], self.corner_next(q2, slot)) == (w, u):
-                return q2
-        raise SurfaceError(f"edge {{{u}, {w}}} is not traversed in both directions")
-
     @cached_property
     def stars(self):
         """Per vertex: incident quads in ccw order, as (quad, slot) pairs.
 
         Walking ccw around v crosses the edge (v, prev(v)) of the current
-        quad.  Each walk starts at the vertex's lowest (quad, slot) and
-        follows ``star_successor``.  Raises if the star does not close
-        into a single cycle.
+        quad.  Behind ``require_surface``, each walk starts at the
+        vertex's lowest (quad, slot) and follows ``star_successor``.  A
+        step across a doubled edge raises AmbiguousGluingError, and a star
+        that closes before it reaches every incidence of its vertex raises
+        SurfaceError.
         """
+        require_surface(self)
         by_vertex, deg, start = self.vertex_groups
         first = np.append(by_vertex, -1)[start].tolist()  # -1: in no quad
         deg = deg.tolist()
@@ -277,20 +267,16 @@ class QuadComplex:
             if not deg[v]:
                 out.append(())
                 continue
+            # the successors are one-to-one, so the walk returns to its
+            # start or meets a doubled edge
             i0 = i = first[v]
             order = [divmod(i0, 4)]
-            for _ in range(deg[v]):
-                j = succ[i]
+            while (j := succ[i]) != i0:
                 if j < 0:
                     q, s = divmod(i, 4)
-                    q = self._other_quad(q, self.corner_prev(q, s), v)
-                    j = 4 * q + self.corner_slot(q, v)
-                if j == i0:
-                    break
+                    raise _ambiguous_gluing(self, self.corner_prev(q, s), v)
                 order.append(divmod(j, 4))
                 i = j
-            else:
-                raise SurfaceError(f"star of vertex {v} does not close")
             if len(order) != deg[v]:
                 raise SurfaceError(f"link of vertex {v} is not a single cycle")
             out.append(tuple(order))
@@ -373,7 +359,7 @@ def validate(cx: QuadComplex) -> ValidationReport:
     arrays; messages are formatted for the violators only.
     """
     order, keys = cx.edge_groups
-    start, count = _runs(keys)
+    start, count = cx.edge_runs
     # an edge in more than two quad boundaries, traversed as often each way
     unclosed = {v.ids for v in cx.defects if v.kind == "closed-surface"}
     bad = []
@@ -396,7 +382,7 @@ def _defects(cx: QuadComplex) -> tuple:
         # Now every quad has four distinct vertices and edges, and every
         # edge is traversed once each way by each pair of quads on it, so
         # the star successors are all set unless some edge is doubled.
-        if (cx.star_successor >= 0).all():
+        if not cx.has_doubled_edges:
             v = _split_link_vertex(cx)
             if v is not None:
                 bad.append(Violation("vertex-link", (),
@@ -446,7 +432,7 @@ def _edge_violations(cx: QuadComplex) -> list:
     boundaries."""
     Q = cx.quad_array
     order, keys = cx.edge_groups
-    start, count = _runs(keys)
+    start, count = cx.edge_runs
     forward = np.r_[0, np.cumsum((Q <= np.roll(Q, -1, axis=1)).ravel()[order])]
     fwd = forward[start + count] - forward[start]
     rev = count - fwd
@@ -480,13 +466,6 @@ def _runs(keys):
     return start, np.diff(np.r_[start, len(keys)])
 
 
-def _tally(keys):
-    """Distinct values of keys in ascending order, and how often each occurs."""
-    keys = np.sort(keys)
-    start, count = _runs(keys)
-    return keys[start], count
-
-
 def _contains(distinct, x):
     """Per entry of x: whether it occurs in the sorted array distinct."""
     if not len(distinct):
@@ -517,28 +496,33 @@ def _split_link_vertex(cx):
     return int(split.argmax()) if split.any() else None
 
 
-def _connectivity_violations(cx):
-    if cx.nv == 0:
-        return [Violation("connectivity", (), "empty complex")]
-    # Union by hooking and pointer jumping: root[v] is the lowest vertex of
-    # v's tree.  Each round hooks the root of every quad corner to the
-    # lowest root on that quad, then jumps every pointer to its root.  A
-    # tree short of a whole component joins another in every round, so
-    # the rounds are logarithmic in nv.  When a round hooks nothing, every
-    # quad lies in one tree, and the tree of vertex 0 is its component.
-    Q = cx.quad_array
-    root = np.arange(cx.nv)
+def _components(n: int, rows) -> np.ndarray:
+    """The lowest id of the component of each id 0..n-1, where the ids in
+    one row of the 2-d array rows lie in one component.
+
+    Union by hooking and pointer jumping: root[v] is the lowest id of v's
+    tree.  Each round hooks the root of every row entry to the lowest
+    root on that row, then jumps every pointer to its root.  A tree short
+    of a whole component joins another in every round, so the rounds are
+    logarithmic in n.  When a round hooks nothing, every row lies in one
+    tree, and the trees are the components.
+    """
+    root = np.arange(n)
     while True:
-        c = root[Q]
-        low = np.minimum(np.minimum(c[:, 0], c[:, 1]), np.minimum(c[:, 2], c[:, 3]))
+        c = root[rows]
         hooked = root.copy()
-        np.minimum.at(hooked, c.ravel(), np.repeat(low, 4))
+        np.minimum.at(hooked, c.ravel(), np.repeat(c.min(axis=1), rows.shape[1]))
         if np.array_equal(hooked, root):
-            break
+            return root
         root = hooked
         while not np.array_equal(root[root], root):
             root = root[root]
-    n_seen = int(np.count_nonzero(root == 0))
+
+
+def _connectivity_violations(cx):
+    if cx.nv == 0:
+        return [Violation("connectivity", (), "empty complex")]
+    n_seen = int(np.count_nonzero(_components(cx.nv, cx.quad_array) == 0))
     if n_seen != cx.nv:
         return [Violation("connectivity", (), f"only {n_seen} of {cx.nv} vertices connected")]
     return []
@@ -555,7 +539,7 @@ def _strong_regularity_violations(cx, edge_quads, count):
     nq = cx.nq
     out = []
     a, b, _ = _group_pairs(edge_quads, count)
-    edge_shared, n_edges = _tally(a * nq + b)
+    edge_shared, n_edges = np.unique(a * nq + b, return_counts=True)
     for k in np.flatnonzero(n_edges > 1).tolist():
         q1, q2 = divmod(int(edge_shared[k]), nq)
         out.append(Violation(
@@ -565,7 +549,7 @@ def _strong_regularity_violations(cx, edge_quads, count):
     by_vertex, deg, _ = cx.vertex_groups
     a, b, v = _group_pairs(by_vertex // 4, deg)
     keys = a * nq + b
-    shared, n_verts = _tally(keys)
+    shared, n_verts = np.unique(keys, return_counts=True)
     bad = shared[n_verts > 1]
     bad = bad[~_contains(edge_shared, bad)]
     if bad.size:
@@ -662,6 +646,15 @@ def require_surface(cx: QuadComplex) -> None:
     for a surface; later calls read the cached findings."""
     if cx.defects:
         raise SurfaceError(cx.defects[0].detail)
+
+
+def _ambiguous_gluing(cx: QuadComplex, u: int, w: int) -> AmbiguousGluingError:
+    """The error of a star step across the doubled edge {u, w}."""
+    start, count = cx.edge_runs
+    pos = np.searchsorted(cx.edge_groups[1], min(u, w) * cx.nv + max(u, w))
+    return AmbiguousGluingError(
+        f"edge {{{u}, {w}}} occurs in {count[np.searchsorted(start, pos)]} quad "
+        "boundaries; rotation system is ambiguous")
 
 
 def require_ids(ids, n: int, what: str):
@@ -882,7 +875,7 @@ class MedialGraph:
 
     @property
     def n_vertices(self) -> int:
-        return len(_runs(self.complex.edge_groups[1])[0])
+        return len(self.complex.edge_runs[0])
 
     @property
     def n_edges(self) -> int:
@@ -897,7 +890,6 @@ class MedialGraph:
 
 
 def medial_graph(cx: QuadComplex) -> MedialGraph:
-    require_surface(cx)
     faces_q = tuple(
         tuple((medial_edge_index(q, slot), 1) for slot in FACE_Q_ORDER)
         for q in range(cx.nq)

@@ -9,6 +9,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from dqs import gen_cube, gen_torus  # noqa: E402
 from dqs.coverings import gen_cube_double_cover  # noqa: E402
+from dqs.errors import AmbiguousGluingError, SurfaceError  # noqa: E402
 from dqs.surface import QuadComplex  # noqa: E402
 
 
@@ -33,6 +34,21 @@ def edge_pairs(cx):
             u, w = t[i], t[(i + 1) % 4]
             table.setdefault((min(u, w), max(u, w)), []).append((q, u, w))
     return table
+
+
+def reference_other_quad(cx, u, w):
+    """Reference gluing lookup: the quad traversing w -> u, the neighbour
+    across edge {u, w}, searched in the reference edge table."""
+    entries = edge_pairs(cx)[(min(u, w), max(u, w))]
+    if len(entries) != 2:
+        raise AmbiguousGluingError(
+            f"edge {{{u}, {w}}} occurs in {len(entries)} quad boundaries; "
+            "rotation system is ambiguous"
+        )
+    for q2, a, b in entries:
+        if (a, b) == (w, u):
+            return q2
+    raise SurfaceError(f"edge {{{u}, {w}}} is not traversed in both directions")
 
 
 @pytest.fixture(scope="session")

@@ -20,6 +20,8 @@ from dqs.coverings import is_biconstant_quad
 from dqs.errors import DqsError
 from dqs.surface import QuadComplex
 
+from conftest import edge_pairs
+
 
 @pytest.fixture(scope="module")
 def cover():
@@ -260,3 +262,143 @@ def test_hurwitz_command_images_each_quad_once(monkeypatch, tmp_path, capsys):
     assert doc["outputs"]["sheets"] == 2 and doc["outputs"]["total_branching"] == 0
     assert all(c["pass"] for c in doc["checks"])
 
+
+
+# ---------------------------------------------------------------------------
+# the array constructions against the Python loops they replaced
+
+
+def _reference_double_cover(base, flip_edges):
+    """Reference double_cover: a union-find over the 8 nq corner slots."""
+    flip_edges = {(min(u, w), max(u, w)) for (u, w) in flip_edges}
+    parent = list(range(8 * base.nq))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def slot_id(q, s, slot):
+        return (q * 2 + s) * 4 + slot
+
+    for pair, entries in edge_pairs(base).items():
+        (q1, _, _), (q2, _, _) = entries
+        f = 1 if pair in flip_edges else 0
+        for s in (0, 1):
+            for v in pair:
+                parent[find(slot_id(q1, s, base.quads[q1].index(v)))] = \
+                    find(slot_id(q2, s ^ f, base.quads[q2].index(v)))
+    classes = {}
+    for x in range(8 * base.nq):
+        classes.setdefault(find(x), len(classes))
+    colors, vm, quads, rho = [0] * len(classes), [0] * len(classes), [], []
+    for q in range(base.nq):
+        for s in (0, 1):
+            t = tuple(classes[find(slot_id(q, s, slot))] for slot in range(4))
+            quads.append(t)
+            rho.append(base.rho[q])
+            for slot in range(4):
+                colors[t[slot]] = base.colors[base.quads[q][slot]]
+                vm[t[slot]] = base.quads[q][slot]
+    return QuadComplex.build(colors, quads, rho), tuple(vm)
+
+
+def test_double_cover_matches_union_find(monkeypatch):
+    """The cube cover and random flip sets on a 6x4 torus, vertex numbering
+    included."""
+    calls = []
+
+    def recorded(base, flips, original=coverings.double_cover):
+        calls.append((base, flips, original(base, flips)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(coverings, "double_cover", recorded)
+    gen_cube_double_cover()
+    rng = np.random.default_rng(11)
+    torus = gen_torus(6, 4, 0.3 + 1.2j)
+    edges = sorted(edge_pairs(torus))
+    for _ in range(20):
+        picked = rng.random(len(edges)) < rng.random()
+        recorded(torus, [e[::-1] if rng.random() < 0.5 else e
+                         for e, p in zip(edges, picked) if p])
+    assert len(calls) == 21
+    for base, flips, (total, m) in calls:
+        assert (total, m.vertex_map) == _reference_double_cover(base, flips)
+        assert m.source is total and m.target is base
+
+
+def _reference_validate_map(m, tol=1e-12):
+    """Reference validate_map: the star condition checked for every quad."""
+    bad = []
+    for v in range(m.source.nv):
+        if m.source.colors[v] != m.target.colors[m.image(v)]:
+            bad.append(f"vertex {v} maps across colors")
+    if bad:
+        return tuple(bad)
+    for q in range(m.source.nq):
+        imgs = [m.image(v) for v in m.source.quads[q]]
+        if not any(all(v in t for v in imgs) for t in m.target.quads):
+            bad.append(f"quad {q}: images {imgs} share no target quad (star condition)")
+            continue
+        try:
+            q2 = _scan_quad_image(m, q)
+        except DqsError as exc:
+            bad.append(str(exc))
+            continue
+        if q2 is None:
+            continue
+        if abs(m.source.rho[q] - m.target.rho[q2]) > tol * max(1.0, abs(m.target.rho[q2])):
+            bad.append(
+                f"quad {q} maps onto {q2} with weight {m.source.rho[q]} != "
+                f"{m.target.rho[q2]}")
+    return tuple(bad)
+
+
+@pytest.mark.parametrize("name", ["cube-cover", "torus-4", "identity"])
+def test_validate_map_matches_reference_on_mutated_maps(name):
+    m = _covering(name)
+    assert validate_map(m).violations == _reference_validate_map(m) == ()
+    rng = np.random.default_rng(7)
+    by_color = [[v for v in range(m.target.nv) if m.target.colors[v] == c] for c in (0, 1)]
+    for trial in range(40):
+        vm = list(m.vertex_map)
+        for v in rng.choice(m.source.nv, size=int(rng.integers(1, 4)), replace=False).tolist():
+            # mostly within the color, now and then across it
+            pool = by_color[m.source.colors[v] ^ (trial % 10 == 0)]
+            vm[v] = int(rng.choice(pool))
+        mutated = CoveringMap(m.source, m.target, vm)
+        assert validate_map(mutated).violations == _reference_validate_map(mutated)
+    weights = CoveringMap(m.source, QuadComplex.build(
+        m.target.colors, m.target.quads, [r + 0.5 for r in m.target.rho]), m.vertex_map)
+    assert validate_map(weights).violations == _reference_validate_map(weights) != ()
+
+
+def _hurwitz_error(tmp_path, capsys, source, target, vertex_map):
+    from dqs import cli
+    from dqs.io import serialize_map_bundle
+
+    path = tmp_path / "map.json"
+    path.write_text(serialize_map_bundle(source, target, vertex_map))
+    code = cli.main(["hurwitz", str(path)])
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_hurwitz_refuses_a_disconnected_source(tmp_path, capsys):
+    torus = gen_torus(4, 4, 0.1 + 1.1j)
+    two = QuadComplex.build(torus.colors * 2,
+                            list(torus.quads) + [tuple(v + 16 for v in t) for t in torus.quads],
+                            torus.rho * 2)
+    assert _hurwitz_error(tmp_path, capsys, two, torus, [v % 16 for v in range(32)]) \
+        == (1, "", "error: source: only 16 of 32 vertices connected\n")
+
+
+def test_hurwitz_refuses_a_reflected_target_quad(tmp_path, capsys):
+    torus = gen_torus(4, 4, 0.1 + 1.1j)
+    quads = list(torus.quads)
+    bm, wm, bp, wp = quads[3]
+    quads[3] = (bm, wp, bp, wm)
+    reflected = QuadComplex.build(torus.colors, quads, torus.rho)
+    assert _hurwitz_error(tmp_path, capsys, torus, reflected, range(16)) \
+        == (1, "", "error: target: edge (0, 3) traversed 2x forward, 0x backward\n")

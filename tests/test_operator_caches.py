@@ -264,3 +264,9 @@ def test_no_surface_tuple_is_turned_into_an_array():
             for n, line in enumerate(path.read_text().splitlines(), 1)
             if pattern.search(line)]
     assert hits == []
+
+
+def test_selftest_details_repeat_for_a_seed():
+    """No wall-clock figure enters a criterion's detail."""
+    first, second = ([r.detail for r in selftest.run_all(2)] for _ in range(2))
+    assert first == second

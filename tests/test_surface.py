@@ -25,10 +25,11 @@ from dqs import (
 )
 from dqs import surface
 from dqs.coverings import gen_cube_double_cover
-from dqs.errors import AmbiguousGluingError, DqsError, MalformedSurfaceError, SurfaceError
+from dqs.errors import DqsError, MalformedSurfaceError, SurfaceError
+from dqs.homology import lift_diagonal_walk
 from dqs.surface import SLOT_BM, SLOT_BP, SLOT_WM, SLOT_WP, ValidationReport, Violation
 
-from conftest import edge_pairs, incidences
+from conftest import edge_pairs, incidences, reference_other_quad
 
 
 def pillow():
@@ -45,19 +46,6 @@ def pillow():
 # stars were before they became array passes.  The tests compare the two.
 
 
-def _reference_other_quad(cx, u, w):
-    entries = edge_pairs(cx)[(min(u, w), max(u, w))]
-    if len(entries) != 2:
-        raise AmbiguousGluingError(
-            f"edge {{{u}, {w}}} occurs in {len(entries)} quad boundaries; "
-            "rotation system is ambiguous"
-        )
-    for q2, a, b in entries:
-        if (a, b) == (w, u):
-            return q2
-    raise SurfaceError(f"edge {{{u}, {w}}} is not traversed in both directions")
-
-
 def _reference_stars(cx):
     out = []
     table = incidences(cx)
@@ -71,7 +59,7 @@ def _reference_stars(cx):
         q, s = q0, s0
         for _ in range(len(inc)):
             p = cx.corner_prev(q, s)
-            q = _reference_other_quad(cx, p, v)
+            q = reference_other_quad(cx, p, v)
             s = cx.corner_slot(q, v)
             if (q, s) == (q0, s0):
                 break
@@ -314,6 +302,14 @@ def _array_stars(cx):
     return cx.stars
 
 
+def _expected_stars(cx):
+    """The reference stars of a surface that passes the gate, and otherwise
+    the gate's error: ``stars`` reads no successor of an unchecked surface."""
+    if cx.defects:
+        return SurfaceError, cx.defects[0].detail
+    return _stars_outcome(_reference_stars, cx)
+
+
 @pytest.mark.parametrize("name", [
     "cube", "pillow", "torus-2x4", "torus-4x4", "torus-32", "genus3", "genus3-sub3",
     "repeated-vertex", "non-bipartite", "open", "doubled-quad", "two-cycle-link",
@@ -326,7 +322,7 @@ def test_validate_and_stars_match_reference(name):
     reference = _reference_validate(QuadComplex(cx.colors, cx.quads, cx.rho))
     assert report == reference
     assert cx.defects == _structural(reference)
-    assert _stars_outcome(_array_stars, cx) == _stars_outcome(_reference_stars, cx)
+    assert _stars_outcome(_array_stars, cx) == _expected_stars(cx)
 
 
 def test_validate_matches_reference_on_random_edits(rng):
@@ -354,7 +350,7 @@ def test_validate_matches_reference_on_random_edits(rng):
         reference = _reference_validate(cx)
         assert validate(cx) == reference
         assert cx.defects == _structural(reference)
-        assert _stars_outcome(_array_stars, cx) == _stars_outcome(_reference_stars, cx)
+        assert _stars_outcome(_array_stars, cx) == _expected_stars(cx)
 
 
 def _structural(report):
@@ -393,15 +389,14 @@ def test_require_surface_leaves_strong_regularity_out(monkeypatch):
 
 def test_validate_work_is_linear(monkeypatch, counted_quads):
     """Operation counts, no timing: a per-vertex star walk makes one corner
-    lookup and one gluing lookup per incidence; the array passes read the
-    quad table once."""
+    lookup per incidence; the array passes read the quad table once."""
     cx = counted_quads(gen_torus(32, 32, 0.2 + 1.1j))
     calls = [0]
-    for name in ("_other_quad", "corner_slot"):
-        def counted(self, *args, original=getattr(QuadComplex, name)):
-            calls[0] += 1
-            return original(self, *args)
-        monkeypatch.setattr(QuadComplex, name, counted)
+
+    def counted(self, *args, original=QuadComplex.corner_slot):
+        calls[0] += 1
+        return original(self, *args)
+    monkeypatch.setattr(QuadComplex, "corner_slot", counted)
     assert validate(cx).ok
     assert calls[0] == 0
     assert cx.quads.reads <= 2 * cx.nq
@@ -585,3 +580,32 @@ class TestGenTorus:
 
     def test_weights_positive_real_part(self, torus46):
         assert all(r.real > 0 for r in torus46.rho)
+
+
+def test_stars_and_charts_read_no_successor_of_a_disconnected_surface():
+    """Two disjoint cubes: every edge and star is sound, yet the star walk
+    stops at the gate with the connectivity finding."""
+    cx = _two_cubes()
+    for ask in (lambda: cx.stars, lambda: vertex_chart(cx, 0), lambda: medial_graph(cx),
+                lambda: lift_diagonal_walk(cx, [(0, 1), (0, -1)], BLACK)):
+        with pytest.raises(SurfaceError, match="^only 8 of 16 vertices connected$"):
+            ask()
+
+
+def test_edge_runs_are_computed_once(monkeypatch):
+    calls = []
+
+    def counted(keys, original=surface._runs):
+        calls.append(len(keys))
+        return original(keys)
+
+    monkeypatch.setattr(surface, "_runs", counted)
+    for cx in (gen_torus(6, 4, 0.3 + 1.2j), gen_cube_double_cover()[0]):
+        calls.clear()
+        require_surface(cx)
+        assert validate(cx).ok
+        assert len(cx.stars) == cx.nv
+        assert not cx.has_doubled_edges
+        assert medial_graph(cx).n_vertices == 2 * cx.nq
+        assert calls == [4 * cx.nq]
+
