@@ -8,20 +8,13 @@ count how often a vertex star wraps around its image star; together
 with the degenerate (vertex-collapsed) quads they enter the genus
 relation g = N(g' - 1) + 1 + b/2.
 
-The checks never scan the whole target: the star condition looks only
-at the target quads incident to the image of a quad's first corner, and
-``CoveringMap.quad_images`` looks up the image of every source quad once
-per map in a table of target quad rotations, also built once per map.
-The map checks, branch numbers and sheet counts all read those images,
-so validating a map is linear in the two surfaces; the star condition
-is checked only where an image is no rotation of a target quad.  The
-genus relation holds for closed connected surfaces, so ``dqs hurwitz``
-passes both sides through ``require_surface`` first.
-
+Every check reads ``CoveringMap.corner_images``, the target incidence
+of each source incidence, found once per map.  A star wraps its image
+star k times when it has k times as many non-degenerate incidences and
+each image is followed around the target star by the next one's; both
+stars are read from ``star_successor`` behind ``require_star_cycles``.
 ``double_cover`` glues the corner slots of the two sheets across the
-base edges, reading the base's edge table, and takes the cover vertices
-from the same union pass (``surface._components``) as the connectivity
-check.
+base edges with the union pass of the connectivity check.
 """
 
 from __future__ import annotations
@@ -37,9 +30,15 @@ from .surface import (
     QuadComplex,
     _components,
     genus,
+    read_only,
+    require_ids,
+    require_star_cycles,
     require_surface,
     subdivide3_with_provenance,
 )
+
+# corner_images entries, then the failure codes of wrap_counts
+_BICONSTANT, _NOT_A_ROTATION, _UNDIVIDED, _UNWOUND = -1, -2, -3, -4
 
 
 @dataclass(frozen=True)
@@ -52,46 +51,56 @@ class CoveringMap:
         object.__setattr__(self, "vertex_map", tuple(int(v) for v in self.vertex_map))
         if len(self.vertex_map) != self.source.nv:
             raise DqsError("vertex map must cover every source vertex")
+        require_ids(self.vertex_map, self.target.nv, "target vertex")
 
     def image(self, v: int) -> int:
         return self.vertex_map[v]
 
     @cached_property
-    def target_rotations(self):
-        """Target quad tuples under the rotations by 0 and 2 slots -> quad id.
-
-        Those are the rotations that keep the coloring; where two target
-        quads share a tuple the lower id wins.
-        """
-        table = {}
-        for q2, t in enumerate(self.target.quads):
-            for shift in (0, 2):
-                table.setdefault(t[shift:] + t[:shift], q2)
-        return table
+    def vertex_array(self) -> np.ndarray:
+        return read_only(np.array(self.vertex_map, dtype=np.int64))
 
     @cached_property
-    def quad_images(self) -> tuple:
-        """Per source quad: the target quad it maps onto (``_quad_images``)."""
-        return _quad_images(self)
+    def corner_images(self) -> np.ndarray:
+        """Per source incidence 4q + s: the target incidence it maps onto,
+        ``_BICONSTANT`` where quad q is biconstant, ``_NOT_A_ROTATION`` where
+        its image is no target quad turned by 0 or 2 slots (the turns that
+        keep the coloring).  Where two target quads match, the lower id wins."""
+        first = {}  # rotated target quad -> target incidence of its slot 0
+        for q2, t in enumerate(self.target.quads):
+            for shift in (0, 2):
+                first.setdefault(t[shift:] + t[:shift], 4 * q2 + shift)
+        imgs = self.vertex_array[self.source.quad_array]
+        i = np.array([first.get(t, _NOT_A_ROTATION) for t in map(tuple, imgs.tolist())],
+                     dtype=np.int64)[:, None]
+        i[(imgs[:, 0] == imgs[:, 2]) & (imgs[:, 1] == imgs[:, 3])] = _BICONSTANT
+        return read_only(np.where(i < 0, i, i - i % 4 + (i + np.arange(4)) % 4).ravel())
 
-
-# quad_images entry of a quad whose image is no rotation of a target quad
-_NOT_A_ROTATION = -2
-
-
-def _quad_images(m: CoveringMap) -> tuple:
-    """Image of every source quad: its target quad id, -1 where the quad is
-    biconstant, ``_NOT_A_ROTATION`` where its image tuple is no rotation
-    of a target quad."""
-    imgs = np.asarray(m.vertex_map)[m.source.quad_array]
-    biconstant = (imgs[:, 0] == imgs[:, 2]) & (imgs[:, 1] == imgs[:, 3])
-    table = m.target_rotations
-    return tuple(-1 if b else table.get(tuple(t), _NOT_A_ROTATION)
-                 for t, b in zip(imgs.tolist(), biconstant.tolist()))
+    @cached_property
+    def wrap_counts(self) -> np.ndarray:
+        """Per source vertex: how often its star wraps its image star, or
+        the first failure: ``_NOT_A_ROTATION``, ``_UNDIVIDED``, ``_UNWOUND``."""
+        src, tgt = self.source, self.target
+        for cx in (src, tgt):
+            require_star_cycles(cx)
+        img = self.corner_images
+        verts = src.quad_array.ravel()
+        live = np.flatnonzero(img >= 0)
+        # the next live incidence around each star, skipping biconstant
+        # quads in strides that double every round
+        nxt = src.star_successor
+        for _ in range(int(src.vertex_groups[1].max(initial=0)).bit_length()):
+            nxt = np.where(img[nxt] >= 0, nxt, nxt[nxt])
+        size = np.maximum(tgt.vertex_groups[1][self.vertex_array], 1)  # 0: no images
+        k, rest = np.divmod(np.bincount(verts[live], minlength=src.nv), size)
+        k[verts[live[tgt.star_successor[img[live]] != img[nxt[live]]]]] = _UNWOUND
+        k[rest != 0] = _UNDIVIDED
+        k[verts[img == _NOT_A_ROTATION]] = _NOT_A_ROTATION
+        return read_only(k)
 
 
 def is_biconstant_quad(m: CoveringMap, q: int) -> bool:
-    return m.quad_images[q] == -1
+    return bool(m.corner_images[4 * q] == _BICONSTANT)
 
 
 def quad_image(m: CoveringMap, q: int):
@@ -100,10 +109,10 @@ def quad_image(m: CoveringMap, q: int):
     The image tuple must be a rotation (not a reflection) of the target
     quad with the same weight; anything else is invalid.
     """
-    q2 = m.quad_images[q]
-    if q2 == _NOT_A_ROTATION:
+    i = int(m.corner_images[4 * q])
+    if i == _NOT_A_ROTATION:
         raise DqsError(_not_a_rotation(m, q))
-    return None if q2 == -1 else q2
+    return None if i == _BICONSTANT else i // 4
 
 
 def _not_a_rotation(m: CoveringMap, q: int) -> str:
@@ -130,29 +139,29 @@ def validate_map(m: CoveringMap, tol: float = 1e-12) -> MapReport:
     holds the image of its first corner, so the star condition is checked
     only for biconstant quads and quads whose image is no rotation.
     """
-    bad = []
-    for v in range(m.source.nv):
-        if m.source.colors[v] != m.target.colors[m.image(v)]:
-            bad.append(f"vertex {v} maps across colors")
+    crossed = np.array(m.source.colors) != np.array(m.target.colors)[m.vertex_array]
+    bad = [f"vertex {v} maps across colors" for v in np.flatnonzero(crossed).tolist()]
     if bad:
         return MapReport(tuple(bad))
+    first = m.corner_images[::4]
+    onto = np.flatnonzero(first >= 0)
+    r2 = m.target.rho_array[first[onto] // 4]
+    flagged = first < 0
+    flagged[onto] = np.abs(m.source.rho_array[onto] - r2) > tol * np.maximum(1.0, np.abs(r2))
     by_vertex, deg, start = m.target.vertex_groups
-    quads_at, deg, start = (by_vertex // 4).tolist(), deg.tolist(), start.tolist()
-    for q, q2 in enumerate(m.quad_images):
-        if q2 < 0:
-            imgs = [m.image(v) for v in m.source.quads[q]]
-            # a target quad holding every image also holds imgs[0]
-            i = imgs[0]
-            if not any(all(v in m.target.quads[t] for v in imgs)
-                       for t in quads_at[start[i]:start[i] + deg[i]]):
-                bad.append(f"quad {q}: images {imgs} share no target quad (star condition)")
-            elif q2 == _NOT_A_ROTATION:
-                bad.append(_not_a_rotation(m, q))
+    for q in np.flatnonzero(flagged).tolist():
+        i = int(first[q])
+        if i >= 0:
+            bad.append(f"quad {q} maps onto {i // 4} with weight {m.source.rho[q]} != "
+                       f"{m.target.rho[i // 4]}")
             continue
-        if abs(m.source.rho[q] - m.target.rho[q2]) > tol * max(1.0, abs(m.target.rho[q2])):
-            bad.append(
-                f"quad {q} maps onto {q2} with weight {m.source.rho[q]} != "
-                f"{m.target.rho[q2]}")
+        imgs = [m.image(v) for v in m.source.quads[q]]
+        # a target quad holding every image also holds imgs[0]
+        at = by_vertex[start[imgs[0]]:start[imgs[0]] + deg[imgs[0]]] // 4
+        if not any(all(v in m.target.quads[t] for v in imgs) for t in at.tolist()):
+            bad.append(f"quad {q}: images {imgs} share no target quad (star condition)")
+        elif i == _NOT_A_ROTATION:
+            bad.append(_not_a_rotation(m, q))
     return MapReport(tuple(bad))
 
 
@@ -164,54 +173,45 @@ def branch_vertex(m: CoveringMap, v: int) -> int:
     star, closing after k full turns.  k = 0 marks a vanishing point,
     k - 1 is the branch number.
     """
-    star = m.source.stars[v]
-    v2 = m.image(v)
-    target_star = [q for (q, _) in m.target.stars[v2]]
-    mlen = len(target_star)
-    images = []
-    for q, _ in star:
-        if not is_biconstant_quad(m, q):
-            images.append(quad_image(m, q))
-    if not images:
-        return 0
-    if len(images) % mlen:
-        raise DqsError(
-            f"star of {v}: {len(images)} quad images cannot wrap a star of {mlen}")
-    succ = {target_star[i]: target_star[(i + 1) % mlen] for i in range(mlen)}
-    for i in range(len(images)):
-        if succ[images[i]] != images[(i + 1) % len(images)]:
-            raise DqsError(f"star of {v} does not wind monotonically around {v2}")
-    return len(images) // mlen
+    if m.wrap_counts[v] < 0:
+        raise _wrap_error(m, v)
+    return int(m.wrap_counts[v])
+
+
+def _wrap_error(m: CoveringMap, v: int) -> DqsError:
+    """The error of the star of v, whose wrap count is a failure code."""
+    code, v2 = m.wrap_counts[v], m.image(v)
+    if code == _UNWOUND:
+        return DqsError(f"star of {v} does not wind monotonically around {v2}")
+    by_vertex, deg, start = m.source.vertex_groups
+    if code == _UNDIVIDED:
+        n = np.count_nonzero(m.corner_images[by_vertex[start[v]:start[v] + deg[v]]] >= 0)
+        return DqsError(f"star of {v}: {n} quad images cannot wrap a star of "
+                        f"{m.target.vertex_groups[1][v2]}")
+    i = by_vertex[start[v]]  # the first such quad ccw from the lowest incidence
+    while m.corner_images[i] != _NOT_A_ROTATION:
+        i = m.source.star_successor[i]
+    return DqsError(_not_a_rotation(m, int(i) // 4))
 
 
 def sheet_count(m: CoveringMap) -> int:
-    """Number of sheets: fiber sums of branch orders, checked per fiber.
+    """Number of sheets: fiber sums of wrap counts, checked per fiber.
 
     Also verified against the count of quads mapping bijectively onto
-    each target quad.
+    each target quad.  A failing star raises first, the first by image.
     """
-    return _sheets(m, lambda v: branch_vertex(m, v))
-
-
-def _sheets(m: CoveringMap, wraps) -> int:
-    """sheet_count with the wrap count of source vertex v given as wraps(v)."""
-    fibers = {}
-    for v in range(m.source.nv):
-        fibers.setdefault(m.image(v), []).append(v)
-    counts = set()
-    for v2 in range(m.target.nv):
-        total = sum(wraps(v) for v in fibers.get(v2, []))
-        counts.add(total)
+    bad = np.flatnonzero(m.wrap_counts < 0).tolist()
+    if bad:
+        raise _wrap_error(m, min(bad, key=m.image))
+    fibers = np.bincount(m.vertex_array, m.wrap_counts, m.target.nv)
+    counts = sorted(set(fibers.astype(np.int64).tolist()))
     if len(counts) != 1:
-        raise DqsError(f"fiber sums disagree: {sorted(counts)}")
-    n = counts.pop()
-    quad_counts = np.zeros(m.target.nq, dtype=int)
-    for q in range(m.source.nq):
-        if not is_biconstant_quad(m, q):
-            quad_counts[quad_image(m, q)] += 1
-    if set(quad_counts.tolist()) != {n}:
-        raise DqsError(
-            f"per-quad preimage counts {sorted(set(quad_counts.tolist()))} != sheet count {n}")
+        raise DqsError(f"fiber sums disagree: {counts}")
+    n = counts[0]
+    first = m.corner_images[::4]
+    per_quad = set(np.bincount(first[first >= 0] // 4, minlength=m.target.nq).tolist())
+    if per_quad != {n}:
+        raise DqsError(f"per-quad preimage counts {sorted(per_quad)} != sheet count {n}")
     return n
 
 
@@ -239,13 +239,15 @@ def check_riemann_hurwitz(m: CoveringMap, report: MapReport = None) -> BranchRep
         report = validate_map(m)
     if not report.ok:
         raise DqsError("map invalid:\n" + str(report))
-    wraps = [branch_vertex(m, v) for v in range(m.source.nv)]
-    vb = {v: k - 1 for v, k in enumerate(wraps) if k != 1}
-    qb = {q: 1 for q in range(m.source.nq) if is_biconstant_quad(m, q)}
-    b = sum(vb.values()) + sum(qb.values())
+    bad = np.flatnonzero(m.wrap_counts < 0).tolist()
+    if bad:
+        raise _wrap_error(m, bad[0])
+    vb = {v: k - 1 for v, k in enumerate(m.wrap_counts.tolist()) if k != 1}
+    qb = dict.fromkeys(np.flatnonzero(m.corner_images[::4] == _BICONSTANT).tolist(), 1)
+    b = sum(vb.values()) + len(qb)
     if b % 2:
         raise DqsError(f"total branching {b} is odd")
-    n = _sheets(m, wraps.__getitem__)
+    n = sheet_count(m)
     rep = BranchReport(n, vb, qb, b, genus(m.source), genus(m.target))
     if rep.genus_residual != 0:
         raise DqsError(
@@ -302,41 +304,22 @@ def gen_cube_double_cover():
     original corner swaps sheets: all eight corners are branch points of
     multiplicity two and the total space has 104 vertices and 108 quads.
     """
-    cube = gen_cube()
-    base, provenance = subdivide3_with_provenance(cube)
-    vertical_pairs = {(0, 4), (1, 5), (2, 6), (3, 7)}
+    base, provenance = subdivide3_with_provenance(gen_cube())
 
-    def on_vertical(v, pair):
+    def vertical(v):
+        """The z = 0 corner of the vertical cube edge through v, or -1."""
         tag = provenance[v]
-        if tag[0] == "v":
-            return tag[1] in pair
-        return tag[0] == "e" and (tag[1], tag[2]) == pair
+        return tag[1] % 4 if tag[0] == "v" or tag[0] == "e" and tag[2] == tag[1] + 4 else -1
 
-    flip_edges = set()
-    edges = base.edge_groups[1][base.edge_runs[0]].tolist()
-    for u, w in (divmod(k, base.nv) for k in edges):
-        for pair in vertical_pairs:
-            if on_vertical(u, pair) and on_vertical(w, pair):
-                flip_edges.add((u, w))
-                break
-
+    pairs = (divmod(k, base.nv) for k in base.edge_groups[1][base.edge_runs[0]].tolist())
+    flip_edges = [(u, w) for u, w in pairs if vertical(u) == vertical(w) >= 0]
     total, cover_map = double_cover(base, flip_edges)
     return total, base, cover_map
 
 
 def gen_torus_unbranched_cover(m: int, n: int, tau: complex):
-    """Degree-two unbranched cover of a flat torus by a doubled grid.
-
-    The source is the 2m x n grid with weights pulled back from the
-    m x n target, so the projection (i, j) -> (i mod m, j) is
-    holomorphic with no branch points.
-    """
+    """(source, target, map) of the unbranched double cover of the flat
+    m x n torus whose sheets flip across the meridian i = 0."""
     target = gen_torus(m, n, tau)
-    src = gen_torus(2 * m, n, tau)  # combinatorics only; weights replaced
-    rho = []
-    for j in range(n):
-        for i in range(2 * m):
-            rho.append(target.rho[j * m + (i % m)])
-    source = QuadComplex.build(src.colors, src.quads, rho)
-    vm = [j * m + (i % m) for j in range(n) for i in range(2 * m)]
-    return source, target, CoveringMap(source, target, vm)
+    source, cover_map = double_cover(target, [(j * m, (j + 1) % n * m) for j in range(n)])
+    return source, target, cover_map

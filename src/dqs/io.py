@@ -153,7 +153,8 @@ def _parse_basis(doc, cx, path):
     return build_basis(cx, cycles("a"), cycles("b"))
 
 
-def serialize_dqs(cx: QuadComplex, basis: HomologyBasis = None) -> str:
+def dqs_doc(cx: QuadComplex, basis: HomologyBasis = None) -> dict:
+    """The DQS document of a surface, as JSON-ready Python values."""
     doc = {
         "vertices": [{"id": i, "color": "b" if c == BLACK else "w"}
                      for i, c in enumerate(cx.colors)],
@@ -166,7 +167,11 @@ def serialize_dqs(cx: QuadComplex, basis: HomologyBasis = None) -> str:
             key: [[[e // 4, e % 4, s] for (e, s) in c.edges] for c in group]
             for key, group in (("a", basis.a), ("b", basis.b))
         }
-    return json.dumps(doc)
+    return doc
+
+
+def serialize_dqs(cx: QuadComplex, basis: HomologyBasis = None) -> str:
+    return json.dumps(dqs_doc(cx, basis))
 
 
 # ---------------------------------------------------------------------------
@@ -281,8 +286,8 @@ def parse_map_bundle(text: str, name: str = "<map>", loader=None):
 def serialize_map_bundle(source: QuadComplex, target: QuadComplex, vertex_map,
                          source_basis=None, target_basis=None) -> str:
     return json.dumps({
-        "source": json.loads(serialize_dqs(source, source_basis)),
-        "target": json.loads(serialize_dqs(target, target_basis)),
+        "source": dqs_doc(source, source_basis),
+        "target": dqs_doc(target, target_basis),
         "vertex_map": [[i, int(t)] for i, t in enumerate(vertex_map)],
     })
 

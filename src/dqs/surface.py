@@ -35,11 +35,12 @@ regularity are cached as ``defects``, and ``require_surface``, the one
 check before any computation, raises the first of them, so a surface is
 checked once however many commands or constructions ask.  ``stars``
 walks the successors behind that check, where a missing successor can
-only be a doubled edge.  Connected components, of the vertices here and
-of the corner slots of a double cover, come from one union pass,
-``_components``.  Every walk on the surface (the tree-cotree split,
-paths on the diagonal and medial graphs) is one breadth-first search,
-``_bfs``, over one adjacency format.
+only be a doubled edge, and ``require_star_cycles`` walks them only
+there.  Connected components, of the vertices here and of the corner
+slots of a double cover, come from one union pass, ``_components``.
+Every walk on the surface (the tree-cotree split, paths on the diagonal
+and medial graphs) is one breadth-first search, ``_bfs``, over one
+adjacency format.
 """
 
 from __future__ import annotations
@@ -646,6 +647,16 @@ def require_surface(cx: QuadComplex) -> None:
     for a surface; later calls read the cached findings."""
     if cx.defects:
         raise SurfaceError(cx.defects[0].detail)
+
+
+def require_star_cycles(cx: QuadComplex) -> None:
+    """``require_surface``, then every ccw star one cycle of ``star_successor``.
+
+    Behind the first check only a doubled edge breaks a star, and then
+    listing the stars raises the error of the first broken one."""
+    require_surface(cx)
+    if cx.has_doubled_edges:
+        cx.stars
 
 
 def _ambiguous_gluing(cx: QuadComplex, u: int, w: int) -> AmbiguousGluingError:

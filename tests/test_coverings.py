@@ -1,4 +1,6 @@
+import functools
 import json
+import re
 
 import numpy as np
 import pytest
@@ -17,7 +19,7 @@ from dqs import (
 )
 from dqs import coverings
 from dqs.coverings import is_biconstant_quad
-from dqs.errors import DqsError
+from dqs.errors import AmbiguousGluingError, DqsError
 from dqs.surface import QuadComplex
 
 from conftest import edge_pairs
@@ -191,16 +193,14 @@ def _covering(name):
 
 
 @pytest.mark.parametrize("name", ["cube-cover", "torus-4", "torus-6", "identity"])
-def test_riemann_hurwitz_matches_full_scan(name, monkeypatch):
+def test_riemann_hurwitz_matches_full_scan(name):
     m = _covering(name)
     fast = check_riemann_hurwitz(m)
     assert [coverings.quad_image(m, q) for q in range(m.source.nq)] \
         == [_scan_quad_image(m, q) for q in range(m.source.nq)]
-    monkeypatch.setattr(coverings, "quad_image", _scan_quad_image)
-    ref = check_riemann_hurwitz(m)
-    assert fast.sheets == ref.sheets
-    assert fast.vertex_branch_numbers == ref.vertex_branch_numbers
-    assert fast.quad_branch_numbers == ref.quad_branch_numbers
+    ref = _reference_riemann_hurwitz(m)
+    assert (fast.sheets, fast.vertex_branch_numbers, fast.quad_branch_numbers,
+            fast.total_branching) == ref
 
 
 def test_riemann_hurwitz_work_is_linear(counted_quads):
@@ -213,55 +213,251 @@ def test_riemann_hurwitz_work_is_linear(counted_quads):
     assert m.target.quads.reads <= 32 * (source.nq + target.nq)
 
 
-def test_hurwitz_command_validates_and_winds_once(monkeypatch, tmp_path, capsys):
-    """Call counts, no timing: ``dqs hurwitz`` checks the map once and
-    winds each source star once."""
+def _hurwitz_job(tmp_path, capsys):
+    """The JSON report of ``dqs hurwitz`` on the 16 x 16 torus cover."""
     from dqs import cli
     from dqs.io import serialize_map_bundle
 
     source, target, cmap = gen_torus_unbranched_cover(16, 16, 0.2 + 1.1j)
     path = tmp_path / "cover.json"
     path.write_text(serialize_map_bundle(source, target, cmap.vertex_map))
-    calls = {"validate_map": 0, "branch_vertex": 0}
-
-    def counting(name, original):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return original(*args, **kwargs)
-        return wrapper
-
-    monkeypatch.setattr(cli, "validate_map", counting("validate_map", validate_map))
-    monkeypatch.setattr(coverings, "validate_map", counting("validate_map", validate_map))
-    monkeypatch.setattr(coverings, "branch_vertex", counting("branch_vertex", branch_vertex))
     assert cli.main(["hurwitz", "--format", "json", str(path)]) == 0
-    out = capsys.readouterr().out
-    assert json.loads(out)["outputs"]["sheets"] == 2
-    assert calls == {"validate_map": 1, "branch_vertex": source.nv}
+    return json.loads(capsys.readouterr().out)
+
+
+def _count_computations(monkeypatch, name, computed):
+    """Append the map to computed each time its cached ``name`` is computed."""
+    original = CoveringMap.__dict__[name].func
+
+    def counting(m):
+        computed.append(m)
+        return original(m)
+
+    prop = functools.cached_property(counting)
+    prop.__set_name__(CoveringMap, name)
+    monkeypatch.setattr(CoveringMap, name, prop)
+
+
+def test_hurwitz_command_validates_and_winds_once(monkeypatch, tmp_path, capsys):
+    """Call counts, no timing: ``dqs hurwitz`` checks the map once, winds
+    every source star in one pass, and neither surface lists its stars."""
+    from dqs import cli
+
+    calls = {"validate_map": 0, "stars": 0}
+
+    def counting(*args, **kwargs):
+        calls["validate_map"] += 1
+        return validate_map(*args, **kwargs)
+
+    def stars(cx):
+        calls["stars"] += 1
+        return QuadComplex.__dict__["stars"].func(cx)
+
+    monkeypatch.setattr(cli, "validate_map", counting)
+    monkeypatch.setattr(coverings, "validate_map", counting)
+    monkeypatch.setattr(QuadComplex, "stars", property(stars))
+    wound = []
+    _count_computations(monkeypatch, "wrap_counts", wound)
+    assert _hurwitz_job(tmp_path, capsys)["outputs"]["sheets"] == 2
+    assert calls == {"validate_map": 1, "stars": 0} and len(wound) == 1
 
 
 def test_hurwitz_command_images_each_quad_once(monkeypatch, tmp_path, capsys):
-    """Work count, no timing: a ``dqs hurwitz`` job computes the image of
-    each source quad at most once, and its report is unchanged."""
-    from dqs import cli
-    from dqs.io import serialize_map_bundle
-
-    source, target, cmap = gen_torus_unbranched_cover(16, 16, 0.2 + 1.1j)
-    path = tmp_path / "cover.json"
-    path.write_text(serialize_map_bundle(source, target, cmap.vertex_map))
-    computed = [0]
-
-    def counting(m, original=coverings._quad_images):
-        images = original(m)
-        computed[0] += len(images)
-        return images
-
-    monkeypatch.setattr(coverings, "_quad_images", counting)
-    assert cli.main(["hurwitz", "--format", "json", str(path)]) == 0
-    doc = json.loads(capsys.readouterr().out)
-    assert 0 < computed[0] <= source.nq
+    """Work count, no timing: a ``dqs hurwitz`` job computes the corner
+    images of its map once, and its report is unchanged."""
+    computed = []
+    _count_computations(monkeypatch, "corner_images", computed)
+    doc = _hurwitz_job(tmp_path, capsys)
+    assert len(computed) == 1
     assert doc["outputs"]["sheets"] == 2 and doc["outputs"]["total_branching"] == 0
     assert all(c["pass"] for c in doc["checks"])
 
+
+# ---------------------------------------------------------------------------
+# wrap counts, sheets and branch numbers against the star walks they replaced
+
+
+def _reference_branch_vertex(m, v, image=_scan_quad_image):
+    """Reference branch_vertex: walks the stars of v and of its image;
+    image(m, q) is the target quad of q, None where q is biconstant."""
+    star = m.source.stars[v]
+    v2 = m.image(v)
+    target_star = [q for (q, _) in m.target.stars[v2]]
+    mlen = len(target_star)
+    images = []
+    for q, _ in star:
+        q2 = image(m, q)
+        if q2 is not None:
+            images.append(q2)
+    if not images:
+        return 0
+    if len(images) % mlen:
+        raise DqsError(
+            f"star of {v}: {len(images)} quad images cannot wrap a star of {mlen}")
+    succ = {target_star[i]: target_star[(i + 1) % mlen] for i in range(mlen)}
+    for i in range(len(images)):
+        if succ[images[i]] != images[(i + 1) % len(images)]:
+            raise DqsError(f"star of {v} does not wind monotonically around {v2}")
+    return len(images) // mlen
+
+
+def _reference_sheets(m, wraps, image=_scan_quad_image) -> int:
+    """Reference sheet count, the wrap count of source vertex v given as wraps(v)."""
+    fibers = {}
+    for v in range(m.source.nv):
+        fibers.setdefault(m.image(v), []).append(v)
+    counts = set()
+    for v2 in range(m.target.nv):
+        total = sum(wraps(v) for v in fibers.get(v2, []))
+        counts.add(total)
+    if len(counts) != 1:
+        raise DqsError(f"fiber sums disagree: {sorted(counts)}")
+    n = counts.pop()
+    quad_counts = np.zeros(m.target.nq, dtype=int)
+    for q in range(m.source.nq):
+        q2 = image(m, q)
+        if q2 is not None:
+            quad_counts[q2] += 1
+    if set(quad_counts.tolist()) != {n}:
+        raise DqsError(
+            f"per-quad preimage counts {sorted(set(quad_counts.tolist()))} != sheet count {n}")
+    return n
+
+
+def _reference_riemann_hurwitz(m, image=_scan_quad_image):
+    """Reference check_riemann_hurwitz: (sheets, vertex and quad branch
+    numbers, total branching), or the error it raises."""
+    report = _reference_validate_map(m)
+    if report:
+        raise DqsError("map invalid:\n" + "\n".join(report))
+    wraps = [_reference_branch_vertex(m, v, image) for v in range(m.source.nv)]
+    vb = {v: k - 1 for v, k in enumerate(wraps) if k != 1}
+    qb = {q: 1 for q in range(m.source.nq) if image(m, q) is None}
+    b = sum(vb.values()) + sum(qb.values())
+    if b % 2:
+        raise DqsError(f"total branching {b} is odd")
+    n = _reference_sheets(m, wraps.__getitem__, image)
+    g, g2 = genus(m.source), genus(m.target)
+    if g != n * (g2 - 1) + 1 + b // 2:
+        raise DqsError(f"genus identity fails: {g} != {n}*({g2}-1)+1+{b}/2")
+    return n, vb, qb, b
+
+
+def _outcome(fn, *args):
+    """fn(*args), or the type and text of the DqsError it raises."""
+    try:
+        return fn(*args)
+    except DqsError as exc:
+        return type(exc), str(exc)
+
+
+def _mutated_maps(m):
+    """40 seeded mutations of the vertex table of m, then m onto
+    reweighted target quads."""
+    rng = np.random.default_rng(7)
+    by_color = [[v for v in range(m.target.nv) if m.target.colors[v] == c] for c in (0, 1)]
+    for trial in range(40):
+        vm = list(m.vertex_map)
+        for v in rng.choice(m.source.nv, size=int(rng.integers(1, 4)), replace=False).tolist():
+            # mostly within the color, now and then across it
+            pool = by_color[m.source.colors[v] ^ (trial % 10 == 0)]
+            vm[v] = int(rng.choice(pool))
+        yield CoveringMap(m.source, m.target, vm)
+    yield CoveringMap(m.source, QuadComplex.build(
+        m.target.colors, m.target.quads, [r + 0.5 for r in m.target.rho]), m.vertex_map)
+
+
+def _oracle_maps(name):
+    if name.startswith("mutated-"):
+        m = _covering(name[len("mutated-"):])
+        return [m, *_mutated_maps(m)]
+    if name == "identity-44":
+        cx = gen_torus(4, 4, 0.3 + 1.2j)
+        return [CoveringMap(cx, cx, range(cx.nv))]
+    if name == "biconstant":
+        cx = gen_torus(4, 4, 0.3 + 1.2j)
+        return [CoveringMap(cx, cx, [cx.colors[v] for v in range(cx.nv)])]
+    if name == "doubled-edge":
+        cx = gen_torus(2, 4, 1j)
+        return [CoveringMap(cx, cx, range(cx.nv))]
+    return [_covering(name)]
+
+
+@pytest.mark.parametrize("name", [
+    "identity-44", "identity", "cube-cover", "torus-4", "torus-6", "biconstant",
+    "mutated-cube-cover", "mutated-torus-4", "mutated-identity", "doubled-edge"])
+def test_wraps_and_sheets_match_star_walks(name):
+    """Every wrap count, sheet count and branch report, or the type and
+    text of the error in their place."""
+    for m in _oracle_maps(name):
+        image = functools.lru_cache(maxsize=None)(_scan_quad_image)
+        assert [_outcome(branch_vertex, m, v) for v in range(m.source.nv)] \
+            == [_outcome(_reference_branch_vertex, m, v, image) for v in range(m.source.nv)]
+        assert _outcome(sheet_count, m) == _outcome(
+            _reference_sheets, m, lambda v: _reference_branch_vertex(m, v, image), image)
+
+        def report():
+            r = check_riemann_hurwitz(m)
+            return r.sheets, r.vertex_branch_numbers, r.quad_branch_numbers, r.total_branching
+        assert _outcome(report) == _outcome(_reference_riemann_hurwitz, m, image)
+
+
+def test_forced_biconstant_quads_match_star_walks(cover):
+    """The errors no valid map reaches: the cube cover with some quads read
+    as biconstant, by the arrays and by the star walks alike.  Of the six
+    quads at a branch point, forcing three in a row leaves one whole turn,
+    forcing three apart images that do not wind around the target star,
+    forcing fewer an image count no whole number of turns makes."""
+    total, base, cmap = cover
+    star = [q for q, _ in total.stars[cmap.wrap_counts.tolist().index(2)]]
+    rng = np.random.default_rng(5)
+    trials = [star[2:3], star[4:], star[1:4], [star[i] for i in (2, 4, 5)]] + [
+        rng.choice(total.nq, size=k, replace=False).tolist() for k in (1, 2, 3, 5, 8)]
+    for forced in trials:
+        m = CoveringMap(total, base, cmap.vertex_map)
+        images = cmap.corner_images.copy()
+        for q in forced:
+            images[4 * q:4 * q + 4] = -1
+        object.__setattr__(m, "corner_images", images)
+
+        def image(m, q):
+            return None if q in forced else _scan_quad_image(m, q)
+        assert [_outcome(branch_vertex, m, v) for v in range(m.source.nv)] \
+            == [_outcome(_reference_branch_vertex, m, v, image) for v in range(m.source.nv)]
+        assert _outcome(sheet_count, m) == _outcome(
+            _reference_sheets, m, lambda v: _reference_branch_vertex(m, v, image), image)
+
+
+def test_doubled_edge_identity_is_an_ambiguous_gluing():
+    cx = gen_torus(2, 4, 1j)
+    with pytest.raises(AmbiguousGluingError, match=re.escape(
+            "edge {1, 0} occurs in 4 quad boundaries; rotation system is ambiguous")):
+        check_riemann_hurwitz(CoveringMap(cx, cx, range(cx.nv)))
+
+
+@pytest.mark.parametrize("bad", [16, -1])
+def test_covering_map_refuses_unknown_target_vertices(torus44, bad):
+    vm = list(range(16))
+    vm[5] = bad
+    with pytest.raises(DqsError, match=re.escape(f"target vertex id {bad} out of range 0..15")):
+        CoveringMap(torus44, torus44, vm)
+
+
+def test_map_bundle_is_the_surface_documents_and_the_vertex_table(cover):
+    from dqs.io import serialize_dqs, serialize_map_bundle
+    from dqs.homology import standard_torus_basis
+
+    total, base, cmap = cover
+    torus = gen_torus(4, 4, 0.3 + 1.2j)
+    basis = standard_torus_basis(torus, 4, 4)
+    for args in ((total, base, cmap.vertex_map, None, None),
+                 (torus, torus, range(16), basis, basis)):
+        source, target, vm, sb, tb = args
+        assert serialize_map_bundle(*args) == json.dumps({
+            "source": json.loads(serialize_dqs(source, sb)),
+            "target": json.loads(serialize_dqs(target, tb)),
+            "vertex_map": [[i, int(t)] for i, t in enumerate(vm)],
+        })
 
 
 # ---------------------------------------------------------------------------
@@ -359,18 +555,9 @@ def _reference_validate_map(m, tol=1e-12):
 def test_validate_map_matches_reference_on_mutated_maps(name):
     m = _covering(name)
     assert validate_map(m).violations == _reference_validate_map(m) == ()
-    rng = np.random.default_rng(7)
-    by_color = [[v for v in range(m.target.nv) if m.target.colors[v] == c] for c in (0, 1)]
-    for trial in range(40):
-        vm = list(m.vertex_map)
-        for v in rng.choice(m.source.nv, size=int(rng.integers(1, 4)), replace=False).tolist():
-            # mostly within the color, now and then across it
-            pool = by_color[m.source.colors[v] ^ (trial % 10 == 0)]
-            vm[v] = int(rng.choice(pool))
-        mutated = CoveringMap(m.source, m.target, vm)
-        assert validate_map(mutated).violations == _reference_validate_map(mutated)
-    weights = CoveringMap(m.source, QuadComplex.build(
-        m.target.colors, m.target.quads, [r + 0.5 for r in m.target.rho]), m.vertex_map)
+    *mutated, weights = _mutated_maps(m)
+    for mm in mutated:
+        assert validate_map(mm).violations == _reference_validate_map(mm)
     assert validate_map(weights).violations == _reference_validate_map(weights) != ()
 
 
