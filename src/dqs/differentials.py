@@ -23,7 +23,10 @@ combination of the canonical holomorphic forms and their conjugates:
 co-closedness is never solved for.  Every period read here is a doubled
 shadow row of the basis: ``period_matrices`` integrates the canonical
 set along the 2g b-shadow rows in one product, and the plain period
-matrix Pi is the average of the black and white ones.
+matrix Pi is the average of the black and white ones.  The 4g and 2g
+dimension counts (``nullity_harmonic``, ``nullity_holomorphic``) run
+on the closedness and residue systems with the pivots of the diagonal
+spanning forests eliminated (``operators.tree_columns``).
 """
 
 from __future__ import annotations
@@ -48,8 +51,20 @@ from .operators import (
     sparse_matrix,
     step_rows,
     step_triplets,
+    tree_columns,
 )
-from .surface import BLACK, WHITE, QuadComplex, require_ids, varignon_area
+from .surface import (
+    BLACK,
+    SLOT_BM,
+    SLOT_BP,
+    SLOT_WM,
+    SLOT_WP,
+    WHITE,
+    QuadComplex,
+    require_ids,
+    spanning_forest,
+    varignon_area,
+)
 
 
 # Surfaces with at least this many quads assemble the dz system sparse and
@@ -134,14 +149,31 @@ def harmonic_with_periods(cx: QuadComplex, basis: HomologyBasis, targets,
 
 
 def nullity_harmonic(cx: QuadComplex) -> int:
-    """Dimension of the space of harmonic forms (expected 4g)."""
+    """Dimension of the space of harmonic forms (expected 4g).
+
+    The closedness rows B and co-closedness rows of the Hodge star, with
+    the pivots of two forests eliminated (``tree_columns``): the white
+    forest's on the white rows of B, which read black values, and the
+    black forest's on the black rows, which read white values.
+    """
     B = cx.boundary_matrix
-    return nullity(np.vstack([B, costar(cx, B)]))
+    A = np.vstack([B, costar(cx, B)])
+    Q = cx.quad_array
+    white, black = cx.white_forest, spanning_forest(cx, BLACK)
+    black_values = tree_columns(A[:, :cx.nq], white, Q[:, SLOT_WP], Q[:, SLOT_WM], cx.nv)
+    white_values = tree_columns(A[:, cx.nq:], black, Q[:, SLOT_BM], Q[:, SLOT_BP], cx.nv)
+    children = np.concatenate([white[0], black[0]])
+    S = np.hstack([black_values[:, :cx.nq - len(white[0])],
+                   white_values[:, :cx.nq - len(black[0])]])
+    return nullity(np.delete(S, children, axis=0))
 
 
 def nullity_holomorphic(cx: QuadComplex) -> int:
-    """Dimension of the space of holomorphic forms (expected 2g)."""
-    return nullity(cx.dz_boundary)
+    """Dimension of the space of holomorphic forms (expected 2g): the residue
+    rows of the p dz forms with the white forest's pivots eliminated, that is
+    the quad columns of ``QuadComplex.form_columns`` on its vertex rows."""
+    n = len(cx.white_forest[0])
+    return nullity(cx.form_columns[:cx.nv - n, :cx.nq - n])
 
 
 def holomorphic_with_a_periods(cx: QuadComplex, basis: HomologyBasis, targets,

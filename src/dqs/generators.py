@@ -50,11 +50,13 @@ def randomize_rho(cx: QuadComplex, rng: np.random.Generator) -> QuadComplex:
     [0.2, 3) and Im rho in [-2, 2).
 
     The combinatorics of cx have passed ``QuadComplex.build`` or the
-    parser already, so the complex is made directly from its tuples.
+    parser already, so the complex is made directly from its tuples, by
+    ``QuadComplex.with_rho``: a weight draw reuses the combinatorial
+    caches of cx.
     """
     re = rng.uniform(0.2, 3.0, cx.nq)
     im = rng.uniform(-2.0, 2.0, cx.nq)
-    return QuadComplex(cx.colors, cx.quads, tuple((re + 1j * im).tolist()))
+    return cx.with_rho((re + 1j * im).tolist())
 
 
 # ---------------------------------------------------------------------------

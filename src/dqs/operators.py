@@ -19,7 +19,17 @@ COO array, ``compose`` scales the column blocks of a numpy array, and
 the CSR array that is factored.
 
 Solves go through ``solve`` and rank counts through ``nullity``, so
-every system gets the same rank, residual and cutoff rules.  Once the
+every system gets the same rank, residual and cutoff rules.  Before a
+count, the pivots of a spanning forest of a diagonal graph are
+eliminated: every white-vertex row of the boundary holds +-1 at its
+quads, so the tree quads of a breadth-first forest of the white graph
+(``QuadComplex.white_forest``) and its child vertices form a +-1 block
+that is triangular with parents first.  Its inverse is a sum along root
+paths (``root_path_sums``, by pointer jumping), so the elimination is a
+change of coordinates: ``tree_columns`` rewrites columns,
+``function_rows`` the rows of the function systems, and ``nullity``
+runs its singular-value count on what is left, about half the size in
+each dimension, with the same nullity and the same cutoff.  Once the
 two row dependencies of each boundary block (``dependent_rows``) are
 dropped, every solver system is square, and ``solve`` factors it with
 one LU: dense LAPACK for a numpy array, sparse SuperLU for a scipy
@@ -32,11 +42,14 @@ Each operator is built once per object that determines it and is
 read-only from then on.  A ``QuadComplex`` caches its weights
 (``rho_array``), its dense boundary (``boundary_matrix``, assembled by
 ``boundary``) and the p dz composition of that boundary
-(``dz_boundary``); the kernel counts and the Laplacian read them, while
-each solver system is assembled once from triplets, so the sparse path
-never asks for a dense boundary.  A ``HomologyBasis`` caches the steps of its
-doubled a- and b-shadow rows as ``step_array`` arrays, which
-``step_triplets`` and ``integrals`` take in place of step lists.
+(``dz_boundary``), and the tree coordinates of every row of the
+function systems (``function_rows``) and every column of the form
+systems (``form_columns``), which each divisor cuts; the kernel counts
+and the Laplacian read them, while each solver system is assembled once
+from triplets, so the sparse path never asks for a dense boundary.  A
+``HomologyBasis`` caches the steps of its doubled a- and b-shadow rows
+as ``step_array`` arrays, which ``step_triplets`` and ``integrals``
+take in place of step lists.
 """
 
 from __future__ import annotations
@@ -326,6 +339,119 @@ def _lu_solve(S, b: np.ndarray, eps_n: float):
         return None
     with np.errstate(over="ignore"):
         return (x[:, :-1] * np.ldexp(1.0, e)).reshape(shape)
+
+
+def root_path_sums(parent, x: np.ndarray) -> np.ndarray:
+    """Row k: the sum of the rows of x at forest position k and at each of
+    its ancestors, parent[k] being the position of k's parent, or -1 where
+    that parent is a root, which has no row.
+
+    Pointer jumping: each round adds the partial sum of the ancestor as
+    far up as the partial sums reach, so the rounds are logarithmic in
+    the depth of the forest.
+    """
+    out = np.array(x)
+    up = np.array(parent)
+    while len(has := np.flatnonzero(up >= 0)):
+        out[has] += out[up[has]]
+        up[has] = up[up[has]]
+    return out
+
+
+def tree_columns(A: np.ndarray, forest, plus, minus, nv: int) -> np.ndarray:
+    """The columns of A in the tree coordinates of a diagonal-graph forest.
+
+    Column j of A meets the vertex rows of the forest's color in +1 at
+    plus[j] and -1 at minus[j], and the tree column of child k is column
+    quad[k], ``forest`` being (child, quad, parent).  Column k of Y sums
+    the tree columns on the path from child k up to its root, each signed
+    to read +1 at its child end, so it reads +1 at the child and -1 at
+    the root.  Returns [R, Y]: R holds the columns outside the tree, each
+    minus Y at plus[j] plus Y at minus[j] (a root counts as a zero column),
+    so R vanishes on every child row.  Column operations only: the rank of
+    A is the number of children plus the rank of R on the other rows.
+    """
+    child, quad, parent = forest
+    cols = A.T
+    sign = np.where(plus[quad] == child, 1.0, -1.0)
+    Y = root_path_sums(parent, cols[quad] * sign[:, None])
+    position = np.full(nv, len(child))  # the zero row below Y: no path
+    position[child] = np.arange(len(child))
+    Y0 = np.vstack([Y, np.zeros((1, len(A)))])
+    free = np.ones(len(cols), dtype=bool)
+    free[quad] = False
+    R = cols[free] - Y0[position[plus[free]]]
+    R += Y0[position[minus[free]]]
+    return np.vstack([R, Y]).T
+
+
+def function_rows(cx: QuadComplex) -> np.ndarray:
+    """The rows of L(-D) systems that tree coordinates leave non-trivial, nq x nv.
+
+    Over the white forest ``QuadComplex.white_forest`` a vertex function
+    f is f = M z, z indexed like the vertices: z is f at the black
+    vertices and the roots, and at a white child c the holomorphicity
+    residual of c's tree quad, f(w+) - f(w-) + i rho (f(b-) - f(b+)).
+    Row c of M is the sum of the steps along c's path to its root, so M
+    comes from ``root_path_sums``; its other rows are unit rows.  Returns
+    the holomorphicity rows (the columns of ``QuadComplex.dz_boundary``)
+    of the quads outside the tree, ascending, times M, then the value rows
+    M[c] of the white children in forest order.  The holomorphicity row of
+    a tree quad is +-1 at its child's column alone, and so is a value row
+    at a black vertex or a root: a count deletes such rows and columns.
+    """
+    child, quad, parent = cx.white_forest
+    Q, rho = cx.quad_array, cx.rho_array
+    k = np.arange(len(child))
+    sign = np.where(Q[quad, SLOT_WP] == child, 1.0, -1.0)
+    step = np.zeros((len(child), cx.nv), complex)
+    step[k, child] = sign
+    step[k, Q[quad, SLOT_BM]] = -1j * sign * rho[quad]
+    step[k, Q[quad, SLOT_BP]] = 1j * sign * rho[quad]
+    top = parent < 0
+    step[k[top], Q[quad[top], SLOT_WM] + Q[quad[top], SLOT_WP] - child[top]] = 1.0
+    M = np.eye(cx.nv, dtype=complex)
+    M[child] = root_path_sums(parent, step)
+    free = np.delete(np.arange(cx.nq), quad)
+    out = np.empty((cx.nq, cx.nv), complex)
+    H = out[:len(free)]
+    H[:] = M[Q[free, SLOT_WP]]
+    H -= M[Q[free, SLOT_WM]]  # the black rows of M are unit rows
+    q = np.arange(len(free))
+    H[q, Q[free, SLOT_BM]] += 1j * rho[free]
+    H[q, Q[free, SLOT_BP]] -= 1j * rho[free]
+    out[len(free):] = M[child]
+    return out
+
+
+def form_columns(cx: QuadComplex) -> np.ndarray:
+    """The columns of H(D) systems in the tree coordinates of the white forest, nv x nq.
+
+    The columns are the ``tree_columns`` of the p dz forms (the columns
+    of ``QuadComplex.dz_boundary`` over the quad unit rows) and the white
+    forest: first the quads outside the tree, ascending, each corrected
+    along the tree so that its white residues vanish at every child, then
+    one root path form per white child, in forest order.  The rows are
+    the residues at the vertices other than the white children,
+    ascending, then the values p at the tree quads, in forest order.  A
+    child's residue row is +-1 at its root path form alone, and so is the
+    value row of a quad outside the tree at its own column: a count
+    deletes such rows and columns.
+    """
+    child, quad, _ = cx.white_forest
+    Q, rho = cx.quad_array, cx.rho_array
+    nv, nq = cx.nv, cx.nq
+    row = np.full(nv, -1)  # the row of each vertex, -1 at a child
+    row[np.delete(np.arange(nv), child)] = np.arange(nv - len(child))
+    q = np.arange(nq)
+    forms = np.zeros((nq, nv), complex)  # row j: column j of the system
+    forms[q, row[Q[:, SLOT_BM]]] = 1j * rho
+    forms[q, row[Q[:, SLOT_BP]]] = -1j * rho
+    for slot, value in ((SLOT_WP, 1.0), (SLOT_WM, -1.0)):
+        at = row[Q[:, slot]] >= 0
+        forms[q[at], row[Q[at, slot]]] = value
+    forms[quad, nv - len(child) + np.arange(len(quad))] = 1.0
+    return tree_columns(forms.T, cx.white_forest, Q[:, SLOT_WP], Q[:, SLOT_WM], nv)
 
 
 def nullity(A: np.ndarray, cutoff: float = 1e-9) -> int:

@@ -8,12 +8,18 @@ simple pole is allowed (quad coefficient 1), with double values forced
 where the coefficient is -2 and zeros forced at vertices with -1.  The
 differential space H(D) mirrors it on forms.  Both dimensions come from
 numerical kernels; the identity l(-D) = deg D - 2g + 2 + i(D) ties them
-together and is checked in integers.  Both systems are cut from the
-operators cached on the complex, read-only: the rows of ``l_system`` and
-the p columns of ``i_system`` come from the one p dz operator
+together and is checked in integers.  ``l_system`` and ``i_system``
+are cut from the operators cached on the complex, read-only: their rows
+and p columns come from the one p dz operator
 ``QuadComplex.dz_boundary``, the double-value and dzbar parts from
-``QuadComplex.boundary_matrix``, and unit rows are written directly, so
-every divisor on one surface reuses one assembly.  ``i_dim_basis_route``
+``QuadComplex.boundary_matrix``, and unit rows are written directly.
+The counts run on the same systems with the pivots of the white forest
+eliminated (``l_tree_system``, ``i_tree_system``), about half the size
+in each dimension and of the same nullity: they are cut from the tree
+coordinates cached on the complex (``QuadComplex.function_rows`` and
+``form_columns``), so every divisor on one surface reuses one
+assembly, and ``l_system`` and ``i_system`` remain as the unreduced
+references.  ``i_dim_basis_route``
 counts i(D) a second way, from the spanning family of Abelian
 differentials: the forms D allows are columns of one batch solve in
 ``dqs.differentials``, and its elimination matrix is their dz
@@ -31,7 +37,7 @@ from .calculus import as_vertex_function, d_function, decompose_all
 from .differentials import _dz_solve
 from .homology import HomologyBasis
 from .operators import compose, nullity
-from .surface import BLACK, WHITE, QuadComplex, genus, require_ids
+from .surface import BLACK, SLOT_BM, SLOT_BP, WHITE, QuadComplex, genus, require_ids
 
 
 @dataclass(frozen=True)
@@ -141,9 +147,39 @@ def l_system(cx: QuadComplex, d: Divisor) -> np.ndarray:
     return np.vstack([cx.dz_boundary.T[holomorphic], double_rows, zeros])
 
 
+def l_tree_system(cx: QuadComplex, d: Divisor) -> np.ndarray:
+    """``l_system`` with the white forest's pivots eliminated: the same nullity.
+
+    Rows and columns are cut from ``QuadComplex.function_rows``.  The
+    holomorphicity row of a tree quad is a pivot on its white child's
+    column, and both go, unless D allows a pole there: then the child's
+    column stays as a free residual.  A zero at a black vertex or a root
+    fixes its coordinate, so its column goes.  A double quad adds its
+    black row f(b+) - f(b-); its white row is its holomorphicity row plus
+    i rho times the black one, so it adds nothing.
+    """
+    _require_admissible(cx, d)
+    child, quad, _ = cx.white_forest
+    holomorphic = np.ones(cx.nq, dtype=bool)
+    holomorphic[_ids_with(d.quad_coeffs, 1)] = False
+    zero = np.zeros(cx.nv, dtype=bool)
+    zero[_ids_with(d.vertex_coeffs, -1)] = True
+    tree = np.zeros(cx.nq, dtype=bool)
+    tree[quad] = True
+    kept = ~zero
+    kept[child] = ~holomorphic[quad]
+    S = cx.function_rows[np.concatenate([holomorphic[~tree], zero[child]])][:, kept]
+    double = cx.quad_array[_ids_with(d.quad_coeffs, -2)]
+    if len(double):
+        cols = np.flatnonzero(kept)
+        black = (cols == double[:, SLOT_BP, None]) - (cols == double[:, SLOT_BM, None]) * 1.0
+        S = np.vstack([S, black])
+    return S
+
+
 def l_dim(cx: QuadComplex, d: Divisor) -> int:
     """dim L(-D): meromorphic functions with divisor >= -D."""
-    return nullity(l_system(cx, d))
+    return nullity(l_tree_system(cx, d))
 
 
 def i_system(cx: QuadComplex, d: Divisor):
@@ -167,10 +203,42 @@ def i_system(cx: QuadComplex, d: Divisor):
     return A, n_unknowns
 
 
+def i_tree_system(cx: QuadComplex, d: Divisor) -> np.ndarray:
+    """``i_system`` with the white forest's pivots eliminated: the same nullity.
+
+    Rows and columns are cut from ``QuadComplex.form_columns``.  The
+    residue row of a white child is a pivot on its root path form, and
+    both go, unless D allows a pole there: then the root path form stays
+    as a column.  A zero at a quad outside the tree fixes its coordinate,
+    so its column goes.  The dzbar column of a double quad minus its p
+    column is -2i Re(rho) times its black incidence (+1 at b-, -1 at b+),
+    which has no white residue, so that column stands in for it.
+    """
+    _require_admissible(cx, d)
+    child, quad, _ = cx.white_forest
+    residue = np.ones(cx.nv, dtype=bool)
+    residue[_ids_with(d.vertex_coeffs, -1)] = False
+    zero = np.zeros(cx.nq, dtype=bool)
+    zero[_ids_with(d.quad_coeffs, 1)] = True
+    tree = np.zeros(cx.nq, dtype=bool)
+    tree[quad] = True
+    other = np.ones(cx.nv, dtype=bool)
+    other[child] = False
+    rows = np.concatenate([residue[other], zero[quad]])
+    S = cx.form_columns[rows][:, np.concatenate([~zero[~tree], ~residue[child]])]
+    double = _ids_with(d.quad_coeffs, -2)
+    if len(double):
+        Q = cx.quad_array[double]
+        v = np.flatnonzero(residue & other)  # the vertex of each residue row, -1 below
+        v = np.append(v, np.full(len(S) - len(v), -1))[:, None]
+        black = (v == Q[:, SLOT_BM]) - (v == Q[:, SLOT_BP]) * 1.0
+        S = np.hstack([S, black * (-2j * cx.rho_array[double].real)])
+    return S
+
+
 def i_dim(cx: QuadComplex, d: Divisor) -> int:
     """dim H(D): Abelian differentials with divisor >= D."""
-    A, _ = i_system(cx, d)
-    return nullity(A)
+    return nullity(i_tree_system(cx, d))
 
 
 @dataclass(frozen=True)

@@ -25,10 +25,14 @@ undirected edge, the one edge table (``edge_runs``: where each edge's
 incidences start in that grouping, and how many there are), the ccw
 successor of every incidence in its vertex star, found by matching each
 edge with its other traversal, and the black and white diagonal graphs
-as flat adjacency tables.  It also caches the weights as a complex
+as flat adjacency tables, with a breadth-first spanning forest of the
+white one (``white_forest``).  It also caches the weights as a complex
 array and, on first use, its dense operators: the vertex-boundary
-matrix and its p dz composition.  Every cached array is read-only, so
-all consumers of one surface can share it.  ``validate`` checks every
+matrix, its p dz composition, and the kernel systems in the tree
+coordinates of the white forest.  Every cached array is read-only, so
+all consumers of one surface can share it, and a weight draw on the
+same combinatorics (``with_rho``) starts with the caches that do not
+read the weights.  ``validate`` checks every
 surface invariant with linear numpy passes over these arrays and
 formats messages for the violators only.  Its findings but strong
 regularity are cached as ``defects``, and ``require_surface``, the one
@@ -136,6 +140,24 @@ class QuadComplex:
         t = self.quads[q]
         return t[SLOT_WM], t[SLOT_WP]
 
+    # caches built from the colors and quads alone, which ``with_rho`` shares
+    COMBINATORIAL = ("quad_array", "vertex_groups", "edge_groups", "edge_runs",
+                     "star_successor", "diagonal_adjacency", "white_forest",
+                     "boundary_matrix")
+
+    def with_rho(self, rho) -> "QuadComplex":
+        """The same combinatorics with the weights rho, one complex per quad.
+
+        The new complex starts with every cache in ``COMBINATORIAL`` that
+        this one has built, the same read-only objects.  Whatever reads the
+        weights (``rho_array``, ``dz_boundary``, the kernel systems) and
+        ``defects``, which checks them, is built afresh.
+        """
+        out = QuadComplex(self.colors, self.quads, tuple(rho))
+        built = vars(self)
+        vars(out).update({name: built[name] for name in self.COMBINATORIAL if name in built})
+        return out
+
     # -- array views -------------------------------------------------
     # Incidence 4*q + slot is corner `slot` of quad q, so the flattened
     # quad array lists the incidences in (quad, slot) order.  The edge of
@@ -185,6 +207,13 @@ class QuadComplex:
         quads = np.arange(self.nq)
         return tuple(_adjacency(self.nv, Q[:, lo], Q[:, lo + 2], quads)
                      for lo in (SLOT_BM, SLOT_WM))
+
+    @cached_property
+    def white_forest(self):
+        """Breadth-first spanning forest of the white diagonal graph:
+        ``spanning_forest(self, WHITE)``.  The kernel counts eliminate its
+        pivots before every rank decision."""
+        return spanning_forest(self, WHITE)
 
     @cached_property
     def edge_runs(self):
@@ -246,6 +275,20 @@ class QuadComplex:
         from .operators import dz
 
         return read_only(dz(self, self.boundary_matrix))
+
+    @cached_property
+    def function_rows(self) -> np.ndarray:
+        """Every row of an L(-D) system in tree coordinates: ``operators.function_rows``."""
+        from .operators import function_rows
+
+        return read_only(function_rows(self))
+
+    @cached_property
+    def form_columns(self) -> np.ndarray:
+        """Every column of an H(D) system in tree coordinates: ``operators.form_columns``."""
+        from .operators import form_columns
+
+        return read_only(form_columns(self))
 
     @cached_property
     def stars(self):
@@ -628,6 +671,33 @@ def _bfs(adj, root: int, goal=None, skip=(), sort_levels=False) -> dict:
                     reached.append(w)
         front = sorted(reached) if sort_levels else reached
     return parent
+
+
+def spanning_forest(cx: QuadComplex, color: int):
+    """Spanning forest of one diagonal graph: (child, quad, parent) int arrays.
+
+    One ``_bfs`` per component, from its lowest vertex of the color.
+    Every other vertex of the color is a child, listed in the order the
+    search reached it: ``quad`` is the quad whose diagonal joins it to its
+    parent, and ``parent`` the parent's position in ``child``, -1 where
+    the parent is a root.  So a parent comes before its children.
+    """
+    adj = cx.diagonal_adjacency[color]
+    reached = set()
+    position = {}
+    child, quad, parent = [], [], []
+    for root in range(cx.nv):
+        if cx.colors[root] != color or root in reached:
+            continue
+        tree = _bfs(adj, root)
+        reached.update(tree)
+        for v, step in tree.items():
+            if step is not None:
+                position[v] = len(child)
+                child.append(v)
+                quad.append(step[1])
+                parent.append(position.get(step[0], -1))
+    return tuple(read_only(np.array(a, dtype=np.intp)) for a in (child, quad, parent))
 
 
 def _path_to(parent: dict, goal: int) -> list:
