@@ -138,7 +138,6 @@ from .jacobian import (
     abel_jacobi_black,
     abel_jacobi_quad,
     abel_jacobi_white,
-    aj_cr_residual,
     jacobians,
 )
 

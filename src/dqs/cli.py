@@ -157,10 +157,8 @@ def cmd_homology(args):
     report.outputs["genus"] = basis.g
     report.outputs["cycle_lengths"] = [len(c) for c in basis.all_cycles()]
     report.outputs["intersection_matrix"] = basis.intersection.tolist()
-    g = basis.g
-    expected = np.block([[np.zeros((g, g), int), np.eye(g, dtype=int)],
-                         [-np.eye(g, dtype=int), np.zeros((g, g), int)]])
-    report.check("standard-pairing", np.array_equal(basis.intersection, expected))
+    report.check("standard-pairing",
+                 np.array_equal(basis.intersection, ho.standard_pairing(basis.g)))
     return report.emit()
 
 
@@ -300,8 +298,9 @@ def cmd_abel_jacobi(args):
     report.outputs["map"] = which
     report.outputs["representative"] = [[z.real, z.imag] for z in val.vector]
     report.outputs["lattice_generators"] = _matrix_json(lattice.generators)
-    cr = ja.aj_cr_residual(cx, hb)
-    report.check("holomorphic-components", cr < 1e-10, cr)
+    # the components are the canonical forms: closed through the medial expansion
+    closed = max((ca.closedness_residual(cx, w) for w in hb.omega), default=0.0)
+    report.check("holomorphic-components", closed < 1e-10, closed)
     return report.emit()
 
 
@@ -361,18 +360,19 @@ def build_parser():
 
     Parsing keeps no state in the parser, and argparse looks up
     sys.stdout and sys.stderr when it prints, so one parser serves
-    every call of main.
+    every call of main.  Each option goes only to the commands that read
+    it, so a misplaced one is a usage error rather than ignored.
     """
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol", type=float, default=1e-9, help="numerical tolerance")
-    common.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
-    common.add_argument("--format", choices=("text", "json"), default="text")
+    fmt, tol, seed = (argparse.ArgumentParser(add_help=False) for _ in range(3))
+    fmt.add_argument("--format", choices=("text", "json"), default="text")
+    tol.add_argument("--tol", type=float, default=1e-9, help="numerical tolerance")
+    seed.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
 
-    p = argparse.ArgumentParser(prog="dqs", description=__doc__, parents=[common])
+    p = argparse.ArgumentParser(prog="dqs", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def surface_cmd(name, fn, help_):
-        sp = sub.add_parser(name, help=help_, parents=[common])
+    def surface_cmd(name, fn, help_, *options):
+        sp = sub.add_parser(name, help=help_, parents=[fmt, *options])
         sp.add_argument("surface", nargs="?", default="-",
                         help="DQS file or - for stdin")
         sp.set_defaults(fn=fn)
@@ -381,13 +381,13 @@ def build_parser():
     surface_cmd("check", cmd_check, "validate a surface")
     surface_cmd("genus", cmd_genus, "print the genus")
     surface_cmd("homology", cmd_homology, "canonical homology basis summary")
-    sp = surface_cmd("periods", cmd_periods, "period matrices")
+    sp = surface_cmd("periods", cmd_periods, "period matrices", tol)
     sp.add_argument("--complete", action="store_true",
                     help="also print the 2g x 2g and shadow matrices")
-    sp = surface_cmd("harmonic", cmd_harmonic, "harmonic form with given periods")
+    sp = surface_cmd("harmonic", cmd_harmonic, "harmonic form with given periods", tol)
     sp.add_argument("--targets", default=None,
                     help="comma list of 4g complex periods (AB..., AW..., BB..., BW...)")
-    sp = surface_cmd("abelian", cmd_abelian, "abelian differential with verification")
+    sp = surface_cmd("abelian", cmd_abelian, "abelian differential with verification", tol)
     group = sp.add_mutually_exclusive_group(required=True)
     group.add_argument("--second", type=int, metavar="Q",
                        help="double pole at quad Q")
@@ -396,14 +396,14 @@ def build_parser():
     sp = surface_cmd("riemann-roch", cmd_riemann_roch, "dimension counts for a divisor")
     sp.add_argument("--divisor", default="", help='e.g. "v:3=-1,q:7=-2,q:9=1"')
     sp = sub.add_parser("hurwitz", help="branching report of a covering map",
-                        parents=[common])
+                        parents=[fmt])
     sp.add_argument("map", nargs="?", default="-", help="map bundle JSON")
     sp.set_defaults(fn=cmd_hurwitz)
     sp = surface_cmd("abel-jacobi", cmd_abel_jacobi, "Abel-Jacobi value of a vertex")
     sp.add_argument("--base", type=int, required=True, help="base quad id")
     sp.add_argument("--point", type=int, required=True, help="target vertex id")
 
-    sp = sub.add_parser("gen", help="generate surfaces", parents=[common])
+    sp = sub.add_parser("gen", help="generate surfaces")
     gensub = sp.add_subparsers(dest="kind", required=True)
     gt = gensub.add_parser("torus")
     gt.add_argument("--m", type=int, required=True)
@@ -425,7 +425,7 @@ def build_parser():
     gd.set_defaults(fn=cmd_gen)
 
     st = sub.add_parser("selftest", help="run the full acceptance suite",
-                        parents=[common])
+                        parents=[fmt, seed])
     st.set_defaults(fn=cmd_selftest)
     return p
 
@@ -434,9 +434,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if not (math.isfinite(args.tol) and args.tol > 0):
+        if "tol" in args and not (math.isfinite(args.tol) and args.tol > 0):
             raise DqsError(f"--tol must be a finite positive number, got {args.tol}")
-        if args.seed < 0:
+        if "seed" in args and args.seed < 0:
             raise DqsError(f"--seed must be a nonnegative integer, got {args.seed}")
         return args.fn(args)
     except DqsError as exc:

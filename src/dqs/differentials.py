@@ -23,10 +23,12 @@ combination of the canonical holomorphic forms and their conjugates:
 co-closedness is never solved for.  Every period read here is a doubled
 shadow row of the basis: ``period_matrices`` integrates the canonical
 set along the 2g b-shadow rows in one product, and the plain period
-matrix Pi is the average of the black and white ones.  The 4g and 2g
-dimension counts (``nullity_harmonic``, ``nullity_holomorphic``) run
-on the closedness and residue systems with the pivots of the diagonal
-spanning forests eliminated (``operators.tree_columns``).
+matrix Pi is the average of the black and white ones.  The 4g
+dimension count (``nullity_harmonic``) runs on the plain closedness and
+co-closedness rows; the 2g count (``nullity_holomorphic``) runs on the
+residue system with the pivots of the white diagonal forest eliminated
+(``QuadComplex.form_columns``).  ``transform_periods`` checks its
+change of basis against ``homology.standard_pairing``.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ import numpy as np
 
 from .errors import AmbiguityError, DqsError, SolveError
 from .calculus import DiamondForm, d_one_form, from_coefficients
-from .homology import HomologyBasis
+from .homology import HomologyBasis, standard_pairing
 from .operators import (
     boundary_triplets,
     costar,
@@ -51,18 +53,12 @@ from .operators import (
     sparse_matrix,
     step_rows,
     step_triplets,
-    tree_columns,
 )
 from .surface import (
     BLACK,
-    SLOT_BM,
-    SLOT_BP,
-    SLOT_WM,
-    SLOT_WP,
     WHITE,
     QuadComplex,
     require_ids,
-    spanning_forest,
     varignon_area,
 )
 
@@ -149,23 +145,10 @@ def harmonic_with_periods(cx: QuadComplex, basis: HomologyBasis, targets,
 
 
 def nullity_harmonic(cx: QuadComplex) -> int:
-    """Dimension of the space of harmonic forms (expected 4g).
-
-    The closedness rows B and co-closedness rows of the Hodge star, with
-    the pivots of two forests eliminated (``tree_columns``): the white
-    forest's on the white rows of B, which read black values, and the
-    black forest's on the black rows, which read white values.
-    """
+    """Dimension of the space of harmonic forms (expected 4g): the nullity of
+    the closedness rows B stacked on the co-closedness rows of the Hodge star."""
     B = cx.boundary_matrix
-    A = np.vstack([B, costar(cx, B)])
-    Q = cx.quad_array
-    white, black = cx.white_forest, spanning_forest(cx, BLACK)
-    black_values = tree_columns(A[:, :cx.nq], white, Q[:, SLOT_WP], Q[:, SLOT_WM], cx.nv)
-    white_values = tree_columns(A[:, cx.nq:], black, Q[:, SLOT_BM], Q[:, SLOT_BP], cx.nv)
-    children = np.concatenate([white[0], black[0]])
-    S = np.hstack([black_values[:, :cx.nq - len(white[0])],
-                   white_values[:, :cx.nq - len(black[0])]])
-    return nullity(np.delete(S, children, axis=0))
+    return nullity(np.vstack([B, costar(cx, B)]))
 
 
 def nullity_holomorphic(cx: QuadComplex) -> int:
@@ -283,7 +266,7 @@ def transform_periods(Pi_full: np.ndarray, A, B, C, D) -> np.ndarray:
     A, B, C, D = (np.asarray(M, dtype=float) for M in (A, B, C, D))
     g = A.shape[0]
     S = np.block([[A, B], [C, D]])
-    J = np.block([[np.zeros((g, g)), np.eye(g)], [-np.eye(g), np.zeros((g, g))]])
+    J = standard_pairing(g)
     if not np.allclose(S @ J @ S.T, J, atol=1e-12):
         raise DqsError("(A B; C D) is not symplectic")
     P = np.block([[np.zeros((g, g)), np.eye(g)], [np.eye(g), np.zeros((g, g))]])

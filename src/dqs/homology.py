@@ -4,16 +4,20 @@ Cycles are closed walks on the medial graph, stored as signed canonical
 edge indices.  Every cycle has black and white shadows: closed walks on
 the black and white diagonal graphs obtained by replacing each medial
 edge with the parallel diagonal (keyed by the quad, so doubled diagonals
-are unproblematic).  Each medial edge of a diamond form carries the
-value of its parallel diagonal, so the plain period of a closed form is
-half the sum of its doubled black and white shadow periods.  The doubled
-shadow rows, built by ``operators.step_triplets`` like the doubled
-integrals along diagonal graph paths, are the one period functional:
-``periods`` is one product over the a-shadow rows and one over the
-b-shadow rows, which a ``HomologyBasis`` builds once, on first use, and
-caches as read-only arrays (``a_shadow_steps``, ``b_shadow_steps``).
-Medial rows are built only by ``integrate_cycle``, the independent
-reference integral along one walk.
+are unproblematic).  The one slot table ``surface.MEDIAL_SLOT`` gives
+the color and sign of that diagonal for every corner slot: the shadows
+(``black_white``) read it, and the lift of a diagonal step
+(``lift_diagonal_walk``) reads its inverse.  Each medial edge of a
+diamond form carries the value of its parallel diagonal, so the plain
+period of a closed form is half the sum of its doubled black and white
+shadow periods.  The doubled shadow rows, built by
+``operators.step_triplets`` like the doubled integrals along diagonal
+graph paths, are the one period functional: ``periods`` is one product
+over the a-shadow rows and one over the b-shadow rows, which a
+``HomologyBasis`` builds once, on first use, and caches as read-only
+arrays (``a_shadow_steps``, ``b_shadow_steps``).  Medial rows are built
+only by ``integrate_cycle``, the independent reference integral along
+one walk.
 
 Every walk on a diagonal graph (the tree-cotree split behind
 ``homology_basis`` and the paths of ``graph_path``) is one breadth-first
@@ -24,14 +28,17 @@ the medial graph reads the quad tuples and, behind ``require_surface``,
 steps around each vertex along ``QuadComplex.star_successor`` alone, as
 ``QuadComplex.stars`` does.  Shadows are computed once per
 cycle, and an intersection matrix is one integer product of the black
-and white quad multiplicities of those shadows.
+and white quad multiplicities of those shadows.  The bases built here
+are checked against the one canonical pairing, ``standard_pairing``,
+which ``dqs homology`` also reports for an embedded basis.  The meridian
+and longitude of a generated torus (``standard_torus_basis``) are
+written straight from the grid, whose cells fix every edge and sign.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress
 
 import numpy as np
 
@@ -40,11 +47,7 @@ from .calculus import DiamondForm, closedness_residual
 from .operators import chain_steps, diagonal_steps, integrals, medial_steps, step_array
 from .surface import (
     BLACK,
-    DIAG_SIGN,
-    SLOT_BM,
-    SLOT_BP,
-    SLOT_WM,
-    SLOT_WP,
+    MEDIAL_SLOT,
     WHITE,
     QuadComplex,
     _ambiguous_gluing,
@@ -114,27 +117,19 @@ def _multiplicities(chains, nq: int) -> np.ndarray:
     return out
 
 
-# DIAG_SIGN by corner slot
-_SLOT_SIGN = np.array([DIAG_SIGN[slot] for slot in range(4)])
-
-
 def black_white(cx: QuadComplex, cycle: Cycle) -> BlackWhiteChains:
     """Shadows on the diagonal graphs, homotopic to the cycle.
 
-    A medial edge keyed by a white vertex is parallel to the black
-    diagonal of its quad and contributes it (and vice versa), with the
-    orientation induced by the traversal.  One array pass over the edge
-    indices of the cycle.
+    Each medial edge contributes its parallel diagonal, with the color
+    and the sign of its corner slot in ``MEDIAL_SLOT`` times the sign of
+    the traversal.  One array pass over the edge indices of the cycle.
     """
     e, s = np.array(cycle.edges, dtype=np.int64).reshape(-1, 2).T
-    q = (e // 4).tolist()
-    d = (s * _SLOT_SIGN[e % 4]).tolist()
-    keys = cx.quad_array.ravel()[e].tolist()
-    white = np.fromiter(map(cx.colors.__getitem__, keys), dtype=np.int64,
-                        count=len(keys)) == WHITE
-    steps = list(zip(q, d))
-    return BlackWhiteChains(tuple(compress(steps, white.tolist())),
-                            tuple(compress(steps, (~white).tolist())))
+    color, sign = np.array(MEDIAL_SLOT)[e % 4].T
+    steps = np.column_stack([e // 4, s * sign])
+    black = color == BLACK
+    return BlackWhiteChains(tuple(map(tuple, steps[black].tolist())),
+                            tuple(map(tuple, steps[~black].tolist())))
 
 
 def chain_is_closed(cx: QuadComplex, chain, color: int) -> bool:
@@ -320,13 +315,21 @@ def intersection_matrix(cx: QuadComplex, chains) -> np.ndarray:
     return M
 
 
+def standard_pairing(g: int) -> np.ndarray:
+    """Intersection matrix [[0, I], [-I, 0]] of a canonical basis of genus g,
+    in (a..., b...) order."""
+    eye, zero = np.eye(g, dtype=int), np.zeros((g, g), dtype=int)
+    return np.block([[zero, eye], [-eye, zero]])
+
+
 # ---------------------------------------------------------------------------
 # lifting diagonal walks to the medial graph
 
 
-# slot of the medial edge parallel to a diagonal step, by color and
-# direction (+1, -1); the edge runs from the step's start to its end
-_LIFT_SLOT = {BLACK: (SLOT_WM, SLOT_WP), WHITE: (SLOT_BP, SLOT_BM)}
+# slot of the medial edge parallel to a diagonal step, by (color,
+# direction): the inverse of ``MEDIAL_SLOT``, so the edge runs from the
+# step's start to its end
+_LIFT_SLOT = {key: slot for slot, key in enumerate(MEDIAL_SLOT)}
 
 
 def lift_diagonal_walk(cx: QuadComplex, walk, color: int) -> Cycle:
@@ -347,7 +350,7 @@ def lift_diagonal_walk(cx: QuadComplex, walk, color: int) -> Cycle:
     quads = cx.quads
     succ = cx.star_successor.item
     degree = cx.vertex_groups[1].item
-    plus, minus = _LIFT_SLOT[color]
+    plus, minus = _LIFT_SLOT[color, 1], _LIFT_SLOT[color, -1]
     edges = [4 * q + (plus if d > 0 else minus) for (q, d) in walk]
     out = []
     n = len(walk)
@@ -473,14 +476,13 @@ def homology_basis(cx: QuadComplex) -> HomologyBasis:
     if g == 0:
         return HomologyBasis((), (), (), (), np.zeros((0, 0), dtype=int))
 
-    blacks = sorted(v for v in range(cx.nv) if cx.colors[v] == BLACK)
-    whites = sorted(v for v in range(cx.nv) if cx.colors[v] == WHITE)
-
-    parent, tree_quads = _spanning_tree(cx, blacks[0], BLACK)
-    if len(parent) != len(blacks):
+    # each tree grows from the lowest vertex of its color
+    parent, tree_quads = _spanning_tree(cx, cx.colors.index(BLACK), BLACK)
+    if len(parent) != cx.colors.count(BLACK):
         raise SurfaceError("black diagonal graph is not connected")
-    wparent, cotree_quads = _spanning_tree(cx, whites[0], WHITE, skip=tree_quads)
-    if len(wparent) != len(whites):
+    wparent, cotree_quads = _spanning_tree(cx, cx.colors.index(WHITE), WHITE,
+                                           skip=tree_quads)
+    if len(wparent) != cx.colors.count(WHITE):
         raise SurfaceError("white diagonal graph is not connected")
 
     extra = sorted(set(range(cx.nq)) - tree_quads - cotree_quads)
@@ -511,11 +513,7 @@ def homology_basis(cx: QuadComplex) -> HomologyBasis:
     a_cycles = tuple(Cycle(combined[k].edges, f"a{k+1}") for k in range(g))
     b_cycles = tuple(Cycle(combined[g + k].edges, f"b{k+1}") for k in range(g))
     basis = build_basis(cx, a_cycles, b_cycles)
-    expected = np.block([
-        [np.zeros((g, g), int), np.eye(g, dtype=int)],
-        [-np.eye(g, dtype=int), np.zeros((g, g), int)],
-    ])
-    if not np.array_equal(basis.intersection, expected):
+    if not np.array_equal(basis.intersection, standard_pairing(g)):
         raise DqsError("constructed basis does not have the standard pairing")
     return basis
 
@@ -525,77 +523,24 @@ def homology_basis(cx: QuadComplex) -> HomologyBasis:
 
 
 def standard_torus_basis(cx: QuadComplex, m: int, n: int) -> HomologyBasis:
-    """Meridian/longitude basis on a gen_torus grid (ids j*m + i).
+    """Meridian/longitude basis on a gen_torus grid (vertex and quad ids j*m + i).
 
-    The a-cycle crosses the bottom row of cells left to right, the
-    b-cycle the left column bottom to top; their pairing is +1.
+    The a-cycle crosses the bottom row of cells left to right along the
+    canonical medial edges keyed by each cell's bottom-left and
+    bottom-right corners.  The b-cycle climbs the left column against
+    the canonical orientation of the edges keyed by each cell's
+    bottom-left and top-left corners.  Their pairing is +1.
     """
     def vid(i, j):
         return (j % n) * m + (i % m)
 
-    def qid(i, j):
-        return (j % n) * m + (i % m)
+    def keyed(q, v):  # the medial edge of quad q keyed by its corner v
+        return medial_edge_index(q, cx.quads[q].index(v))
 
-    a_edges = []
-    for i in range(m):
-        q = qid(i, 0)
-        t = cx.quads[q]
-        # the two boundary edges keyed by the bottom corners of the cell
-        for v in (vid(i, 0), vid(i + 1, 0)):
-            slot = t.index(v)
-            # traverse left to right: slot order around the bottom
-            a_edges.append((medial_edge_index(q, slot), 0))
-    # fix orientations by chaining: start at midpoint of left edge of cell 0
-    a_cycle = _orient_chain(cx, [e for (e, _) in a_edges],
-                            start_pair=(min(vid(0, 0), vid(0, 1)), max(vid(0, 0), vid(0, 1))))
-    b_edges = []
-    for j in range(n):
-        q = qid(0, j)
-        t = cx.quads[q]
-        for v in (vid(0, j), vid(0, j + 1)):
-            slot = t.index(v)
-            b_edges.append((medial_edge_index(q, slot), 0))
-    b_cycle = _orient_chain(cx, [e for (e, _) in b_edges],
-                            start_pair=(min(vid(0, 0), vid(1, 0)), max(vid(0, 0), vid(1, 0))))
-    a = Cycle(a_cycle, "a1")
-    b = Cycle(b_cycle, "b1")
-    if intersection_number(cx, a, b) != 1:
-        raise DqsError("grid cycles do not pair to +1; orientation convention broken")
-    basis = build_basis(cx, (a,), (b,))
-    expected = np.array([[0, 1], [-1, 0]])
-    if not np.array_equal(basis.intersection, expected):
+    # cell (i, j) is quad vid(i, j), its bottom-left corner vertex
+    a = tuple((keyed(vid(i, 0), v), 1) for i in range(m) for v in (vid(i, 0), vid(i + 1, 0)))
+    b = tuple((keyed(vid(0, j), v), -1) for j in range(n) for v in (vid(0, j), vid(0, j + 1)))
+    basis = build_basis(cx, (Cycle(a, "a1"),), (Cycle(b, "b1"),))
+    if not np.array_equal(basis.intersection, standard_pairing(1)):
         raise DqsError("torus basis does not have the standard pairing")
     return basis
-
-
-def _orient_chain(cx: QuadComplex, edges, start_pair):
-    """Orient an unordered chain of medial edges into a closed walk.
-
-    Uses vertex-pair endpoints; on doubled-edge grids pairs may repeat,
-    but the cells visited are distinct so chaining by pairs stays valid.
-    """
-    remaining = list(edges)
-    out = []
-    pos = start_pair
-    guard = 0
-    while remaining:
-        guard += 1
-        if guard > len(edges) + 2:
-            raise DqsError("could not orient cycle edges into a walk")
-        for idx, e in enumerate(remaining):
-            a, b = cx.medial_endpoints(e)
-            if a == pos:
-                out.append((e, 1))
-                pos = b
-                remaining.pop(idx)
-                break
-            if b == pos:
-                out.append((e, -1))
-                pos = a
-                remaining.pop(idx)
-                break
-        else:
-            raise DqsError("cycle edges do not chain")
-    if pos != start_pair:
-        raise DqsError("cycle edges do not close up")
-    return tuple(out)

@@ -224,17 +224,3 @@ def abel_jacobi_quad(cx: QuadComplex, hb: HolomorphicBasis,
     return QuadToQuadValue((black_value + white_value) / 2.0, black_value, white_value,
                            tuple(path))
 
-
-def aj_cr_residual(cx: QuadComplex, hb: HolomorphicBasis) -> float:
-    """Max holomorphicity defect of the Abel-Jacobi map's components.
-
-    With quad-consistent lifts the four corner values of a quad are the
-    path value plus/minus the half-diagonal integrals, so the defect per
-    quad and component is 2 |white - i rho black|; it vanishes exactly
-    because the canonical differentials are holomorphic.
-    """
-    rho = cx.rho_array
-    worst = 0.0
-    for f in hb.omega:
-        worst = max(worst, float(np.abs(2.0 * (f.white - 1j * rho * f.black)).max(initial=0.0)))
-    return worst

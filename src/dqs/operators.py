@@ -10,7 +10,8 @@ are rows of one builder, ``step_triplets``, over signed diagonal steps,
 and ``integrals`` applies them to all forms in one product.  Periods are
 read from doubled shadow steps (``chain_steps``) alone; ``medial_steps``
 builds the rows of plain medial walks, which read their parallel
-diagonals via ``MEDIAL_SLOT``, for the reference integral
+diagonals from ``MEDIAL_SLOT``, the one slot table that the shadows of
+``homology.black_white`` also read, for the reference integral
 ``homology.integrate_cycle``.  The boundary
 and these rows are (row, column, value) triplets first: ``dense_matrix``
 sums them into a numpy array, ``sparse_matrix`` keeps them in a scipy
@@ -19,9 +20,9 @@ COO array, ``compose`` scales the column blocks of a numpy array, and
 the CSR array that is factored.
 
 Solves go through ``solve`` and rank counts through ``nullity``, so
-every system gets the same rank, residual and cutoff rules.  Before a
-count, the pivots of a spanning forest of a diagonal graph are
-eliminated: every white-vertex row of the boundary holds +-1 at its
+every system gets the same rank, residual and cutoff rules.  Before
+the l, i and holomorphic counts, the pivots of a spanning forest of a
+diagonal graph are eliminated: every white-vertex row of the boundary holds +-1 at its
 quads, so the tree quads of a breadth-first forest of the white graph
 (``QuadComplex.white_forest``) and its child vertices form a +-1 block
 that is triangular with parents first.  Its inverse is a sum along root

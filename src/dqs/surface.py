@@ -18,6 +18,10 @@ Medial-graph conventions used by every other module:
   canonical orientation, in ccw star order around v.
 * In the normalized chart the canonical edge vectors are: slot 1 -> 1,
   slot 2 -> i*rho, slot 3 -> -1, slot 0 -> -i*rho.
+* Each medial edge is parallel to the diagonal of the other color than
+  its key vertex, and ``MEDIAL_SLOT``, the one table from corner slot to
+  (diagonal color, sign), holds this for every slot: diamond-form
+  values, diagonal shadows and lifts of diagonal steps all read it.
 
 Beside the tuples, a complex caches array views of its combinatorics:
 the nq x 4 quad array, the incidences grouped by vertex and by
@@ -74,13 +78,13 @@ SLOT_BM, SLOT_WM, SLOT_BP, SLOT_WP = 0, 1, 2, 3
 # ccw boundary order of the quad face F_Q, by corner slot
 FACE_Q_ORDER = (SLOT_WM, SLOT_BP, SLOT_WP, SLOT_BM)
 
-# sign of the parallel diagonal induced by the canonical orientation
-# (+1 means b- -> b+ resp. w- -> w+)
-DIAG_SIGN = {SLOT_WM: 1, SLOT_WP: -1, SLOT_BP: 1, SLOT_BM: -1}
-
-# (color, sign) of the diamond-form value on the canonical medial edge of
-# each corner slot: the value of its parallel diagonal, negated where the
-# edge runs against it (``expand_diamond``, ``operators.medial_steps``)
+# (color, sign) of the parallel diagonal of the canonical medial edge of
+# each corner slot: the edge runs along the diagonal (b- -> b+ resp.
+# w- -> w+) for sign +1 and against it for -1.  The one slot table: a
+# diamond form's value on the edge (``expand_diamond``,
+# ``operators.medial_steps``), the diagonal shadows of a medial cycle
+# (``homology.black_white``) and the lift of a diagonal step
+# (``homology.lift_diagonal_walk``) all read it.
 MEDIAL_SLOT = ((WHITE, -1), (BLACK, 1), (WHITE, 1), (BLACK, -1))
 
 
@@ -328,9 +332,6 @@ class QuadComplex:
 
     # -- medial edge helpers -------------------------------------------------
 
-    def medial_key_vertex(self, e: int) -> int:
-        return self.quads[e // 4][e % 4]
-
     def medial_endpoints(self, e: int):
         """Start/end of the canonical orientation, as undirected vertex pairs."""
         q, slot = divmod(e, 4)
@@ -340,8 +341,8 @@ class QuadComplex:
         return (min(v, p), max(v, p)), (min(v, n), max(v, n))
 
     def medial_edge_color(self, e: int) -> int:
-        """BLACK if parallel to a black diagonal (key vertex white)."""
-        return BLACK if self.colors[self.medial_key_vertex(e)] == WHITE else WHITE
+        """Color of the parallel diagonal (``MEDIAL_SLOT``): BLACK for a white key vertex."""
+        return MEDIAL_SLOT[e % 4][0]
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,6 @@ from dqs.homology import (
     lift_diagonal_walk,
 )
 from dqs.surface import (
-    DIAG_SIGN,
     FACE_Q_ORDER,
     SLOT_BM,
     SLOT_BP,
@@ -97,6 +96,7 @@ class TestBasisConstruction:
         J = np.block([[np.zeros((3, 3), int), np.eye(3, dtype=int)],
                       [-np.eye(3, dtype=int), np.zeros((3, 3), int)]])
         assert np.array_equal(basis.intersection, J)
+        assert np.array_equal(homology.standard_pairing(3), J)
         # recompute every crossing from scratch
         cycles = basis.all_cycles()
         for i in range(6):
@@ -420,12 +420,19 @@ def _reference_lift(cx, walk, color):
     return Cycle(tuple(out))
 
 
+# sign of the parallel diagonal along the canonical medial edge of each
+# corner slot (+1 means b- -> b+ resp. w- -> w+), written out here so the
+# reference does not read ``surface.MEDIAL_SLOT``
+_REFERENCE_DIAG_SIGN = {SLOT_WM: 1, SLOT_WP: -1, SLOT_BP: 1, SLOT_BM: -1}
+
+
 def _reference_black_white(cx, cycle):
-    """Reference black_white: one edge at a time."""
+    """Reference black_white: one edge at a time, the color read off the
+    key vertex (a white key vertex contributes a black step)."""
     blacks, whites = [], []
     for e, s in cycle.edges:
         q, slot = divmod(e, 4)
-        step = (q, s * DIAG_SIGN[slot])
+        step = (q, s * _REFERENCE_DIAG_SIGN[slot])
         (blacks if cx.colors[cx.quads[q][slot]] == WHITE else whites).append(step)
     return tuple(blacks), tuple(whites)
 
@@ -530,3 +537,55 @@ def test_homology_basis_cover_work(monkeypatch):
     # the fundamental cycles, then the canonical ones in build_basis
     assert calls == {"black_white": 2 * 2 * basis.g,
                      "intersection_matrix": 2}
+
+
+# ---------------------------------------------------------------------------
+# torus bases written from the grid against the chained cycles they replaced
+
+
+def _reference_torus_cycles(cx, m, n):
+    """Reference standard_torus_basis cycles: the medial edges keyed by the
+    bottom corners of the bottom row (the left corners of the left column),
+    oriented by chaining their vertex-pair endpoints into a closed walk from
+    the left (bottom) edge of cell 0."""
+    def vid(i, j):
+        return (j % n) * m + (i % m)
+
+    def pair(u, v):
+        return (min(u, v), max(u, v))
+
+    def chain(edges, start):
+        remaining, out, pos = list(edges), [], start
+        while remaining:
+            for idx, e in enumerate(remaining):
+                a, b = cx.medial_endpoints(e)
+                if pos in (a, b):
+                    out.append((e, 1 if a == pos else -1))
+                    pos = b if a == pos else a
+                    del remaining[idx]
+                    break
+            else:
+                raise AssertionError("cycle edges do not chain")
+        assert pos == start, "cycle edges do not close up"
+        return tuple(out)
+
+    def keyed(q, v):
+        return medial_edge_index(q, cx.corner_slot(q, v))
+
+    a = [keyed(vid(i, 0), v) for i in range(m) for v in (vid(i, 0), vid(i + 1, 0))]
+    b = [keyed(vid(0, j), v) for j in range(n) for v in (vid(0, j), vid(0, j + 1))]
+    return chain(a, pair(vid(0, 0), vid(0, 1))), chain(b, pair(vid(0, 0), vid(1, 0)))
+
+
+@pytest.mark.parametrize("tau", [1j, -0.27 + 0.9j])
+def test_standard_torus_basis_matches_the_chained_cycles(tau):
+    for m in range(2, 13, 2):
+        for n in range(2, 13, 2):
+            cx = gen_torus(m, n, tau)
+            basis = standard_torus_basis(cx, m, n)
+            a, b = _reference_torus_cycles(cx, m, n)
+            assert (basis.a[0].edges, basis.b[0].edges) == (a, b), (m, n)
+            assert basis.intersection.tolist() == [[0, 1], [-1, 0]]
+            for cycle in (basis.a[0], basis.b[0]):
+                black, white = _reference_black_white(cx, cycle)
+                assert black_white(cx, cycle) == homology.BlackWhiteChains(black, white)

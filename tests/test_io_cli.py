@@ -898,3 +898,81 @@ def test_negative_seed_is_a_clean_error(capsys, monkeypatch):
     assert main(["selftest", "--seed", "-1"]) == 1
     out = capsys.readouterr()
     assert out.out == "" and out.err == "error: --seed must be a nonnegative integer, got -1\n"
+
+
+# ---------------------------------------------------------------------------
+# each option only on the parsers that read it
+
+
+def test_options_parse_after_their_subcommand():
+    from dqs.cli import build_parser
+
+    args = build_parser().parse_args(["periods", "--format", "json", "--tol", "1e-6", "x"])
+    assert (args.format, args.tol) == ("json", 1e-6)
+    args = build_parser().parse_args(["selftest", "--seed", "3", "--format", "json"])
+    assert (args.seed, args.format) == (3, "json")
+    assert "tol" not in build_parser().parse_args(["genus", "x"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["--format", "json", "periods"],
+    ["--tol", "1e-6", "periods"],
+    ["--seed", "1", "selftest"],
+    ["genus", "--tol", "1e-6"],
+    ["riemann-roch", "--seed", "1"],
+    ["hurwitz", "--tol", "1e-6"],
+    ["selftest", "--tol", "1e-6"],
+    ["gen", "--format", "json", "torus", "--m", "4", "--n", "4", "--tau", "1i"],
+    ["gen", "torus", "--m", "4", "--n", "4", "--tau", "1i", "--format", "json"],
+])
+def test_misplaced_flags_are_usage_errors(argv, tmp_path, monkeypatch):
+    from dqs import cli
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("ran a command with a misplaced flag")
+
+    monkeypatch.setattr(cli, "run_all", no_work)
+    monkeypatch.setattr(cli, "gen_torus", no_work)
+    path = _torus_file(tmp_path)
+    code, out, err = _run_main(argv + ([path] if argv[0] != "gen" and "selftest" not in argv
+                                       else []))
+    assert code == 2 and out == ""
+    assert "usage: dqs" in err and "error:" in err
+
+
+def _abel_jacobi_check(path):
+    code, out, _ = _run_main(["abel-jacobi", "--base", "0", "--point", "5",
+                              "--format", "json", path])
+    check, = (c for c in json.loads(out)["checks"] if c["name"] == "holomorphic-components")
+    return code, check
+
+
+def test_holomorphic_components_measure_closedness(tmp_path):
+    """The check reads the largest closedness residual of the canonical forms."""
+    from dqs import canonical_bases, closedness_residual
+
+    cx = gen_torus(6, 4, 0.3 + 1.2j)
+    basis = standard_torus_basis(cx, 6, 4)
+    path = tmp_path / "t.dqs"
+    path.write_text(serialize_dqs(cx, basis))
+    code, check = _abel_jacobi_check(str(path))
+    expected = max(closedness_residual(cx, w) for w in canonical_bases(cx, basis).omega)
+    assert code == 0 and check["pass"]
+    assert check["residual"] == expected < 1e-10
+
+
+def test_holomorphic_components_fail_on_forms_that_are_not_closed(tmp_path, monkeypatch):
+    """Forms holomorphic quad by quad but not closed fail the check."""
+    from dqs import differentials
+
+    solve = differentials._dz_solve
+
+    def off_by_a_little(*args, **kwargs):
+        p = solve(*args, **kwargs)
+        p[3] += 1e-9
+        return p
+
+    monkeypatch.setattr(differentials, "_dz_solve", off_by_a_little)
+    code, check = _abel_jacobi_check(_torus_file(tmp_path))
+    assert code == 1 and not check["pass"]
+    assert 1e-10 < check["residual"] < 1e-8
