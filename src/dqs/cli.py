@@ -408,7 +408,9 @@ def build_parser():
     gt = gensub.add_parser("torus")
     gt.add_argument("--m", type=int, required=True)
     gt.add_argument("--n", type=int, required=True)
-    gt.add_argument("--tau", required=True, help="complex modulus, e.g. 0+1i")
+    gt.add_argument("--tau", required=True,
+                    help="complex modulus, e.g. 0+1i; write one with a negative real "
+                         "part as --tau=-0.27+0.9i")
     gt.set_defaults(fn=cmd_gen)
     gc = gensub.add_parser("cube-cover")
     gc.set_defaults(fn=cmd_gen)
@@ -432,6 +434,11 @@ def build_parser():
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv and argv[0].startswith("-") and argv[0] not in ("-", "-h", "--help"):
+        # argparse would read the option's value as the command
+        parser.error(f"options go after the command, e.g. dqs genus --format json FILE; "
+                     f"got {argv[0]!r} first")
     args = parser.parse_args(argv)
     try:
         if "tol" in args and not (math.isfinite(args.tol) and args.tol > 0):

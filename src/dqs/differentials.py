@@ -9,15 +9,18 @@ basis chains.  Dropping one black-vertex and one white-vertex row (the
 rows of each color sum to zero) makes it square.  Abelian forms of all
 three kinds solve this one system and differ only in the right-hand
 side: a-period targets, the pinned dzbar part of a double pole, or
-residues +1 and -1 at two vertices.  ``_dz_solve`` solves any batch of
-them as columns of one factorization, and every solver here and the
-i(D) basis route of ``dqs.riemann_roch`` is a slice of its columns.
-``_dz_system`` assembles the system: a numpy array below ``SPARSE_NQ``
-quads, which ``operators.solve`` factors with one dense LU, and from
-there on a scipy sparse array, which ``operators.dz`` folds into CSR
-and ``operators.solve`` factors with SuperLU.  Both paths check
+residues +1 and -1 at two vertices.  One ``DzSystem`` per surface and
+basis holds that system and answers any number of batches of them, each
+batch the columns of one solve; ``_dz_solve`` makes one for a single
+batch, and every solver here and the i(D) basis route of
+``dqs.riemann_roch`` is a slice of its columns.  The system is
+assembled once, straight from the boundary and a-period triplets with
+the p dz fold and the two dependent rows dropped: a numpy array below
+``SPARSE_NQ`` quads, solved by one dense LU per batch, and from there
+on a scipy CSC array, factored once by SuperLU.  Both paths check
 uniqueness by a condition estimate, the backward error and the residual
-of every column, and report the exact rank when it is singular.  The
+of every column (``operators.LinearSystem``), and report the exact rank
+when it is singular.  The
 Hodge star is real and squares to -1, so a harmonic form is a
 combination of the canonical holomorphic forms and their conjugates:
 co-closedness is never solved for.  Every period read here is a doubled
@@ -42,15 +45,13 @@ from .errors import AmbiguityError, DqsError, SolveError
 from .calculus import DiamondForm, d_one_form, from_coefficients
 from .homology import HomologyBasis, standard_pairing
 from .operators import (
+    LinearSystem,
     boundary_triplets,
     costar,
-    dense_matrix,
     dependent_rows,
-    dz,
     integrals,
     nullity,
     solve,
-    sparse_matrix,
     step_rows,
     step_triplets,
 )
@@ -70,50 +71,77 @@ from .surface import (
 SPARSE_NQ = 128
 
 
-def _dz_system(cx: QuadComplex, basis: HomologyBasis):
-    """Vertex boundary and doubled a-periods over (black, white) values.
+class DzSystem(LinearSystem):
+    """The dz system of one surface and basis, assembled once and factored once.
 
-    Composed with the p dz embedding its rows are the residues and the
-    a-period normalization of a form without antiholomorphic part.  The
-    triplets of the boundary and of the a-period rows cached on the basis
-    are assembled once: a numpy array below ``SPARSE_NQ`` quads, a scipy
-    COO array from there on, which ``dz`` folds into the CSR array that
-    is factored, so no dense boundary is built.
+    Its unknowns are the dz coefficients p, one per quad, and its rows
+    the residues at every vertex and the doubled a-periods: the vertex
+    boundary and the a-period rows cached on the basis, as triplets over
+    (black, white) values, with every white entry scaled by i*rho of its
+    quad and moved onto the quad's column (the p dz fold).  The two
+    ``dependent_rows`` are dropped at assembly and kept for the residual
+    check.  Below ``SPARSE_NQ`` quads the system is a numpy array, from
+    there on a scipy CSC array; no dense boundary is built.  The dzbar
+    fold of the same triplets (white entries scaled by -i*conj(rho))
+    gives the residues and a-periods of the pinned dzbar part of a double
+    pole, which move to the right-hand side.
     """
-    rows, cols, vals = boundary_triplets(cx)
-    a_rows, a_cols, a_vals = step_triplets(basis.a_shadow_steps, cx.nq)
-    triplets = (np.concatenate([rows, cx.nv + a_rows]), np.concatenate([cols, a_cols]),
-                np.concatenate([vals, a_vals]))
-    shape = (cx.nv + 2 * basis.g, 2 * cx.nq)
-    return (dense_matrix if cx.nq < SPARSE_NQ else sparse_matrix)(shape, triplets)
+
+    def __init__(self, cx: QuadComplex, basis: HomologyBasis):
+        nv, nq = cx.nv, cx.nq
+        rows, cols, vals = boundary_triplets(cx)
+        a_rows, a_cols, a_vals = step_triplets(basis.a_shadow_steps, nq)
+        rows = np.concatenate([rows, nv + a_rows])
+        vals = np.concatenate([vals, a_vals])
+        cols = np.concatenate([cols, a_cols])
+        white = cols >= nq
+        quads = cols - nq * white
+        rho = cx.rho_array[quads]
+        super().__init__((nv + 2 * basis.g, nq),
+                         (rows, quads, np.where(white, 1j * rho, 1.0) * vals),
+                         dependent_rows(cx), sparse=nq >= SPARSE_NQ)
+        self.cx, self.g = cx, basis.g
+        self._dzbar = rows, quads, np.where(white, -1j * rho.conj(), 1.0) * vals
+
+    def coefficients(self, targets=None, double_quads=(), pole_pairs=(), tol: float = 1e-9,
+                     what: str = "holomorphic", rank_error=SolveError) -> np.ndarray:
+        """dz coefficients of a batch of forms, one column each, in this order:
+        - one holomorphic form per column of the 2g x k a-period targets;
+        - one second-kind form per quad of double_quads, without its pinned
+          dzbar part, whose residues and a-periods move to the right-hand side;
+        - one third-kind form per (plus, minus) vertex pair of pole_pairs,
+          with residues +1 and -1 there and vanishing a-periods.
+        """
+        cx = self.cx
+        require_ids(double_quads, cx.nq, "quad")
+        require_ids([v for pair in pole_pairs for v in pair], cx.nv, "vertex")
+        quads = np.asarray(double_quads, dtype=np.intp)
+        pairs = np.asarray(pole_pairs, dtype=np.intp).reshape(-1, 2)
+        if targets is None:
+            targets = np.zeros((2 * self.g, 0))
+        n_rows = self.shape[0]
+        # the dzbar fold's column of each double quad, once per distinct quad
+        column = np.full(cx.nq, -1)
+        column[quads] = np.arange(len(quads))
+        rows, quad, vals = self._dzbar
+        hit = column[quad] >= 0
+        dzbar = np.zeros((n_rows, len(quads)), complex)
+        np.add.at(dzbar, (rows[hit], column[quad[hit]]), vals[hit])
+        third = np.zeros((n_rows, len(pairs)), complex)
+        k = np.arange(len(pairs))
+        third[pairs[:, 0], k] = 2j * math.pi
+        third[pairs[:, 1], k] = -2j * math.pi
+        rhs = np.hstack([np.vstack([np.zeros((cx.nv, targets.shape[1]), complex), targets]),
+                         -(dzbar[:, column[quads]] * _pinned_dzbar(cx, quads)), third])
+        return self.solve(rhs, tol, what, rank_error)
 
 
 def _dz_solve(cx: QuadComplex, basis: HomologyBasis, targets=None, double_quads=(),
               pole_pairs=(), tol: float = 1e-9, what: str = "holomorphic",
               rank_error=SolveError) -> np.ndarray:
-    """dz coefficients of a batch of forms, from one solve of their common system.
-
-    The columns, in this order:
-    - one holomorphic form per column of the 2g x k a-period targets;
-    - one second-kind form per quad of double_quads, without its pinned
-      dzbar part, whose residues and a-periods move to the right-hand side;
-    - one third-kind form per (plus, minus) vertex pair of pole_pairs,
-      with residues +1 and -1 there and vanishing a-periods.
-    """
-    require_ids(double_quads, cx.nq, "quad")
-    require_ids([v for pair in pole_pairs for v in pair], cx.nv, "vertex")
-    _, values = _double_poles(cx, double_quads)
-    pairs = np.asarray(pole_pairs, dtype=np.intp).reshape(-1, 2)
-    if targets is None:
-        targets = np.zeros((2 * basis.g, 0))
-    third = np.zeros((cx.nv + 2 * basis.g, len(pairs)), complex)
-    k = np.arange(len(pairs))
-    third[pairs[:, 0], k] = 2j * math.pi
-    third[pairs[:, 1], k] = -2j * math.pi
-    M = _dz_system(cx, basis)
-    rhs = np.hstack([np.vstack([np.zeros((cx.nv, targets.shape[1]), complex), targets]),
-                     -(M @ values), third])
-    return solve(dz(cx, M), rhs, tol, what, drop=dependent_rows(cx), rank_error=rank_error)
+    """``DzSystem.coefficients`` of a batch of forms, from a new system of cx and basis."""
+    return DzSystem(cx, basis).coefficients(targets, double_quads, pole_pairs, tol, what,
+                                            rank_error)
 
 
 def _values(cx: QuadComplex, p: np.ndarray) -> np.ndarray:
@@ -341,21 +369,10 @@ def b_period_average(cx: QuadComplex, omega: DiamondForm, basis: HomologyBasis,
     return complex((doubled[k, 0] + doubled[basis.g + k, 0]) / 2.0)
 
 
-def _double_poles(cx: QuadComplex, quads):
-    """Pinned dzbar coefficients at quads, and the values of those dzbar parts.
-
-    In the normalized chart of each quad q the coefficient is
-    -pi / (2 * area of the medial parallelogram).  Column k of the
-    (black, white) values is the form with only that dzbar part at quads[k].
-    """
-    quads = np.asarray(quads, dtype=np.intp)
-    rho = cx.rho_array[quads]
-    qbar = -math.pi / (2.0 * varignon_area(rho))
-    values = np.zeros((2 * cx.nq, len(quads)), complex)
-    k = np.arange(len(quads))
-    values[quads, k] = qbar
-    values[cx.nq + quads, k] = -1j * np.conj(rho) * qbar
-    return qbar, values
+def _pinned_dzbar(cx: QuadComplex, quads) -> np.ndarray:
+    """The pinned dzbar coefficient of a double pole at each of quads: in the
+    normalized chart of quad q, -pi / (2 * area of the medial parallelogram)."""
+    return -math.pi / (2.0 * varignon_area(cx.rho_array[np.asarray(quads, dtype=np.intp)]))
 
 
 def abelian_second(cx: QuadComplex, basis: HomologyBasis, q0: int,
@@ -385,13 +402,19 @@ def abelian_second_with_bases(cx: QuadComplex, basis: HomologyBasis, q0: int,
 
 def _second_kind_forms(cx: QuadComplex, quads, p) -> list:
     """Second-kind differentials with double poles at quads: column k of p
-    dz plus the pinned dzbar part at quads[k]."""
-    qbar, values = _double_poles(cx, quads)
+    dz plus the pinned dzbar part at quads[k], the form with only that
+    dzbar part, which column k of the (black, white) values holds."""
+    quads = np.asarray(quads, dtype=np.intp)
+    qbar = _pinned_dzbar(cx, quads)
     nq = cx.nq
+    values = np.zeros((2 * nq, len(quads)), complex)
+    cols = np.arange(len(quads))
+    values[quads, cols] = qbar
+    values[nq + quads, cols] = -1j * np.conj(cx.rho_array[quads]) * qbar
     return [AbelianDifferential(from_coefficients(cx, p[:, k])
                                 + DiamondForm(values[:nq, k], values[nq:, k]),
                                 "second", {}, {q: complex(qbar[k])})
-            for k, q in enumerate(quads)]
+            for k, q in enumerate(quads.tolist())]
 
 
 def abelian_basis(cx: QuadComplex, basis: HomologyBasis, b0: int, w0: int):

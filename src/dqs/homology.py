@@ -6,7 +6,8 @@ the black and white diagonal graphs obtained by replacing each medial
 edge with the parallel diagonal (keyed by the quad, so doubled diagonals
 are unproblematic).  The one slot table ``surface.MEDIAL_SLOT`` gives
 the color and sign of that diagonal for every corner slot: the shadows
-(``black_white``) read it, and the lift of a diagonal step
+(``shadows``, for any number of cycles in one array pass) read it, and
+the lift of a diagonal step
 (``lift_diagonal_walk``) reads its inverse.  Each medial edge of a
 diamond form carries the value of its parallel diagonal, so the plain
 period of a closed form is half the sum of its doubled black and white
@@ -26,9 +27,12 @@ each color (``QuadComplex.diagonal_adjacency``), so no search scans the
 whole surface or reads a quad tuple.  Lifting a diagonal walk back to
 the medial graph reads the quad tuples and, behind ``require_surface``,
 steps around each vertex along ``QuadComplex.star_successor`` alone, as
-``QuadComplex.stars`` does.  Shadows are computed once per
-cycle, and an intersection matrix is one integer product of the black
-and white quad multiplicities of those shadows.  The bases built here
+``QuadComplex.stars`` does.  The shadows of a set of cycles are taken
+once, in one pass: ``homology_basis`` takes those of its 2g fundamental
+lifts and ``build_basis`` those of the canonical cycles, and an
+intersection matrix is one integer product of the black and white quad
+multiplicities of those shadows.  The integer symplectic reduction runs
+on Python ints, 2g x 2g of them.  The bases built here
 are checked against the one canonical pairing, ``standard_pairing``,
 which ``dqs homology`` also reports for an embedded basis.  The meridian
 and longitude of a generated torus (``standard_torus_basis``) are
@@ -117,19 +121,29 @@ def _multiplicities(chains, nq: int) -> np.ndarray:
     return out
 
 
-def black_white(cx: QuadComplex, cycle: Cycle) -> BlackWhiteChains:
-    """Shadows on the diagonal graphs, homotopic to the cycle.
+def black_white(cycle: Cycle) -> BlackWhiteChains:
+    """Shadows on the diagonal graphs, homotopic to the cycle (``shadows`` of one cycle)."""
+    return shadows([cycle])[0]
+
+
+def shadows(cycles) -> tuple:
+    """The ``BlackWhiteChains`` of every cycle, from one array pass over all their edges.
 
     Each medial edge contributes its parallel diagonal, with the color
     and the sign of its corner slot in ``MEDIAL_SLOT`` times the sign of
-    the traversal.  One array pass over the edge indices of the cycle.
+    the traversal.  One stable sort groups the steps by cycle, black
+    before white, each in walk order.
     """
-    e, s = np.array(cycle.edges, dtype=np.int64).reshape(-1, 2).T
+    lengths = [len(c.edges) for c in cycles]
+    e, s = np.array([step for c in cycles for step in c.edges],
+                    dtype=np.int64).reshape(-1, 2).T
     color, sign = np.array(MEDIAL_SLOT)[e % 4].T
-    steps = np.column_stack([e // 4, s * sign])
-    black = color == BLACK
-    return BlackWhiteChains(tuple(map(tuple, steps[black].tolist())),
-                            tuple(map(tuple, steps[~black].tolist())))
+    key = 2 * np.repeat(np.arange(len(cycles)), lengths) + (color != BLACK)
+    order = np.argsort(key, kind="stable")
+    steps = list(map(tuple, np.column_stack([e // 4, s * sign])[order].tolist()))
+    bounds = [0] + np.cumsum(np.bincount(key, minlength=2 * len(cycles))).tolist()
+    parts = [tuple(steps[a:b]) for a, b in zip(bounds, bounds[1:])]
+    return tuple(BlackWhiteChains(parts[2 * i], parts[2 * i + 1]) for i in range(len(cycles)))
 
 
 def chain_is_closed(cx: QuadComplex, chain, color: int) -> bool:
@@ -250,10 +264,10 @@ class HomologyBasis:
 
 
 def build_basis(cx: QuadComplex, a_cycles, b_cycles) -> HomologyBasis:
-    a_ch = tuple(black_white(cx, c) for c in a_cycles)
-    b_ch = tuple(black_white(cx, c) for c in b_cycles)
-    inter = intersection_matrix(cx, a_ch + b_ch)
-    return HomologyBasis(tuple(a_cycles), tuple(b_cycles), a_ch, b_ch, inter)
+    chains = shadows(list(a_cycles) + list(b_cycles))
+    g = len(a_cycles)
+    return HomologyBasis(tuple(a_cycles), tuple(b_cycles), chains[:g], chains[g:],
+                         intersection_matrix(cx, chains))
 
 
 def periods(cx: QuadComplex, omega: DiamondForm, basis: HomologyBasis,
@@ -293,8 +307,7 @@ def intersection_number(cx: QuadComplex, c1: Cycle, c2: Cycle) -> int:
     product of diagonal directions (the black-then-white frame is
     positively oriented in every chart).
     """
-    ch1 = black_white(cx, c1)
-    ch2 = black_white(cx, c2)
+    ch1, ch2 = shadows([c1, c2])
     b = ch1.black_multiplicity(cx.nq)
     w = ch2.white_multiplicity(cx.nq)
     return int(np.dot(b, w))
@@ -303,7 +316,7 @@ def intersection_number(cx: QuadComplex, c1: Cycle, c2: Cycle) -> int:
 def intersection_matrix(cx: QuadComplex, chains) -> np.ndarray:
     """Pairwise intersection numbers of the cycles with the given shadows.
 
-    chains holds ``black_white`` of each cycle.  Entry (i, j) pairs the
+    chains holds the ``shadows`` of the cycles.  Entry (i, j) pairs the
     black shadow of cycle i with the white shadow of cycle j, as in
     ``intersection_number``: one integer product of their quad
     multiplicities, with the diagonal set to zero.
@@ -389,54 +402,58 @@ def lift_diagonal_walk(cx: QuadComplex, walk, color: int) -> Cycle:
 # tree-cotree homology basis
 
 
-def _symplectic_reduce(M: np.ndarray):
+def _symplectic_reduce(M: np.ndarray) -> list:
     """Unimodular U with U M U^T in a-then-b order equal to [[0, I], [-I, 0]].
 
     M must be the skew unimodular intersection matrix of a cycle basis.
+    The rows of U are lists of Python ints: at genus g the reduction
+    works on 2g x 2g integers, where array operations cost more than
+    they save.
     """
-    M = M.copy()
-    n = M.shape[0]
-    U = np.eye(n, dtype=np.int64)
+    M = M.tolist()
+    n = len(M)
+    U = [[int(i == j) for j in range(n)] for i in range(n)]
 
     def rowcol_op(dst, src, factor):
-        M[dst, :] += factor * M[src, :]
-        M[:, dst] += factor * M[:, src]
-        U[dst, :] += factor * U[src, :]
+        M[dst] = [x + factor * y for x, y in zip(M[dst], M[src])]
+        for row in M:
+            row[dst] += factor * row[src]
+        U[dst] = [x + factor * y for x, y in zip(U[dst], U[src])]
 
     def swap(i, j):
-        M[[i, j], :] = M[[j, i], :]
-        M[:, [i, j]] = M[:, [j, i]]
-        U[[i, j], :] = U[[j, i], :]
+        M[i], M[j] = M[j], M[i]
+        for row in M:
+            row[i], row[j] = row[j], row[i]
+        U[i], U[j] = U[j], U[i]
 
     for k in range(0, n, 2):
         while True:
-            sub = M[k:, k:]
-            nz = np.argwhere(sub != 0)
-            if len(nz) == 0:
+            # the smallest nonzero entry above the diagonal, the first in row order on ties
+            pivots = [(abs(M[i][j]), i, j) for i in range(k, n) for j in range(i + 1, n)
+                      if M[i][j] != 0]
+            if not pivots:
                 raise DqsError("intersection matrix is degenerate")
-            i, j = min(((i0 + k, j0 + k) for (i0, j0) in nz if i0 < j0),
-                       key=lambda ij: (abs(M[ij[0], ij[1]]), ij))
+            _, i, j = min(pivots)
             if i != k:
                 swap(k, i)
                 continue
             if j != k + 1:
                 swap(k + 1, j)
                 continue
-            piv = M[k, k + 1]
+            piv = M[k][k + 1]
             for t in range(k + 2, n):
-                if M[k, t] != 0:
-                    rowcol_op(t, k + 1, -(M[k, t] // piv))
-                if M[k + 1, t] != 0:
-                    rowcol_op(t, k, M[k + 1, t] // piv)
-            if all(M[k, t] == 0 and M[k + 1, t] == 0 for t in range(k + 2, n)):
+                if M[k][t] != 0:
+                    rowcol_op(t, k + 1, -(M[k][t] // piv))
+                if M[k + 1][t] != 0:
+                    rowcol_op(t, k, M[k + 1][t] // piv)
+            if all(M[k][t] == 0 and M[k + 1][t] == 0 for t in range(k + 2, n)):
                 break
-        if M[k, k + 1] < 0:
+        if M[k][k + 1] < 0:
             swap(k, k + 1)
-        if M[k, k + 1] != 1:
-            raise DqsError(f"intersection form pivot {M[k, k+1]} != 1; not unimodular")
+        if M[k][k + 1] != 1:
+            raise DqsError(f"intersection form pivot {M[k][k + 1]} != 1; not unimodular")
     # reorder pairs (a1, b1, a2, b2, ...) into (a..., b...)
-    order = list(range(0, n, 2)) + list(range(1, n, 2))
-    return U[order, :]
+    return [U[i] for i in list(range(0, n, 2)) + list(range(1, n, 2))]
 
 
 def _concatenate_walks(walks_with_mult):
@@ -500,7 +517,7 @@ def homology_basis(cx: QuadComplex) -> HomologyBasis:
         fundamental.append(walk)
 
     lifts = [lift_diagonal_walk(cx, w, BLACK) for w in fundamental]
-    M = intersection_matrix(cx, [black_white(cx, l) for l in lifts])
+    M = intersection_matrix(cx, shadows(lifts))
     if np.any(M + M.T != 0):
         raise DqsError("intersection matrix of fundamental cycles is not skew")
     U = _symplectic_reduce(M)

@@ -213,7 +213,7 @@ def abel_jacobi_quad(cx: QuadComplex, hb: HolomorphicBasis,
     x1 = (min(b1, w1), max(b1, w1))
     x2 = (min(b2, w2), max(b2, w2))
     path = _medial_bfs_path(cx, x1, x2)
-    chains = black_white(cx, Cycle(tuple(path)))
+    chains = black_white(Cycle(tuple(path)))
     # rows 0 and 1: half of each end quad's black (white) diagonal from
     # its minus corner, and the black (white) shadow of the path
     steps = []

@@ -10,17 +10,17 @@ are rows of one builder, ``step_triplets``, over signed diagonal steps,
 and ``integrals`` applies them to all forms in one product.  Periods are
 read from doubled shadow steps (``chain_steps``) alone; ``medial_steps``
 builds the rows of plain medial walks, which read their parallel
-diagonals from ``MEDIAL_SLOT``, the one slot table that the shadows of
-``homology.black_white`` also read, for the reference integral
-``homology.integrate_cycle``.  The boundary
-and these rows are (row, column, value) triplets first: ``dense_matrix``
-sums them into a numpy array, ``sparse_matrix`` keeps them in a scipy
-COO array, ``compose`` scales the column blocks of a numpy array, and
-``dz`` composes a numpy array or folds the triplets of a sparse one into
-the CSR array that is factored.
+diagonals from ``MEDIAL_SLOT``, the one slot table that
+``homology.shadows`` also reads, for the reference integral
+``homology.integrate_cycle``.  The boundary and these rows are (row,
+column, value) triplets first: ``dense_matrix`` sums them into a numpy
+array, ``compose`` scales the column blocks of a numpy array, and ``dz``
+composes one with the p dz embedding.  A solver system is assembled
+from the triplets themselves (``LinearSystem``), so it needs neither.
 
-Solves go through ``solve`` and rank counts through ``nullity``, so
-every system gets the same rank, residual and cutoff rules.  Before
+Solves go through one ``LinearSystem`` each (``solve`` makes one from a
+matrix) and rank counts through ``nullity``, so every system gets the
+same rank, residual and cutoff rules.  Before
 the l, i and holomorphic counts, the pivots of a spanning forest of a
 diagonal graph are eliminated: every white-vertex row of the boundary holds +-1 at its
 quads, so the tree quads of a breadth-first forest of the white graph
@@ -32,12 +32,14 @@ change of coordinates: ``tree_columns`` rewrites columns,
 runs its singular-value count on what is left, about half the size in
 each dimension, with the same nullity and the same cutoff.  Once the
 two row dependencies of each boundary block (``dependent_rows``) are
-dropped, every solver system is square, and ``solve`` factors it with
-one LU: dense LAPACK for a numpy array, sparse SuperLU for a scipy
-sparse array, under the same acceptance checks.  Dense least squares is
-left for systems that are singular, ill-conditioned or not square, and
-for LU solutions whose backward error is too large.  scipy is imported
-on the sparse path only, so dense work never pays for it.
+dropped, every solver system is square.  A ``LinearSystem`` drops them
+at assembly, keeps them for its residual check, and factors the square
+rest with one LU: dense LAPACK for a numpy array, sparse SuperLU for a
+scipy CSC array, whose factor it keeps for every later batch of
+right-hand sides, under the same acceptance checks.  Dense least
+squares is left for systems that are singular, ill-conditioned or not
+square, and for LU solutions whose backward error is too large.  scipy
+is imported on the sparse path only, so dense work never pays for it.
 
 Each operator is built once per object that determines it and is
 read-only from then on.  A ``QuadComplex`` caches its weights
@@ -48,6 +50,8 @@ function systems (``function_rows``) and every column of the form
 systems (``form_columns``), which each divisor cuts; the kernel counts
 and the Laplacian read them, while each solver system is assembled once
 from triplets, so the sparse path never asks for a dense boundary.  A
+``LinearSystem`` keeps its assembled system, its norms and its sparse
+factor.  A
 ``HomologyBasis`` caches the steps of its doubled a- and b-shadow rows
 as ``step_array`` arrays, which ``step_triplets`` and ``integrals``
 take in place of step lists.
@@ -97,42 +101,15 @@ def dense_matrix(shape, triplets) -> np.ndarray:
     return M
 
 
-def sparse_matrix(shape, triplets):
-    """scipy COO array of the given shape: the sum of (rows, cols, values) triplets.
-
-    The triplets are kept as they are, so ``dz`` can fold them before
-    anything is assembled; products sum the repeated entries.
-    """
-    from scipy.sparse import coo_array
-
-    rows, cols, vals = triplets
-    return coo_array((vals, (rows, cols)), shape=shape)
-
-
 def compose(M: np.ndarray, black, white) -> np.ndarray:
     """M over (black, white) values after the per-quad map x -> (black x, white x)."""
     nq = M.shape[1] // 2
     return M[:, :nq] * black + M[:, nq:] * white
 
 
-def dz(cx: QuadComplex, M):
-    """M on forms p dz, in the unknowns p (black value p, white i*rho*p).
-
-    A numpy M is composed column block by column block.  A scipy sparse
-    M is folded triplet by triplet: each white entry is scaled by i*rho
-    of its quad and moved onto the quad's column, and the nq columns are
-    assembled once, into a CSR array.
-    """
-    white = 1j * cx.rho_array
-    if isinstance(M, np.ndarray):
-        return compose(M, 1.0, white)
-    from scipy.sparse import csr_array
-
-    M = M.tocoo()
-    is_white = M.col >= cx.nq
-    q = M.col - cx.nq * is_white
-    return csr_array((np.where(is_white, white[q], 1.0) * M.data, (M.row, q)),
-                     shape=(M.shape[0], cx.nq))
+def dz(cx: QuadComplex, M: np.ndarray) -> np.ndarray:
+    """M on forms p dz, in the unknowns p (black value p, white i*rho*p)."""
+    return compose(M, 1.0, 1j * cx.rho_array)
 
 
 def star_blocks(cx: QuadComplex):
@@ -237,49 +214,178 @@ def dependent_rows(cx: QuadComplex) -> list:
 
 def solve(A, rhs: np.ndarray, tol: float, what: str,
           drop=(), rank_error=SolveError) -> np.ndarray:
-    """The unique solution of A x = rhs.
+    """The unique solution of A x = rhs: one ``LinearSystem`` of the entries of A.
 
-    A is a numpy array or a scipy sparse array.  drop names rows of A
-    implied by the others.  When the remaining rows form a square
-    system, ``_lu_solve`` solves it with one LU factorization, dense or
-    sparse after the type of A.  Dense least squares on all of A, which
-    reports the exact rank, takes over when that system is singular,
-    ill-conditioned or not solved backward-stably, and when it is not
-    square (a disconnected surface); for a sparse A it densifies A, at
-    O(rows x cols) memory.  Raises rank_error if A lacks full column
-    rank, and SolveError if A or rhs is not finite, the solution
-    overflows, or the residual of any column on all of A exceeds
-    tol * max(1, |b_j|), b_j that column of rhs: a column solved in a
-    batch passes the test it passes alone.  Each residual is measured
-    with b_j and its solution scaled by the power of two that brings the
-    largest part of b_j to at most 1: the same test, without overflow
-    near the largest float.
+    A is a numpy array or a scipy sparse array, drop names rows of A
+    implied by the others, and the system is dense or sparse after the
+    type of A.
     """
-    rhs = np.asarray(rhs)
-    is_dense = isinstance(A, np.ndarray)
-    if not (np.isfinite(A if is_dense else A.data).all() and np.isfinite(rhs).all()):
-        raise SolveError(f"{what} system has non-finite entries")
-    n = A.shape[1]
-    keep = np.delete(np.arange(A.shape[0]), drop)
-    sol = None
-    if len(keep) == n:
-        # lstsq(rcond=None) counts singular values below eps * max(shape) as zero
-        sol = _lu_solve(A[keep], rhs[keep], np.finfo(float).eps * max(A.shape))
-    if sol is None:
-        sol, _, rank, _ = np.linalg.lstsq(A if is_dense else A.toarray(), rhs, rcond=None)
-        if rank < n:
-            raise rank_error(f"{what} system rank {rank} < {n}; "
-                             "the solution is not unique")
-    if not np.isfinite(sol).all():
-        raise SolveError(f"{what} solution overflows")
-    b, x = rhs.reshape(len(rhs), -1), sol.reshape(n, -1)
-    unit = np.ldexp(1.0, -np.maximum(0, _exponents(b)))
-    res = np.abs(A @ (x * unit) - b * unit).max(axis=0, initial=0.0)
-    ok = res <= tol * np.maximum(unit, np.abs(b * unit).max(axis=0, initial=0.0))
-    if not ok.all():
-        j = int(np.argmin(ok))
-        raise SolveError(f"{what} system residual {res[j] / unit[j]:.3e} exceeds tolerance")
-    return sol
+    if isinstance(A, np.ndarray):
+        rows, cols = np.nonzero(A)
+        triplets = rows, cols, A[rows, cols]
+    else:
+        coo = A.tocoo()
+        triplets = coo.row, coo.col, coo.data
+    system = LinearSystem(A.shape, triplets, drop, sparse=not isinstance(A, np.ndarray))
+    return system.solve(rhs, tol, what, rank_error)
+
+
+class LinearSystem:
+    """A x = b for one A and any number of batches of right-hand sides.
+
+    A is given by (row, column, value) triplets, repeated entries adding
+    up, and drop names rows implied by the others.  The rows left, S, are
+    assembled once.  When S is square, ``solve`` factors it with one LU:
+    a numpy S by LAPACK with the unknowns eliminated in a seeded random
+    order, S being stored with its columns in that order, and a sparse S
+    (sparse=True, a scipy CSC array) by SuperLU with the COLAMD column
+    order, on the first batch, keeping the factor for every later batch.
+    In the given order, partial pivoting marches the discrete
+    Cauchy-Riemann equations around the surface, and its growth factor
+    rises exponentially with the width of a flat torus (at
+    tau = -0.275+0.908i, backward error 4e4 eps at 24 x 24 quads, 1e9 eps
+    at 32 x 32); in a random order it stays near eps, and in the COLAMD
+    order, on the same torus from 32 x 32 to 256 x 256 quads, it stays
+    near eps with low fill.  numpy has no factor object, so a dense S is
+    solved again for each batch.  The dropped rows are kept as a dense
+    array for the residual check, and |S|_1 and |S|_inf are computed
+    once.  scipy is imported on the sparse path only, so dense work
+    never pays for it.
+    """
+
+    def __init__(self, shape, triplets, drop=(), sparse: bool = False):
+        rows, cols, vals = triplets
+        n_rows, n = shape
+        self.shape = shape
+        self.finite = bool(np.isfinite(vals).all())
+        implied = np.zeros(n_rows, dtype=bool)
+        implied[list(drop)] = True
+        self.keep, self.drop = np.flatnonzero(~implied), np.flatnonzero(implied)
+        position = np.empty(n_rows, dtype=np.intp)
+        position[self.keep] = np.arange(len(self.keep))
+        position[self.drop] = np.arange(len(self.drop))
+        at, out = position[rows], implied[rows]
+        self.implied = np.zeros((len(self.drop), n), dtype=vals.dtype)
+        np.add.at(self.implied, (at[out], cols[out]), vals[out])
+        at, cols, vals = at[~out], cols[~out], vals[~out]
+        self.square = len(self.keep) == n
+        rng = np.random.default_rng(0)
+        # column j of a dense square S is unknown perm[j], and unknown k is column unperm[k]
+        self.perm = rng.permutation(n) if self.square and not sparse else None
+        self.probe = rng.standard_normal((n, 1))
+        if sparse:
+            from scipy.sparse import csc_array
+
+            self.S = csc_array((vals, (at, cols)), shape=(len(self.keep), n))
+        else:
+            if self.perm is not None:
+                self.unperm = np.argsort(self.perm)
+                cols = self.unperm[cols]
+            self.S = np.zeros((len(self.keep), n), dtype=vals.dtype)
+            np.add.at(self.S, (at, cols), vals)
+        abs_s = abs(self.S)
+        self.norm_1 = abs_s.sum(axis=0).max(initial=0.0)
+        self.norm_inf = abs_s.sum(axis=1).max(initial=0.0)
+        self._lu = None
+
+    def solve(self, rhs: np.ndarray, tol: float, what: str,
+              rank_error=SolveError) -> np.ndarray:
+        """The unique solution of A x = rhs, rhs holding one column per right-hand side.
+
+        A square S is solved by ``_lu_solve``.  Dense least squares on
+        all of A, which reports the exact rank, takes over when S is
+        singular, ill-conditioned or not solved backward-stably, and when
+        it is not square (a disconnected surface); for a sparse A it
+        densifies A, at O(rows x cols) memory.  Raises rank_error if A
+        lacks full column rank, and SolveError if A or rhs is not finite,
+        the solution overflows, or the residual of any column on all of A
+        exceeds tol * max(1, |b_j|), b_j that column of rhs: a column
+        solved in a batch passes the test it passes alone.  Each residual
+        is measured with b_j and its solution scaled by the power of two
+        that brings the largest part of b_j to at most 1: the same test,
+        without overflow near the largest float.
+        """
+        rhs = np.asarray(rhs)
+        if not (self.finite and np.isfinite(rhs).all()):
+            raise SolveError(f"{what} system has non-finite entries")
+        n = self.shape[1]
+        sol = None
+        if self.square:
+            # lstsq(rcond=None) counts singular values below eps * max(shape) as zero
+            sol = self._lu_solve(rhs[self.keep], np.finfo(float).eps * max(self.shape))
+        if sol is None:
+            sol, _, rank, _ = np.linalg.lstsq(self.dense(), rhs, rcond=None)
+            if rank < n:
+                raise rank_error(f"{what} system rank {rank} < {n}; "
+                                 "the solution is not unique")
+        if not np.isfinite(sol).all():
+            raise SolveError(f"{what} solution overflows")
+        b, x = rhs.reshape(len(rhs), -1), sol.reshape(n, -1)
+        unit = np.ldexp(1.0, -np.maximum(0, _exponents(b)))
+        x = x * unit
+        res = np.maximum(
+            np.abs(self.S @ (x if self.perm is None else x[self.perm])
+                   - b[self.keep] * unit).max(axis=0, initial=0.0),
+            np.abs(self.implied @ x - b[self.drop] * unit).max(axis=0, initial=0.0))
+        ok = res <= tol * np.maximum(unit, np.abs(b * unit).max(axis=0, initial=0.0))
+        if not ok.all():
+            j = int(np.argmin(ok))
+            raise SolveError(f"{what} system residual {res[j] / unit[j]:.3e} exceeds tolerance")
+        return sol
+
+    def dense(self) -> np.ndarray:
+        """A as a numpy array, its rows and columns in the given order."""
+        A = np.empty(self.shape, dtype=np.result_type(self.S.dtype, self.implied.dtype))
+        S = self.S if isinstance(self.S, np.ndarray) else self.S.toarray()
+        A[self.keep] = S if self.perm is None else S[:, self.unperm]
+        A[self.drop] = self.implied
+        return A
+
+    def _lu_solve(self, b: np.ndarray, eps_n: float):
+        """Solution of the square system S x = b, or None where LU is not to be trusted.
+
+        A sparse S is factored on the first call, and the factor, or its
+        failure, is kept.  The seeded probe column p rides along in the
+        same solve, in the column order of S.  The condition estimate
+        |S|_1 |S^-1 p|_1 / |p|_1, a lower bound on cond_1(S), must stay
+        below 1 / eps_n, and the normwise backward error
+        |S x - b| / (|S| |x| + |b|) (infinity norms) of every column must
+        be at most eps_n.  Each column of b is solved scaled by
+        2^-e, e its ``_exponents``, to a largest part in [1/2, 1).  A
+        power of two changes no bit of a solution that neither over- nor
+        underflows and leaves the backward error as it is, and it keeps
+        these checks finite for right-hand sides near the largest float.
+        A solution that overflows comes back with an inf.
+        """
+        shape, b = b.shape, b.reshape(len(b), -1)
+        e = _exponents(b)
+        y = np.hstack([b * np.ldexp(1.0, -e), self.probe])
+        if self.perm is not None:  # dense: factored again for each batch
+            try:
+                x = np.linalg.solve(self.S, y)
+            except np.linalg.LinAlgError:
+                return None
+        else:
+            if self._lu is None:
+                from scipy.sparse.linalg import splu
+
+                try:
+                    self._lu = splu(self.S, permc_spec="COLAMD")
+                except RuntimeError:  # SuperLU: the factor is exactly singular
+                    self._lu = False
+            if not self._lu:
+                return None
+            x = self._lu.solve(y)
+        estimate = self.norm_1 * np.abs(x[:, -1]).sum() / np.abs(y[:, -1]).sum()
+        if not estimate * eps_n < 1.0:
+            return None
+        bound = eps_n * (self.norm_inf * np.abs(x).max(axis=0) + np.abs(y).max(axis=0))
+        if not np.all(np.abs(self.S @ x - y).max(axis=0) <= bound):
+            return None
+        if self.perm is not None:
+            x = x[self.unperm]
+        with np.errstate(over="ignore"):
+            return (x[:, :-1] * np.ldexp(1.0, e)).reshape(shape)
 
 
 def _exponents(b: np.ndarray):
@@ -288,58 +394,6 @@ def _exponents(b: np.ndarray):
     that 2^e and 2^-e are normal floats."""
     largest = np.maximum(np.abs(b.real), np.abs(b.imag)).max(axis=0, initial=0.0)
     return np.minimum(np.maximum(np.frexp(largest)[1], -1022), 1022)
-
-
-def _lu_solve(S, b: np.ndarray, eps_n: float):
-    """Solution of the square system S x = b, or None where LU is not to be trusted.
-
-    A numpy S is factored by LAPACK with the unknowns eliminated in a
-    seeded random order.  In the given order, partial pivoting marches
-    the discrete Cauchy-Riemann equations around the surface, and its
-    growth factor rises exponentially with the width of a flat torus (at
-    tau = -0.275+0.908i, backward error 4e4 eps at 24 x 24 quads, 1e9 eps
-    at 32 x 32); in a random order it stays near eps.  A scipy sparse S is
-    factored by SuperLU with the COLAMD column order, which keeps the
-    fill low and, on the same torus from 32 x 32 to 256 x 256 quads,
-    the backward error near eps.  Either way a seeded probe column p
-    rides along in the same factorization.  The condition estimate
-    |S|_1 |S^-1 p|_1 / |p|_1, a lower bound on cond_1(S), must stay
-    below 1 / eps_n, and the normwise backward error
-    |S x - b| / (|S| |x| + |b|) (infinity norms) of every column must be
-    at most eps_n.  Each column of b is solved scaled by 2^-e, e its
-    ``_exponents``, to a largest part in [1/2, 1).  A power of two
-    changes no bit of a solution that neither over- nor underflows and
-    leaves the backward error as it is, and it keeps these checks finite
-    for right-hand sides near the largest float.  A solution that
-    overflows comes back with an inf.
-    """
-    n = S.shape[0]
-    rng = np.random.default_rng(0)
-    perm = rng.permutation(n) if isinstance(S, np.ndarray) else None
-    shape, b = b.shape, b.reshape(n, -1)
-    e = _exponents(b)
-    y = np.hstack([b * np.ldexp(1.0, -e), rng.standard_normal((n, 1))])
-    if perm is not None:
-        try:
-            x = np.linalg.solve(S.take(perm, axis=1), y)[np.argsort(perm)]
-        except np.linalg.LinAlgError:
-            return None
-    else:
-        from scipy.sparse.linalg import splu
-
-        try:
-            x = splu(S.tocsc(), permc_spec="COLAMD").solve(y)
-        except RuntimeError:  # SuperLU: the factor is exactly singular
-            return None
-    abs_s = abs(S)
-    estimate = abs_s.sum(axis=0).max() * np.abs(x[:, -1]).sum() / np.abs(y[:, -1]).sum()
-    if not estimate * eps_n < 1.0:
-        return None
-    bound = eps_n * (abs_s.sum(axis=1).max() * np.abs(x).max(axis=0) + np.abs(y).max(axis=0))
-    if not np.all(np.abs(S @ x - y).max(axis=0) <= bound):
-        return None
-    with np.errstate(over="ignore"):
-        return (x[:, :-1] * np.ldexp(1.0, e)).reshape(shape)
 
 
 def root_path_sums(parent, x: np.ndarray) -> np.ndarray:

@@ -83,7 +83,7 @@ FACE_Q_ORDER = (SLOT_WM, SLOT_BP, SLOT_WP, SLOT_BM)
 # w- -> w+) for sign +1 and against it for -1.  The one slot table: a
 # diamond form's value on the edge (``expand_diamond``,
 # ``operators.medial_steps``), the diagonal shadows of a medial cycle
-# (``homology.black_white``) and the lift of a diagonal step
+# (``homology.shadows``) and the lift of a diagonal step
 # (``homology.lift_diagonal_walk``) all read it.
 MEDIAL_SLOT = ((WHITE, -1), (BLACK, 1), (WHITE, 1), (BLACK, -1))
 

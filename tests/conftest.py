@@ -1,6 +1,7 @@
 import functools
 import os
 import sys
+import types
 
 import numpy as np
 import pytest
@@ -102,3 +103,35 @@ def counted_quads():
     def wrap(cx):
         return QuadComplex(cx.colors, _CountingQuads(cx.quads), cx.rho)
     return wrap
+
+
+@pytest.fixture()
+def lu_record(monkeypatch):
+    """The square LU work of every solve from now on.
+
+    ``batches`` lists (shape of S, dense, accepted) per batch of
+    right-hand sides that ``operators.LinearSystem`` solves by LU, and
+    ``factors`` counts the SuperLU factorizations.  A dense S is factored
+    once per batch, so a job factors its system once when it makes one
+    dense batch, or one SuperLU factor for any number of sparse batches.
+    """
+    import scipy.sparse.linalg
+
+    from dqs import operators
+
+    record = types.SimpleNamespace(batches=[], factors=0)
+    lu_solve = operators.LinearSystem._lu_solve
+    splu = scipy.sparse.linalg.splu
+
+    def recording_lu(self, b, eps_n):
+        x = lu_solve(self, b, eps_n)
+        record.batches.append((self.S.shape, isinstance(self.S, np.ndarray), x is not None))
+        return x
+
+    def counting_splu(*args, **kwargs):
+        record.factors += 1
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(operators.LinearSystem, "_lu_solve", recording_lu)
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", counting_splu)
+    return record

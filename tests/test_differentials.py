@@ -30,7 +30,7 @@ from dqs import (
     standard_torus_basis,
     transform_periods,
 )
-from dqs import differentials, operators
+from dqs import differentials
 from dqs.calculus import d_one_form, scalar_product
 from dqs.errors import DqsError
 from dqs.homology import Cycle, integrate_black_chain, integrate_white_chain
@@ -121,7 +121,7 @@ def _harmonic_reference(cx, basis, targets):
 
 
 @pytest.mark.parametrize("which", ["cube", "torus44", "torus86", "cover", "cover-sub3"])
-def test_harmonic_matches_reference(which, cube, torus44, cube_cover, monkeypatch):
+def test_harmonic_matches_reference(which, cube, torus44, cube_cover, lu_record):
     """The holomorphic-basis construction agrees with the 2nq-unknown system."""
     rng = np.random.default_rng(31)
     if which == "torus44":
@@ -136,22 +136,15 @@ def test_harmonic_matches_reference(which, cube, torus44, cube_cover, monkeypatc
         basis = homology_basis(cx)
     g = basis.g
     targets = rng.normal(size=4 * g) + 1j * rng.normal(size=4 * g)
-    lu_paths = []
-    lu_solve = operators._lu_solve
-
-    def recording_lu(S, b, eps_n):
-        x = lu_solve(S, b, eps_n)
-        lu_paths.append((S.shape, isinstance(S, np.ndarray), x is not None))
-        return x
-
-    monkeypatch.setattr(operators, "_lu_solve", recording_lu)
     omega = harmonic_with_periods(cx, basis, targets)
     ref = _harmonic_reference(cx, basis, targets)
     got = np.concatenate([omega.black, omega.white])
     assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
     # the dz system is dense below the crossover (every case but cover-sub3), sparse above
-    assert lu_paths[0] == ((cx.nq, cx.nq), cx.nq < differentials.SPARSE_NQ, True)
-    assert lu_paths[1:] == ([((4 * g, 4 * g), True, True)] if g else [])
+    dense = cx.nq < differentials.SPARSE_NQ
+    assert lu_record.batches[0] == ((cx.nq, cx.nq), dense, True)
+    assert lu_record.batches[1:] == ([((4 * g, 4 * g), True, True)] if g else [])
+    assert lu_record.factors == (0 if dense else 1)
 
 
 class TestHolomorphic:
@@ -370,7 +363,8 @@ class TestAbelianBasis:
         assert int((s > 1e-9 * s.max()).sum()) == 12
 
     @pytest.mark.parametrize("which", ["torus44", "cover", "torus12"])
-    def test_one_factorization_matches_per_form_solves(self, which, cube_cover, monkeypatch):
+    def test_one_factorization_matches_per_form_solves(self, which, cube_cover, monkeypatch,
+                                                       lu_record):
         """First-, second- and third-kind forms are columns of one solve, below and above
         the crossover."""
         rng = np.random.default_rng(23)
@@ -383,16 +377,10 @@ class TestAbelianBasis:
             basis = standard_torus_basis(cx, m, m)
         b0 = 0 if cx.colors[0] == BLACK else 1
         w0 = next(v for v in range(cx.nv) if cx.colors[v] != BLACK)
-        factored = []
-        lu_solve = operators._lu_solve
-
-        def recording_lu(S, b, eps_n):
-            factored.append(S.shape)
-            return lu_solve(S, b, eps_n)
-
-        monkeypatch.setattr(operators, "_lu_solve", recording_lu)
         fam = abelian_basis(cx, basis, b0, w0)
-        assert factored == [(cx.nq, cx.nq)]
+        dense = cx.nq < differentials.SPARSE_NQ
+        assert lu_record.batches == [((cx.nq, cx.nq), dense, True)]
+        assert lu_record.factors == (0 if dense else 1)
         monkeypatch.undo()
         hb = canonical_bases(cx, basis)
         refs = [AbelianDifferential(w, "first") for pair in zip(hb.omega_black, hb.omega_white)
@@ -442,9 +430,27 @@ class TestHolomorphicPeriodInequality:
             assert val.imag < 0
 
 
+def test_one_sparse_dz_system_answers_two_batches(lu_record):
+    """Above the crossover a ``DzSystem`` keeps its SuperLU factor: a second
+    batch is not factored again, and both answers equal those of separate
+    ``_dz_solve`` calls, which factor once each."""
+    cx = randomize_rho(gen_torus(12, 12, 0.3 + 1.2j), np.random.default_rng(29))
+    basis = standard_torus_basis(cx, 12, 12)
+    assert cx.nq >= differentials.SPARSE_NQ
+    v = next(v for v in range(cx.nv - 1, 0, -1) if cx.colors[v] == cx.colors[0])
+    system = differentials.DzSystem(cx, basis)
+    first = system.coefficients(np.eye(2))
+    second = system.coefficients(double_quads=[5, 9], pole_pairs=[(0, v)], what="mixed")
+    assert lu_record.factors == 1 and len(lu_record.batches) == 2
+    assert np.array_equal(first, differentials._dz_solve(cx, basis, np.eye(2)))
+    assert np.array_equal(second, differentials._dz_solve(cx, basis, double_quads=[5, 9],
+                                                          pole_pairs=[(0, v)]))
+    assert lu_record.factors == 3
+
+
 def test_dz_system_is_assembled_only_by_the_batch_solve():
     """Every differential, the Abelian basis and the i(D) basis route solve
-    through ``differentials._dz_solve``; nothing else assembles the system."""
+    through ``differentials._dz_solve``; nothing else makes a ``DzSystem``."""
     import ast
     from pathlib import Path
 
@@ -454,7 +460,7 @@ def test_dz_system_is_assembled_only_by_the_batch_solve():
         for fn in ast.walk(tree):
             if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 for node in ast.walk(fn):
-                    if isinstance(node, ast.Call) and "_dz_system" in (
+                    if isinstance(node, ast.Call) and "DzSystem" in (
                             getattr(node.func, "id", None), getattr(node.func, "attr", None)):
                         callers.append(f"{path.stem}.{fn.name}")
     assert callers == ["differentials._dz_solve"]

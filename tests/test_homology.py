@@ -22,6 +22,7 @@ from dqs import (
     verify_rbi,
 )
 from dqs import homology
+from dqs.selftest import shipped_surfaces
 from dqs.errors import AmbiguousGluingError, DqsError, NotClosedError, SurfaceError
 from dqs.homology import (
     GraphPath,
@@ -29,6 +30,7 @@ from dqs.homology import (
     chain_is_closed,
     cycle_is_closed_walk,
     lift_diagonal_walk,
+    standard_pairing,
 )
 from dqs.surface import (
     FACE_Q_ORDER,
@@ -37,6 +39,7 @@ from dqs.surface import (
     SLOT_WM,
     SLOT_WP,
     QuadComplex,
+    genus,
     medial_edge_index,
 )
 
@@ -109,7 +112,7 @@ class TestBasisConstruction:
 class TestBlackWhite:
     def test_quad_face_shadows_cancel(self, torus44):
         face = Cycle(tuple((medial_edge_index(5, s), 1) for s in FACE_Q_ORDER))
-        ch = black_white(torus44, face)
+        ch = black_white(face)
         assert ch.black_multiplicity(16).tolist() == [0] * 16
         assert ch.white_multiplicity(16).tolist() == [0] * 16
         # the two black edges traverse the diagonal forth and back
@@ -134,7 +137,7 @@ class TestBlackWhite:
             detour = tuple((medial_edge_index(q, slot), -1)
                            for (q, slot) in torus46.stars[v])
             cyc = Cycle(base.edges + detour)
-            ch = black_white(torus46, cyc)
+            ch = black_white(cyc)
             assert chain_is_closed(torus46, ch.black, BLACK)
             assert chain_is_closed(torus46, ch.white, WHITE)
 
@@ -255,7 +258,7 @@ class TestLift:
     def test_lift_preserves_black_shadow(self, torus44):
         walk = [(0, 1), (1, -1), (2, 1), (3, -1)]  # horizontal black loop
         lifted = lift_diagonal_walk(torus44, walk, BLACK)
-        ch = black_white(torus44, Cycle(lifted.edges))
+        ch = black_white(Cycle(lifted.edges))
         mult = ch.black_multiplicity(16)
         expected = np.zeros(16, int)
         for q, s in walk:
@@ -490,7 +493,7 @@ def test_homology_basis_matches_reference_lifts_and_pairs(name, monkeypatch):
     # reversed cycles pair with their originals
     both = cycles + [c.reversed() for c in cycles]
     assert np.array_equal(
-        homology.intersection_matrix(cx, [black_white(cx, c) for c in both]),
+        homology.intersection_matrix(cx, homology.shadows(both)),
         _reference_intersection_matrix(cx, both))
     # the shadows of an open prefix can cross each other; the diagonal
     # leaves that out
@@ -498,7 +501,7 @@ def test_homology_basis_matches_reference_lifts_and_pairs(name, monkeypatch):
         for k in range(1, min(len(c), 40)):
             pair = [Cycle(c.edges[:k]), c]
             assert np.array_equal(
-                homology.intersection_matrix(cx, [black_white(cx, p) for p in pair]),
+                homology.intersection_matrix(cx, homology.shadows(pair)),
                 _reference_intersection_matrix(cx, pair))
 
 
@@ -520,23 +523,120 @@ def test_lift_fallback_runs_on_doubled_edges():
 
 def test_homology_basis_cover_work(monkeypatch):
     """Call counts, no timing: each intersection matrix takes the shadows
-    of each of its cycles once."""
+    of all its cycles in one pass."""
     cx = gen_cube_double_cover()[0]
-    calls = {"black_white": 0, "intersection_matrix": 0}
+    calls = {"shadows": [], "intersection_matrix": 0}
 
-    def counting(name, original):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return original(*args, **kwargs)
-        return wrapper
+    def counting_shadows(cycles):
+        calls["shadows"].append(len(cycles))
+        return shadows(cycles)
 
-    monkeypatch.setattr(homology, "black_white", counting("black_white", black_white))
-    monkeypatch.setattr(homology, "intersection_matrix",
-                        counting("intersection_matrix", homology.intersection_matrix))
+    def counting_matrix(*args):
+        calls["intersection_matrix"] += 1
+        return intersection_matrix(*args)
+
+    shadows, intersection_matrix = homology.shadows, homology.intersection_matrix
+    monkeypatch.setattr(homology, "shadows", counting_shadows)
+    monkeypatch.setattr(homology, "intersection_matrix", counting_matrix)
     basis = homology_basis(cx)
     # the fundamental cycles, then the canonical ones in build_basis
-    assert calls == {"black_white": 2 * 2 * basis.g,
-                     "intersection_matrix": 2}
+    assert calls == {"shadows": [2 * basis.g, 2 * basis.g], "intersection_matrix": 2}
+
+
+def _reference_symplectic_reduce(M):
+    """The numpy reduction ``_symplectic_reduce`` replaced, pivot rule and all."""
+    M = M.copy()
+    n = M.shape[0]
+    U = np.eye(n, dtype=np.int64)
+
+    def rowcol_op(dst, src, factor):
+        M[dst, :] += factor * M[src, :]
+        M[:, dst] += factor * M[:, src]
+        U[dst, :] += factor * U[src, :]
+
+    def swap(i, j):
+        M[[i, j], :] = M[[j, i], :]
+        M[:, [i, j]] = M[:, [j, i]]
+        U[[i, j], :] = U[[j, i], :]
+
+    for k in range(0, n, 2):
+        while True:
+            sub = M[k:, k:]
+            nz = np.argwhere(sub != 0)
+            if len(nz) == 0:
+                raise DqsError("intersection matrix is degenerate")
+            i, j = min(((i0 + k, j0 + k) for (i0, j0) in nz if i0 < j0),
+                       key=lambda ij: (abs(M[ij[0], ij[1]]), ij))
+            if i != k:
+                swap(k, i)
+                continue
+            if j != k + 1:
+                swap(k + 1, j)
+                continue
+            piv = M[k, k + 1]
+            for t in range(k + 2, n):
+                if M[k, t] != 0:
+                    rowcol_op(t, k + 1, -(M[k, t] // piv))
+                if M[k + 1, t] != 0:
+                    rowcol_op(t, k, M[k + 1, t] // piv)
+            if all(M[k, t] == 0 and M[k + 1, t] == 0 for t in range(k + 2, n)):
+                break
+        if M[k, k + 1] < 0:
+            swap(k, k + 1)
+        if M[k, k + 1] != 1:
+            raise DqsError(f"intersection form pivot {M[k, k+1]} != 1; not unimodular")
+    order = list(range(0, n, 2)) + list(range(1, n, 2))
+    return U[order, :]
+
+
+def _fundamental_matrices(surfaces, monkeypatch):
+    """The intersection matrices that ``homology_basis`` reduces on the
+    surfaces (none on one whose lifts meet a doubled edge first)."""
+    seen = []
+    reduce = homology._symplectic_reduce
+
+    def recording(M):
+        seen.append(M.copy())
+        return reduce(M)
+
+    with monkeypatch.context() as m:
+        m.setattr(homology, "_symplectic_reduce", recording)
+        for cx in surfaces:
+            try:
+                homology_basis(cx)
+            except AmbiguousGluingError:
+                pass
+    return seen
+
+
+def test_symplectic_reduce_matches_the_numpy_reduction(cube_cover, monkeypatch):
+    """Random skew unimodular matrices (the standard pairing moved by random
+    unimodular changes of basis) and the fundamental matrix of every shipped
+    surface of positive genus give the same U."""
+    rng = np.random.default_rng(19)
+    matrices = []
+    for _ in range(200):
+        g = int(rng.integers(1, 5))
+        P = np.eye(2 * g, dtype=np.int64)
+        for _ in range(int(rng.integers(1, 12))):
+            i, j = rng.choice(2 * g, size=2, replace=False)
+            E = np.eye(2 * g, dtype=np.int64)
+            E[i, j] = rng.integers(-3, 4)
+            P = E @ P
+            if rng.random() < 0.3:
+                P[[i, j]] = P[[j, i]]
+        matrices.append(P @ standard_pairing(g) @ P.T)
+    shipped = [cx for _, cx in shipped_surfaces(cube_cover) if genus(cx)]
+    fundamental = _fundamental_matrices(shipped + [subdivide3(cube_cover[0])], monkeypatch)
+    # the tori 2x2 and 2x4 raise; the 4x4, 4x6 and one-pole tori, the cover and its subdivision
+    assert [len(M) for M in fundamental] == [2, 2, 6, 2, 6]
+    matrices += fundamental
+    for M in matrices:
+        assert np.array_equal(homology._symplectic_reduce(M), _reference_symplectic_reduce(M))
+    with pytest.raises(DqsError, match="degenerate"):
+        homology._symplectic_reduce(np.zeros((2, 2), dtype=int))
+    with pytest.raises(DqsError, match="pivot 2 != 1"):
+        homology._symplectic_reduce(2 * standard_pairing(1))
 
 
 # ---------------------------------------------------------------------------
@@ -588,4 +688,4 @@ def test_standard_torus_basis_matches_the_chained_cycles(tau):
             assert basis.intersection.tolist() == [[0, 1], [-1, 0]]
             for cycle in (basis.a[0], basis.b[0]):
                 black, white = _reference_black_white(cx, cycle)
-                assert black_white(cx, cycle) == homology.BlackWhiteChains(black, white)
+                assert black_white(cycle) == homology.BlackWhiteChains(black, white)

@@ -758,7 +758,7 @@ def test_bad_tolerance_is_a_clean_error(argv, tmp_path, capsys, monkeypatch):
     def no_work(*args, **kwargs):
         raise AssertionError("solved before the tolerance was checked")
 
-    monkeypatch.setattr(differentials, "_dz_system", no_work)
+    monkeypatch.setattr(differentials, "DzSystem", no_work)
     code = main(argv + [_torus_file(tmp_path)])
     out = capsys.readouterr()
     assert code == 1 and out.out == ""
@@ -778,7 +778,7 @@ def test_abel_jacobi_ids_are_checked_before_solving(ids, message, tmp_path, caps
     def no_work(*args, **kwargs):
         raise AssertionError("solved before the ids were checked")
 
-    monkeypatch.setattr(differentials, "_dz_system", no_work)
+    monkeypatch.setattr(differentials, "DzSystem", no_work)
     code = main(["abel-jacobi", *ids, _torus_file(tmp_path)])
     out = capsys.readouterr()
     assert code == 1 and out.out == ""
@@ -786,10 +786,10 @@ def test_abel_jacobi_ids_are_checked_before_solving(ids, message, tmp_path, caps
 
 
 @pytest.mark.parametrize("which", ["cover", "torus12"])
-def test_abelian_second_command_factors_once(which, tmp_path, capsys, monkeypatch):
+def test_abelian_second_command_factors_once(which, tmp_path, capsys, lu_record):
     """One factorization per job, below and above the sparse crossover; the
     form agrees with a separate second-kind solve."""
-    from dqs import abelian_second, homology_basis, operators, randomize_rho
+    from dqs import abelian_second, differentials, homology_basis, randomize_rho
 
     rng = np.random.default_rng(5)
     if which == "cover":
@@ -801,16 +801,10 @@ def test_abelian_second_command_factors_once(which, tmp_path, capsys, monkeypatc
         text = serialize_dqs(cx, basis)
     path = tmp_path / "s.dqs"
     path.write_text(text)
-    factored = []
-    lu_solve = operators._lu_solve
-
-    def recording_lu(S, b, eps_n):
-        factored.append(S.shape)
-        return lu_solve(S, b, eps_n)
-
-    monkeypatch.setattr(operators, "_lu_solve", recording_lu)
     assert main(["abelian", "--second", "7", "--format", "json", str(path)]) == 0
-    assert factored == [(cx.nq, cx.nq)]
+    dense = cx.nq < differentials.SPARSE_NQ
+    assert lu_record.batches == [((cx.nq, cx.nq), dense, True)]
+    assert lu_record.factors == (0 if dense else 1)
     doc = json.loads(capsys.readouterr().out)
     assert all(c["pass"] for c in doc["checks"])
     got = parse_oneform(json.dumps(doc["outputs"]["form"]), cx)
@@ -938,6 +932,38 @@ def test_misplaced_flags_are_usage_errors(argv, tmp_path, monkeypatch):
                                        else []))
     assert code == 2 and out == ""
     assert "usage: dqs" in err and "error:" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--format", "json", "genus", "x"],
+    ["--format=json", "genus", "x"],
+    ["--tol", "1e-6", "periods", "x"],
+    ["--seed", "1", "selftest"],
+])
+def test_option_before_the_command_is_a_usage_error(argv):
+    """argparse alone would take the option's value for the command
+    ("invalid choice: 'json'")."""
+    code, out, err = _run_main(argv)
+    assert code == 2 and out == ""
+    assert err.startswith("usage: dqs") and "options go after the command" in err
+    assert f"got {argv[0]!r} first" in err
+    assert "invalid choice" not in err and "Traceback" not in err
+
+
+def test_negative_real_tau_is_written_with_an_equals_sign():
+    """A value starting with '-' reads as an option; the help says how to
+    write it, and the '=' form generates the torus."""
+    argv = ["gen", "torus", "--m", "4", "--n", "4"]
+    code, out, err = _run_main(argv + ["--tau", "-0.27+0.9i"])
+    assert code == 2 and out == ""
+    assert err.startswith("usage: dqs gen torus") and "Traceback" not in err
+    code, out, err = _run_main(argv + ["--help"])
+    assert code == 0 and "--tau=-0.27+0.9i" in " ".join(out.split())
+    code, out, err = _run_main(argv + ["--tau=-0.27+0.9i"])
+    assert code == 0 and err == ""
+    cx, basis = parse_dqs(out)
+    ref = gen_torus(4, 4, -0.27 + 0.9j)
+    assert (cx.quads, cx.rho) == (ref.quads, ref.rho) and basis.g == 1
 
 
 def _abel_jacobi_check(path):

@@ -202,6 +202,8 @@ def test_periods_on_a_large_torus_build_no_dense_boundary(monkeypatch):
 
 
 def test_sparse_and_dense_dz_systems_agree_entrywise(monkeypatch):
+    """The dz system, folded on its triplets, equals the p dz composition of
+    the dense boundary stacked on the a-period rows, sparse and dense."""
     cx = randomize_rho(gen_torus(12, 12, 0.3 + 1.2j), np.random.default_rng(8))
     basis = standard_torus_basis(cx, 12, 12)
     assert cx.nq >= differentials.SPARSE_NQ
@@ -211,15 +213,19 @@ def test_sparse_and_dense_dz_systems_agree_entrywise(monkeypatch):
 
     with monkeypatch.context() as m:
         m.setattr(operators, "boundary", refuse)
-        sparse = operators.dz(cx, differentials._dz_system(cx, basis))
+        sparse = differentials.DzSystem(cx, basis)
         differentials.abelian_second_with_bases(cx, basis, 5)
     assert "boundary_matrix" not in vars(cx)
-    assert not isinstance(sparse, np.ndarray) and sparse.format == "csr"
+    assert not isinstance(sparse.S, np.ndarray) and sparse.S.format == "csc"
+    ref = operators.dz(cx, np.vstack([cx.boundary_matrix, operators.step_rows(
+        basis.a_shadow_steps, 2 * basis.g, cx.nq)]))
+    assert sparse.S.shape == (len(ref) - 2, cx.nq)
+    assert np.array_equal(sparse.dense(), ref)
+    assert sparse.S.nnz + np.count_nonzero(sparse.implied) == np.count_nonzero(ref)
     monkeypatch.setattr(differentials, "SPARSE_NQ", cx.nq + 1)
-    dense = operators.dz(cx, differentials._dz_system(cx, basis))
-    assert isinstance(dense, np.ndarray)
-    assert np.array_equal(sparse.toarray(), dense)
-    assert sparse.nnz == np.count_nonzero(dense)
+    dense = differentials.DzSystem(cx, basis)
+    assert isinstance(dense.S, np.ndarray)
+    assert np.array_equal(dense.dense(), ref)
 
 
 def test_randomize_rho_builds_what_build_builds():

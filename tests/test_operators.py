@@ -4,7 +4,7 @@
 each vertex face; ``boundary`` and ``laplacian_matrix`` are assembled
 from the quad table.  Agreement pins every solver system to the
 definition of the exterior derivative.  Dense least squares is the
-oracle for the square LU solves of ``operators.solve``, and the dense LU
+oracle for the square LU solves of ``operators.LinearSystem``, and the dense LU
 for its sparse LU.
 """
 
@@ -26,7 +26,7 @@ from dqs import (
 from dqs.calculus import d_one_form, from_coefficients, laplacian, laplacian_matrix
 from dqs.errors import AmbiguityError, SolveError
 from dqs.homology import integrate_black_chain, integrate_white_chain
-from dqs.operators import boundary, dependent_rows, dz, nullity, solve
+from dqs.operators import boundary, dependent_rows, nullity, solve
 from dqs.surface import subdivide3
 
 
@@ -108,21 +108,8 @@ def test_nullity_edge_cases():
     assert nullity(np.diag([1.0, 1e-12, 0.0])) == 2
 
 
-def _record_lu(monkeypatch):
-    """Results of every square LU solve from now on (None: lstsq took over)."""
-    results = []
-    lu_solve = operators._lu_solve
-
-    def recording_lu(*args):
-        results.append(lu_solve(*args))
-        return results[-1]
-
-    monkeypatch.setattr(operators, "_lu_solve", recording_lu)
-    return results
-
-
 @pytest.mark.parametrize("which", ["cube", "torus44", "torus64", "cover"])
-def test_square_lu_matches_lstsq(which, cube, cube_cover, monkeypatch):
+def test_square_lu_matches_lstsq(which, cube, cube_cover, monkeypatch, lu_record):
     """Every differentials system takes the square LU path and agrees with lstsq."""
     rng = np.random.default_rng(13)
     if which.startswith("torus"):
@@ -133,13 +120,13 @@ def test_square_lu_matches_lstsq(which, cube, cube_cover, monkeypatch):
         cx = randomize_rho(cube if which == "cube" else cube_cover[0], rng)
         basis = homology_basis(cx)
     calls = []
+    system_solve = operators.LinearSystem.solve
 
-    def recording_solve(A, rhs, tol, what, drop=(), rank_error=SolveError):
-        calls.append((what, A, rhs, drop, solve(A, rhs, tol, what, drop, rank_error)))
+    def recording_solve(self, rhs, tol, what, rank_error=SolveError):
+        calls.append((what, self, rhs, system_solve(self, rhs, tol, what, rank_error)))
         return calls[-1][-1]
 
-    monkeypatch.setattr(differentials, "solve", recording_solve)
-    lu_results = _record_lu(monkeypatch)
+    monkeypatch.setattr(operators.LinearSystem, "solve", recording_solve)
     g = basis.g
     harmonic_with_periods(cx, basis, rng.normal(size=4 * g) + 1j * rng.normal(size=4 * g))
     canonical_bases(cx, basis)
@@ -150,9 +137,11 @@ def test_square_lu_matches_lstsq(which, cube, cube_cover, monkeypatch):
     expected = (["holomorphic", "harmonic", "holomorphic"] if g else ["holomorphic"]) \
         + ["second-kind", "third-kind"]
     assert [c[0] for c in calls] == expected
-    assert len(lu_results) == len(calls) and all(x is not None for x in lu_results)
-    for what, A, rhs, drop, sol in calls:
-        assert A.shape[0] - len(set(drop)) == A.shape[1], what
+    assert len(lu_record.batches) == len(calls)
+    assert all(accepted for *_, accepted in lu_record.batches)
+    for what, system, rhs, sol in calls:
+        A = system.dense()
+        assert A.shape[0] - len(system.drop) == A.shape[1], what
         ref = np.linalg.lstsq(A, rhs, rcond=None)[0]
         assert sol.shape == ref.shape
         assert np.abs(sol - ref).max(initial=0.0) \
@@ -181,7 +170,7 @@ def test_solve_rejects_non_finite_input():
         solve(np.array([[1.0, 0.0], [0.0, np.inf]]), np.ones(2), 1e-9, "test")
 
 
-def test_square_lu_is_backward_stable_on_a_wide_torus(monkeypatch):
+def test_square_lu_is_backward_stable_on_a_wide_torus(lu_record):
     """Partial pivoting in the natural order loses 1e-6 of the residual here.
 
     The dense LU, given the dense matrix, eliminates in a random order;
@@ -189,35 +178,21 @@ def test_square_lu_is_backward_stable_on_a_wide_torus(monkeypatch):
     """
     cx = gen_torus(32, 32, -0.275 + 0.908j)
     basis = standard_torus_basis(cx, 32, 32)
-    A = dz(cx, differentials._dz_system(cx, basis))
-    assert not isinstance(A, np.ndarray)
+    system = differentials.DzSystem(cx, basis)
+    assert not isinstance(system.S, np.ndarray)
     rhs = np.vstack([np.zeros((cx.nv, 2)), np.eye(2)])
     ch = basis.a_chains[0]
-    paths = _record_lu_paths(monkeypatch)
-    for system in (A.toarray(), A):
-        p = solve(system, rhs, 1e-9, "holomorphic", drop=dependent_rows(cx))
+    for p in (solve(system.dense(), rhs, 1e-9, "holomorphic", drop=dependent_rows(cx)),
+              system.solve(rhs, 1e-9, "holomorphic")):
         black, white = (from_coefficients(cx, p[:, k]) for k in range(2))
         assert abs(2 * integrate_black_chain(cx, black, ch.black) - 1) < 1e-13
         assert abs(2 * integrate_white_chain(cx, white, ch.white) - 1) < 1e-13
-    assert paths == [(True, True), (False, True)]
-
-
-def _record_lu_paths(monkeypatch):
-    """(dense, accepted) of every square LU solve from now on."""
-    paths = []
-    lu_solve = operators._lu_solve
-
-    def recording_lu(S, b, eps_n):
-        x = lu_solve(S, b, eps_n)
-        paths.append((isinstance(S, np.ndarray), x is not None))
-        return x
-
-    monkeypatch.setattr(operators, "_lu_solve", recording_lu)
-    return paths
+    shape = (cx.nq, cx.nq)
+    assert lu_record.batches == [(shape, True, True), (shape, False, True)]
 
 
 @pytest.mark.parametrize("which", ["torus16", "wide32", "cover-sub3"])
-def test_sparse_lu_matches_dense_lu(which, cube_cover, monkeypatch):
+def test_sparse_lu_matches_dense_lu(which, cube_cover, monkeypatch, lu_record):
     """Above the crossover every dz solve takes the sparse LU and agrees with the dense LU."""
     rng = np.random.default_rng(41)
     if which == "torus16":
@@ -240,10 +215,12 @@ def test_sparse_lu_matches_dense_lu(which, cube_cover, monkeypatch):
                 abelian_second(cx, basis, 5).form,
                 abelian_third(cx, basis, 0, same[-1]).form]
 
-    paths = _record_lu_paths(monkeypatch)
     sparse = solves()
-    # holomorphic, harmonic (its holomorphic solve, then the dense 4g x 4g one), second, third
-    assert paths == [(False, True), (False, True), (True, True), (False, True), (False, True)]
+    # holomorphic, harmonic (its holomorphic solve, then the dense 4g x 4g one), second,
+    # third: one SuperLU factor per job
+    dz_batch, small = ((cx.nq, cx.nq), False, True), ((4 * g, 4 * g), True, True)
+    assert lu_record.batches == [dz_batch, dz_batch, small, dz_batch, dz_batch]
+    assert lu_record.factors == 4
     monkeypatch.setattr(differentials, "SPARSE_NQ", cx.nq + 1)
     dense = solves()
     for what, got, ref in zip(("holomorphic", "harmonic", "second", "third"), sparse, dense):
@@ -253,7 +230,7 @@ def test_sparse_lu_matches_dense_lu(which, cube_cover, monkeypatch):
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max(), what
 
 
-def test_sparse_solve_near_singular_square_system_falls_back_to_lstsq(monkeypatch):
+def test_sparse_solve_near_singular_square_system_falls_back_to_lstsq(lu_record):
     from scipy.sparse import csr_array
 
     rng = np.random.default_rng(3)
@@ -262,10 +239,9 @@ def test_sparse_solve_near_singular_square_system_falls_back_to_lstsq(monkeypatc
     S = q1 @ np.diag([1.0, 1.0, 1.0, 1.0, 1.0, 1e-18]) @ q2.T
     A = np.vstack([S, S[0] + S[1]])
     rhs = A @ rng.normal(size=6)
-    paths = _record_lu_paths(monkeypatch)
     with pytest.raises(AmbiguityError, match="rank 5 < 6; the solution is not unique"):
         solve(csr_array(A), rhs, 1e-9, "test", drop=[6], rank_error=AmbiguityError)
-    assert paths == [(False, False)]
+    assert lu_record.batches == [((6, 6), False, False)]
 
 
 def test_lu_solve_commutes_with_power_of_two_scaling():
@@ -279,10 +255,12 @@ def test_lu_solve_commutes_with_power_of_two_scaling():
     S = rng.normal(size=(7, 7)) + 7 * np.eye(7)
     b = rng.normal(size=(7, 3)) + 1j * rng.normal(size=(7, 3))
     b /= np.abs(b).max()
-    x = operators._lu_solve(S, b, 1e-14)
+    rows, cols = np.nonzero(S)
+    system = operators.LinearSystem(S.shape, (rows, cols, S[rows, cols]))
+    x = system._lu_solve(b, 1e-14)
     assert x is not None
     for k in (-1000, -30, 1, 40, 1023):
-        xk = operators._lu_solve(S, np.ldexp(b.real, k) + 1j * np.ldexp(b.imag, k), 1e-14)
+        xk = system._lu_solve(np.ldexp(b.real, k) + 1j * np.ldexp(b.imag, k), 1e-14)
         assert xk is not None
         assert np.array_equal(xk.real, np.ldexp(x.real, k))
         assert np.array_equal(xk.imag, np.ldexp(x.imag, k))

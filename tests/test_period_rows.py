@@ -120,7 +120,7 @@ def _ref_abel_jacobi_quad(cx, hb, q1, q2):
         mid = sum(s * vals[e] for (e, s) in path)
         return entry_half(f, q1, x1) + mid - entry_half(f, q2, x2)
 
-    chains = black_white(cx, Cycle(tuple(path)))
+    chains = black_white(Cycle(tuple(path)))
 
     def shadow(f, color):
         if color == BLACK:

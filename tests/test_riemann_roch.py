@@ -26,7 +26,7 @@ from dqs import (
     torus_single_pole_search,
     validate,
 )
-from dqs import operators
+from dqs import differentials
 from dqs.errors import DqsError
 from dqs.operators import boundary, compose, dz, nullity
 from dqs.riemann_roch import i_system, is_degenerate_divisor
@@ -158,23 +158,17 @@ class TestRiemannRoch:
             assert i_dim(torus44, d) == i_dim_basis_route(torus44, basis, d)
 
     @pytest.mark.parametrize("which", ["cover", "torus12"])
-    def test_basis_route_factors_once(self, which, cube_cover, monkeypatch):
+    def test_basis_route_factors_once(self, which, cube_cover, monkeypatch, lu_record):
         """One factorization per call, below (cover) and above (12^2 torus) the
         sparse crossover."""
         cx, basis = _route_surface(which, cube_cover)
         black = [v for v in range(cx.nv) if cx.colors[v] == BLACK][:3]
         white = [v for v in range(cx.nv) if cx.colors[v] == WHITE][:2]
         d = Divisor({v: -1 for v in black + white}, {5: -2, 9: -2, 1: 1, 40: 1, 70: 1})
-        factored = []
-        lu_solve = operators._lu_solve
-
-        def recording_lu(S, b, eps_n):
-            factored.append(S.shape)
-            return lu_solve(S, b, eps_n)
-
-        monkeypatch.setattr(operators, "_lu_solve", recording_lu)
         got = i_dim_basis_route(cx, basis, d)
-        assert factored == [(cx.nq, cx.nq)]
+        dense = cx.nq < differentials.SPARSE_NQ
+        assert lu_record.batches == [((cx.nq, cx.nq), dense, True)]
+        assert lu_record.factors == (0 if dense else 1)
         monkeypatch.undo()
         assert got == _i_dim_per_column(cx, basis, d, canonical_bases(cx, basis))
 
