@@ -32,11 +32,11 @@ once, in one pass: ``homology_basis`` takes those of its 2g fundamental
 lifts and ``build_basis`` those of the canonical cycles, and an
 intersection matrix is one integer product of the black and white quad
 multiplicities of those shadows.  The integer symplectic reduction runs
-on Python ints, 2g x 2g of them.  The bases built here
-are checked against the one canonical pairing, ``standard_pairing``,
-which ``dqs homology`` also reports for an embedded basis.  The meridian
-and longitude of a generated torus (``standard_torus_basis``) are
-written straight from the grid, whose cells fix every edge and sign.
+on Python ints, 2g x 2g of them.  ``require_basis``, the counterpart of
+``require_surface``, judges every basis built here or read from a file:
+g a- and b-cycles, closed shadows (``unclosed_rows``) and the pairing
+``standard_pairing``.  The meridian and longitude of a generated torus
+(``standard_torus_basis``) are written straight from the grid.
 """
 
 from __future__ import annotations
@@ -52,6 +52,8 @@ from .operators import chain_steps, diagonal_steps, integrals, medial_steps, ste
 from .surface import (
     BLACK,
     MEDIAL_SLOT,
+    SLOT_BM,
+    SLOT_WM,
     WHITE,
     QuadComplex,
     _ambiguous_gluing,
@@ -70,29 +72,12 @@ class Cycle:
     """Closed walk on the medial graph: signed canonical edge indices."""
 
     edges: tuple  # of (edge_index, sign)
-    tag: str = ""
 
     def reversed(self) -> "Cycle":
-        return Cycle(tuple((e, -s) for (e, s) in reversed(self.edges)), f"-{self.tag}")
+        return Cycle(tuple((e, -s) for (e, s) in reversed(self.edges)))
 
     def __len__(self):
         return len(self.edges)
-
-
-def cycle_is_closed_walk(cx: QuadComplex, cycle: Cycle) -> bool:
-    """Consecutive edges share medial vertices (identified by vertex pairs)."""
-    if not cycle.edges:
-        return True
-    if cx.has_doubled_edges:
-        raise DqsError("walk validation needs unambiguous medial vertices")
-
-    def endpoints(e, s):
-        start, end = cx.medial_endpoints(e)
-        return (start, end) if s > 0 else (end, start)
-
-    pts = [endpoints(e, s) for (e, s) in cycle.edges]
-    n = len(pts)
-    return all(pts[i][1] == pts[(i + 1) % n][0] for i in range(n))
 
 
 @dataclass(frozen=True)
@@ -146,16 +131,20 @@ def shadows(cycles) -> tuple:
     return tuple(BlackWhiteChains(parts[2 * i], parts[2 * i + 1]) for i in range(len(cycles)))
 
 
-def chain_is_closed(cx: QuadComplex, chain, color: int) -> bool:
-    """Net vertex boundary of a signed diagonal chain vanishes."""
-    boundary = {}
-    for q, s in chain:
-        a, b = (cx.black_diagonal(q) if color == BLACK else cx.white_diagonal(q))
-        if s < 0:
-            a, b = b, a
-        boundary[a] = boundary.get(a, 0) - 1
-        boundary[b] = boundary.get(b, 0) + 1
-    return all(v == 0 for v in boundary.values())
+def unclosed_rows(cx: QuadComplex, steps) -> list:
+    """The rows of diagonal steps (``operators.step_array``) that are not closed chains,
+    ascending: one sort of the (row, vertex) ends of all steps, each from the minus to
+    the plus corner of its diagonal (back if negative); closed rows net zero everywhere."""
+    rows, colors, quads = steps[:, :3].astype(np.int64).T
+    lo = np.array((SLOT_BM, SLOT_WM))[colors]
+    sign = np.sign(steps[:, 3])
+    keys = np.concatenate([rows * cx.nv + cx.quad_array[quads, lo + 2],
+                           rows * cx.nv + cx.quad_array[quads, lo]])
+    order = np.argsort(keys)
+    keys = keys[order]
+    start = np.flatnonzero(np.diff(keys, prepend=-1))  # the runs of equal (row, vertex)
+    net = np.add.reduceat(np.concatenate([sign, -sign])[order], start)
+    return sorted(set((keys[start][net != 0] // cx.nv).tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -264,10 +253,35 @@ class HomologyBasis:
 
 
 def build_basis(cx: QuadComplex, a_cycles, b_cycles) -> HomologyBasis:
+    """The basis of the given cycles, unchecked: ``require_basis`` judges it."""
     chains = shadows(list(a_cycles) + list(b_cycles))
     g = len(a_cycles)
     return HomologyBasis(tuple(a_cycles), tuple(b_cycles), chains[:g], chains[g:],
                          intersection_matrix(cx, chains))
+
+
+def require_basis(cx: QuadComplex, basis: HomologyBasis) -> HomologyBasis:
+    """The basis, once it is canonical on cx, which passes ``require_surface``:
+    genus(cx) a- and b-cycles, closed black and white shadows, and a_i . b_j
+    = delta_ij (``standard_pairing``).  Else DqsError names the first failure."""
+    g = genus(cx)
+    if len(basis.a) != g or len(basis.b) != g:
+        raise DqsError(f"basis has {len(basis.a)} a-cycles and {len(basis.b)} b-cycles; "
+                       f"a genus {g} surface needs {g} of each")
+    name = [f"{key}{k + 1}" for key in "ab" for k in range(g)]
+    # one pass over the black a-, white a-, black b- and white b-shadows, g rows each
+    rows = unclosed_rows(cx, np.vstack([basis.a_shadow_steps,
+                                        basis.b_shadow_steps + (2 * g, 0, 0, 0)]))
+    if rows:
+        raise DqsError(f"the {('black', 'white')[rows[0] // g % 2]} shadow of basis cycle "
+                       f"{name[rows[0] // (2 * g) * g + rows[0] % g]} is not closed")
+    J = standard_pairing(g)
+    wrong = np.argwhere(basis.intersection != J)
+    if len(wrong):
+        i, j = wrong[0]
+        raise DqsError(f"basis cycles {name[i]} and {name[j]} have intersection "
+                       f"number {basis.intersection[i, j]}; a canonical basis has {J[i, j]}")
+    return basis
 
 
 def periods(cx: QuadComplex, omega: DiamondForm, basis: HomologyBasis,
@@ -355,7 +369,8 @@ def lift_diagonal_walk(cx: QuadComplex, walk, color: int) -> Cycle:
     ``QuadComplex.star_successor`` behind ``require_surface``.  An arc
     that meets a doubled edge raises AmbiguousGluingError, and one that
     circles its vertex without reaching the next step raises
-    SurfaceError.  Medial endpoints come straight from the quad tuples.
+    SurfaceError.  Medial endpoints are ids of ``QuadComplex.incidence_edge``:
+    medial edge 4q + slot runs from the edge of 4q + slot - 1 to its own.
     """
     if not walk:
         return Cycle(())
@@ -363,6 +378,7 @@ def lift_diagonal_walk(cx: QuadComplex, walk, color: int) -> Cycle:
     quads = cx.quads
     succ = cx.star_successor.item
     degree = cx.vertex_groups[1].item
+    edge_of = cx.incidence_edge.item
     plus, minus = _LIFT_SLOT[color, 1], _LIFT_SLOT[color, -1]
     edges = [4 * q + (plus if d > 0 else minus) for (q, d) in walk]
     out = []
@@ -370,27 +386,22 @@ def lift_diagonal_walk(cx: QuadComplex, walk, color: int) -> Cycle:
     for k in range(n):
         e = edges[k]
         out.append((e, 1))
-        q, slot = divmod(e, 4)
-        t = quads[q]
-        v, w = t[(slot + 1) % 4], t[slot]  # v: vertex the step arrives at
-        pos = (v, w) if v < w else (w, v)
-        q2, slot2 = divmod(edges[(k + 1) % n], 4)
-        u, u2 = quads[q2][slot2], quads[q2][(slot2 - 1) % 4]
-        target = (u, u2) if u < u2 else (u2, u)
+        pos = edge_of(e)
+        e2 = edges[(k + 1) % n]
+        target = edge_of(e2 - e2 % 4 + (e2 - 1) % 4)
         if pos == target:
             continue
-        i = 4 * q + t.index(v)
+        q, slot = divmod(e, 4)
+        i = 4 * q + (slot + 1) % 4  # the incidence of the vertex the step arrives at
+        v = quads[q][(slot + 1) % 4]
         limit = degree(v) + 1
         guard = 0
         while pos != target:
             j = succ(i)
             if j < 0:
-                cur, slot = divmod(i, 4)
-                raise _ambiguous_gluing(cx, quads[cur][(slot - 1) % 4], v)
+                raise _ambiguous_gluing(cx, i)
             out.append((j, -1))
-            cur, slot = divmod(j, 4)
-            pv = quads[cur][(slot - 1) % 4]
-            pos = (v, pv) if v < pv else (pv, v)
+            pos = edge_of(j - j % 4 + (j - 1) % 4)
             i = j
             guard += 1
             if guard > limit:
@@ -491,7 +502,7 @@ def homology_basis(cx: QuadComplex) -> HomologyBasis:
     require_surface(cx)
     g = genus(cx)
     if g == 0:
-        return HomologyBasis((), (), (), (), np.zeros((0, 0), dtype=int))
+        return build_basis(cx, (), ())
 
     # each tree grows from the lowest vertex of its color
     parent, tree_quads = _spanning_tree(cx, cx.colors.index(BLACK), BLACK)
@@ -527,12 +538,7 @@ def homology_basis(cx: QuadComplex) -> HomologyBasis:
         walk = _concatenate_walks(list(zip(fundamental, row)))
         combined.append(lift_diagonal_walk(cx, walk, BLACK))
 
-    a_cycles = tuple(Cycle(combined[k].edges, f"a{k+1}") for k in range(g))
-    b_cycles = tuple(Cycle(combined[g + k].edges, f"b{k+1}") for k in range(g))
-    basis = build_basis(cx, a_cycles, b_cycles)
-    if not np.array_equal(basis.intersection, standard_pairing(g)):
-        raise DqsError("constructed basis does not have the standard pairing")
-    return basis
+    return require_basis(cx, build_basis(cx, combined[:g], combined[g:]))
 
 
 # ---------------------------------------------------------------------------
@@ -557,7 +563,4 @@ def standard_torus_basis(cx: QuadComplex, m: int, n: int) -> HomologyBasis:
     # cell (i, j) is quad vid(i, j), its bottom-left corner vertex
     a = tuple((keyed(vid(i, 0), v), 1) for i in range(m) for v in (vid(i, 0), vid(i + 1, 0)))
     b = tuple((keyed(vid(0, j), v), -1) for j in range(n) for v in (vid(0, j), vid(0, j + 1)))
-    basis = build_basis(cx, (Cycle(a, "a1"),), (Cycle(b, "b1"),))
-    if not np.array_equal(basis.intersection, standard_pairing(1)):
-        raise DqsError("torus basis does not have the standard pairing")
-    return basis
+    return require_basis(cx, build_basis(cx, (Cycle(a),), (Cycle(b),)))

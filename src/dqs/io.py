@@ -148,7 +148,7 @@ def _parse_basis(doc, cx, path):
                         and 0 <= q < cx.nq and 0 <= corner < 4 and sign in (1, -1)):
                     raise ParseError(f"{path}.{key}[{i}]", f"bad edge key {e}")
                 cyc.append((4 * q + corner, sign))
-            out.append(Cycle(tuple(cyc), f"{key}{i+1}"))
+            out.append(Cycle(tuple(cyc)))
         return out
     return build_basis(cx, cycles("a"), cycles("b"))
 

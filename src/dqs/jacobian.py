@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import AmbiguousGluingError, DqsError
 from .differentials import HolomorphicBasis, PeriodMatrices
-from .homology import Cycle, GraphPath, HomologyBasis, black_white, graph_path
+from .homology import Cycle, GraphPath, black_white, graph_path
 from .operators import diagonal_steps, integrals
 from .surface import (
     BLACK,
@@ -107,9 +107,8 @@ def jacobians(pm: PeriodMatrices):
             Jacobian(pm.Pi_white, "white"))
 
 
-def abel_jacobi_black(cx: QuadComplex, basis: HomologyBasis, hb: HolomorphicBasis,
-                      jac_black: Jacobian, base_quad: int, target: int,
-                      path: GraphPath = None) -> AJValue:
+def abel_jacobi_black(cx: QuadComplex, hb: HolomorphicBasis, jac_black: Jacobian,
+                      base_quad: int, target: int, path: GraphPath = None) -> AJValue:
     """Black Abel-Jacobi value of a black vertex, modulo the black lattice.
 
     Integrates each canonical differential along half of the base quad's
@@ -119,9 +118,8 @@ def abel_jacobi_black(cx: QuadComplex, basis: HomologyBasis, hb: HolomorphicBasi
     return _abel_jacobi_vertex(cx, hb, jac_black, base_quad, target, path, BLACK)
 
 
-def abel_jacobi_white(cx: QuadComplex, basis: HomologyBasis, hb: HolomorphicBasis,
-                      jac_white: Jacobian, base_quad: int, target: int,
-                      path: GraphPath = None) -> AJValue:
+def abel_jacobi_white(cx: QuadComplex, hb: HolomorphicBasis, jac_white: Jacobian,
+                      base_quad: int, target: int, path: GraphPath = None) -> AJValue:
     """White mirror of the black Abel-Jacobi map."""
     return _abel_jacobi_vertex(cx, hb, jac_white, base_quad, target, path, WHITE)
 
@@ -153,27 +151,22 @@ def _abel_jacobi_vertex(cx: QuadComplex, hb: HolomorphicBasis, jac: Jacobian,
 # quad-to-quad map along the medial graph
 
 
-def _medial_bfs_path(cx: QuadComplex, start_pair, goal_pair):
+def _medial_bfs_path(cx: QuadComplex, start: int, goal: int):
     """Signed medial edges from one edge midpoint to another (BFS, each
     level in the order it was reached).
 
-    The medial nodes are the edges of the surface in ascending order, and
-    medial edge 4q + slot runs from the edge (v, prev(v)) to (v, next(v)).
+    The medial nodes are the edge ids of ``QuadComplex.incidence_edge``,
+    and medial edge 4q + slot runs from the edge (v, prev(v)) to (v, next(v)).
     """
     if cx.has_doubled_edges:
         raise AmbiguousGluingError(
             "medial paths need unambiguous edge midpoints; this complex "
             "has doubled edges")
-    if start_pair == goal_pair:
+    if start == goal:
         return []
-    order, keys = cx.edge_groups
-    first, count = cx.edge_runs
-    node = np.empty(len(keys), dtype=np.int64)  # node of the edge each incidence starts
-    node[order] = np.repeat(np.arange(len(first)), count)
-    before = np.roll(np.arange(len(keys)).reshape(-1, 4), 1, axis=1).ravel()
-    adj = _adjacency(len(first), node[before], node, np.arange(len(keys)))
-    start, goal = (int(np.searchsorted(keys[first], min(p) * cx.nv + max(p)))
-                   for p in (start_pair, goal_pair))
+    node = cx.incidence_edge
+    before = np.roll(np.arange(len(node)).reshape(-1, 4), 1, axis=1).ravel()
+    adj = _adjacency(len(cx.edge_runs[0]), node[before], node, np.arange(len(node)))
     parent = _bfs(adj, start, goal)
     if goal not in parent:
         raise DqsError("medial graph is not connected")
@@ -207,12 +200,8 @@ def abel_jacobi_quad(cx: QuadComplex, hb: HolomorphicBasis,
     of its parallel diagonal.
     """
     require_ids((q1, q2), cx.nq, "quad")
-    t1, t2 = cx.quads[q1], cx.quads[q2]
-    b1, w1 = t1[SLOT_BM], t1[SLOT_WM]
-    b2, w2 = t2[SLOT_BM], t2[SLOT_WM]
-    x1 = (min(b1, w1), max(b1, w1))
-    x2 = (min(b2, w2), max(b2, w2))
-    path = _medial_bfs_path(cx, x1, x2)
+    # the edge (b-, w-) of a quad is the one its b- incidence starts
+    path = _medial_bfs_path(cx, *(int(cx.incidence_edge[4 * q + SLOT_BM]) for q in (q1, q2)))
     chains = black_white(Cycle(tuple(path)))
     # rows 0 and 1: half of each end quad's black (white) diagonal from
     # its minus corner, and the black (white) shadow of the path

@@ -509,12 +509,15 @@ def form_columns(cx: QuadComplex) -> np.ndarray:
     return tree_columns(forms.T, cx.white_forest, Q[:, SLOT_WP], Q[:, SLOT_WM], nv)
 
 
-def nullity(A: np.ndarray, cutoff: float = 1e-9) -> int:
-    """Kernel dimension: singular values at most cutoff * the largest count as zero."""
+NULLITY_CUTOFF = 1e-9  # the one singular-value cutoff of every kernel dimension
+
+
+def nullity(A: np.ndarray) -> int:
+    """Kernel dimension: singular values at most NULLITY_CUTOFF * the largest count as zero."""
     if A.shape[0] == 0:
         return A.shape[1]
     s = np.linalg.svd(A, compute_uv=False)
     smax = s.max(initial=0.0)
     if smax == 0.0:
         return A.shape[1]
-    return A.shape[1] - int(np.sum(s > cutoff * smax))
+    return A.shape[1] - int(np.sum(s > NULLITY_CUTOFF * smax))

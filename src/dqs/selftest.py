@@ -361,8 +361,8 @@ def criterion_11(seed=0, cover=None):
         base_path = ho.graph_path(cx, BLACK, anchor, 10)
         loop = [(0, 1), (1, -1), (2, 1), (3, -1)]  # horizontal black cycle
         alt = ho.GraphPath(BLACK, base_path.steps + tuple(loop))
-        v1 = ja.abel_jacobi_black(cx, basis, hb, jb, 0, 10, path=base_path)
-        v2 = ja.abel_jacobi_black(cx, basis, hb, jb, 0, 10, path=alt)
+        v1 = ja.abel_jacobi_black(cx, hb, jb, 0, 10, path=base_path)
+        v2 = ja.abel_jacobi_black(cx, hb, jb, 0, 10, path=alt)
         worst_lat = max(worst_lat, jb.distance_to_lattice(v1.vector - v2.vector))
     ok = worst_closed < 1e-10 and worst_lat < 1e-8
     return _result(11, "abel-jacobi", start, ok,

@@ -146,8 +146,8 @@ class QuadComplex:
 
     # caches built from the colors and quads alone, which ``with_rho`` shares
     COMBINATORIAL = ("quad_array", "vertex_groups", "edge_groups", "edge_runs",
-                     "star_successor", "diagonal_adjacency", "white_forest",
-                     "boundary_matrix")
+                     "incidence_edge", "star_successor", "diagonal_adjacency",
+                     "white_forest", "boundary_matrix")
 
     def with_rho(self, rho) -> "QuadComplex":
         """The same combinatorics with the weights rho, one complex per quad.
@@ -226,6 +226,14 @@ class QuadComplex:
         ``start[k]`` on.  The one edge table every edge pass reads."""
         start, count = _runs(self.edge_groups[1])
         return read_only(start), read_only(count)
+
+    @cached_property
+    def incidence_edge(self) -> np.ndarray:
+        """The undirected edge each incidence starts, as its run in ``edge_runs``."""
+        start, count = self.edge_runs
+        out = np.empty(4 * self.nq, dtype=np.int64)
+        out[self.edge_groups[0]] = np.repeat(np.arange(len(start)), count)
+        return read_only(out)
 
     @cached_property
     def has_doubled_edges(self) -> bool:
@@ -321,8 +329,7 @@ class QuadComplex:
             order = [divmod(i0, 4)]
             while (j := succ[i]) != i0:
                 if j < 0:
-                    q, s = divmod(i, 4)
-                    raise _ambiguous_gluing(self, self.corner_prev(q, s), v)
+                    raise _ambiguous_gluing(self, i)
                 order.append(divmod(j, 4))
                 i = j
             if len(order) != deg[v]:
@@ -730,13 +737,13 @@ def require_star_cycles(cx: QuadComplex) -> None:
         cx.stars
 
 
-def _ambiguous_gluing(cx: QuadComplex, u: int, w: int) -> AmbiguousGluingError:
-    """The error of a star step across the doubled edge {u, w}."""
-    start, count = cx.edge_runs
-    pos = np.searchsorted(cx.edge_groups[1], min(u, w) * cx.nv + max(u, w))
+def _ambiguous_gluing(cx: QuadComplex, i: int) -> AmbiguousGluingError:
+    """The error of the star step from incidence i across its doubled edge {prev(v), v}."""
+    q, slot = divmod(i, 4)
+    count = cx.edge_runs[1][cx.incidence_edge[4 * q + (slot - 1) % 4]]
     return AmbiguousGluingError(
-        f"edge {{{u}, {w}}} occurs in {count[np.searchsorted(start, pos)]} quad "
-        "boundaries; rotation system is ambiguous")
+        f"edge {{{cx.quads[q][(slot - 1) % 4]}, {cx.quads[q][slot]}}} occurs in {count} "
+        "quad boundaries; rotation system is ambiguous")
 
 
 def require_ids(ids, n: int, what: str):

@@ -3,8 +3,9 @@
 The tracer of ``perfbench/spans.py`` wraps every ``(module, attribute)``
 of ``SPANS`` with a bare ``getattr``, and ``perfbench/workloads.py``
 builds its inputs from attributes of ``dqs`` modules, so renaming or
-deleting any of them breaks traced runs.  Both files are only parsed
-here, never imported or run.
+deleting any of them breaks traced runs.  Both files are parsed here;
+only the input keys of the tracer (``spans._extra``), which must stay
+hashable, are computed.
 """
 
 import ast
@@ -56,3 +57,21 @@ def test_every_span_resolves(module, attr):
 @pytest.mark.parametrize("module, attr", _workload_reads())
 def test_every_workload_attribute_exists(module, attr):
     assert hasattr(importlib.import_module(f"dqs.{module}"), attr)
+
+
+def test_the_tracer_keys_hash_for_a_parsed_surface_with_a_basis():
+    """The tracer puts the surface and basis keys of its spans into sets, so
+    a field of ``QuadComplex`` or ``Cycle`` that cannot be hashed would break
+    traced runs only."""
+    from dqs import gen_torus, standard_torus_basis
+    from dqs.io import parse_dqs, serialize_dqs
+
+    path = PERFBENCH / "spans.py"
+    spans = {"__name__": "perfbench_spans"}  # run without writing bytecode next to it
+    exec(compile(path.read_text(), str(path), "exec"), spans)
+    extra = spans["_extra"]
+    torus = gen_torus(4, 4, 0.1 + 1.1j)
+    cx, basis = parse_dqs(serialize_dqs(torus, standard_torus_basis(torus, 4, 4)))
+    keys = {extra("homology.homology_basis")((cx,)),
+            extra("differentials.canonical_bases")((cx, basis))}
+    assert len(keys) == 2

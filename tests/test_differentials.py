@@ -242,7 +242,7 @@ class TestTransformPeriods:
         # (a', b') = (a, a + b): b' as a chain concatenation
         cx, basis, hb = random_torus
         pm = period_matrices(cx, basis, hb)
-        chain = Cycle(basis.a[0].edges + basis.b[0].edges, "b1'")
+        chain = Cycle(basis.a[0].edges + basis.b[0].edges)
         basis2 = build_basis(cx, (basis.a[0],), (chain,))
         assert basis2.intersection.tolist() == [[0, 1], [-1, 0]]
         pm2 = period_matrices(cx, basis2)

@@ -27,11 +27,13 @@ from dqs.errors import AmbiguousGluingError, DqsError, NotClosedError, SurfaceEr
 from dqs.homology import (
     GraphPath,
     _spanning_tree,
-    chain_is_closed,
-    cycle_is_closed_walk,
+    build_basis,
     lift_diagonal_walk,
+    require_basis,
     standard_pairing,
+    unclosed_rows,
 )
+from dqs.operators import chain_steps, step_array
 from dqs.surface import (
     FACE_Q_ORDER,
     SLOT_BM,
@@ -44,6 +46,13 @@ from dqs.surface import (
 )
 
 from conftest import incidences, reference_other_quad
+
+
+def cycle_is_closed_walk(cx, cycle):
+    """Consecutive edges share medial vertices (identified by vertex pairs)."""
+    assert not cx.has_doubled_edges
+    pts = [cx.medial_endpoints(e)[::s] for (e, s) in cycle.edges]
+    return all(pts[i][1] == pts[(i + 1) % len(pts)][0] for i in range(len(pts)))
 
 
 def torus_dz(cx, m, n, tau):
@@ -109,6 +118,44 @@ class TestBasisConstruction:
                         == basis.intersection[i, j]
 
 
+class TestRequireBasis:
+    """The one check of a basis names its first failure: the cycle counts,
+    then an open shadow, then the first entry off the standard pairing."""
+
+    def test_constructed_bases_pass(self, cube, torus44, cube_cover):
+        for cx in (cube, torus44, cube_cover[0]):
+            require_basis(cx, homology_basis(cx))
+        require_basis(torus44, standard_torus_basis(torus44, 4, 4))
+
+    @pytest.mark.parametrize("case, message", [
+        ("empty", "basis has 0 a-cycles and 0 b-cycles; a genus 1 surface needs 1 of each"),
+        ("no-b", "basis has 1 a-cycles and 0 b-cycles"),
+        ("doubled", "basis has 2 a-cycles and 2 b-cycles"),
+        ("truncated", "shadow of basis cycle a1 is not closed"),
+        ("b-is-a", "basis cycles a1 and b1 have intersection number 0; "
+                   "a canonical basis has 1"),
+        ("swapped", "basis cycles a1 and b1 have intersection number -1; "
+                    "a canonical basis has 1"),
+    ])
+    def test_malformed_torus_bases(self, torus44, case, message):
+        basis = standard_torus_basis(torus44, 4, 4)
+        (a,), (b,) = basis.a, basis.b
+        cycles = {"empty": ((), ()), "no-b": ((a,), ()), "doubled": ((a, a), (b, b)),
+                  "truncated": ((Cycle(a.edges[:-1]),), (b,)), "b-is-a": ((a,), (a,)),
+                  "swapped": ((b,), (a,))}[case]
+        with pytest.raises(DqsError, match=message):
+            require_basis(torus44, build_basis(torus44, *cycles))
+
+    def test_open_shadow_of_a_later_b_cycle(self, cube_cover):
+        cx = cube_cover[0]
+        basis = homology_basis(cx)
+        b = list(basis.b)
+        b[1] = Cycle(b[1].edges[:-1])
+        color = "black" if black_white(b[1]).white == basis.b_chains[1].white else "white"
+        with pytest.raises(DqsError, match=f"the {color} shadow of basis cycle b2 is not closed"):
+            require_basis(cx, build_basis(cx, basis.a, b))
+
+
 class TestBlackWhite:
     def test_quad_face_shadows_cancel(self, torus44):
         face = Cycle(tuple((medial_edge_index(5, s), 1) for s in FACE_Q_ORDER))
@@ -124,8 +171,7 @@ class TestBlackWhite:
         ch = basis.a_chains[0]
         # the horizontal cycle crosses the four bottom-row quads once each
         assert sorted(q for (q, _) in ch.black) == [0, 1, 2, 3]
-        assert chain_is_closed(torus44, ch.black, BLACK)
-        assert chain_is_closed(torus44, ch.white, WHITE)
+        assert not unclosed_rows(torus44, step_array(chain_steps([ch])))
 
     def test_random_cycle_shadows_closed(self, torus46, rng):
         # random closed medial walks from the vertex-face boundaries and
@@ -138,8 +184,30 @@ class TestBlackWhite:
                            for (q, slot) in torus46.stars[v])
             cyc = Cycle(base.edges + detour)
             ch = black_white(cyc)
-            assert chain_is_closed(torus46, ch.black, BLACK)
-            assert chain_is_closed(torus46, ch.white, WHITE)
+            assert not unclosed_rows(torus46, step_array(chain_steps([ch])))
+
+    def test_unclosed_rows_match_vertex_boundaries(self, torus46, rng):
+        """Random prefixes of shadows, open or closed, against the net
+        boundary at each vertex summed one step at a time."""
+        def closed(chain, color):
+            net = {}
+            for q, s in chain:
+                a, b = torus46.black_diagonal(q) if color == BLACK else torus46.white_diagonal(q)
+                net[a] = net.get(a, 0) - s
+                net[b] = net.get(b, 0) + s
+            return not any(net.values())
+
+        basis = standard_torus_basis(torus46, 4, 6)
+        chains = []
+        for _ in range(20):
+            ch = basis.all_chains()[int(rng.integers(2))]
+            chains.append(type(ch)(ch.black[:int(rng.integers(len(ch.black) + 1))],
+                                   ch.white[:int(rng.integers(len(ch.white) + 1))]))
+        # chain_steps rows: every black shadow, then every white one
+        rows = [(ch.black, BLACK) for ch in chains] + [(ch.white, WHITE) for ch in chains]
+        expected = [k for k, (chain, color) in enumerate(rows) if not closed(chain, color)]
+        assert unclosed_rows(torus46, step_array(chain_steps(chains))) == expected
+        assert expected  # some prefixes are open
 
 
 class TestPeriods:

@@ -197,7 +197,7 @@ class TestCli:
         code, out, _ = self.run(["genus", str(path)], capsys=capsys)
         assert code == 0 and "genus: 1" in out
         code, out, _ = self.run(["homology", str(path)], capsys=capsys)
-        assert code == 0 and "[ok] standard-pairing" in out
+        assert code == 0 and "intersection_matrix: [[0, 1], [-1, 0]]" in out
 
     def test_abelian_third_command(self, tmp_path, capsys):
         cx = gen_torus(4, 4, 1j)
@@ -1002,3 +1002,61 @@ def test_holomorphic_components_fail_on_forms_that_are_not_closed(tmp_path, monk
     code, check = _abel_jacobi_check(_torus_file(tmp_path))
     assert code == 1 and not check["pass"]
     assert 1e-10 < check["residual"] < 1e-8
+
+
+# each malformed basis of a generated torus, as (a, b) from its stored (a, b)
+_MALFORMED_BASES = {
+    "b-is-a": lambda a, b: (a, a),
+    "empty": lambda a, b: ([], []),
+    "truncated-a": lambda a, b: ([a[0][:-1]], b),
+    "swapped": lambda a, b: (b, a),
+    "one-a-no-b": lambda a, b: (a, []),
+    "doubled": lambda a, b: (a * 2, b * 2),
+}
+
+
+@pytest.mark.parametrize("command", [
+    ["homology"], ["periods"], ["harmonic"], ["abelian", "--third", "0", "2"],
+    ["abel-jacobi", "--base", "0", "--point", "5"],
+], ids=lambda argv: argv[0])
+@pytest.mark.parametrize("case", sorted(_MALFORMED_BASES))
+def test_every_basis_command_refuses_a_malformed_embedded_basis(case, command, tmp_path):
+    code, out, _ = _run_main(["gen", "torus", "--m", "4", "--n", "4", "--tau", "0.1+1.1i"])
+    doc = json.loads(out)
+    doc["basis"]["a"], doc["basis"]["b"] = _MALFORMED_BASES[case](doc["basis"]["a"],
+                                                                  doc["basis"]["b"])
+    path = tmp_path / "t.dqs"
+    path.write_text(json.dumps(doc))
+    code, out, err = _run_main(command + [str(path)])
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "basis" in err and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "torus", "--m", "2", "--n", "4", "--tau", "0+1i"],  # doubled edges
+    ["gen", "one-pole", "--quad", "10", "--rho1", "1+0.5i", "--rho2", "0.8"],
+], ids=["torus-2x4", "one-pole"])
+def test_generated_bases_pass_the_basis_check(argv, tmp_path):
+    from dqs.homology import require_basis
+    from dqs.surface import require_surface
+
+    base = tmp_path / "t.dqs"
+    base.write_text(_run_main(["gen", "torus", "--m", "4", "--n", "4", "--tau", "0+1i"])[1])
+    code, out, _ = _run_main(argv + (["--base", str(base)] if argv[1] == "one-pole" else []))
+    assert code == 0
+    cx, basis = parse_dqs(out)
+    assert basis is not None
+    require_surface(cx)
+    require_basis(cx, basis)
+
+
+def test_periods_tolerance_reaches_the_solve(tmp_path):
+    """--tol bounds the residual of the canonical solve, as in harmonic."""
+    path = tmp_path / "t.dqs"
+    path.write_text(_run_main(["gen", "torus", "--m", "4", "--n", "4", "--tau", "0.1+1.1i"])[1])
+    assert _run_main(["periods", str(path)])[0] == 0
+    for command in ("periods", "harmonic"):
+        code, out, err = _run_main([command, "--tol", "1e-30", str(path)])
+        assert code == 1 and out == ""
+        assert err.startswith("error: holomorphic system residual ") and \
+            err.rstrip().endswith("exceeds tolerance"), err

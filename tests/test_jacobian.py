@@ -82,8 +82,7 @@ class TestBlackWhiteMaps:
         _, jb, _ = jacobians(pm)
         base_q = 5
         anchor = cx.quads[base_q][0]
-        val = abel_jacobi_black(cx, basis, hb, jb, base_q, anchor,
-                                path=GraphPath(BLACK, ()))
+        val = abel_jacobi_black(cx, hb, jb, base_q, anchor, path=GraphPath(BLACK, ()))
         expected = np.array([-f.black[base_q] for f in hb.omega])
         assert np.abs(val.vector - expected).max() < 1e-12
 
@@ -93,9 +92,8 @@ class TestBlackWhiteMaps:
         anchor = cx.quads[0][0]
         p0 = graph_path(cx, BLACK, anchor, 10)
         loop = ((0, 1), (1, -1), (2, 1), (3, -1))
-        v1 = abel_jacobi_black(cx, basis, hb, jb, 0, 10, path=p0)
-        v2 = abel_jacobi_black(cx, basis, hb, jb, 0, 10,
-                               path=GraphPath(BLACK, p0.steps + loop))
+        v1 = abel_jacobi_black(cx, hb, jb, 0, 10, path=p0)
+        v2 = abel_jacobi_black(cx, hb, jb, 0, 10, path=GraphPath(BLACK, p0.steps + loop))
         assert v1.same(v2)
         assert jb.distance_to_lattice(v1.vector - v2.vector) < 1e-8
 
@@ -104,8 +102,8 @@ class TestBlackWhiteMaps:
         _, jb, _ = jacobians(pm)
 
         def diff(base_q):
-            a = abel_jacobi_black(cx, basis, hb, jb, base_q, 10).vector
-            b = abel_jacobi_black(cx, basis, hb, jb, base_q, 2).vector
+            a = abel_jacobi_black(cx, hb, jb, base_q, 10).vector
+            b = abel_jacobi_black(cx, hb, jb, base_q, 2).vector
             return a - b
 
         assert jb.contains(diff(0) - diff(5))
@@ -114,12 +112,12 @@ class TestBlackWhiteMaps:
     def test_white_mirror(self, setup_random):
         cx, basis, hb, pm = setup_random
         _, _, jw = jacobians(pm)
-        val = abel_jacobi_white(cx, basis, hb, jw, 0, 1)
+        val = abel_jacobi_white(cx, hb, jw, 0, 1)
         assert val.vector.shape == (1,)
 
         def diff(base_q):
-            a = abel_jacobi_white(cx, basis, hb, jw, base_q, 1).vector
-            b = abel_jacobi_white(cx, basis, hb, jw, base_q, 11).vector
+            a = abel_jacobi_white(cx, hb, jw, base_q, 1).vector
+            b = abel_jacobi_white(cx, hb, jw, base_q, 11).vector
             return a - b
 
         assert jw.contains(diff(0) - diff(7))
@@ -129,7 +127,7 @@ class TestBlackWhiteMaps:
         _, jb, jw = jacobians(pm)
         white_vertex = next(v for v in range(cx.nv) if cx.colors[v] == WHITE)
         with pytest.raises(DqsError):
-            abel_jacobi_black(cx, basis, hb, jb, 0, white_vertex)
+            abel_jacobi_black(cx, hb, jb, 0, white_vertex)
 
 
 def _medial_value(cx, f, q1, q2, path):
@@ -210,10 +208,10 @@ def test_medial_path_matches_full_scan(name):
     cx = {"torus64": gen_torus(6, 4, 0.3 + 1.2j), "cover": cover,
           "cover-sub3": subdivide3(cover)}[name]
     adj = _scan_medial_adjacency(cx)
-    pairs = sorted(adj)
+    pairs = sorted(adj)  # edge id k is the k-th vertex pair in ascending order
     rng = np.random.default_rng(5)
     for i in rng.choice(len(pairs), 4, replace=False):
         for j in [i, *rng.choice(len(pairs), min(49, len(pairs)), replace=False)]:
             start, goal = pairs[i], pairs[j]
-            assert _medial_bfs_path(cx, start, goal) == _scan_medial_path(adj, start, goal), \
+            assert _medial_bfs_path(cx, int(i), int(j)) == _scan_medial_path(adj, start, goal), \
                 (start, goal)

@@ -177,9 +177,9 @@ def test_riemann_roch_checks_assemble_the_boundary_once(monkeypatch):
 
 def test_bilinear_checks_build_the_period_rows_once(monkeypatch):
     cx = randomize_rho(gen_torus(4, 6, 0.3 + 1.2j), np.random.default_rng(6))
-    basis = standard_torus_basis(cx, 4, 6)
     medial = _counting(monkeypatch, homology, "medial_steps")
     chains = _counting(monkeypatch, homology, "chain_steps")
+    basis = standard_torus_basis(cx, 4, 6)  # require_basis builds the rows
     rng = np.random.default_rng(7)
     for _ in range(6):
         w1, w2 = (calculus.d_function(cx, rng.normal(size=cx.nv)) for _ in range(2))

@@ -109,7 +109,8 @@ def _ref_abel_jacobi_quad(cx, hb, q1, q2):
     b2, w2 = t2[SLOT_BM], t2[SLOT_WM]
     x1 = (min(b1, w1), max(b1, w1))
     x2 = (min(b2, w2), max(b2, w2))
-    path = _medial_bfs_path(cx, x1, x2)
+    edges = sorted({cx.medial_endpoints(e)[1] for e in range(cx.n_medial_edges)})
+    path = _medial_bfs_path(cx, edges.index(x1), edges.index(x2))
 
     def entry_half(f, q, pair):
         vals = f.expand(cx).values
@@ -231,7 +232,7 @@ class TestAgainstPerEdgeSums:
             base = int(rng.integers(cx.nq))
             for color, fn, jac in ((BLACK, abel_jacobi_black, jb), (WHITE, abel_jacobi_white, jw)):
                 target = int(rng.choice(np.flatnonzero(colors == color)))
-                val = fn(cx, basis, hb, jac, base, target)
+                val = fn(cx, hb, jac, base, target)
                 anchor = cx.quads[base][SLOT_BM if color == BLACK else SLOT_WM]
                 ref = _ref_abel_jacobi(cx, hb, base, graph_path(cx, color, anchor, target))
                 _close(val.vector, ref)
@@ -269,8 +270,8 @@ def test_periods_run_without_the_per_cycle_integrators(monkeypatch, cube_cover):
     assert abs(rep.A[0] - 1) < 1e-9
     pm = period_matrices(cx, basis, hb)
     _, jb, jw = jacobians(pm)
-    abel_jacobi_black(cx, basis, hb, jb, 0, cx.quads[5][SLOT_BP])
-    abel_jacobi_white(cx, basis, hb, jw, 0, cx.quads[5][SLOT_WP])
+    abel_jacobi_black(cx, hb, jb, 0, cx.quads[5][SLOT_BP])
+    abel_jacobi_white(cx, hb, jw, 0, cx.quads[5][SLOT_WP])
 
 
 @pytest.mark.parametrize("name", ["cube", "torus44", "cover", "cover-subdivided"])

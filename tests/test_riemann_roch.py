@@ -266,12 +266,14 @@ class TestOnePoleSurface:
 
 
 def test_every_kernel_count_uses_the_one_nullity_cutoff():
-    """The cutoff lives in operators.nullity only; no kernel count takes its own."""
+    """The cutoff is one constant, operators.NULLITY_CUTOFF, which only nullity
+    reads; no kernel count, and not nullity itself, takes its own."""
     import inspect
 
     from dqs import check_liouville, nullity_harmonic, nullity_holomorphic
+    from dqs.operators import NULLITY_CUTOFF
 
     for f in (nullity_harmonic, nullity_holomorphic, check_liouville, l_dim, i_dim,
-              i_dim_basis_route):
+              i_dim_basis_route, nullity):
         assert "cutoff" not in inspect.signature(f).parameters, f.__name__
-    assert "cutoff" in inspect.signature(nullity).parameters
+    assert nullity(np.diag([1.0, NULLITY_CUTOFF, 2 * NULLITY_CUTOFF])) == 1

@@ -13,7 +13,7 @@ import pytest
 
 from dqs import QuadComplex, differentials, gen_torus, genus, randomize_rho, riemann_roch
 from dqs.coverings import gen_cube_double_cover
-from dqs.operators import nullity, root_path_sums
+from dqs.operators import NULLITY_CUTOFF, nullity, root_path_sums
 from dqs.riemann_roch import (
     Divisor,
     i_dim,
@@ -37,14 +37,14 @@ class _Margins:
     def __init__(self):
         self.zero, self.nonzero, self.count = 0.0, 1.0, 0
 
-    def __call__(self, A, cutoff=1e-9):
+    def __call__(self, A):
         s = np.linalg.svd(A, compute_uv=False) if A.size else np.zeros(0)
         if s.size and s.max() > 0:
             s = s / s.max()
-            self.zero = max(self.zero, s[s <= cutoff].max(initial=0.0))
-            self.nonzero = min(self.nonzero, s[s > cutoff].min(initial=1.0))
+            self.zero = max(self.zero, s[s <= NULLITY_CUTOFF].max(initial=0.0))
+            self.nonzero = min(self.nonzero, s[s > NULLITY_CUTOFF].min(initial=1.0))
         self.count += 1
-        return nullity(A, cutoff)
+        return nullity(A)
 
     def check(self):
         assert self.count
