@@ -65,14 +65,25 @@ class CoveringMap:
         """Per source incidence 4q + s: the target incidence it maps onto,
         ``_BICONSTANT`` where quad q is biconstant, ``_NOT_A_ROTATION`` where
         its image is no target quad turned by 0 or 2 slots (the turns that
-        keep the coloring).  Where two target quads match, the lower id wins."""
-        first = {}  # rotated target quad -> target incidence of its slot 0
-        for q2, t in enumerate(self.target.quads):
-            for shift in (0, 2):
-                first.setdefault(t[shift:] + t[:shift], 4 * q2 + shift)
+        keep the coloring).  Where two target quads match, the lower id wins.
+
+        One lexsort of the image rows of the source quads and of the target
+        rows turned by 0 and 2 slots, the targets ahead of the images and
+        in order of the incidence of their slot 0, puts the first matching
+        target at the head of each run of equal rows.
+        """
+        T = self.target.quad_array
         imgs = self.vertex_array[self.source.quad_array]
-        i = np.array([first.get(t, _NOT_A_ROTATION) for t in map(tuple, imgs.tolist())],
-                     dtype=np.int64)[:, None]
+        rows = np.vstack([T, np.roll(T, -2, axis=1), imgs])
+        label = np.concatenate([4 * np.arange(len(T)), 4 * np.arange(len(T)) + 2,
+                                np.full(len(imgs), _NOT_A_ROTATION)])
+        order = np.lexsort((np.where(label < 0, 4 * len(T), label),) + tuple(rows.T[::-1]))
+        ranked = rows[order]
+        head = np.ones(len(rows), dtype=bool)
+        head[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+        first = np.empty_like(label)
+        first[order] = label[order[np.flatnonzero(head)]][np.cumsum(head) - 1]
+        i = first[2 * len(T):, None]
         i[(imgs[:, 0] == imgs[:, 2]) & (imgs[:, 1] == imgs[:, 3])] = _BICONSTANT
         return read_only(np.where(i < 0, i, i - i % 4 + (i + np.arange(4)) % 4).ravel())
 

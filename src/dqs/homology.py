@@ -5,20 +5,20 @@ edge indices.  Every cycle has black and white shadows: closed walks on
 the black and white diagonal graphs obtained by replacing each medial
 edge with the parallel diagonal (keyed by the quad, so doubled diagonals
 are unproblematic).  The one slot table ``surface.MEDIAL_SLOT`` gives
-the color and sign of that diagonal for every corner slot: the shadows
-(``shadows``, for any number of cycles in one array pass) read it, and
-the lift of a diagonal step
-(``lift_diagonal_walk``) reads its inverse.  Each medial edge of a
-diamond form carries the value of its parallel diagonal, so the plain
-period of a closed form is half the sum of its doubled black and white
-shadow periods.  The doubled shadow rows, built by
-``operators.step_triplets`` like the doubled integrals along diagonal
-graph paths, are the one period functional: ``periods`` is one product
-over the a-shadow rows and one over the b-shadow rows, which a
-``HomologyBasis`` builds once, on first use, and caches as read-only
-arrays (``a_shadow_steps``, ``b_shadow_steps``).  Medial rows are built
-only by ``integrate_cycle``, the independent reference integral along
-one walk.
+the color and sign of that diagonal for every corner slot: the shadow
+steps (``shadow_steps``, for any number of cycles in one array pass)
+read it, and the lift of a diagonal step (``lift_diagonal_walk``) reads
+its inverse.  Each medial edge of a diamond form carries the value of
+its parallel diagonal, so the plain period of a closed form is half the
+sum of its doubled black and white shadow periods.  The doubled shadow
+rows, read by ``operators.step_triplets`` like the doubled integrals
+along diagonal graph paths, are the one period functional: ``periods``
+is one product over the a-shadow rows and one over the b-shadow rows,
+which ``build_basis`` hands the ``HomologyBasis`` as read-only arrays
+(``a_shadow_steps``, ``b_shadow_steps``).  The shadows as tuples
+(``shadows``, ``HomologyBasis.a_chains``) are read off those rows only
+on demand.  Medial rows are built only by ``integrate_cycle``, the
+independent reference integral along one walk.
 
 Every walk on a diagonal graph (the tree-cotree split behind
 ``homology_basis`` and the paths of ``graph_path``) is one breadth-first
@@ -27,28 +27,30 @@ each color (``QuadComplex.diagonal_adjacency``), so no search scans the
 whole surface or reads a quad tuple.  Lifting a diagonal walk back to
 the medial graph reads the quad tuples and, behind ``require_surface``,
 steps around each vertex along ``QuadComplex.star_successor`` alone, as
-``QuadComplex.stars`` does.  The shadows of a set of cycles are taken
-once, in one pass: ``homology_basis`` takes those of its 2g fundamental
-lifts and ``build_basis`` those of the canonical cycles, and an
-intersection matrix is one integer product of the black and white quad
-multiplicities of those shadows.  The integer symplectic reduction runs
-on Python ints, 2g x 2g of them.  ``require_basis``, the counterpart of
-``require_surface``, judges every basis built here or read from a file:
-g a- and b-cycles, closed shadows (``unclosed_rows``) and the pairing
-``standard_pairing``.  The meridian and longitude of a generated torus
-(``standard_torus_basis``) are written straight from the grid.
+``QuadComplex.stars`` does.  The shadow steps of a set of cycles are
+taken once, in one pass: ``homology_basis`` takes those of its 2g
+fundamental lifts and ``build_basis`` those of the canonical cycles (or
+of a basis read from a file), and an intersection matrix is one integer
+product of the black and white quad multiplicities of those steps.  The
+integer symplectic reduction runs on Python ints, 2g x 2g of them.
+``require_basis``, the counterpart of ``require_surface``, judges every
+basis built here or read from a file: g a- and b-cycles, closed shadows
+(``unclosed_rows``) and the pairing ``standard_pairing``.  The meridian
+and longitude of a generated torus (``standard_torus_basis``) are
+written straight from the grid.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
 from .errors import DqsError, NotClosedError, SurfaceError
 from .calculus import DiamondForm, closedness_residual
-from .operators import chain_steps, diagonal_steps, integrals, medial_steps, step_array
+from .operators import diagonal_steps, integrals, medial_steps
 from .surface import (
     BLACK,
     MEDIAL_SLOT,
@@ -90,21 +92,6 @@ class BlackWhiteChains:
     black: tuple
     white: tuple
 
-    def black_multiplicity(self, nq: int) -> np.ndarray:
-        return _multiplicities([self.black], nq)[0]
-
-    def white_multiplicity(self, nq: int) -> np.ndarray:
-        return _multiplicities([self.white], nq)[0]
-
-
-def _multiplicities(chains, nq: int) -> np.ndarray:
-    """len(chains) x nq integer matrix: the net multiplicity of every quad per chain."""
-    out = np.zeros((len(chains), nq), dtype=int)
-    entries = [(i, q, s) for i, chain in enumerate(chains) for q, s in chain]
-    rows, quads, signs = np.array(entries, dtype=np.int64).reshape(-1, 3).T
-    np.add.at(out, (rows, quads), signs)
-    return out
-
 
 def black_white(cycle: Cycle) -> BlackWhiteChains:
     """Shadows on the diagonal graphs, homotopic to the cycle (``shadows`` of one cycle)."""
@@ -112,23 +99,36 @@ def black_white(cycle: Cycle) -> BlackWhiteChains:
 
 
 def shadows(cycles) -> tuple:
-    """The ``BlackWhiteChains`` of every cycle, from one array pass over all their edges.
+    """The ``BlackWhiteChains`` of every cycle, read off its ``shadow_steps``."""
+    return _chains(shadow_steps(cycles), len(cycles))
+
+
+def shadow_steps(cycles) -> np.ndarray:
+    """The doubled shadow steps of the cycles from one array pass over all their edges.
 
     Each medial edge contributes its parallel diagonal, with the color
     and the sign of its corner slot in ``MEDIAL_SLOT`` times the sign of
-    the traversal.  One stable sort groups the steps by cycle, black
-    before white, each in walk order.
+    the traversal.  One stable sort puts the black shadow of cycle i on
+    row i and its white one on row n + i, each in walk order, as
+    (row, color, quad, doubled direction) rows of ``operators.step_array``.
     """
-    lengths = [len(c.edges) for c in cycles]
-    e, s = np.array([step for c in cycles for step in c.edges],
-                    dtype=np.int64).reshape(-1, 2).T
+    n = len(cycles)
+    e, s = np.fromiter(chain.from_iterable(chain.from_iterable(c.edges for c in cycles)),
+                       dtype=np.int64).reshape(-1, 2).T
     color, sign = np.array(MEDIAL_SLOT)[e % 4].T
-    key = 2 * np.repeat(np.arange(len(cycles)), lengths) + (color != BLACK)
-    order = np.argsort(key, kind="stable")
-    steps = list(map(tuple, np.column_stack([e // 4, s * sign])[order].tolist()))
-    bounds = [0] + np.cumsum(np.bincount(key, minlength=2 * len(cycles))).tolist()
-    parts = [tuple(steps[a:b]) for a, b in zip(bounds, bounds[1:])]
-    return tuple(BlackWhiteChains(parts[2 * i], parts[2 * i + 1]) for i in range(len(cycles)))
+    row = np.repeat(np.arange(n), [len(c) for c in cycles]) + n * (color != BLACK)
+    order = np.argsort(row, kind="stable")
+    return np.column_stack([row, color, e // 4, 2 * s * sign])[order].astype(float)
+
+
+def _chains(steps: np.ndarray, n: int) -> tuple:
+    """The ``BlackWhiteChains`` of n cycles from their ``shadow_steps``."""
+    rows = steps[:, 0].astype(np.int64)
+    pairs = list(zip(steps[:, 2].astype(np.int64).tolist(),
+                     (steps[:, 3] // 2).astype(np.int64).tolist()))
+    bounds = [0] + np.cumsum(np.bincount(rows, minlength=2 * n)).tolist()
+    parts = [tuple(pairs[a:b]) for a, b in zip(bounds, bounds[1:])]
+    return tuple(BlackWhiteChains(parts[i], parts[n + i]) for i in range(n))
 
 
 def unclosed_rows(cx: QuadComplex, steps) -> list:
@@ -219,13 +219,18 @@ class PeriodReport:
 
 @dataclass(frozen=True)
 class HomologyBasis:
-    """Canonical basis: cycles a_1..a_g, b_1..b_g with diagonal shadows."""
+    """Canonical basis: cycles a_1..a_g, b_1..b_g with diagonal shadows.
+
+    The steps of the period rows, read-only ``shadow_steps`` arrays, are
+    built with the intersection matrix and read by every period product.
+    Plain periods are half the sums of the black and white rows.
+    """
 
     a: tuple          # of Cycle
     b: tuple
-    a_chains: tuple   # of BlackWhiteChains
-    b_chains: tuple
     intersection: np.ndarray  # 2g x 2g in (a..., b...) order
+    a_shadow_steps: np.ndarray  # the 2g doubled a-shadow periods, black rows then white
+    b_shadow_steps: np.ndarray  # the 2g doubled b-shadow periods, black rows then white
 
     @property
     def g(self) -> int:
@@ -234,30 +239,37 @@ class HomologyBasis:
     def all_cycles(self):
         return list(self.a) + list(self.b)
 
+    @cached_property
+    def a_chains(self) -> tuple:
+        """The ``BlackWhiteChains`` of the a-cycles."""
+        return _chains(self.a_shadow_steps, self.g)
+
+    @cached_property
+    def b_chains(self) -> tuple:
+        return _chains(self.b_shadow_steps, len(self.b))
+
     def all_chains(self):
         return list(self.a_chains) + list(self.b_chains)
 
-    # The steps of the period rows, built on first use as read-only
-    # ``operators.step_array`` arrays and read by every period product.
-    # Plain periods are half the sums of the black and white rows.
-
-    @cached_property
-    def a_shadow_steps(self) -> np.ndarray:
-        """The 2g doubled a-shadow periods, black rows then white (``chain_steps``)."""
-        return read_only(step_array(chain_steps(self.a_chains)))
-
-    @cached_property
-    def b_shadow_steps(self) -> np.ndarray:
-        """The 2g doubled b-shadow periods, black rows then white."""
-        return read_only(step_array(chain_steps(self.b_chains)))
-
 
 def build_basis(cx: QuadComplex, a_cycles, b_cycles) -> HomologyBasis:
-    """The basis of the given cycles, unchecked: ``require_basis`` judges it."""
-    chains = shadows(list(a_cycles) + list(b_cycles))
-    g = len(a_cycles)
-    return HomologyBasis(tuple(a_cycles), tuple(b_cycles), chains[:g], chains[g:],
-                         intersection_matrix(cx, chains))
+    """The basis of the given cycles, unchecked: ``require_basis`` judges it.
+
+    One ``shadow_steps`` pass over all the cycles gives the intersection
+    matrix and the a- and b-shadow rows.  The counts of a- and b-cycles
+    may differ here; ``require_basis`` refuses such a basis.
+    """
+    na, n = len(a_cycles), len(a_cycles) + len(b_cycles)
+    steps = shadow_steps(list(a_cycles) + list(b_cycles))
+    M = intersection_matrix(cx, steps, n)
+    # black shadows on rows 0..n-1, white ones on n..2n-1, a-cycles first in each;
+    # each half keeps its black rows first, then its white ones
+    row = steps[:, 0].astype(np.int64)
+    k, white = row % n, row >= n  # no rows when n is 0
+    in_a = k < na
+    steps[:, 0] = np.where(in_a, k + na * white, k - na + (n - na) * white)
+    return HomologyBasis(tuple(a_cycles), tuple(b_cycles), M,
+                         read_only(steps[in_a]), read_only(steps[~in_a]))
 
 
 def require_basis(cx: QuadComplex, basis: HomologyBasis) -> HomologyBasis:
@@ -321,23 +333,20 @@ def intersection_number(cx: QuadComplex, c1: Cycle, c2: Cycle) -> int:
     product of diagonal directions (the black-then-white frame is
     positively oriented in every chart).
     """
-    ch1, ch2 = shadows([c1, c2])
-    b = ch1.black_multiplicity(cx.nq)
-    w = ch2.white_multiplicity(cx.nq)
-    return int(np.dot(b, w))
+    return int(intersection_matrix(cx, shadow_steps([c1, c2]), 2)[0, 1])
 
 
-def intersection_matrix(cx: QuadComplex, chains) -> np.ndarray:
-    """Pairwise intersection numbers of the cycles with the given shadows.
+def intersection_matrix(cx: QuadComplex, steps: np.ndarray, n: int) -> np.ndarray:
+    """Pairwise intersection numbers of n cycles from their ``shadow_steps``.
 
-    chains holds the ``shadows`` of the cycles.  Entry (i, j) pairs the
-    black shadow of cycle i with the white shadow of cycle j, as in
-    ``intersection_number``: one integer product of their quad
-    multiplicities, with the diagonal set to zero.
+    Entry (i, j) pairs the black shadow of cycle i with the white shadow
+    of cycle j, as in ``intersection_number``: one integer product of
+    their quad multiplicities, with the diagonal set to zero.
     """
-    B = _multiplicities([ch.black for ch in chains], cx.nq)
-    W = _multiplicities([ch.white for ch in chains], cx.nq)
-    M = B @ W.T
+    rows, quads = steps[:, 0].astype(np.int64), steps[:, 2].astype(np.int64)
+    mult = np.bincount(rows * cx.nq + quads, weights=steps[:, 3] / 2,
+                       minlength=2 * n * cx.nq).astype(int).reshape(2 * n, cx.nq)
+    M = mult[:n] @ mult[n:].T
     np.fill_diagonal(M, 0)
     return M
 
@@ -528,7 +537,7 @@ def homology_basis(cx: QuadComplex) -> HomologyBasis:
         fundamental.append(walk)
 
     lifts = [lift_diagonal_walk(cx, w, BLACK) for w in fundamental]
-    M = intersection_matrix(cx, shadows(lifts))
+    M = intersection_matrix(cx, shadow_steps(lifts), 2 * g)
     if np.any(M + M.T != 0):
         raise DqsError("intersection matrix of fundamental cycles is not skew")
     U = _symplectic_reduce(M)

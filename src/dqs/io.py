@@ -6,11 +6,28 @@ dense ids and "b"/"w" colors.  An optional "basis" key stores homology
 cycles as signed medial edge keys so that generated surfaces carry
 their preferred meridian/longitude basis through pipelines.
 
-A loaded document becomes a complex in one pass over its vertices and
-one over its quads, which builds the ``QuadComplex`` directly; the first
-entry that breaks the schema raises ``ParseError`` with its path, and no
-message is formatted for entries that pass.  Map bundles parse inline
-surfaces with the same function, without writing them out again.
+DQS documents and map bundles are read on one of two paths with the
+same results.  The array path decodes the text with ``orjson``, where
+that package is installed, else with the stdlib ``json``, and pulls
+every field out of the decoded lists with ``operator.itemgetter``: the
+vertex ids and colors, the quad ids, corners and weights, the embedded
+basis edges and the vertex map.  It checks types (exact ``int``, never
+``bool``), ranges, duplicates, id density in any order and finiteness
+as numpy passes, and the new ``QuadComplex`` starts with the read-only
+``quad_array`` and ``rho_array`` those passes built.  A document that
+the decoder refuses or any array check rejects is read again on the
+exact path: the stdlib decoder, then one pass over the vertices and one
+over the quads, whose first entry that breaks the schema raises
+``ParseError`` with its path, no message being formatted for entries
+that pass.  So every accepted document gives the same complex on either
+path, and every rejected one the exact path's message.  This covers
+what orjson decodes differently: it reads integers beyond 64 bits as
+floats (the array checks take floats for weights only, below 2^63 in
+magnitude) and refuses NaN and Infinity literals and lone surrogates.
+One difference remains: the stdlib decoder stops at about 1000 levels
+of nesting (``invalid JSON``), orjson does not, so a document whose
+ignored extra keys nest that deep is accepted with orjson and rejected
+without it.  Forms (``parse_oneform``) are read on the exact path only.
 """
 
 from __future__ import annotations
@@ -18,13 +35,24 @@ from __future__ import annotations
 import cmath
 import json
 import math
+from itertools import chain
+from operator import itemgetter
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import DqsError, ParseError
 from .calculus import DiamondForm
 from .homology import Cycle, HomologyBasis, build_basis
-from .surface import BLACK, WHITE, QuadComplex
+from .surface import BLACK, WHITE, QuadComplex, read_only
+
+try:
+    import orjson
+except ImportError:  # the stdlib decoder then reads for the array path too
+    orjson = None
+
+# The decoder of the array path; tests replace it to compare decoders and
+# to force the exact path.
+_decode = json.loads if orjson is None else orjson.loads
 
 
 def _require(cond, path, msg):
@@ -33,10 +61,29 @@ def _require(cond, path, msg):
 
 
 def _load_json(text: str, name: str):
+    """The stdlib decoding of text; invalid or too deeply nested JSON raises ParseError."""
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ParseError(name, f"invalid JSON: {exc}") from None
+
+
+def _read(text: str, name: str, from_arrays, from_doc):
+    """``from_arrays`` of the ``_decode`` decoding of text, or, where the
+    decoder or an array check rejects it, ``from_doc`` of its stdlib decoding."""
+    try:
+        doc = _decode(text)
+    except (ValueError, RecursionError):  # JSONDecodeError of either decoder
+        pass
+    else:
+        # a DqsError here comes from the checks of a bundle or from a side
+        # file it names; the exact path gives it, or the message json's
+        # decoding leads to, where that differs
+        try:
+            return from_arrays(doc)
+        except (_Rejected, DqsError):
+            pass
+    return from_doc(_load_json(text, name))
 
 
 # Types json.loads gives JSON numbers.  Checks compare type(x) exactly:
@@ -45,7 +92,7 @@ _NUMBER = (int, float)
 
 def parse_dqs(text: str, name: str = "<dqs>"):
     """Parse a DQS document; returns (complex, basis-or-None)."""
-    return _dqs_from_doc(_load_json(text, name), name)
+    return _read(text, name, _dqs_from_arrays, lambda doc: _dqs_from_doc(doc, name))
 
 
 def _dqs_from_doc(doc, name: str):
@@ -132,14 +179,11 @@ def _parse_quads(quads_doc, nv, path):
 def _parse_basis(doc, cx, path):
     _require(isinstance(doc, dict) and "a" in doc and "b" in doc, path,
              "basis needs 'a' and 'b' cycle arrays")
-
-    def cycles(key):
+    for key in "ab":
         _require(isinstance(doc[key], list), f"{path}.{key}", "must be an array of cycles")
-        out = []
         for i, edges in enumerate(doc[key]):
             if not isinstance(edges, list):
                 raise ParseError(f"{path}.{key}[{i}]", "cycle must be an array of edges")
-            cyc = []
             for e in edges:
                 if not (isinstance(e, list) and len(e) == 3):
                     raise ParseError(f"{path}.{key}[{i}]", "edge must be [quad, corner, sign]")
@@ -147,10 +191,127 @@ def _parse_basis(doc, cx, path):
                 if not (type(q) is int and type(corner) is int and type(sign) is int
                         and 0 <= q < cx.nq and 0 <= corner < 4 and sign in (1, -1)):
                     raise ParseError(f"{path}.{key}[{i}]", f"bad edge key {e}")
-                cyc.append((4 * q + corner, sign))
-            out.append(Cycle(tuple(cyc)))
-        return out
-    return build_basis(cx, cycles("a"), cycles("b"))
+    cycles = doc["a"] + doc["b"]
+    edges = np.array(list(chain.from_iterable(cycles)), dtype=np.int64).reshape(-1, 3)
+    return _basis(cx, edges, list(map(len, cycles)), len(doc["a"]))
+
+
+def _basis(cx, edges, lengths, na):
+    """The basis of the cycles of the checked [quad, corner, sign] rows of
+    edges, cycle k having the next lengths[k] rows, the first na a-cycles."""
+    pairs = list(zip((4 * edges[:, 0] + edges[:, 1]).tolist(), edges[:, 2].tolist()))
+    bounds = np.cumsum([0] + lengths).tolist()
+    cycles = [Cycle(tuple(pairs[a:b])) for a, b in zip(bounds, bounds[1:])]
+    return build_basis(cx, cycles[:na], cycles[na:])
+
+
+# ---------------------------------------------------------------------------
+# the array path
+
+
+class _Rejected(Exception):
+    """An array check failed: the exact path reads the document."""
+
+
+def _accept(cond):
+    if not cond:
+        raise _Rejected
+
+
+_ID, _COLOR, _CORNERS, _RHO = (itemgetter("id"), itemgetter("color"),
+                               itemgetter("bm", "wm", "bp", "wp"), itemgetter("rho"))
+_COLOR_OF = {"b": BLACK, "w": WHITE}
+
+
+def _fields(getter, entries) -> list:
+    """getter of every entry of a nonempty JSON array of objects."""
+    _accept(type(entries) is list and entries)
+    try:
+        return list(map(getter, entries))
+    except (KeyError, TypeError):  # a missing key, or an entry that is no object
+        raise _Rejected from None
+
+
+def _ints(values, width: int = 0) -> np.ndarray:
+    """values, a nonempty list of exact ints (or of rows of width of them),
+    as an int64 array; bools, floats and ints beyond 64 bits fail."""
+    _accept(set(map(type, _flat(values, width))) == {int})
+    try:
+        out = np.fromiter(_flat(values, width), np.int64, len(values) * max(width, 1))
+    except OverflowError:
+        raise _Rejected from None
+    return out.reshape(-1, width) if width else out
+
+
+def _flat(values, width):
+    return chain.from_iterable(values) if width else values
+
+
+def _int_rows(doc, width: int) -> np.ndarray:
+    """A nonempty JSON array of arrays of width exact ints, as an n x width array."""
+    _accept(type(doc) is list and set(map(type, doc)) == {list}
+            and set(map(len, doc)) == {width})
+    return _ints(doc, width)
+
+
+def _positions(ids: np.ndarray, n: int) -> np.ndarray:
+    """The index in ids of each of 0..n-1, which ids must hold once each."""
+    _accept(len(ids) == n and ids.min() >= 0 and ids.max() < n)
+    pos = np.full(n, -1)
+    pos[ids] = np.arange(n)
+    _accept((pos >= 0).all())  # a repeated id leaves out another one
+    return pos
+
+
+def _ordered(items: list, pos: np.ndarray) -> list:
+    """items in the order of pos, a permutation."""
+    if (pos[1:] > pos[:-1]).all():
+        return items
+    return list(map(items.__getitem__, pos.tolist()))
+
+
+def _dqs_from_arrays(doc):
+    """Complex and embedded basis of a decoded DQS document, by array checks."""
+    _accept(type(doc) is dict and "vertices" in doc and "quads" in doc)
+    verts = doc["vertices"]
+    try:
+        colors = list(map(_COLOR_OF.__getitem__, _fields(_COLOR, verts)))
+    except (KeyError, TypeError):  # a color not "b" or "w", or unhashable
+        raise _Rejected from None
+    ids = _ints(_fields(_ID, verts))
+    colors = tuple(_ordered(colors, _positions(ids, len(ids))))
+    quads = doc["quads"]
+    pos = _positions(_ints(_fields(_ID, quads)), len(quads))
+    corners = _fields(_CORNERS, quads)
+    Q = _ints(corners, 4)
+    _accept(Q.min() >= 0 and Q.max() < len(colors))
+    parts = _fields(_RHO, quads)
+    _accept(set(map(type, parts)) == {list} and set(map(len, parts)) == {2}
+            and set(map(type, chain.from_iterable(parts))) <= {int, float})
+    try:
+        W = np.fromiter(chain.from_iterable(parts), float, 2 * len(parts)).reshape(-1, 2)[pos]
+    except OverflowError:  # an integer beyond the float range, from json
+        raise _Rejected from None
+    # finite and below 2^63: orjson reads longer integers as floats
+    _accept((np.abs(W) < 2.0 ** 63).all())
+    R = np.empty(len(W), dtype=complex)
+    R.real, R.imag = W[:, 0], W[:, 1]  # re + 1j*im would turn -0.0 into 0.0
+    cx = QuadComplex(colors, tuple(_ordered(corners, pos)), tuple(R.tolist())).seeded(
+        quad_array=read_only(Q[pos]), rho_array=read_only(R))
+    return cx, _basis_arrays(doc["basis"], cx) if "basis" in doc else None
+
+
+def _basis_arrays(doc, cx):
+    """The embedded basis of a decoded document, by array checks."""
+    _accept(type(doc) is dict and "a" in doc and "b" in doc
+            and type(doc["a"]) is list and type(doc["b"]) is list)
+    cycles = doc["a"] + doc["b"]
+    _accept(set(map(type, cycles)) == {list})
+    edges = _int_rows(list(chain.from_iterable(cycles)), 3)
+    q, corner, sign = edges.T
+    _accept(q.min() >= 0 and q.max() < cx.nq and corner.min() >= 0 and corner.max() < 4
+            and (np.abs(sign) == 1).all())
+    return _basis(cx, edges, list(map(len, cycles)), len(doc["a"]))
 
 
 def dqs_doc(cx: QuadComplex, basis: HomologyBasis = None) -> dict:
@@ -251,7 +412,15 @@ def parse_map_bundle(text: str, name: str = "<map>", loader=None):
 
     Returns (source, target, vertex_map, source_basis, target_basis).
     """
-    doc = _load_json(text, name)
+    return _read(text, name,
+                 lambda doc: _bundle(doc, name, loader, lambda side, path: _dqs_from_arrays(side),
+                                     _vertex_map_arrays),
+                 lambda doc: _bundle(doc, name, loader, _dqs_from_doc, _parse_vertex_map))
+
+
+def _bundle(doc, name, loader, read_side, read_vertex_map):
+    """The map bundle of a decoded document, its inline sides read by
+    read_side(doc, path) and its vertex map by read_vertex_map."""
     _require(isinstance(doc, dict), name, "top level must be an object")
     for key in ("source", "target", "vertex_map"):
         _require(key in doc, name, f"missing '{key}'")
@@ -262,25 +431,38 @@ def parse_map_bundle(text: str, name: str = "<map>", loader=None):
             if loader is None:
                 raise ParseError(name, f"'{side}' is a path but no loader given")
             return parse_dqs(loader(val), val)
-        return _dqs_from_doc(val, f"{name}:{side}")
+        return read_side(val, f"{name}:{side}")
 
     source, sb = load_side("source")
     target, tb = load_side("target")
-    _require(isinstance(doc["vertex_map"], list), f"{name}:vertex_map", "must be an array")
-    vm = [0] * source.nv
+    vm = read_vertex_map(doc["vertex_map"], source.nv, target.nv, name)
+    return source, target, vm, sb, tb
+
+
+def _parse_vertex_map(pairs, nv, nt, name):
+    """The target of every source vertex, from the exact path's checks."""
+    _require(isinstance(pairs, list), f"{name}:vertex_map", "must be an array")
+    vm = [0] * nv
     seen = set()
-    for i, pair in enumerate(doc["vertex_map"]):
+    for i, pair in enumerate(pairs):
         _require(isinstance(pair, list) and len(pair) == 2, f"{name}:vertex_map[{i}]",
                  "entries must be [source, target]")
         s, t = pair
-        _require(type(s) is int and type(t) is int and 0 <= s < source.nv and 0 <= t < target.nv,
+        _require(type(s) is int and type(t) is int and 0 <= s < nv and 0 <= t < nt,
                  f"{name}:vertex_map[{i}]",
                  f"bad pair {pair}")
         _require(s not in seen, f"{name}:vertex_map[{i}]", f"duplicate source vertex {s}")
         seen.add(s)
         vm[s] = t
-    _require(len(seen) == source.nv, name, "vertex_map must cover every source vertex")
-    return source, target, vm, sb, tb
+    _require(len(seen) == nv, name, "vertex_map must cover every source vertex")
+    return vm
+
+
+def _vertex_map_arrays(pairs, nv, nt, name):
+    """The target of every source vertex, from array checks."""
+    P = _int_rows(pairs, 2)
+    _accept(P[:, 1].min() >= 0 and P[:, 1].max() < nt)
+    return P[_positions(P[:, 0], nv), 1].tolist()
 
 
 def serialize_map_bundle(source: QuadComplex, target: QuadComplex, vertex_map,

@@ -8,10 +8,10 @@ other system composes it with a per-quad map: the Hodge star blocks,
 or the embedding of p dz (black p, white i*rho*p).  Period functionals
 are rows of one builder, ``step_triplets``, over signed diagonal steps,
 and ``integrals`` applies them to all forms in one product.  Periods are
-read from doubled shadow steps (``chain_steps``) alone; ``medial_steps``
-builds the rows of plain medial walks, which read their parallel
-diagonals from ``MEDIAL_SLOT``, the one slot table that
-``homology.shadows`` also reads, for the reference integral
+read from doubled shadow steps (``homology.shadow_steps``) alone;
+``medial_steps`` builds the rows of plain medial walks, which read
+their parallel diagonals from ``MEDIAL_SLOT``, the one slot table that
+``homology.shadow_steps`` also reads, for the reference integral
 ``homology.integrate_cycle``.  The boundary and these rows are (row,
 column, value) triplets first: ``dense_matrix`` sums them into a numpy
 array, ``compose`` scales the column blocks of a numpy array, and ``dz``
@@ -52,7 +52,7 @@ and the Laplacian read them, while each solver system is assembled once
 from triplets, so the sparse path never asks for a dense boundary.  A
 ``LinearSystem`` keeps its assembled system, its norms and its sparse
 factor.  A
-``HomologyBasis`` caches the steps of its doubled a- and b-shadow rows
+``HomologyBasis`` holds the steps of its doubled a- and b-shadow rows
 as ``step_array`` arrays, which ``step_triplets`` and ``integrals``
 take in place of step lists.
 """
@@ -164,7 +164,7 @@ def medial_steps(walks) -> list:
     color and sign of its corner slot in ``MEDIAL_SLOT``, the table that
     ``expand_diamond`` writes edge values from.  Only the reference
     integral ``homology.integrate_cycle`` builds these rows; periods
-    read the doubled shadow rows of ``chain_steps``.
+    read the doubled shadow rows of ``homology.shadow_steps``.
     """
     out = []
     for i, walk in enumerate(walks):
@@ -174,21 +174,9 @@ def medial_steps(walks) -> list:
     return out
 
 
-def chain_steps(chains) -> list:
-    """Doubled shadow steps: the black shadow of chain i on row i, then the
-    white shadows on the len(chains) rows below."""
-    return (diagonal_steps([ch.black for ch in chains], BLACK)
-            + diagonal_steps([ch.white for ch in chains], WHITE, len(chains)))
-
-
 def step_rows(steps, n_rows: int, nq: int) -> np.ndarray:
     """Dense n_rows x 2nq period rows of the steps over (black, white) values."""
     return dense_matrix((n_rows, 2 * nq), step_triplets(steps, nq))
-
-
-def chain_rows(chains, nq: int) -> np.ndarray:
-    """Dense doubled shadow periods over (black, white) values, 2 len(chains) x 2nq."""
-    return step_rows(chain_steps(chains), 2 * len(chains), nq)
 
 
 def integrals(steps, n_rows: int, forms, nq: int) -> np.ndarray:

@@ -34,9 +34,10 @@ white one (``white_forest``).  It also caches the weights as a complex
 array and, on first use, its dense operators: the vertex-boundary
 matrix, its p dz composition, and the kernel systems in the tree
 coordinates of the white forest.  Every cached array is read-only, so
-all consumers of one surface can share it, and a weight draw on the
+all consumers of one surface can share it; a weight draw on the
 same combinatorics (``with_rho``) starts with the caches that do not
-read the weights.  ``validate`` checks every
+read the weights, and a complex read from a DQS document with the quad
+and weight arrays the reader checked (``seeded``).  ``validate`` checks every
 surface invariant with linear numpy passes over these arrays and
 formats messages for the violators only.  Its findings but strong
 regularity are cached as ``defects``, and ``require_surface``, the one
@@ -157,10 +158,19 @@ class QuadComplex:
         weights (``rho_array``, ``dz_boundary``, the kernel systems) and
         ``defects``, which checks them, is built afresh.
         """
-        out = QuadComplex(self.colors, self.quads, tuple(rho))
         built = vars(self)
-        vars(out).update({name: built[name] for name in self.COMBINATORIAL if name in built})
-        return out
+        return QuadComplex(self.colors, self.quads, tuple(rho)).seeded(
+            **{name: built[name] for name in self.COMBINATORIAL if name in built})
+
+    def seeded(self, **caches) -> "QuadComplex":
+        """This complex, its cached properties ``caches`` already built.
+
+        Each value must be the read-only object the property would build.
+        ``with_rho`` hands over the combinatorial caches this way, and the
+        DQS reader the ``quad_array`` and ``rho_array`` it checked.
+        """
+        vars(self).update(caches)
+        return self
 
     # -- array views -------------------------------------------------
     # Incidence 4*q + slot is corner `slot` of quad q, so the flattened

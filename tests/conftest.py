@@ -11,7 +11,8 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 from dqs import gen_cube, gen_torus  # noqa: E402
 from dqs.coverings import gen_cube_double_cover  # noqa: E402
 from dqs.errors import AmbiguousGluingError, SurfaceError  # noqa: E402
-from dqs.surface import QuadComplex  # noqa: E402
+from dqs.operators import diagonal_steps, step_rows  # noqa: E402
+from dqs.surface import BLACK, WHITE, QuadComplex  # noqa: E402
 
 
 @functools.lru_cache(maxsize=16)
@@ -50,6 +51,27 @@ def reference_other_quad(cx, u, w):
         if (a, b) == (w, u):
             return q2
     raise SurfaceError(f"edge {{{u}, {w}}} is not traversed in both directions")
+
+
+def chain_steps(chains):
+    """Reference doubled shadow steps, from the shadows' (quad, direction)
+    tuples: the black shadow of chain i on row i, then the white shadows on
+    the len(chains) rows below."""
+    return (diagonal_steps([ch.black for ch in chains], BLACK)
+            + diagonal_steps([ch.white for ch in chains], WHITE, len(chains)))
+
+
+def chain_rows(chains, nq):
+    """Dense doubled shadow periods of the chains, 2 len(chains) x 2nq."""
+    return step_rows(chain_steps(chains), 2 * len(chains), nq)
+
+
+def multiplicity(chain, nq):
+    """The net multiplicity of every quad in a (quad, direction) chain."""
+    out = np.zeros(nq, dtype=int)
+    for q, s in chain:
+        out[q] += s
+    return out
 
 
 @pytest.fixture(scope="session")

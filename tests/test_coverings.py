@@ -589,3 +589,45 @@ def test_hurwitz_refuses_a_reflected_target_quad(tmp_path, capsys):
     reflected = QuadComplex.build(torus.colors, quads, torus.rho)
     assert _hurwitz_error(tmp_path, capsys, torus, reflected, range(16)) \
         == (1, "", "error: target: edge (0, 3) traversed 2x forward, 0x backward\n")
+
+
+def _reference_corner_images(m):
+    """The corner images from a dict of the target rotations, lower id first."""
+    first = {}
+    for q2, t in enumerate(m.target.quads):
+        for shift in (0, 2):
+            first.setdefault(t[shift:] + t[:shift], 4 * q2 + shift)
+    out = []
+    for t in m.source.quads:
+        img = tuple(m.image(v) for v in t)
+        if img[0] == img[2] and img[1] == img[3]:
+            out += [coverings._BICONSTANT] * 4
+        elif img not in first:
+            out += [coverings._NOT_A_ROTATION] * 4
+        else:
+            i = first[img]
+            out += [i - i % 4 + (i + s) % 4 for s in range(4)]
+    return out
+
+
+def _onto_2x2(vm=None):
+    """The 4x4 torus onto the 2x2 torus, whose quads 0 and 3 (and 1 and 2)
+    are turns of each other by two slots; by default (i, j) -> (i % 2, j % 2)."""
+    if vm is None:
+        vm = [(v // 4 % 2) * 2 + v % 2 for v in range(16)]
+    return CoveringMap(gen_torus(4, 4, 1j), gen_torus(2, 2, 1j), vm)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: gen_torus_unbranched_cover(4, 4, 0.2 + 1.1j)[2],
+    lambda: gen_torus_unbranched_cover(8, 6, 0.2 + 1.1j)[2],
+    lambda: gen_cube_double_cover()[2],
+    _onto_2x2,
+    lambda: _onto_2x2(np.random.default_rng(2).integers(0, 4, 16)),
+], ids=["cover4", "cover8x6", "cube-cover", "onto-2x2", "random-onto-2x2"])
+def test_corner_images_match_the_rotation_dict(make):
+    m = make()
+    assert m.corner_images.tolist() == _reference_corner_images(m)
+    if m.target.nq == 4:
+        t = m.target.quads
+        assert t[0] == t[3][2:] + t[3][:2] and t[1] == t[2][2:] + t[2][:2]

@@ -34,8 +34,10 @@ from dqs import differentials
 from dqs.calculus import d_one_form, scalar_product
 from dqs.errors import DqsError
 from dqs.homology import Cycle, integrate_black_chain, integrate_white_chain
-from dqs.operators import boundary, chain_rows, costar
+from dqs.operators import boundary, costar
 from dqs.surface import genus, subdivide3
+
+from conftest import chain_rows
 
 
 @pytest.fixture(scope="module")

@@ -33,7 +33,7 @@ from dqs.homology import (
     standard_pairing,
     unclosed_rows,
 )
-from dqs.operators import chain_steps, step_array
+from dqs.operators import step_array
 from dqs.surface import (
     FACE_Q_ORDER,
     SLOT_BM,
@@ -45,7 +45,7 @@ from dqs.surface import (
     medial_edge_index,
 )
 
-from conftest import incidences, reference_other_quad
+from conftest import chain_steps, incidences, multiplicity, reference_other_quad
 
 
 def cycle_is_closed_walk(cx, cycle):
@@ -130,6 +130,8 @@ class TestRequireBasis:
     @pytest.mark.parametrize("case, message", [
         ("empty", "basis has 0 a-cycles and 0 b-cycles; a genus 1 surface needs 1 of each"),
         ("no-b", "basis has 1 a-cycles and 0 b-cycles"),
+        ("no-a", "basis has 0 a-cycles and 1 b-cycles"),
+        ("two-b", "basis has 1 a-cycles and 2 b-cycles"),
         ("doubled", "basis has 2 a-cycles and 2 b-cycles"),
         ("truncated", "shadow of basis cycle a1 is not closed"),
         ("b-is-a", "basis cycles a1 and b1 have intersection number 0; "
@@ -140,11 +142,23 @@ class TestRequireBasis:
     def test_malformed_torus_bases(self, torus44, case, message):
         basis = standard_torus_basis(torus44, 4, 4)
         (a,), (b,) = basis.a, basis.b
-        cycles = {"empty": ((), ()), "no-b": ((a,), ()), "doubled": ((a, a), (b, b)),
+        cycles = {"empty": ((), ()), "no-b": ((a,), ()), "no-a": ((), (b,)),
+                  "two-b": ((a,), (b, b)), "doubled": ((a, a), (b, b)),
                   "truncated": ((Cycle(a.edges[:-1]),), (b,)), "b-is-a": ((a,), (a,)),
                   "swapped": ((b,), (a,))}[case]
         with pytest.raises(DqsError, match=message):
             require_basis(torus44, build_basis(torus44, *cycles))
+
+    @pytest.mark.parametrize("na", range(4))
+    def test_any_counts_keep_each_cycles_shadows(self, torus44, na):
+        """build_basis takes any numbers of a- and b-cycles: each keeps its
+        own shadow rows, and the matrix pairs them all."""
+        basis = standard_torus_basis(torus44, 4, 4)
+        cycles = [basis.a[0], basis.b[0], basis.a[0].reversed()]
+        built = build_basis(torus44, cycles[:na], cycles[na:])
+        assert built.a_chains + built.b_chains == homology.shadows(cycles)
+        assert np.array_equal(built.intersection,
+                              _reference_intersection_matrix(torus44, cycles))
 
     def test_open_shadow_of_a_later_b_cycle(self, cube_cover):
         cx = cube_cover[0]
@@ -160,8 +174,8 @@ class TestBlackWhite:
     def test_quad_face_shadows_cancel(self, torus44):
         face = Cycle(tuple((medial_edge_index(5, s), 1) for s in FACE_Q_ORDER))
         ch = black_white(face)
-        assert ch.black_multiplicity(16).tolist() == [0] * 16
-        assert ch.white_multiplicity(16).tolist() == [0] * 16
+        assert multiplicity(ch.black, 16).tolist() == [0] * 16
+        assert multiplicity(ch.white, 16).tolist() == [0] * 16
         # the two black edges traverse the diagonal forth and back
         assert sorted(s for (_, s) in ch.black) == [-1, 1]
         assert sorted(s for (_, s) in ch.white) == [-1, 1]
@@ -327,7 +341,7 @@ class TestLift:
         walk = [(0, 1), (1, -1), (2, 1), (3, -1)]  # horizontal black loop
         lifted = lift_diagonal_walk(torus44, walk, BLACK)
         ch = black_white(Cycle(lifted.edges))
-        mult = ch.black_multiplicity(16)
+        mult = multiplicity(ch.black, 16)
         expected = np.zeros(16, int)
         for q, s in walk:
             expected[q] += s
@@ -561,7 +575,7 @@ def test_homology_basis_matches_reference_lifts_and_pairs(name, monkeypatch):
     # reversed cycles pair with their originals
     both = cycles + [c.reversed() for c in cycles]
     assert np.array_equal(
-        homology.intersection_matrix(cx, homology.shadows(both)),
+        homology.intersection_matrix(cx, homology.shadow_steps(both), len(both)),
         _reference_intersection_matrix(cx, both))
     # the shadows of an open prefix can cross each other; the diagonal
     # leaves that out
@@ -569,7 +583,7 @@ def test_homology_basis_matches_reference_lifts_and_pairs(name, monkeypatch):
         for k in range(1, min(len(c), 40)):
             pair = [Cycle(c.edges[:k]), c]
             assert np.array_equal(
-                homology.intersection_matrix(cx, homology.shadows(pair)),
+                homology.intersection_matrix(cx, homology.shadow_steps(pair), 2),
                 _reference_intersection_matrix(cx, pair))
 
 
@@ -590,25 +604,35 @@ def test_lift_fallback_runs_on_doubled_edges():
 
 
 def test_homology_basis_cover_work(monkeypatch):
-    """Call counts, no timing: each intersection matrix takes the shadows
-    of all its cycles in one pass."""
+    """Call counts, no timing: each intersection matrix reads one array
+    pass over the edges of all its cycles, and the period rows of the
+    basis come from the same pass."""
     cx = gen_cube_double_cover()[0]
-    calls = {"shadows": [], "intersection_matrix": 0}
+    calls = {"shadow_steps": [], "intersection_matrix": 0, "shadows": 0}
 
-    def counting_shadows(cycles):
-        calls["shadows"].append(len(cycles))
-        return shadows(cycles)
+    def counting_steps(cycles):
+        calls["shadow_steps"].append(len(cycles))
+        return shadow_steps(cycles)
 
     def counting_matrix(*args):
         calls["intersection_matrix"] += 1
         return intersection_matrix(*args)
 
-    shadows, intersection_matrix = homology.shadows, homology.intersection_matrix
-    monkeypatch.setattr(homology, "shadows", counting_shadows)
+    def counting_shadows(cycles):
+        calls["shadows"] += 1
+        return shadows(cycles)
+
+    shadow_steps, intersection_matrix = homology.shadow_steps, homology.intersection_matrix
+    shadows = homology.shadows
+    monkeypatch.setattr(homology, "shadow_steps", counting_steps)
     monkeypatch.setattr(homology, "intersection_matrix", counting_matrix)
+    monkeypatch.setattr(homology, "shadows", counting_shadows)
     basis = homology_basis(cx)
-    # the fundamental cycles, then the canonical ones in build_basis
-    assert calls == {"shadows": [2 * basis.g, 2 * basis.g], "intersection_matrix": 2}
+    # the fundamental cycles, then the canonical ones in build_basis; no
+    # shadow tuples are built, and the period rows are already there
+    assert calls == {"shadow_steps": [2 * basis.g, 2 * basis.g], "intersection_matrix": 2,
+                     "shadows": 0}
+    assert {"a_shadow_steps", "b_shadow_steps"} <= set(vars(basis))
 
 
 def _reference_symplectic_reduce(M):

@@ -10,8 +10,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from dqs import DiamondForm, gen_cube, gen_torus, standard_torus_basis
+from dqs import io as dqs_io
 from dqs.cli import main
-from dqs.coverings import gen_cube_double_cover
+from dqs.coverings import gen_cube_double_cover, gen_torus_unbranched_cover
 from dqs.errors import ParseError
 from dqs.io import (
     parse_divisor_string,
@@ -655,6 +656,50 @@ def test_malformed_documents_are_clean_errors(text):
     assert err.startswith("error: <stdin>") and err.count("\n") == 1
 
 
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_broken_dqs())
+def test_malformed_documents_fail_alike_with_either_decoder(text):
+    """orjson, json and the exact path alone end in the same ParseError
+    text, for a surface and for a map bundle whose source it is."""
+    orjson = pytest.importorskip("orjson")
+    bundle = ('{"source": %s, "target": %s, "vertex_map": %s}'
+              % (text, json.dumps(_FUZZ_DOC), json.dumps([[v, v] for v in range(16)])))
+
+    def refuse(text):
+        raise ValueError("read on the exact path")
+
+    for parse, doc in ((parse_dqs, text), (parse_map_bundle, bundle)):
+        messages = set()
+        for decoder in (orjson.loads, json.loads, refuse):
+            with pytest.MonkeyPatch.context() as m:
+                m.setattr(dqs_io, "_decode", decoder)
+                with pytest.raises(ParseError) as err:
+                    parse(doc, "fuzz.dqs")
+            messages.add(str(err.value))
+        assert len(messages) == 1
+
+
+@pytest.mark.parametrize("decoder", ["orjson", "json"])
+def test_deeply_nested_documents_are_clean_errors(decoder, tmp_path, monkeypatch):
+    """Nesting too deep for the stdlib decoder is invalid JSON, with either decoder."""
+    if decoder == "orjson":
+        monkeypatch.setattr(dqs_io, "_decode", pytest.importorskip("orjson").loads)
+    else:
+        monkeypatch.setattr(dqs_io, "_decode", json.loads)
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000 + "]" * 100000)
+    source, target, cmap = gen_torus_unbranched_cover(4, 4, 0.2 + 1.1j)
+    bundle = json.loads(serialize_map_bundle(source, target, cmap.vertex_map))
+    deep_map = tmp_path / "map.json"
+    deep_map.write_text(json.dumps({**bundle, "vertex_map": 0}).replace(
+        '"vertex_map": 0', '"vertex_map": ' + "[" * 3000 + "]" * 3000))
+    for argv in (["check", str(deep)], ["homology", str(deep)], ["hurwitz", str(deep_map)]):
+        code, out, err = _run_main(argv)
+        assert code == 1 and out == "", argv
+        assert err.startswith(f"error: {argv[1]}: invalid JSON: maximum recursion depth "
+                              "exceeded") and err.count("\n") == 1, (argv, err)
+
+
 # fuzz: malformed command-line values are clean errors on a torus and a sphere
 
 _FUZZ_SURFACES = {"torus": serialize_dqs(_FUZZ_TORUS, standard_torus_basis(_FUZZ_TORUS, 4, 4)),
@@ -1011,8 +1056,20 @@ _MALFORMED_BASES = {
     "truncated-a": lambda a, b: ([a[0][:-1]], b),
     "swapped": lambda a, b: (b, a),
     "one-a-no-b": lambda a, b: (a, []),
+    "no-a-one-b": lambda a, b: ([], b),
+    "one-a-two-b": lambda a, b: (a, b * 2),
     "doubled": lambda a, b: (a * 2, b * 2),
 }
+
+
+def _malformed_basis_file(case, tmp_path):
+    code, out, _ = _run_main(["gen", "torus", "--m", "4", "--n", "4", "--tau", "0.1+1.1i"])
+    doc = json.loads(out)
+    doc["basis"]["a"], doc["basis"]["b"] = _MALFORMED_BASES[case](doc["basis"]["a"],
+                                                                  doc["basis"]["b"])
+    path = tmp_path / "t.dqs"
+    path.write_text(json.dumps(doc))
+    return path
 
 
 @pytest.mark.parametrize("command", [
@@ -1021,15 +1078,29 @@ _MALFORMED_BASES = {
 ], ids=lambda argv: argv[0])
 @pytest.mark.parametrize("case", sorted(_MALFORMED_BASES))
 def test_every_basis_command_refuses_a_malformed_embedded_basis(case, command, tmp_path):
-    code, out, _ = _run_main(["gen", "torus", "--m", "4", "--n", "4", "--tau", "0.1+1.1i"])
-    doc = json.loads(out)
-    doc["basis"]["a"], doc["basis"]["b"] = _MALFORMED_BASES[case](doc["basis"]["a"],
-                                                                  doc["basis"]["b"])
-    path = tmp_path / "t.dqs"
-    path.write_text(json.dumps(doc))
-    code, out, err = _run_main(command + [str(path)])
+    code, out, err = _run_main(command + [str(_malformed_basis_file(case, tmp_path))])
     assert code == 1 and out == ""
     assert err.startswith("error: ") and "basis" in err and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("command", [["check"], ["genus"], ["riemann-roch", "--divisor", "q:5=1"]],
+                         ids=lambda argv: argv[0])
+@pytest.mark.parametrize("case", sorted(_MALFORMED_BASES))
+def test_commands_without_a_basis_read_a_malformed_one(case, command, tmp_path):
+    """The basis is judged only where it is used: any count of a- and
+    b-cycles parses, and the other commands report as without it."""
+    path = _malformed_basis_file(case, tmp_path)
+    doc = json.loads(path.read_text())
+    del doc["basis"]
+    bare = tmp_path / "bare.dqs"
+    bare.write_text(json.dumps(doc))
+    code, out, err = _run_main(command + ["--format", "json", str(path)])
+    assert code == 0 and err == "", err
+    reports = [json.loads(out), json.loads(_run_main(command + ["--format", "json",
+                                                                str(bare)])[1])]
+    for report in reports:  # the digest reads the file's bytes
+        report.pop("wall_time", None), report.pop("input_digest", None)
+    assert reports[0] == reports[1]
 
 
 @pytest.mark.parametrize("argv", [

@@ -31,13 +31,14 @@ from dqs.cli import main
 from dqs.coverings import gen_cube_double_cover
 from dqs.operators import (
     boundary_triplets,
-    chain_steps,
     compose,
     dense_matrix,
     step_triplets,
 )
 from dqs.riemann_roch import check_riemann_roch, i_system, l_system
 from dqs.selftest import _admissible_divisors_upto2, _random_admissible
+
+from conftest import chain_steps
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -178,13 +179,13 @@ def test_riemann_roch_checks_assemble_the_boundary_once(monkeypatch):
 def test_bilinear_checks_build_the_period_rows_once(monkeypatch):
     cx = randomize_rho(gen_torus(4, 6, 0.3 + 1.2j), np.random.default_rng(6))
     medial = _counting(monkeypatch, homology, "medial_steps")
-    chains = _counting(monkeypatch, homology, "chain_steps")
-    basis = standard_torus_basis(cx, 4, 6)  # require_basis builds the rows
+    passes = _counting(monkeypatch, homology, "shadow_steps")
+    basis = standard_torus_basis(cx, 4, 6)  # build_basis builds the rows
     rng = np.random.default_rng(7)
     for _ in range(6):
         w1, w2 = (calculus.d_function(cx, rng.normal(size=cx.nv)) for _ in range(2))
         assert verify_rbi(cx, w1, w2, basis) < 1e-9
-    assert medial == [] and chains == ["chain_steps"] * 2
+    assert medial == [] and passes == ["shadow_steps"]
 
 
 def test_periods_on_a_large_torus_build_no_dense_boundary(monkeypatch):

@@ -40,8 +40,10 @@ from dqs.homology import (
     integrate_white_chain,
 )
 from dqs.jacobian import _medial_bfs_path
-from dqs.operators import chain_rows, dense_matrix, medial_steps, step_triplets
+from dqs.operators import dense_matrix, medial_steps, step_triplets
 from dqs.surface import SLOT_BM, SLOT_BP, SLOT_WM, SLOT_WP, medial_edge_index, subdivide3
+
+from conftest import chain_rows
 
 # ---------------------------------------------------------------------------
 # references: the per-edge sums and Abel-Jacobi closures of the earlier code
