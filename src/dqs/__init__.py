@@ -74,12 +74,10 @@ from .calculus import (
     wedge,
 )
 from .homology import (
-    BlackWhiteChains,
     Cycle,
     GraphPath,
     HomologyBasis,
     PeriodReport,
-    black_white,
     build_basis,
     graph_path,
     homology_basis,
@@ -87,7 +85,6 @@ from .homology import (
     integrate_graph_path,
     intersection_number,
     periods,
-    shadows,
     standard_torus_basis,
     verify_rbi,
 )

@@ -260,9 +260,9 @@ def period_matrices(cx: QuadComplex, basis: HomologyBasis,
     if hb is None:
         hb = canonical_bases(cx, basis)
     g = basis.g
-    shadows = integrals(basis.b_shadow_steps, 2 * g, hb.omega_black + hb.omega_white, cx.nq)
-    BB, BW = shadows[:g, :g], shadows[:g, g:]
-    WB, WW = shadows[g:, :g], shadows[g:, g:]
+    P = integrals(basis.b_shadow_steps, 2 * g, hb.omega_black + hb.omega_white, cx.nq)
+    BB, BW = P[:g, :g], P[:g, g:]
+    WB, WW = P[g:, :g], P[g:, g:]
     Pi_full = np.block([[BW, BB], [WW, WB]])
     Pi_black = BW + BB
     Pi_white = WW + WB

@@ -15,10 +15,9 @@ rows, read by ``operators.step_triplets`` like the doubled integrals
 along diagonal graph paths, are the one period functional: ``periods``
 is one product over the a-shadow rows and one over the b-shadow rows,
 which ``build_basis`` hands the ``HomologyBasis`` as read-only arrays
-(``a_shadow_steps``, ``b_shadow_steps``).  The shadows as tuples
-(``shadows``, ``HomologyBasis.a_chains``) are read off those rows only
-on demand.  Medial rows are built only by ``integrate_cycle``, the
-independent reference integral along one walk.
+(``a_shadow_steps``, ``b_shadow_steps``).  Medial rows are built only
+by ``integrate_cycle``, the independent reference integral along one
+walk.
 
 Every walk on a diagonal graph (the tree-cotree split behind
 ``homology_basis`` and the paths of ``graph_path``) is one breadth-first
@@ -43,7 +42,6 @@ written straight from the grid.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import chain
 
 import numpy as np
@@ -82,27 +80,6 @@ class Cycle:
         return len(self.edges)
 
 
-@dataclass(frozen=True)
-class BlackWhiteChains:
-    """Diagonal shadows of a medial cycle: signed (quad, direction) lists.
-
-    Direction +1 means b- -> b+ (black) or w- -> w+ (white).
-    """
-
-    black: tuple
-    white: tuple
-
-
-def black_white(cycle: Cycle) -> BlackWhiteChains:
-    """Shadows on the diagonal graphs, homotopic to the cycle (``shadows`` of one cycle)."""
-    return shadows([cycle])[0]
-
-
-def shadows(cycles) -> tuple:
-    """The ``BlackWhiteChains`` of every cycle, read off its ``shadow_steps``."""
-    return _chains(shadow_steps(cycles), len(cycles))
-
-
 def shadow_steps(cycles) -> np.ndarray:
     """The doubled shadow steps of the cycles from one array pass over all their edges.
 
@@ -119,16 +96,6 @@ def shadow_steps(cycles) -> np.ndarray:
     row = np.repeat(np.arange(n), [len(c) for c in cycles]) + n * (color != BLACK)
     order = np.argsort(row, kind="stable")
     return np.column_stack([row, color, e // 4, 2 * s * sign])[order].astype(float)
-
-
-def _chains(steps: np.ndarray, n: int) -> tuple:
-    """The ``BlackWhiteChains`` of n cycles from their ``shadow_steps``."""
-    rows = steps[:, 0].astype(np.int64)
-    pairs = list(zip(steps[:, 2].astype(np.int64).tolist(),
-                     (steps[:, 3] // 2).astype(np.int64).tolist()))
-    bounds = [0] + np.cumsum(np.bincount(rows, minlength=2 * n)).tolist()
-    parts = [tuple(pairs[a:b]) for a, b in zip(bounds, bounds[1:])]
-    return tuple(BlackWhiteChains(parts[i], parts[n + i]) for i in range(n))
 
 
 def unclosed_rows(cx: QuadComplex, steps) -> list:
@@ -238,18 +205,6 @@ class HomologyBasis:
 
     def all_cycles(self):
         return list(self.a) + list(self.b)
-
-    @cached_property
-    def a_chains(self) -> tuple:
-        """The ``BlackWhiteChains`` of the a-cycles."""
-        return _chains(self.a_shadow_steps, self.g)
-
-    @cached_property
-    def b_chains(self) -> tuple:
-        return _chains(self.b_shadow_steps, len(self.b))
-
-    def all_chains(self):
-        return list(self.a_chains) + list(self.b_chains)
 
 
 def build_basis(cx: QuadComplex, a_cycles, b_cycles) -> HomologyBasis:

@@ -21,15 +21,14 @@ import numpy as np
 
 from .errors import AmbiguousGluingError, DqsError
 from .differentials import HolomorphicBasis, PeriodMatrices
-from .homology import Cycle, GraphPath, black_white, graph_path
-from .operators import diagonal_steps, integrals
+from .homology import Cycle, GraphPath, graph_path, shadow_steps
+from .operators import diagonal_steps, integrals, step_array
 from .surface import (
     BLACK,
     SLOT_BM,
     SLOT_WM,
     WHITE,
     QuadComplex,
-    _adjacency,
     _bfs,
     _path_to,
     require_ids,
@@ -155,8 +154,9 @@ def _medial_bfs_path(cx: QuadComplex, start: int, goal: int):
     """Signed medial edges from one edge midpoint to another (BFS, each
     level in the order it was reached).
 
-    The medial nodes are the edge ids of ``QuadComplex.incidence_edge``,
-    and medial edge 4q + slot runs from the edge (v, prev(v)) to (v, next(v)).
+    The search runs on ``QuadComplex.medial_adjacency``, whose nodes are
+    the edge ids of ``QuadComplex.incidence_edge``: medial edge 4q + slot
+    runs from the edge (v, prev(v)) to (v, next(v)).
     """
     if cx.has_doubled_edges:
         raise AmbiguousGluingError(
@@ -164,10 +164,7 @@ def _medial_bfs_path(cx: QuadComplex, start: int, goal: int):
             "has doubled edges")
     if start == goal:
         return []
-    node = cx.incidence_edge
-    before = np.roll(np.arange(len(node)).reshape(-1, 4), 1, axis=1).ravel()
-    adj = _adjacency(len(cx.edge_runs[0]), node[before], node, np.arange(len(node)))
-    parent = _bfs(adj, start, goal)
+    parent = _bfs(cx.medial_adjacency, start, goal)
     if goal not in parent:
         raise DqsError("medial graph is not connected")
     return _path_to(parent, goal)
@@ -202,13 +199,12 @@ def abel_jacobi_quad(cx: QuadComplex, hb: HolomorphicBasis,
     require_ids((q1, q2), cx.nq, "quad")
     # the edge (b-, w-) of a quad is the one its b- incidence starts
     path = _medial_bfs_path(cx, *(int(cx.incidence_edge[4 * q + SLOT_BM]) for q in (q1, q2)))
-    chains = black_white(Cycle(tuple(path)))
     # rows 0 and 1: half of each end quad's black (white) diagonal from
-    # its minus corner, and the black (white) shadow of the path
-    steps = []
-    for row, (color, shadow) in enumerate(((BLACK, chains.black), (WHITE, chains.white))):
-        steps += diagonal_steps([[(q1, -1), (q2, 1)]], color, row, weight=1.0)
-        steps += diagonal_steps([shadow], color, row)
+    # its minus corner, and the doubled black (white) shadow of the path
+    ends = [[(q1, -1), (q2, 1)]]
+    steps = np.vstack([step_array(diagonal_steps(ends, BLACK, 0, weight=1.0)
+                                  + diagonal_steps(ends, WHITE, 1, weight=1.0)),
+                       shadow_steps([Cycle(tuple(path))])])
     black_value, white_value = integrals(steps, 2, hb.omega, cx.nq)
     return QuadToQuadValue((black_value + white_value) / 2.0, black_value, white_value,
                            tuple(path))

@@ -14,9 +14,9 @@ their parallel diagonals from ``MEDIAL_SLOT``, the one slot table that
 ``homology.shadow_steps`` also reads, for the reference integral
 ``homology.integrate_cycle``.  The boundary and these rows are (row,
 column, value) triplets first: ``dense_matrix`` sums them into a numpy
-array, ``compose`` scales the column blocks of a numpy array, and ``dz``
-composes one with the p dz embedding.  A solver system is assembled
-from the triplets themselves (``LinearSystem``), so it needs neither.
+array, and ``compose`` scales the column blocks of one (the Hodge star
+blocks of ``costar``).  A solver system is assembled from the triplets
+themselves (``LinearSystem``), so it needs neither.
 
 Solves go through one ``LinearSystem`` each (``solve`` makes one from a
 matrix) and rank counts through ``nullity``, so every system gets the
@@ -44,8 +44,7 @@ is imported on the sparse path only, so dense work never pays for it.
 Each operator is built once per object that determines it and is
 read-only from then on.  A ``QuadComplex`` caches its weights
 (``rho_array``), its dense boundary (``boundary_matrix``, assembled by
-``boundary``) and the p dz composition of that boundary
-(``dz_boundary``), and the tree coordinates of every row of the
+``boundary``), and the tree coordinates of every row of the
 function systems (``function_rows``) and every column of the form
 systems (``form_columns``), which each divisor cuts; the kernel counts
 and the Laplacian read them, while each solver system is assembled once
@@ -105,11 +104,6 @@ def compose(M: np.ndarray, black, white) -> np.ndarray:
     """M over (black, white) values after the per-quad map x -> (black x, white x)."""
     nq = M.shape[1] // 2
     return M[:, :nq] * black + M[:, nq:] * white
-
-
-def dz(cx: QuadComplex, M: np.ndarray) -> np.ndarray:
-    """M on forms p dz, in the unknowns p (black value p, white i*rho*p)."""
-    return compose(M, 1.0, 1j * cx.rho_array)
 
 
 def star_blocks(cx: QuadComplex):
@@ -194,7 +188,7 @@ def dependent_rows(cx: QuadComplex) -> list:
 
     On a connected surface the rows of each color sum to zero, so each
     of these rows is implied by the others of its color.  Per-quad
-    column maps (``compose``, ``costar``, ``dz``) keep those sums zero.
+    column maps (``compose``, ``costar``, the p dz fold) keep those sums zero.
     """
     colors = np.asarray(cx.colors)
     return [int(np.argmax(colors == BLACK)), int(np.argmax(colors == WHITE))]
@@ -437,7 +431,7 @@ def function_rows(cx: QuadComplex) -> np.ndarray:
     residual of c's tree quad, f(w+) - f(w-) + i rho (f(b-) - f(b+)).
     Row c of M is the sum of the steps along c's path to its root, so M
     comes from ``root_path_sums``; its other rows are unit rows.  Returns
-    the holomorphicity rows (the columns of ``QuadComplex.dz_boundary``)
+    the holomorphicity rows (the boundary of the p dz forms, transposed)
     of the quads outside the tree, ascending, times M, then the value rows
     M[c] of the white children in forest order.  The holomorphicity row of
     a tree quad is +-1 at its child's column alone, and so is a value row
@@ -470,8 +464,8 @@ def function_rows(cx: QuadComplex) -> np.ndarray:
 def form_columns(cx: QuadComplex) -> np.ndarray:
     """The columns of H(D) systems in the tree coordinates of the white forest, nv x nq.
 
-    The columns are the ``tree_columns`` of the p dz forms (the columns
-    of ``QuadComplex.dz_boundary`` over the quad unit rows) and the white
+    The columns are the ``tree_columns`` of the p dz forms (the boundary
+    of the form of each quad over that quad's unit row) and the white
     forest: first the quads outside the tree, ascending, each corrected
     along the tree so that its white residues vanish at every child, then
     one root path form per white child, in forest order.  The rows are

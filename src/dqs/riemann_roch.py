@@ -8,22 +8,17 @@ simple pole is allowed (quad coefficient 1), with double values forced
 where the coefficient is -2 and zeros forced at vertices with -1.  The
 differential space H(D) mirrors it on forms.  Both dimensions come from
 numerical kernels; the identity l(-D) = deg D - 2g + 2 + i(D) ties them
-together and is checked in integers.  ``l_system`` and ``i_system``
-are cut from the operators cached on the complex, read-only: their rows
-and p columns come from the one p dz operator
-``QuadComplex.dz_boundary``, the double-value and dzbar parts from
-``QuadComplex.boundary_matrix``, and unit rows are written directly.
-The counts run on the same systems with the pivots of the white forest
-eliminated (``l_tree_system``, ``i_tree_system``), about half the size
-in each dimension and of the same nullity: they are cut from the tree
+together and is checked in integers.  The counts run on the tree-reduced
+systems (``l_tree_system``, ``i_tree_system``): the unreduced systems
+with the pivots of the white forest eliminated, about half the size in
+each dimension and of the same nullity.  They are cut from the tree
 coordinates cached on the complex (``QuadComplex.function_rows`` and
 ``form_columns``), so every divisor on one surface reuses one
-assembly, and ``l_system`` and ``i_system`` remain as the unreduced
-references.  ``i_dim_basis_route``
-counts i(D) a second way, from the spanning family of Abelian
-differentials: the forms D allows are columns of one batch solve in
-``dqs.differentials``, and its elimination matrix is their dz
-coefficients at the quads where D forces a zero.
+assembly.  ``i_dim_basis_route`` counts i(D) a second way, from the
+spanning family of Abelian differentials: the forms D allows are
+columns of one batch solve in ``dqs.differentials``, and its
+elimination matrix is their dz coefficients at the quads where D
+forces a zero.
 """
 
 from __future__ import annotations
@@ -36,7 +31,7 @@ from .errors import DqsError
 from .calculus import as_vertex_function, d_function, decompose_all
 from .differentials import _dz_solve
 from .homology import HomologyBasis
-from .operators import compose, nullity
+from .operators import nullity
 from .surface import BLACK, SLOT_BM, SLOT_BP, WHITE, QuadComplex, genus, require_ids
 
 
@@ -114,49 +109,21 @@ def _ids_with(d: dict, coeff: int) -> np.ndarray:
     return np.array(sorted(i for i, c in d.items() if c == coeff), dtype=np.intp)
 
 
-def _ids_without(n: int, d: dict, coeff: int) -> np.ndarray:
-    """Ids below n, ascending, whose coefficient in d is not coeff."""
-    keep = np.ones(n, dtype=bool)
-    keep[_ids_with(d, coeff)] = False
-    return np.flatnonzero(keep)
-
-
-def _unit_rows(ids: np.ndarray, n: int) -> np.ndarray:
-    """Rows of the n x n identity at ids."""
-    rows = np.zeros((len(ids), n))
-    rows[np.arange(len(ids)), ids] = 1.0
-    return rows
-
-
-def l_system(cx: QuadComplex, d: Divisor) -> np.ndarray:
-    """Constraint matrix whose kernel is L(-D) inside C^V.
-
-    Quads with coefficient 1 in D allow a pole (no holomorphicity row);
-    quads with -2 force a double value; vertices with -1 force a zero.
-    The holomorphicity rows are the transposed residue rows of p dz
-    forms (``QuadComplex.dz_boundary``), and the double-value rows are
-    the black and white rows of 2 * d_function at each double quad.
-    """
-    _require_admissible(cx, d)
-    B = cx.boundary_matrix
-    nq = cx.nq
-    holomorphic = _ids_without(nq, d.quad_coeffs, 1)
-    double = _ids_with(d.quad_coeffs, -2)
-    double_rows = np.stack([-B[:, nq + double].T, B[:, double].T], axis=1).reshape(-1, cx.nv)
-    zeros = _unit_rows(_ids_with(d.vertex_coeffs, -1), cx.nv)
-    return np.vstack([cx.dz_boundary.T[holomorphic], double_rows, zeros])
-
-
 def l_tree_system(cx: QuadComplex, d: Divisor) -> np.ndarray:
-    """``l_system`` with the white forest's pivots eliminated: the same nullity.
+    """A matrix whose kernel has the dimension of L(-D) inside C^V.
 
-    Rows and columns are cut from ``QuadComplex.function_rows``.  The
-    holomorphicity row of a tree quad is a pivot on its white child's
-    column, and both go, unless D allows a pole there: then the child's
-    column stays as a free residual.  A zero at a black vertex or a root
-    fixes its coordinate, so its column goes.  A double quad adds its
-    black row f(b+) - f(b-); its white row is its holomorphicity row plus
-    i rho times the black one, so it adds nothing.
+    Unreduced, the kernel is L(-D) itself: every quad but those with
+    coefficient 1 in D (a pole allowed) has its holomorphicity row, each
+    quad with -2 the black and white rows of d_function (a double value)
+    and each vertex with -1 a unit row (a zero).  Here the white forest's
+    pivots are eliminated, which keeps the nullity.  Rows and columns are
+    cut from ``QuadComplex.function_rows``.  The holomorphicity row of a
+    tree quad is a pivot on its white child's column, and both go, unless
+    D allows a pole there: then the child's column stays as a free
+    residual.  A zero at a black vertex or a root fixes its coordinate, so
+    its column goes.  A double quad adds its black row f(b+) - f(b-); its
+    white row is its holomorphicity row plus i rho times the black one,
+    so it adds nothing.
     """
     _require_admissible(cx, d)
     child, quad, _ = cx.white_forest
@@ -182,37 +149,21 @@ def l_dim(cx: QuadComplex, d: Divisor) -> int:
     return nullity(l_tree_system(cx, d))
 
 
-def i_system(cx: QuadComplex, d: Divisor):
-    """Constraint matrix for H(D) and its unknown layout.
-
-    Unknowns: the dz coefficient p per quad, plus one dzbar coefficient
-    per quad with coefficient -2 in D (double pole allowed).  Rows force
-    zero residues at every vertex without a pole allowance and vanishing
-    of the form at quads with coefficient 1.  The p columns of the
-    residue rows are ``QuadComplex.dz_boundary``.
-    """
-    _require_admissible(cx, d)
-    B = cx.boundary_matrix
-    dzbar_quads = _ids_with(d.quad_coeffs, -2)
-    residue_free = _ids_without(cx.nv, d.vertex_coeffs, -1)
-    dzbar = compose(B[np.ix_(residue_free, np.concatenate([dzbar_quads, cx.nq + dzbar_quads]))],
-                    1.0, -1j * np.conj(cx.rho_array[dzbar_quads]))
-    n_unknowns = cx.nq + len(dzbar_quads)
-    A = np.vstack([np.hstack([cx.dz_boundary[residue_free], dzbar]),
-                   _unit_rows(_ids_with(d.quad_coeffs, 1), n_unknowns)])
-    return A, n_unknowns
-
-
 def i_tree_system(cx: QuadComplex, d: Divisor) -> np.ndarray:
-    """``i_system`` with the white forest's pivots eliminated: the same nullity.
+    """A matrix whose kernel has the dimension of H(D).
 
-    Rows and columns are cut from ``QuadComplex.form_columns``.  The
-    residue row of a white child is a pivot on its root path form, and
-    both go, unless D allows a pole there: then the root path form stays
-    as a column.  A zero at a quad outside the tree fixes its coordinate,
-    so its column goes.  The dzbar column of a double quad minus its p
-    column is -2i Re(rho) times its black incidence (+1 at b-, -1 at b+),
-    which has no white residue, so that column stands in for it.
+    Unreduced, the unknowns are the dz coefficient p of every quad and a
+    dzbar coefficient at each quad with -2 in D (a double pole allowed),
+    and the rows force a zero residue at every vertex but those with -1
+    and a zero value at each quad with 1.  Here the white forest's pivots
+    are eliminated, which keeps the nullity.  Rows and columns are cut
+    from ``QuadComplex.form_columns``.  The residue row of a white child
+    is a pivot on its root path form, and both go, unless D allows a pole
+    there: then the root path form stays as a column.  A zero at a quad
+    outside the tree fixes its coordinate, so its column goes.  The dzbar
+    column of a double quad minus its p column is -2i Re(rho) times its
+    black incidence (+1 at b-, -1 at b+), which has no white residue, so
+    that column stands in for it.
     """
     _require_admissible(cx, d)
     child, quad, _ = cx.white_forest

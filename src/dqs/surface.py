@@ -29,20 +29,21 @@ undirected edge, the one edge table (``edge_runs``: where each edge's
 incidences start in that grouping, and how many there are), the ccw
 successor of every incidence in its vertex star, found by matching each
 edge with its other traversal, and the black and white diagonal graphs
-as flat adjacency tables, with a breadth-first spanning forest of the
-white one (``white_forest``).  It also caches the weights as a complex
-array and, on first use, its dense operators: the vertex-boundary
-matrix, its p dz composition, and the kernel systems in the tree
-coordinates of the white forest.  Every cached array is read-only, so
-all consumers of one surface can share it; a weight draw on the
-same combinatorics (``with_rho``) starts with the caches that do not
-read the weights, and a complex read from a DQS document with the quad
-and weight arrays the reader checked (``seeded``).  ``validate`` checks every
-surface invariant with linear numpy passes over these arrays and
-formats messages for the violators only.  Its findings but strong
-regularity are cached as ``defects``, and ``require_surface``, the one
-check before any computation, raises the first of them, so a surface is
-checked once however many commands or constructions ask.  ``stars``
+and the medial graph as flat adjacency tables, with a breadth-first
+spanning forest of the white diagonal graph (``white_forest``).  It also
+caches the weights as a complex array and, on first use, its dense
+operators: the vertex-boundary matrix and the kernel systems in the
+tree coordinates of the white forest.  Every cached array is read-only,
+so all consumers of one surface can share it; a weight draw on the same
+combinatorics (``with_rho``) starts with the caches that do not read the
+weights, and a complex from ``build`` (which checks the quads as one
+array) or from a DQS document with the quad and weight arrays that were
+checked (``seeded``).  ``validate`` checks every surface invariant
+with linear numpy passes over these arrays and formats messages for the
+violators only.  Its findings but strong regularity are cached as
+``defects``, and ``require_surface``, the one check before any
+computation, raises the first of them, so a surface is checked once
+however many commands or constructions ask.  ``stars``
 walks the successors behind that check, where a missing successor can
 only be a doubled edge, and ``require_star_cycles`` walks them only
 there.  Connected components, of the vertices here and of the corner
@@ -84,7 +85,7 @@ FACE_Q_ORDER = (SLOT_WM, SLOT_BP, SLOT_WP, SLOT_BM)
 # w- -> w+) for sign +1 and against it for -1.  The one slot table: a
 # diamond form's value on the edge (``expand_diamond``,
 # ``operators.medial_steps``), the diagonal shadows of a medial cycle
-# (``homology.shadows``) and the lift of a diagonal step
+# (``homology.shadow_steps``) and the lift of a diagonal step
 # (``homology.lift_diagonal_walk``) all read it.
 MEDIAL_SLOT = ((WHITE, -1), (BLACK, 1), (WHITE, 1), (BLACK, -1))
 
@@ -103,17 +104,34 @@ class QuadComplex:
 
     @staticmethod
     def build(colors: Iterable[int], quads, rho) -> "QuadComplex":
-        colors = tuple(int(c) for c in colors)
-        quads = tuple(tuple(int(v) for v in q) for q in quads)
-        rho = tuple(complex(r) for r in rho)
+        """The complex of the colors, quads and weights, read by ``int`` and
+        ``complex``; SurfaceError unless there is one weight per quad, and
+        then at the first quad that does not have 4 vertices or names a
+        vertex outside the colors.  Quads that make an integer array are
+        checked as one, other rows (ragged, or corners ``int`` must read)
+        one by one.  The complex starts with ``quad_array`` and ``rho_array``."""
+        colors = tuple(map(int, colors))
+        try:
+            Q = np.asarray(quads)
+        except ValueError:  # ragged rows
+            Q = None
+        if Q is not None and Q.ndim == 2 and Q.dtype.kind in "iu":
+            bad = ((Q < 0) | (Q >= len(colors))).any(axis=1) | (Q.shape[1] != 4)
+            quads = tuple(map(tuple, Q.tolist()))
+        else:
+            Q = None
+            quads = tuple(tuple(int(v) for v in q) for q in quads)
+            bad = [len(q) != 4 or not all(0 <= v < len(colors) for v in q) for q in quads]
+        rho = tuple(map(complex, rho))
         if len(quads) != len(rho):
             raise SurfaceError("need one rho per quad")
-        for q in quads:
-            if len(q) != 4:
-                raise SurfaceError(f"quad {q} does not have 4 vertices")
-            if any(v < 0 or v >= len(colors) for v in q):
-                raise SurfaceError(f"quad {q} references unknown vertex")
-        return QuadComplex(colors, quads, rho)
+        if np.any(bad):
+            q = quads[int(np.argmax(bad))]
+            raise SurfaceError(f"quad {q} does not have 4 vertices" if len(q) != 4
+                               else f"quad {q} references unknown vertex")
+        Q = np.array(quads if Q is None else Q, dtype=np.int64).reshape(-1, 4)
+        return QuadComplex(colors, quads, rho).seeded(
+            quad_array=read_only(Q), rho_array=read_only(np.array(rho, dtype=complex)))
 
     @property
     def nv(self) -> int:
@@ -148,14 +166,14 @@ class QuadComplex:
     # caches built from the colors and quads alone, which ``with_rho`` shares
     COMBINATORIAL = ("quad_array", "vertex_groups", "edge_groups", "edge_runs",
                      "incidence_edge", "star_successor", "diagonal_adjacency",
-                     "white_forest", "boundary_matrix")
+                     "medial_adjacency", "white_forest", "boundary_matrix")
 
     def with_rho(self, rho) -> "QuadComplex":
         """The same combinatorics with the weights rho, one complex per quad.
 
         The new complex starts with every cache in ``COMBINATORIAL`` that
         this one has built, the same read-only objects.  Whatever reads the
-        weights (``rho_array``, ``dz_boundary``, the kernel systems) and
+        weights (``rho_array``, the kernel systems) and
         ``defects``, which checks them, is built afresh.
         """
         built = vars(self)
@@ -221,6 +239,15 @@ class QuadComplex:
         quads = np.arange(self.nq)
         return tuple(_adjacency(self.nv, Q[:, lo], Q[:, lo + 2], quads)
                      for lo in (SLOT_BM, SLOT_WM))
+
+    @cached_property
+    def medial_adjacency(self):
+        """The medial graph as an ``_adjacency`` tuple over the edge ids of
+        ``incidence_edge``: medial edge 4q + slot, its label, runs from the
+        edge of incidence 4q + slot - 1 to the edge of its own."""
+        node = self.incidence_edge
+        before = np.roll(np.arange(len(node)).reshape(-1, 4), 1, axis=1).ravel()
+        return _adjacency(len(self.edge_runs[0]), node[before], node, np.arange(len(node)))
 
     @cached_property
     def white_forest(self):
@@ -290,13 +317,6 @@ class QuadComplex:
         from .operators import boundary
 
         return read_only(boundary(self))
-
-    @cached_property
-    def dz_boundary(self) -> np.ndarray:
-        """The boundary on forms p dz, nv x nq: ``operators.dz`` of ``boundary_matrix``."""
-        from .operators import dz
-
-        return read_only(dz(self, self.boundary_matrix))
 
     @cached_property
     def function_rows(self) -> np.ndarray:

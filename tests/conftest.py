@@ -11,8 +11,22 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 from dqs import gen_cube, gen_torus  # noqa: E402
 from dqs.coverings import gen_cube_double_cover  # noqa: E402
 from dqs.errors import AmbiguousGluingError, SurfaceError  # noqa: E402
-from dqs.operators import diagonal_steps, step_rows  # noqa: E402
-from dqs.surface import BLACK, WHITE, QuadComplex  # noqa: E402
+from dqs.operators import (  # noqa: E402
+    boundary_triplets,
+    compose,
+    dense_matrix,
+    diagonal_steps,
+    step_rows,
+)
+from dqs.surface import (  # noqa: E402
+    BLACK,
+    SLOT_BM,
+    SLOT_BP,
+    SLOT_WM,
+    SLOT_WP,
+    WHITE,
+    QuadComplex,
+)
 
 
 @functools.lru_cache(maxsize=16)
@@ -53,17 +67,70 @@ def reference_other_quad(cx, u, w):
     raise SurfaceError(f"edge {{{u}, {w}}} is not traversed in both directions")
 
 
+# sign of the parallel diagonal along the canonical medial edge of each
+# corner slot (+1 means b- -> b+ resp. w- -> w+), written out here so the
+# reference does not read ``surface.MEDIAL_SLOT``
+_REFERENCE_DIAG_SIGN = {SLOT_WM: 1, SLOT_WP: -1, SLOT_BP: 1, SLOT_BM: -1}
+
+
+def _reference_black_white(cx, cycle):
+    """Reference black_white: one edge at a time, the color read off the
+    key vertex (a white key vertex contributes a black step)."""
+    blacks, whites = [], []
+    for e, s in cycle.edges:
+        q, slot = divmod(e, 4)
+        step = (q, s * _REFERENCE_DIAG_SIGN[slot])
+        (blacks if cx.colors[cx.quads[q][slot]] == WHITE else whites).append(step)
+    return tuple(blacks), tuple(whites)
+
+
 def chain_steps(chains):
-    """Reference doubled shadow steps, from the shadows' (quad, direction)
-    tuples: the black shadow of chain i on row i, then the white shadows on
-    the len(chains) rows below."""
-    return (diagonal_steps([ch.black for ch in chains], BLACK)
-            + diagonal_steps([ch.white for ch in chains], WHITE, len(chains)))
+    """Reference doubled shadow steps, from (black, white) pairs of (quad,
+    direction) tuples such as ``_reference_black_white`` returns: the black
+    shadow of chain i on row i, then the white shadows on the len(chains)
+    rows below."""
+    return (diagonal_steps([black for black, _ in chains], BLACK)
+            + diagonal_steps([white for _, white in chains], WHITE, len(chains)))
 
 
 def chain_rows(chains, nq):
     """Dense doubled shadow periods of the chains, 2 len(chains) x 2nq."""
     return step_rows(chain_steps(chains), 2 * len(chains), nq)
+
+
+# ---------------------------------------------------------------------------
+# the dense kernel systems, assembled afresh on every call
+
+
+def _ref_boundary(cx):
+    return dense_matrix((cx.nv, 2 * cx.nq), boundary_triplets(cx))
+
+
+def _ref_dz(cx, M):
+    return compose(M, 1.0, 1j * np.asarray(cx.rho))
+
+
+def _ref_l_system(cx, d):
+    B = _ref_boundary(cx)
+    nq = cx.nq
+    cr = _ref_dz(cx, B).T
+    holomorphic = [q for q in range(nq) if d.quad_coeffs.get(q) != 1]
+    double = np.array(sorted(q for q, c in d.quad_coeffs.items() if c == -2), dtype=np.intp)
+    double_rows = np.stack([-B[:, nq + double].T, B[:, double].T], axis=1).reshape(-1, cx.nv)
+    zeros = np.eye(cx.nv)[sorted(v for v, c in d.vertex_coeffs.items() if c == -1)]
+    return np.vstack([cr[holomorphic], double_rows, zeros])
+
+
+def _ref_i_system(cx, d):
+    B = _ref_boundary(cx)
+    dzbar_quads = np.array(sorted(q for q, c in d.quad_coeffs.items() if c == -2), dtype=np.intp)
+    dzbar = compose(B[:, np.concatenate([dzbar_quads, cx.nq + dzbar_quads])], 1.0,
+                    -1j * np.conj(np.asarray(cx.rho)[dzbar_quads]))
+    cols = np.hstack([_ref_dz(cx, B), dzbar])
+    n_unknowns = cols.shape[1]
+    residue_free = [v for v in range(cx.nv) if d.vertex_coeffs.get(v) != -1]
+    zero_quads = sorted(q for q, c in d.quad_coeffs.items() if c == 1)
+    return np.vstack([cols[residue_free], np.eye(cx.nq, n_unknowns)[zero_quads]]), n_unknowns
 
 
 def multiplicity(chain, nq):

@@ -20,7 +20,7 @@ from dqs import (
 from dqs import coverings
 from dqs.coverings import is_biconstant_quad
 from dqs.errors import AmbiguousGluingError, DqsError
-from dqs.surface import QuadComplex
+from dqs.surface import QuadComplex, require_star_cycles
 
 from conftest import edge_pairs
 
@@ -402,30 +402,84 @@ def test_wraps_and_sheets_match_star_walks(name):
         assert _outcome(report) == _outcome(_reference_riemann_hurwitz, m, image)
 
 
-def test_forced_biconstant_quads_match_star_walks(cover):
-    """The errors no valid map reaches: the cube cover with some quads read
-    as biconstant, by the arrays and by the star walks alike.  Of the six
-    quads at a branch point, forcing three in a row leaves one whole turn,
-    forcing three apart images that do not wind around the target star,
-    forcing fewer an image count no whole number of turns makes."""
-    total, base, cmap = cover
-    star = [q for q, _ in total.stars[cmap.wrap_counts.tolist().index(2)]]
-    rng = np.random.default_rng(5)
-    trials = [star[2:3], star[4:], star[1:4], [star[i] for i in (2, 4, 5)]] + [
-        rng.choice(total.nq, size=k, replace=False).tolist() for k in (1, 2, 3, 5, 8)]
-    for forced in trials:
-        m = CoveringMap(total, base, cmap.vertex_map)
-        images = cmap.corner_images.copy()
-        for q in forced:
-            images[4 * q:4 * q + 4] = -1
-        object.__setattr__(m, "corner_images", images)
+def _rotation_or_biconstant_maps(source, target):
+    """Every color-preserving vertex map under which each source quad is a
+    rotation of a target quad or biconstant.
 
-        def image(m, q):
-            return None if q in forced else _scan_quad_image(m, q)
-        assert [_outcome(branch_vertex, m, v) for v in range(m.source.nv)] \
-            == [_outcome(_reference_branch_vertex, m, v, image) for v in range(m.source.nv)]
-        assert _outcome(sheet_count, m) == _outcome(
-            _reference_sheets, m, lambda v: _reference_branch_vertex(m, v, image), image)
+    A depth-first search assigns the vertices in the order the quads list
+    them and drops a partial map as soon as the assigned corners of a quad
+    fit no such image (a corner not yet assigned reads None)."""
+    images = {t[s:] + t[:s] for t in target.quads for s in (0, 2)}
+    by_color = [[w for w in range(target.nv) if target.colors[w] == c] for c in (0, 1)]
+    images |= {(x, y, x, y) for x in by_color[0] for y in by_color[1]}
+    fits = {tuple(t[s] if mask >> s & 1 else None for s in range(4))
+            for t in images for mask in range(16)}
+    quads_at = [[] for _ in range(source.nv)]
+    for t in source.quads:
+        for v in t:
+            quads_at[v].append(t)
+    order = list(dict.fromkeys(v for t in source.quads for v in t))
+    vm = [None] * source.nv
+    out = []
+
+    def extend(k):
+        if k == len(order):
+            out.append(CoveringMap(source, target, vm))
+            return
+        v = order[k]
+        for w in by_color[source.colors[v]]:
+            vm[v] = w
+            if all(tuple(vm[u] for u in t) in fits for t in quads_at[v]):
+                extend(k + 1)
+        vm[v] = None
+
+    extend(0)
+    return out
+
+
+# source and target sides of the square tori (all weights 1) searched
+# exhaustively, and the number of maps the search finds
+_SEARCHED = {"4x4-onto-4x4": ((4, 4), (4, 4), 96), "6x4-onto-4x4": ((6, 4), (4, 4), 64),
+             "4x6-onto-4x4": ((4, 6), (4, 4), 64), "4x4-onto-6x4": ((4, 4), (6, 4), 144),
+             "4x4-onto-4x6": ((4, 4), (4, 6), 144)}
+
+
+@pytest.mark.parametrize("name", [
+    "identity-44", "identity", "cube-cover", "torus-4", "torus-6", "biconstant",
+    "mutated-cube-cover", "mutated-torus-4", "mutated-identity", "doubled-edge", *_SEARCHED])
+def test_deleted_covering_checks_are_unreachable(name):
+    """Where both surfaces pass ``require_star_cycles`` and every quad is a
+    rotation or biconstant, the star walks raise no winding or divisibility
+    error and the sheet count no fibre-sum or per-quad error: the checks
+    that ``dqs.coverings`` leaves out could not fail.  The arrays agree
+    with the walks there."""
+    if name in _SEARCHED:
+        source, target, count = _SEARCHED[name]
+        maps = _rotation_or_biconstant_maps(gen_torus(*source, 1j), gen_torus(*target, 1j))
+        assert len(maps) == count
+    else:
+        maps = _oracle_maps(name)
+    judged = 0
+    for m in maps:
+        try:
+            for cx in (m.source, m.target):
+                require_star_cycles(cx)
+            for q in range(m.source.nq):
+                _scan_quad_image(m, q)
+        except DqsError:  # a doubled edge, or a quad that is no rotation
+            continue
+        judged += 1
+        wraps = [_reference_branch_vertex(m, v) for v in range(m.source.nv)]
+        n = _reference_sheets(m, wraps.__getitem__)
+        assert [branch_vertex(m, v) for v in range(m.source.nv)] == wraps
+        assert sheet_count(m) == n
+
+        def report():
+            r = check_riemann_hurwitz(m)
+            return r.sheets, r.vertex_branch_numbers, r.quad_branch_numbers, r.total_branching
+        assert _outcome(report) == _outcome(_reference_riemann_hurwitz, m)
+    if name in _SEARCHED:
+        assert judged == len(maps)
 
 
 def test_doubled_edge_identity_is_an_ambiguous_gluing():

@@ -37,7 +37,7 @@ from dqs.homology import Cycle, integrate_black_chain, integrate_white_chain
 from dqs.operators import boundary, costar
 from dqs.surface import genus, subdivide3
 
-from conftest import chain_rows
+from conftest import _reference_black_white, chain_rows
 
 
 @pytest.fixture(scope="module")
@@ -114,8 +114,8 @@ def _harmonic_reference(cx, basis, targets):
     imaginary parts of the targets are solved as two columns.
     """
     B = boundary(cx)
-    A = np.vstack([B, costar(cx, B), chain_rows(basis.a_chains, cx.nq),
-                   chain_rows(basis.b_chains, cx.nq)])
+    a, b = ([_reference_black_white(cx, c) for c in part] for part in (basis.a, basis.b))
+    A = np.vstack([B, costar(cx, B), chain_rows(a, cx.nq), chain_rows(b, cx.nq)])
     rhs = np.concatenate([np.zeros(2 * cx.nv), targets])
     sol, _, rank, _ = np.linalg.lstsq(A, np.column_stack([rhs.real, rhs.imag]), rcond=None)
     assert rank == A.shape[1]
@@ -283,9 +283,10 @@ class TestAbelianThird:
         assert abs(res[5] - 1) < 1e-10
         assert abs(res[7] + 1) < 1e-10
         assert np.abs(np.delete(res, [5, 7])).max() < 1e-10
-        for ch in basis.a_chains:
-            assert abs(2 * integrate_black_chain(cx, w3.form, ch.black)) < 1e-10
-            assert abs(2 * integrate_white_chain(cx, w3.form, ch.white)) < 1e-10
+        for cyc in basis.a:
+            black, white = _reference_black_white(cx, cyc)
+            assert abs(2 * integrate_black_chain(cx, w3.form, black)) < 1e-10
+            assert abs(2 * integrate_white_chain(cx, w3.form, white)) < 1e-10
 
     def test_mixed_colors_rejected(self, random_torus):
         cx, basis, _ = random_torus
@@ -326,9 +327,10 @@ class TestAbelianSecond:
     def test_a_periods_vanish(self, random_torus):
         cx, basis, _ = random_torus
         w2 = abelian_second(cx, basis, 5)
-        for ch in basis.a_chains:
-            assert abs(2 * integrate_black_chain(cx, w2.form, ch.black)) < 1e-10
-            assert abs(2 * integrate_white_chain(cx, w2.form, ch.white)) < 1e-10
+        for cyc in basis.a:
+            black, white = _reference_black_white(cx, cyc)
+            assert abs(2 * integrate_black_chain(cx, w2.form, black)) < 1e-10
+            assert abs(2 * integrate_white_chain(cx, w2.form, white)) < 1e-10
 
     def test_symmetry_alpha_beta(self, random_torus):
         cx, basis, _ = random_torus

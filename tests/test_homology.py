@@ -6,7 +6,6 @@ from dqs import (
     WHITE,
     Cycle,
     DiamondForm,
-    black_white,
     d_function,
     gen_cube,
     gen_cube_double_cover,
@@ -45,7 +44,13 @@ from dqs.surface import (
     medial_edge_index,
 )
 
-from conftest import chain_steps, incidences, multiplicity, reference_other_quad
+from conftest import (
+    _reference_black_white,
+    chain_steps,
+    incidences,
+    multiplicity,
+    reference_other_quad,
+)
 
 
 def cycle_is_closed_walk(cx, cycle):
@@ -156,7 +161,10 @@ class TestRequireBasis:
         basis = standard_torus_basis(torus44, 4, 4)
         cycles = [basis.a[0], basis.b[0], basis.a[0].reversed()]
         built = build_basis(torus44, cycles[:na], cycles[na:])
-        assert built.a_chains + built.b_chains == homology.shadows(cycles)
+        for steps, part in ((built.a_shadow_steps, cycles[:na]),
+                            (built.b_shadow_steps, cycles[na:])):
+            chains = [_reference_black_white(torus44, c) for c in part]
+            assert np.array_equal(steps, step_array(chain_steps(chains)))
         assert np.array_equal(built.intersection,
                               _reference_intersection_matrix(torus44, cycles))
 
@@ -165,7 +173,8 @@ class TestRequireBasis:
         basis = homology_basis(cx)
         b = list(basis.b)
         b[1] = Cycle(b[1].edges[:-1])
-        color = "black" if black_white(b[1]).white == basis.b_chains[1].white else "white"
+        color = "black" if _reference_black_white(cx, b[1])[1] \
+            == _reference_black_white(cx, basis.b[1])[1] else "white"
         with pytest.raises(DqsError, match=f"the {color} shadow of basis cycle b2 is not closed"):
             require_basis(cx, build_basis(cx, basis.a, b))
 
@@ -173,19 +182,19 @@ class TestRequireBasis:
 class TestBlackWhite:
     def test_quad_face_shadows_cancel(self, torus44):
         face = Cycle(tuple((medial_edge_index(5, s), 1) for s in FACE_Q_ORDER))
-        ch = black_white(face)
-        assert multiplicity(ch.black, 16).tolist() == [0] * 16
-        assert multiplicity(ch.white, 16).tolist() == [0] * 16
-        # the two black edges traverse the diagonal forth and back
-        assert sorted(s for (_, s) in ch.black) == [-1, 1]
-        assert sorted(s for (_, s) in ch.white) == [-1, 1]
+        steps = homology.shadow_steps([face])
+        for row in (0, 1):  # the black shadow, then the white one
+            quads, doubled = steps[steps[:, 0] == row, 2:].T
+            assert np.bincount(quads.astype(int), doubled, 16).tolist() == [0] * 16
+            # the two edges of each color traverse the diagonal forth and back
+            assert sorted(doubled / 2) == [-1, 1]
 
     def test_meridian_black_shadow(self, torus44):
         basis = standard_torus_basis(torus44, 4, 4)
-        ch = basis.a_chains[0]
+        steps = basis.a_shadow_steps
         # the horizontal cycle crosses the four bottom-row quads once each
-        assert sorted(q for (q, _) in ch.black) == [0, 1, 2, 3]
-        assert not unclosed_rows(torus44, step_array(chain_steps([ch])))
+        assert sorted(steps[steps[:, 0] == 0, 2].tolist()) == [0, 1, 2, 3]
+        assert not unclosed_rows(torus44, steps)
 
     def test_random_cycle_shadows_closed(self, torus46, rng):
         # random closed medial walks from the vertex-face boundaries and
@@ -197,8 +206,7 @@ class TestBlackWhite:
             detour = tuple((medial_edge_index(q, slot), -1)
                            for (q, slot) in torus46.stars[v])
             cyc = Cycle(base.edges + detour)
-            ch = black_white(cyc)
-            assert not unclosed_rows(torus46, step_array(chain_steps([ch])))
+            assert not unclosed_rows(torus46, homology.shadow_steps([cyc]))
 
     def test_unclosed_rows_match_vertex_boundaries(self, torus46, rng):
         """Random prefixes of shadows, open or closed, against the net
@@ -214,11 +222,12 @@ class TestBlackWhite:
         basis = standard_torus_basis(torus46, 4, 6)
         chains = []
         for _ in range(20):
-            ch = basis.all_chains()[int(rng.integers(2))]
-            chains.append(type(ch)(ch.black[:int(rng.integers(len(ch.black) + 1))],
-                                   ch.white[:int(rng.integers(len(ch.white) + 1))]))
+            cycle = basis.all_cycles()[int(rng.integers(2))]
+            black, white = _reference_black_white(torus46, cycle)
+            chains.append((black[:int(rng.integers(len(black) + 1))],
+                           white[:int(rng.integers(len(white) + 1))]))
         # chain_steps rows: every black shadow, then every white one
-        rows = [(ch.black, BLACK) for ch in chains] + [(ch.white, WHITE) for ch in chains]
+        rows = [(b, BLACK) for b, _ in chains] + [(w, WHITE) for _, w in chains]
         expected = [k for k, (chain, color) in enumerate(rows) if not closed(chain, color)]
         assert unclosed_rows(torus46, step_array(chain_steps(chains))) == expected
         assert expected  # some prefixes are open
@@ -340,8 +349,7 @@ class TestLift:
     def test_lift_preserves_black_shadow(self, torus44):
         walk = [(0, 1), (1, -1), (2, 1), (3, -1)]  # horizontal black loop
         lifted = lift_diagonal_walk(torus44, walk, BLACK)
-        ch = black_white(Cycle(lifted.edges))
-        mult = multiplicity(ch.black, 16)
+        mult = multiplicity(_reference_black_white(torus44, lifted)[0], 16)
         expected = np.zeros(16, int)
         for q, s in walk:
             expected[q] += s
@@ -505,23 +513,6 @@ def _reference_lift(cx, walk, color):
     return Cycle(tuple(out))
 
 
-# sign of the parallel diagonal along the canonical medial edge of each
-# corner slot (+1 means b- -> b+ resp. w- -> w+), written out here so the
-# reference does not read ``surface.MEDIAL_SLOT``
-_REFERENCE_DIAG_SIGN = {SLOT_WM: 1, SLOT_WP: -1, SLOT_BP: 1, SLOT_BM: -1}
-
-
-def _reference_black_white(cx, cycle):
-    """Reference black_white: one edge at a time, the color read off the
-    key vertex (a white key vertex contributes a black step)."""
-    blacks, whites = [], []
-    for e, s in cycle.edges:
-        q, slot = divmod(e, 4)
-        step = (q, s * _REFERENCE_DIAG_SIGN[slot])
-        (blacks if cx.colors[cx.quads[q][slot]] == WHITE else whites).append(step)
-    return tuple(blacks), tuple(whites)
-
-
 def _reference_intersection_matrix(cx, cycles):
     """Reference intersection matrix: intersection_number for every ordered pair."""
     n = len(cycles)
@@ -567,8 +558,9 @@ def test_homology_basis_matches_reference_lifts_and_pairs(name, monkeypatch):
         return
     cycles = fast.all_cycles()
     assert [c.edges for c in cycles] == [c.edges for c in ref.all_cycles()]
-    assert [(ch.black, ch.white) for ch in fast.all_chains()] \
-        == [_reference_black_white(cx, c) for c in cycles]
+    for steps, part in ((fast.a_shadow_steps, fast.a), (fast.b_shadow_steps, fast.b)):
+        chains = [_reference_black_white(cx, c) for c in part]
+        assert np.array_equal(steps, step_array(chain_steps(chains)))
     M = _reference_intersection_matrix(cx, cycles)
     assert fast.intersection.dtype == M.dtype
     assert np.array_equal(fast.intersection, M)
@@ -608,7 +600,7 @@ def test_homology_basis_cover_work(monkeypatch):
     pass over the edges of all its cycles, and the period rows of the
     basis come from the same pass."""
     cx = gen_cube_double_cover()[0]
-    calls = {"shadow_steps": [], "intersection_matrix": 0, "shadows": 0}
+    calls = {"shadow_steps": [], "intersection_matrix": 0}
 
     def counting_steps(cycles):
         calls["shadow_steps"].append(len(cycles))
@@ -618,20 +610,13 @@ def test_homology_basis_cover_work(monkeypatch):
         calls["intersection_matrix"] += 1
         return intersection_matrix(*args)
 
-    def counting_shadows(cycles):
-        calls["shadows"] += 1
-        return shadows(cycles)
-
     shadow_steps, intersection_matrix = homology.shadow_steps, homology.intersection_matrix
-    shadows = homology.shadows
     monkeypatch.setattr(homology, "shadow_steps", counting_steps)
     monkeypatch.setattr(homology, "intersection_matrix", counting_matrix)
-    monkeypatch.setattr(homology, "shadows", counting_shadows)
     basis = homology_basis(cx)
-    # the fundamental cycles, then the canonical ones in build_basis; no
-    # shadow tuples are built, and the period rows are already there
-    assert calls == {"shadow_steps": [2 * basis.g, 2 * basis.g], "intersection_matrix": 2,
-                     "shadows": 0}
+    # the fundamental cycles, then the canonical ones in build_basis; the
+    # period rows are already there
+    assert calls == {"shadow_steps": [2 * basis.g, 2 * basis.g], "intersection_matrix": 2}
     assert {"a_shadow_steps", "b_shadow_steps"} <= set(vars(basis))
 
 
@@ -778,6 +763,3 @@ def test_standard_torus_basis_matches_the_chained_cycles(tau):
             a, b = _reference_torus_cycles(cx, m, n)
             assert (basis.a[0].edges, basis.b[0].edges) == (a, b), (m, n)
             assert basis.intersection.tolist() == [[0, 1], [-1, 0]]
-            for cycle in (basis.a[0], basis.b[0]):
-                black, white = _reference_black_white(cx, cycle)
-                assert black_white(cycle) == homology.BlackWhiteChains(black, white)

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -21,7 +23,7 @@ from dqs.coverings import gen_cube_double_cover
 from dqs.errors import DqsError
 from dqs.homology import Cycle, GraphPath
 from dqs.jacobian import _medial_bfs_path
-from dqs.surface import SLOT_BM, SLOT_WM, subdivide3
+from dqs.surface import SLOT_BM, SLOT_WM, QuadComplex, subdivide3
 
 
 @pytest.fixture(scope="module")
@@ -215,3 +217,33 @@ def test_medial_path_matches_full_scan(name):
             start, goal = pairs[i], pairs[j]
             assert _medial_bfs_path(cx, int(i), int(j)) == _scan_medial_path(adj, start, goal), \
                 (start, goal)
+
+
+def test_quad_values_build_the_medial_adjacency_once(monkeypatch):
+    """Work count, no timing: two quad Abel-Jacobi values on one surface
+    build its medial adjacency once, and the adjacency lists the medial
+    edges of the whole-surface scan."""
+    computed = []
+    original = QuadComplex.__dict__["medial_adjacency"].func
+
+    def counting(cx):
+        computed.append(cx)
+        return original(cx)
+
+    prop = functools.cached_property(counting)
+    prop.__set_name__(QuadComplex, "medial_adjacency")
+    monkeypatch.setattr(QuadComplex, "medial_adjacency", prop)
+    cx = randomize_rho(gen_torus(6, 4, 0.3 + 1.2j), np.random.default_rng(3))
+    hb = canonical_bases(cx, standard_torus_basis(cx, 6, 4))
+    for q1, q2 in ((0, 17), (5, 20)):
+        out = abel_jacobi_quad(cx, hb, q1, q2)
+        ref = np.array([_medial_value(cx, f, q1, q2, out.path) for f in hb.omega])
+        assert np.abs(out.value - ref).max() < 1e-12
+    assert len(computed) == 1 and computed[0] is cx
+    adj = _scan_medial_adjacency(cx)
+    node = {pair: k for k, pair in enumerate(sorted(adj))}
+    start, nbr, label, sign = cx.medial_adjacency
+    for pair, k in node.items():
+        got = list(zip(nbr[start[k]:start[k + 1]], label[start[k]:start[k + 1]],
+                       sign[start[k]:start[k + 1]]))
+        assert got == sorted((node[w], e, s) for w, e, s in adj[pair]), pair

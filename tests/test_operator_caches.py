@@ -1,7 +1,7 @@
 """Operators built once per surface or basis, against the per-call assembly they replaced.
 
-A ``QuadComplex`` caches its weights as an array, its dense vertex
-boundary and the p dz composition of that boundary; a ``HomologyBasis``
+A ``QuadComplex`` caches its weights as an array and its dense vertex
+boundary; a ``HomologyBasis``
 caches the steps of its doubled a- and b-shadow rows, the only period
 rows.  The references below assemble
 everything afresh on every call, as the library did before, and every
@@ -29,52 +29,16 @@ from dqs import (
 from dqs import calculus, differentials, homology, operators, selftest
 from dqs.cli import main
 from dqs.coverings import gen_cube_double_cover
-from dqs.operators import (
-    boundary_triplets,
-    compose,
-    dense_matrix,
-    step_triplets,
-)
-from dqs.riemann_roch import check_riemann_roch, i_system, l_system
-from dqs.selftest import _admissible_divisors_upto2, _random_admissible
+from dqs.operators import dense_matrix, step_triplets
+from dqs.riemann_roch import check_riemann_roch
+from dqs.selftest import _random_admissible
 
-from conftest import chain_steps
+from conftest import _ref_boundary, _ref_dz, _reference_black_white, chain_steps
 
 ROOT = Path(__file__).resolve().parent.parent
 
 # ---------------------------------------------------------------------------
 # references: the per-call assembly of the earlier code
-
-
-def _ref_boundary(cx):
-    return dense_matrix((cx.nv, 2 * cx.nq), boundary_triplets(cx))
-
-
-def _ref_dz(cx, M):
-    return compose(M, 1.0, 1j * np.asarray(cx.rho))
-
-
-def _ref_l_system(cx, d):
-    B = _ref_boundary(cx)
-    nq = cx.nq
-    cr = _ref_dz(cx, B).T
-    holomorphic = [q for q in range(nq) if d.quad_coeffs.get(q) != 1]
-    double = np.array(sorted(q for q, c in d.quad_coeffs.items() if c == -2), dtype=np.intp)
-    double_rows = np.stack([-B[:, nq + double].T, B[:, double].T], axis=1).reshape(-1, cx.nv)
-    zeros = np.eye(cx.nv)[sorted(v for v, c in d.vertex_coeffs.items() if c == -1)]
-    return np.vstack([cr[holomorphic], double_rows, zeros])
-
-
-def _ref_i_system(cx, d):
-    B = _ref_boundary(cx)
-    dzbar_quads = np.array(sorted(q for q, c in d.quad_coeffs.items() if c == -2), dtype=np.intp)
-    dzbar = compose(B[:, np.concatenate([dzbar_quads, cx.nq + dzbar_quads])], 1.0,
-                    -1j * np.conj(np.asarray(cx.rho)[dzbar_quads]))
-    cols = np.hstack([_ref_dz(cx, B), dzbar])
-    n_unknowns = cols.shape[1]
-    residue_free = [v for v in range(cx.nv) if d.vertex_coeffs.get(v) != -1]
-    zero_quads = sorted(q for q, c in d.quad_coeffs.items() if c == 1)
-    return np.vstack([cols[residue_free], np.eye(cx.nq, n_unknowns)[zero_quads]]), n_unknowns
 
 
 def _ref_periods(cx, omega, basis):
@@ -83,11 +47,12 @@ def _ref_periods(cx, omega, basis):
     g = basis.g
     values = np.concatenate([omega.black, omega.white])[:, None]
 
-    def doubled(chains):
+    def doubled(cycles):
+        chains = [_reference_black_white(cx, c) for c in cycles]
         rows = dense_matrix((2 * g, 2 * cx.nq), step_triplets(chain_steps(chains), cx.nq))
         return (rows @ values).reshape(2, g)
 
-    (AB, AW), (BB, BW) = doubled(basis.a_chains), doubled(basis.b_chains)
+    (AB, AW), (BB, BW) = doubled(basis.a), doubled(basis.b)
     return np.concatenate([(AB + AW) / 2.0, (BB + BW) / 2.0, AB, BB, AW, BW])
 
 
@@ -97,25 +62,6 @@ def _same_bits(a, b):
 
 
 _COVER = gen_cube_double_cover()[0]
-
-
-def _divisor_cases():
-    t24 = gen_torus(2, 4, 1j)
-    yield from ((t24, d) for d in _admissible_divisors_upto2(t24))
-    cover = randomize_rho(_COVER, np.random.default_rng(3))
-    rng = np.random.default_rng(11)
-    yield from ((cover, _random_admissible(cover, rng)) for _ in range(50))
-
-
-def test_l_and_i_systems_are_bit_identical_to_the_per_call_assembly():
-    count = 0
-    for cx, d in _divisor_cases():
-        assert _same_bits(l_system(cx, d), _ref_l_system(cx, d)), d
-        A, n = i_system(cx, d)
-        A_ref, n_ref = _ref_i_system(cx, d)
-        assert n == n_ref and _same_bits(A, A_ref), d
-        count += 1
-    assert count > 300
 
 
 @pytest.mark.parametrize("name", ["cube", "torus44", "cover"])
@@ -142,14 +88,13 @@ def test_periods_are_bit_identical_to_the_per_call_rows(name):
 def test_cached_arrays_reject_writes():
     cx = randomize_rho(gen_torus(4, 4, 1j), np.random.default_rng(2))
     basis = standard_torus_basis(cx, 4, 4)
-    arrays = [cx.quad_array, cx.rho_array, cx.boundary_matrix, cx.dz_boundary,
-              cx.star_successor, *cx.edge_groups, *cx.vertex_groups,
+    arrays = [cx.quad_array, cx.rho_array, cx.boundary_matrix, cx.star_successor,
+              *cx.edge_groups, *cx.vertex_groups,
               basis.a_shadow_steps, basis.b_shadow_steps]
     for a in arrays:
         with pytest.raises(ValueError, match="read-only"):
             a[(0,) * a.ndim] = 0
     assert _same_bits(cx.boundary_matrix, _ref_boundary(cx))
-    assert _same_bits(cx.dz_boundary, _ref_dz(cx, _ref_boundary(cx)))
     assert _same_bits(cx.rho_array, np.asarray(cx.rho))
 
 
@@ -218,7 +163,7 @@ def test_sparse_and_dense_dz_systems_agree_entrywise(monkeypatch):
         differentials.abelian_second_with_bases(cx, basis, 5)
     assert "boundary_matrix" not in vars(cx)
     assert not isinstance(sparse.S, np.ndarray) and sparse.S.format == "csc"
-    ref = operators.dz(cx, np.vstack([cx.boundary_matrix, operators.step_rows(
+    ref = _ref_dz(cx, np.vstack([cx.boundary_matrix, operators.step_rows(
         basis.a_shadow_steps, 2 * basis.g, cx.nq)]))
     assert sparse.S.shape == (len(ref) - 2, cx.nq)
     assert np.array_equal(sparse.dense(), ref)

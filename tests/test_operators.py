@@ -29,6 +29,8 @@ from dqs.homology import integrate_black_chain, integrate_white_chain
 from dqs.operators import boundary, dependent_rows, nullity, solve
 from dqs.surface import subdivide3
 
+from conftest import _reference_black_white
+
 
 @pytest.fixture(params=["cube", "torus44", "cover"])
 def surface(request, cube, torus44, cube_cover):
@@ -66,12 +68,13 @@ def test_canonical_bases_normalized(which, cube_cover):
     hb = canonical_bases(cx, basis)
     g = basis.g
     for k in range(g):
-        for j, ch in enumerate(basis.a_chains):
+        for j, cyc in enumerate(basis.a):
             delta = float(j == k)
-            assert abs(2 * integrate_black_chain(cx, hb.omega_black[k], ch.black) - delta) < 1e-12
-            assert abs(2 * integrate_white_chain(cx, hb.omega_black[k], ch.white)) < 1e-12
-            assert abs(2 * integrate_white_chain(cx, hb.omega_white[k], ch.white) - delta) < 1e-12
-            assert abs(2 * integrate_black_chain(cx, hb.omega_white[k], ch.black)) < 1e-12
+            black, white = _reference_black_white(cx, cyc)
+            assert abs(2 * integrate_black_chain(cx, hb.omega_black[k], black) - delta) < 1e-12
+            assert abs(2 * integrate_white_chain(cx, hb.omega_black[k], white)) < 1e-12
+            assert abs(2 * integrate_white_chain(cx, hb.omega_white[k], white) - delta) < 1e-12
+            assert abs(2 * integrate_black_chain(cx, hb.omega_white[k], black)) < 1e-12
 
 
 def test_solve_rank_and_residual_checks():
@@ -181,12 +184,12 @@ def test_square_lu_is_backward_stable_on_a_wide_torus(lu_record):
     system = differentials.DzSystem(cx, basis)
     assert not isinstance(system.S, np.ndarray)
     rhs = np.vstack([np.zeros((cx.nv, 2)), np.eye(2)])
-    ch = basis.a_chains[0]
+    black_chain, white_chain = _reference_black_white(cx, basis.a[0])
     for p in (solve(system.dense(), rhs, 1e-9, "holomorphic", drop=dependent_rows(cx)),
               system.solve(rhs, 1e-9, "holomorphic")):
         black, white = (from_coefficients(cx, p[:, k]) for k in range(2))
-        assert abs(2 * integrate_black_chain(cx, black, ch.black) - 1) < 1e-13
-        assert abs(2 * integrate_white_chain(cx, white, ch.white) - 1) < 1e-13
+        assert abs(2 * integrate_black_chain(cx, black, black_chain) - 1) < 1e-13
+        assert abs(2 * integrate_white_chain(cx, white, white_chain) - 1) < 1e-13
     shape = (cx.nq, cx.nq)
     assert lu_record.batches == [(shape, True, True), (shape, False, True)]
 

@@ -35,7 +35,6 @@ from dqs.coverings import gen_cube_double_cover
 from dqs.homology import (
     Cycle,
     GraphPath,
-    black_white,
     integrate_black_chain,
     integrate_white_chain,
 )
@@ -43,7 +42,7 @@ from dqs.jacobian import _medial_bfs_path
 from dqs.operators import dense_matrix, medial_steps, step_triplets
 from dqs.surface import SLOT_BM, SLOT_BP, SLOT_WM, SLOT_WP, medial_edge_index, subdivide3
 
-from conftest import chain_rows
+from conftest import _reference_black_white, chain_rows
 
 # ---------------------------------------------------------------------------
 # references: the per-edge sums and Abel-Jacobi closures of the earlier code
@@ -69,12 +68,13 @@ def _ref_graph_path(cx, omega, path):
 
 
 def _ref_periods(cx, omega, basis):
+    a, b = ([_reference_black_white(cx, c) for c in part] for part in (basis.a, basis.b))
     return (np.array([_ref_cycle(cx, omega, c) for c in basis.a]),
             np.array([_ref_cycle(cx, omega, c) for c in basis.b]),
-            np.array([2.0 * _ref_black(cx, omega, ch.black) for ch in basis.a_chains]),
-            np.array([2.0 * _ref_white(cx, omega, ch.white) for ch in basis.a_chains]),
-            np.array([2.0 * _ref_black(cx, omega, ch.black) for ch in basis.b_chains]),
-            np.array([2.0 * _ref_white(cx, omega, ch.white) for ch in basis.b_chains]))
+            np.array([2.0 * _ref_black(cx, omega, black) for black, _ in a]),
+            np.array([2.0 * _ref_white(cx, omega, white) for _, white in a]),
+            np.array([2.0 * _ref_black(cx, omega, black) for black, _ in b]),
+            np.array([2.0 * _ref_white(cx, omega, white) for _, white in b]))
 
 
 def _ref_half_diagonal(cx, omega, q, toward):
@@ -123,13 +123,13 @@ def _ref_abel_jacobi_quad(cx, hb, q1, q2):
         mid = sum(s * vals[e] for (e, s) in path)
         return entry_half(f, q1, x1) + mid - entry_half(f, q2, x2)
 
-    chains = black_white(Cycle(tuple(path)))
+    black_chain, white_chain = _reference_black_white(cx, Cycle(tuple(path)))
 
     def shadow(f, color):
         if color == BLACK:
-            mid = 2.0 * _ref_black(cx, f, chains.black)
+            mid = 2.0 * _ref_black(cx, f, black_chain)
             return _ref_half_diagonal(cx, f, q1, b1) + mid - _ref_half_diagonal(cx, f, q2, b2)
-        mid = 2.0 * _ref_white(cx, f, chains.white)
+        mid = 2.0 * _ref_white(cx, f, white_chain)
         return _ref_half_diagonal(cx, f, q1, w1) + mid - _ref_half_diagonal(cx, f, q2, w2)
 
     return (np.array([total(f) for f in hb.omega], dtype=complex),
@@ -203,16 +203,16 @@ class TestAgainstPerEdgeSums:
         cx, basis, _ = weighted
         for _ in range(3):
             omega = _random_form(cx, rng)
-            for cyc, ch in zip(basis.all_cycles(), basis.all_chains()):
+            for cyc in basis.all_cycles():
+                black, white = _reference_black_white(cx, cyc)
                 _close(integrate_cycle(cx, omega, cyc), _ref_cycle(cx, omega, cyc))
                 _close(integrate_cycle(cx, omega.expand(cx), cyc), _ref_cycle(cx, omega, cyc))
-                _close(integrate_black_chain(cx, omega, ch.black),
-                       _ref_black(cx, omega, ch.black))
-                _close(integrate_white_chain(cx, omega, ch.white),
-                       _ref_white(cx, omega, ch.white))
-            for k, ch in enumerate(basis.b_chains):
+                _close(integrate_black_chain(cx, omega, black), _ref_black(cx, omega, black))
+                _close(integrate_white_chain(cx, omega, white), _ref_white(cx, omega, white))
+            for k, cyc in enumerate(basis.b):
+                black, white = _reference_black_white(cx, cyc)
                 _close(b_period_average(cx, omega, basis, k),
-                       _ref_black(cx, omega, ch.black) + _ref_white(cx, omega, ch.white))
+                       _ref_black(cx, omega, black) + _ref_white(cx, omega, white))
 
     def test_graph_paths(self, weighted, rng):
         cx, _, _ = weighted
@@ -290,7 +290,8 @@ def test_medial_row_is_half_the_doubled_shadow_rows(name):
         medial = dense_matrix((k, 2 * cx.nq),
                               step_triplets(medial_steps([c.edges for c in basis.all_cycles()]),
                                             cx.nq))
-        shadows = chain_rows(basis.all_chains(), cx.nq)
+        shadows = chain_rows([_reference_black_white(cx, c) for c in basis.all_cycles()],
+                             cx.nq)
         assert np.array_equal(medial, (shadows[:k] + shadows[k:]) / 2)
 
 

@@ -609,3 +609,82 @@ def test_edge_runs_are_computed_once(monkeypatch):
         assert medial_graph(cx).n_vertices == 2 * cx.nq
         assert calls == [4 * cx.nq]
 
+
+
+# ---------------------------------------------------------------------------
+# QuadComplex.build as array checks, against the per-quad loop it replaced
+
+
+def _reference_build(colors, quads, rho):
+    """The per-quad checks of the earlier ``QuadComplex.build``."""
+    colors = tuple(int(c) for c in colors)
+    quads = tuple(tuple(int(v) for v in q) for q in quads)
+    rho = tuple(complex(r) for r in rho)
+    if len(quads) != len(rho):
+        raise SurfaceError("need one rho per quad")
+    for q in quads:
+        if len(q) != 4:
+            raise SurfaceError(f"quad {q} does not have 4 vertices")
+        if any(v < 0 or v >= len(colors) for v in q):
+            raise SurfaceError(f"quad {q} references unknown vertex")
+    return QuadComplex(colors, quads, rho)
+
+
+def _build_outcome(build, colors, quads, rho):
+    """(colors, quads, rho) of the built complex, or the type and text of the error."""
+    try:
+        cx = build(colors, quads, rho)
+    except (DqsError, ValueError, TypeError, OverflowError) as exc:
+        return type(exc), str(exc)
+    assert all(type(v) is int for q in cx.quads for v in q)
+    return cx.colors, cx.quads, cx.rho
+
+
+def _edited(quads, *edits):
+    out = list(quads)
+    for k, row in edits:
+        out[k] = row
+    return out
+
+
+_T = gen_torus(4, 4, 1j)
+_BUILD_CASES = {
+    "tuples": lambda: list(_T.quads),
+    "lists": lambda: [list(q) for q in _T.quads],
+    "int64": lambda: np.array(_T.quads),
+    "int32": lambda: np.array(_T.quads, dtype=np.int32),
+    "uint64": lambda: np.array(_T.quads, dtype=np.uint64),
+    "rows-of-arrays": lambda: [np.array(q) for q in _T.quads],
+    "generator": lambda: (q for q in _T.quads),
+    "floats": lambda: np.array(_T.quads) + 0.5,
+    "bools": lambda: _edited(_T.quads, (0, (False, True, 2, 5))),
+    "empty": lambda: [],
+    "ragged-short": lambda: _edited(_T.quads, (3, (0, 1, 2))),
+    "ragged-long": lambda: _edited(_T.quads, (5, (0, 1, 2, 3, 4))),
+    "negative": lambda: _edited(_T.quads, (2, (0, -1, 2, 3))),
+    "negative-array": lambda: np.array(_edited(_T.quads, (2, (0, -1, 2, 3)))),
+    "out-of-range": lambda: _edited(_T.quads, (4, (0, 1, 16, 3))),
+    "out-of-range-array": lambda: np.array(_edited(_T.quads, (4, (0, 1, 16, 3)))),
+    "range-then-ragged": lambda: _edited(_T.quads, (2, (0, 1, 99, 3)), (5, (0, 1))),
+    "ragged-then-range": lambda: _edited(_T.quads, (2, (0, 1)), (5, (0, 1, 99, 3))),
+    "beyond-int64": lambda: _edited(_T.quads, (6, (0, 2 ** 70, 2, 3))),
+    "three-columns": lambda: np.array(_T.quads)[:, :3],
+    "five-columns": lambda: np.hstack([np.array(_T.quads), np.zeros((16, 1), int)]),
+    "not-a-number": lambda: _edited(_T.quads, (1, ("a", 1, 2, 3))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BUILD_CASES))
+@pytest.mark.parametrize("rho_count", [16, 15])
+def test_build_accepts_and_refuses_as_the_per_quad_loop(case, rho_count):
+    quads = _BUILD_CASES[case]
+    rho = list(_T.rho)[:rho_count] if case != "empty" else [1.0] * (16 - rho_count)
+    got = _build_outcome(QuadComplex.build, _T.colors, quads(), rho)
+    assert got == _build_outcome(_reference_build, _T.colors, quads(), rho)
+    if isinstance(got[0], tuple):  # built: the seeded arrays are what the properties build
+        cx = QuadComplex.build(_T.colors, quads(), rho)
+        fresh = QuadComplex(cx.colors, cx.quads, cx.rho)
+        for name in ("quad_array", "rho_array"):
+            a, b = vars(cx)[name], getattr(fresh, name)
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+            assert not a.flags.writeable
