@@ -20,7 +20,8 @@ at w has as many preimages as the wrap counts over the fibre of w add
 up to, and a connected target gives one count, the sheets, for every
 vertex and quad.  None of this needs a check; the parity of the
 branching and the genus identity are the theorem, from independent
-counts.
+counts, which ``check_riemann_hurwitz`` reports and does not judge: a
+failed identity is a non-zero ``BranchReport.genus_residual``.
 ``double_cover`` glues the corner slots of the two sheets across the
 base edges with the union pass of the connectivity check.
 """
@@ -110,22 +111,6 @@ class CoveringMap:
              // self.target.vertex_groups[1][self.vertex_array])
         k[verts[img == _NOT_A_ROTATION]] = _NOT_A_ROTATION
         return read_only(k)
-
-
-def is_biconstant_quad(m: CoveringMap, q: int) -> bool:
-    return bool(m.corner_images[4 * q] == _BICONSTANT)
-
-
-def quad_image(m: CoveringMap, q: int):
-    """Target quad a non-degenerate quad maps onto, or None if biconstant.
-
-    The image tuple must be a rotation (not a reflection) of the target
-    quad with the same weight; anything else is invalid.
-    """
-    i = int(m.corner_images[4 * q])
-    if i == _NOT_A_ROTATION:
-        raise DqsError(_not_a_rotation(m, q))
-    return None if i == _BICONSTANT else i // 4
 
 
 def _not_a_rotation(m: CoveringMap, q: int) -> str:
@@ -225,14 +210,19 @@ class BranchReport:
 
     @property
     def genus_residual(self) -> int:
-        return self.genus_source - (self.sheets * (self.genus_target - 1)
-                                    + 1 + self.total_branching // 2)
+        """The genus identity g = N(g' - 1) + 1 + b/2, doubled to stay in
+        the integers: 2g - (2N(g' - 1) + 2 + b), which is zero iff it holds."""
+        return 2 * self.genus_source - (2 * self.sheets * (self.genus_target - 1)
+                                        + 2 + self.total_branching)
 
 
 def check_riemann_hurwitz(m: CoveringMap, report: MapReport = None) -> BranchReport:
-    """Branch data and the integer genus identity; raises on violation.
+    """Branch data of a valid map; raises DqsError where the map is invalid.
 
-    ``report`` is ``validate_map(m)`` when the caller has it already.
+    The genus identity is left to the report's ``genus_residual``: each
+    of its counts comes from its own pass, so an odd branching or a
+    failed identity reads there as a non-zero residual.  ``report`` is
+    ``validate_map(m)`` when the caller has it already.
     """
     if report is None:
         report = validate_map(m)
@@ -241,15 +231,7 @@ def check_riemann_hurwitz(m: CoveringMap, report: MapReport = None) -> BranchRep
     vb = {v: k - 1 for v, k in enumerate(m.wrap_counts.tolist()) if k != 1}
     qb = dict.fromkeys(np.flatnonzero(m.corner_images[::4] == _BICONSTANT).tolist(), 1)
     b = sum(vb.values()) + len(qb)
-    if b % 2:
-        raise DqsError(f"total branching {b} is odd")
-    n = sheet_count(m)
-    rep = BranchReport(n, vb, qb, b, genus(m.source), genus(m.target))
-    if rep.genus_residual != 0:
-        raise DqsError(
-            f"genus identity fails: {rep.genus_source} != "
-            f"{n}*({rep.genus_target}-1)+1+{b}/2")
-    return rep
+    return BranchReport(sheet_count(m), vb, qb, b, genus(m.source), genus(m.target))
 
 
 # ---------------------------------------------------------------------------

@@ -23,26 +23,16 @@ def gen_torus(m: int, n: int, tau: complex) -> QuadComplex:
     if not tau.imag > 0:
         raise DqsError(f"tau={tau} must have positive imaginary part")
 
-    def vid(i, j):
-        return (j % n) * m + (i % m)
-
-    colors = [BLACK if (i + j) % 2 == 0 else WHITE for j in range(n) for i in range(m)]
+    j, i = np.divmod(np.arange(m * n), m)
+    i1, j1 = (i + 1) % m, (j + 1) % n
+    cells = np.stack([j * m + i, j * m + i1, j1 * m + i1, j1 * m + i], axis=1)
+    odd = (i + j) % 2 == 1
+    # an odd cell starts at its black corner (i + 1, j)
+    cells[odd] = np.roll(cells[odd], -1, axis=1)
     u, w = 1.0 / m, tau / n
     rho_even = -1j * (w - u) / (u + w)
-    rho_odd = 1.0 / rho_even
-
-    quads = []
-    rho = []
-    for j in range(n):
-        for i in range(m):
-            c = (vid(i, j), vid(i + 1, j), vid(i + 1, j + 1), vid(i, j + 1))
-            if (i + j) % 2 == 0:
-                quads.append(c)
-                rho.append(rho_even)
-            else:
-                quads.append((c[1], c[2], c[3], c[0]))
-                rho.append(rho_odd)
-    return QuadComplex.build(colors, quads, rho)
+    rho = np.where(odd, 1.0 / rho_even, rho_even)
+    return QuadComplex.build(np.where(odd, WHITE, BLACK), cells, rho)
 
 
 def randomize_rho(cx: QuadComplex, rng: np.random.Generator) -> QuadComplex:

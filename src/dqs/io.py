@@ -10,8 +10,8 @@ DQS documents and map bundles are read on one of two paths with the
 same results.  The array path decodes the text with ``orjson``, where
 that package is installed, else with the stdlib ``json``, and pulls
 every field out of the decoded lists with ``operator.itemgetter``: the
-vertex ids and colors, the quad ids, corners and weights, the embedded
-basis edges and the vertex map.  It checks types (exact ``int``, never
+vertex ids and colors, the quad ids, corners and weights, and the
+vertex map.  It checks types (exact ``int``, never
 ``bool``), ranges, duplicates, id density in any order and finiteness
 as numpy passes, and the new ``QuadComplex`` starts with the read-only
 ``quad_array`` and ``rho_array`` those passes built.  A document that
@@ -27,7 +27,10 @@ magnitude) and refuses NaN and Infinity literals and lone surrogates.
 One difference remains: the stdlib decoder stops at about 1000 levels
 of nesting (``invalid JSON``), orjson does not, so a document whose
 ignored extra keys nest that deep is accepted with orjson and rejected
-without it.  Forms (``parse_oneform``) are read on the exact path only.
+without it.  An embedded basis, a few edges per cycle, has one reader
+on both paths, ``_parse_basis``, whose ``ParseError`` sends the
+document to the exact path like any other rejection.  Forms
+(``parse_oneform``) are read on the exact path only.
 """
 
 from __future__ import annotations
@@ -92,7 +95,8 @@ _NUMBER = (int, float)
 
 def parse_dqs(text: str, name: str = "<dqs>"):
     """Parse a DQS document; returns (complex, basis-or-None)."""
-    return _read(text, name, _dqs_from_arrays, lambda doc: _dqs_from_doc(doc, name))
+    return _read(text, name, lambda doc: _dqs_from_arrays(doc, name),
+                 lambda doc: _dqs_from_doc(doc, name))
 
 
 def _dqs_from_doc(doc, name: str):
@@ -191,17 +195,9 @@ def _parse_basis(doc, cx, path):
                 if not (type(q) is int and type(corner) is int and type(sign) is int
                         and 0 <= q < cx.nq and 0 <= corner < 4 and sign in (1, -1)):
                     raise ParseError(f"{path}.{key}[{i}]", f"bad edge key {e}")
-    cycles = doc["a"] + doc["b"]
-    edges = np.array(list(chain.from_iterable(cycles)), dtype=np.int64).reshape(-1, 3)
-    return _basis(cx, edges, list(map(len, cycles)), len(doc["a"]))
-
-
-def _basis(cx, edges, lengths, na):
-    """The basis of the cycles of the checked [quad, corner, sign] rows of
-    edges, cycle k having the next lengths[k] rows, the first na a-cycles."""
-    pairs = list(zip((4 * edges[:, 0] + edges[:, 1]).tolist(), edges[:, 2].tolist()))
-    bounds = np.cumsum([0] + lengths).tolist()
-    cycles = [Cycle(tuple(pairs[a:b])) for a, b in zip(bounds, bounds[1:])]
+    cycles = [Cycle(tuple((4 * q + corner, sign) for q, corner, sign in edges))
+              for edges in doc["a"] + doc["b"]]
+    na = len(doc["a"])
     return build_basis(cx, cycles[:na], cycles[na:])
 
 
@@ -270,8 +266,9 @@ def _ordered(items: list, pos: np.ndarray) -> list:
     return list(map(items.__getitem__, pos.tolist()))
 
 
-def _dqs_from_arrays(doc):
-    """Complex and embedded basis of a decoded DQS document, by array checks."""
+def _dqs_from_arrays(doc, name: str):
+    """Complex and embedded basis of a decoded DQS document, by array
+    checks; the basis, a few edges per cycle, by ``_parse_basis``."""
     _accept(type(doc) is dict and "vertices" in doc and "quads" in doc)
     verts = doc["vertices"]
     try:
@@ -298,20 +295,7 @@ def _dqs_from_arrays(doc):
     R.real, R.imag = W[:, 0], W[:, 1]  # re + 1j*im would turn -0.0 into 0.0
     cx = QuadComplex(colors, tuple(_ordered(corners, pos)), tuple(R.tolist())).seeded(
         quad_array=read_only(Q[pos]), rho_array=read_only(R))
-    return cx, _basis_arrays(doc["basis"], cx) if "basis" in doc else None
-
-
-def _basis_arrays(doc, cx):
-    """The embedded basis of a decoded document, by array checks."""
-    _accept(type(doc) is dict and "a" in doc and "b" in doc
-            and type(doc["a"]) is list and type(doc["b"]) is list)
-    cycles = doc["a"] + doc["b"]
-    _accept(set(map(type, cycles)) == {list})
-    edges = _int_rows(list(chain.from_iterable(cycles)), 3)
-    q, corner, sign = edges.T
-    _accept(q.min() >= 0 and q.max() < cx.nq and corner.min() >= 0 and corner.max() < 4
-            and (np.abs(sign) == 1).all())
-    return _basis(cx, edges, list(map(len, cycles)), len(doc["a"]))
+    return cx, _parse_basis(doc["basis"], cx, f"{name}:basis") if "basis" in doc else None
 
 
 def dqs_doc(cx: QuadComplex, basis: HomologyBasis = None) -> dict:
@@ -379,11 +363,7 @@ def parse_oneform(text: str, cx: QuadComplex, name: str = "<form>") -> DiamondFo
 
 
 def _complex_pair(r, path, what) -> complex:
-    """The finite complex number of a JSON [re, im] pair of numbers.
-
-    ``_parse_quads`` makes the same checks inline: a call per quad adds
-    about 8 % to the parse time of a large surface.
-    """
+    """The finite complex number of a JSON [re, im] pair of numbers."""
     if not isinstance(r, list) or len(r) != 2:
         raise ParseError(path, f"{what} must be [re, im]")
     re, im = r
@@ -413,8 +393,7 @@ def parse_map_bundle(text: str, name: str = "<map>", loader=None):
     Returns (source, target, vertex_map, source_basis, target_basis).
     """
     return _read(text, name,
-                 lambda doc: _bundle(doc, name, loader, lambda side, path: _dqs_from_arrays(side),
-                                     _vertex_map_arrays),
+                 lambda doc: _bundle(doc, name, loader, _dqs_from_arrays, _vertex_map_arrays),
                  lambda doc: _bundle(doc, name, loader, _dqs_from_doc, _parse_vertex_map))
 
 

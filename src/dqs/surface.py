@@ -43,10 +43,15 @@ with linear numpy passes over these arrays and formats messages for the
 violators only.  Its findings but strong regularity are cached as
 ``defects``, and ``require_surface``, the one check before any
 computation, raises the first of them, so a surface is checked once
-however many commands or constructions ask.  ``stars``
-walks the successors behind that check, where a missing successor can
-only be a doubled edge, and ``require_star_cycles`` walks them only
-there.  Connected components, of the vertices here and of the corner
+however many commands or constructions ask.  The vertex links are
+judged there alone, on every complex: the successors of a vertex's
+incidences form closed walks and walks that end at a doubled edge, and
+a closed walk must be the whole star.  A pinch whose every incidence
+lies on a doubled edge stays invisible, because the vertex tables do
+not say which traversals of a doubled edge are glued.  ``stars`` walks
+the successors behind that check, where a missing successor can only
+be a doubled edge, and ``require_star_cycles`` walks them only there.
+Connected components, of the vertices here and of the corner
 slots of a double cover, come from one union pass, ``_components``.
 Every walk on the surface (the tree-cotree split, paths on the diagonal
 and medial graphs) is one breadth-first search, ``_bfs``, over one
@@ -338,32 +343,23 @@ class QuadComplex:
 
         Walking ccw around v crosses the edge (v, prev(v)) of the current
         quad.  Behind ``require_surface``, each walk starts at the
-        vertex's lowest (quad, slot) and follows ``star_successor``.  A
-        step across a doubled edge raises AmbiguousGluingError, and a star
-        that closes before it reaches every incidence of its vertex raises
-        SurfaceError.
+        vertex's lowest (quad, slot) and follows ``star_successor``.  The
+        successors are one-to-one, so the walk returns to its start, and
+        then the gate's link check has made it the whole star, or steps
+        across a doubled edge, which raises AmbiguousGluingError.
         """
         require_surface(self)
-        by_vertex, deg, start = self.vertex_groups
-        first = np.append(by_vertex, -1)[start].tolist()  # -1: in no quad
-        deg = deg.tolist()
+        by_vertex, _, start = self.vertex_groups
         succ = self.star_successor.tolist()
         out = []
-        for v in range(self.nv):
-            if not deg[v]:
-                out.append(())
-                continue
-            # the successors are one-to-one, so the walk returns to its
-            # start or meets a doubled edge
-            i0 = i = first[v]
+        for i0 in by_vertex[start].tolist():
+            i = i0
             order = [divmod(i0, 4)]
             while (j := succ[i]) != i0:
                 if j < 0:
                     raise _ambiguous_gluing(self, i)
                 order.append(divmod(j, 4))
                 i = j
-            if len(order) != deg[v]:
-                raise SurfaceError(f"link of vertex {v} is not a single cycle")
             out.append(tuple(order))
         return tuple(out)
 
@@ -462,13 +458,11 @@ def _defects(cx: QuadComplex) -> tuple:
     bad = _quad_violations(cx) + _edge_violations(cx)
     if not any(v.kind in _UNGLUED for v in bad):
         # Now every quad has four distinct vertices and edges, and every
-        # edge is traversed once each way by each pair of quads on it, so
-        # the star successors are all set unless some edge is doubled.
-        if not cx.has_doubled_edges:
-            v = _split_link_vertex(cx)
-            if v is not None:
-                bad.append(Violation("vertex-link", (),
-                                     f"link of vertex {v} is not a single cycle"))
+        # edge is traversed as often each way, so the star successors are
+        # set everywhere but at doubled edges.
+        v = _split_link_vertex(cx)
+        if v is not None:
+            bad.append(Violation("vertex-link", (), f"link of vertex {v} is not a single cycle"))
         bad.extend(_connectivity_violations(cx))
     bad.sort(key=_violation_order)
     return tuple(bad)
@@ -556,25 +550,41 @@ def _contains(distinct, x):
 
 
 def _split_link_vertex(cx):
-    """Lowest vertex whose star successors form more than one cycle, or None.
+    """Lowest vertex whose star the successors show is not one cycle, or None.
 
-    Needs every entry of ``cx.star_successor`` set.  Pointer doubling
-    labels each incidence with the lowest incidence on its cycle; a
-    vertex's star is one cycle iff one of its incidences keeps its own
-    label.
+    Needs the quad and edge passes of ``_defects``.  The successors are
+    one-to-one, so they split the incidences of a vertex into closed
+    walks and open ones, which end at a -1, a doubled edge.  A -1 steps
+    to a sink after the last incidence, and pointer doubling labels each
+    incidence with the lowest incidence ahead of it and sends every open
+    walk into the sink, so a closed walk is the set of incidences that
+    stay off it, one of which keeps its own label.  A closed walk steps
+    only across edges that lie in exactly two quad boundaries, where the
+    star of a surface has one way on, so on a surface it is the whole
+    star: a vertex is split when it has two closed walks, or one and any
+    incidence off it.  A vertex whose every walk is open cannot be
+    judged, since the vertex tables do not say which traversals of a
+    doubled edge are glued: a pinch whose every incidence lies on such
+    a walk stays invisible.
     """
     verts = cx.quad_array.ravel()
     if not len(verts):
         return None
-    succ = cx.star_successor
-    label = np.arange(len(succ))
+    sink = len(verts)
+    succ = np.append(cx.star_successor, sink)
+    succ[succ < 0] = sink
+    label = np.arange(sink + 1)
     own = label
-    span, longest = 1, np.bincount(verts).max()
+    deg = np.bincount(verts, minlength=cx.nv)
+    span, longest = 1, deg.max()
     while span < longest:
         label = np.minimum(label, label[succ])
         succ = succ[succ]
         span *= 2
-    split = np.bincount(verts[label == own], minlength=cx.nv) > 1
+    closed = succ[:-1] != sink
+    cycles = np.bincount(verts[closed & (label == own)[:-1]], minlength=cx.nv)
+    on_cycles = np.bincount(verts[closed], minlength=cx.nv)
+    split = (cycles > 1) | ((cycles == 1) & (on_cycles < deg))
     return int(split.argmax()) if split.any() else None
 
 
@@ -602,7 +612,7 @@ def _components(n: int, rows) -> np.ndarray:
 
 
 def _connectivity_violations(cx):
-    if cx.nv == 0:
+    if cx.nv <= 1 and not cx.nq:  # a lone vertex is one component, but no surface
         return [Violation("connectivity", (), "empty complex")]
     n_seen = int(np.count_nonzero(_components(cx.nv, cx.quad_array) == 0))
     if n_seen != cx.nv:
@@ -824,6 +834,7 @@ class QuadChart:
 
 
 def quad_chart(cx: QuadComplex, q: int) -> QuadChart:
+    require_ids((q,), cx.nq, "quad")
     r = cx.rho[q]
     return QuadChart(q, -1.0 + 0j, -1j * r, 1.0 + 0j, 1j * r, intersection_angle(r))
 
@@ -951,9 +962,8 @@ def vertex_chart(cx: QuadComplex, v: int) -> VertexChart:
     Every induced quad chart has oriented diagonal ratio i*rho of that
     quad, and images of shared edges coincide by construction.
     """
+    require_ids((v,), cx.nv, "vertex")
     star = cx.stars[v]
-    if not star:
-        raise SurfaceError(f"vertex {v} has no incident quads")
     black = cx.colors[v] == BLACK
     rhos = [cx.rho[q] for (q, _) in star]
     corners, angles = vertex_fan(rhos, black)

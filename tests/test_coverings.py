@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from dqs import (
+    BranchReport,
     CoveringMap,
     branch_vertex,
     check_riemann_hurwitz,
@@ -18,7 +19,6 @@ from dqs import (
     validate_map,
 )
 from dqs import coverings
-from dqs.coverings import is_biconstant_quad
 from dqs.errors import AmbiguousGluingError, DqsError
 from dqs.surface import QuadComplex, require_star_cycles
 
@@ -93,7 +93,7 @@ class TestBranchVertex:
     def test_biconstant_everywhere_gives_zero(self, torus44):
         vm = [0 if torus44.colors[v] == 0 else 1 for v in range(16)]
         m = CoveringMap(torus44, torus44, vm)
-        assert all(is_biconstant_quad(m, q) for q in range(16))
+        assert (m.corner_images == coverings._BICONSTANT).all()
         assert branch_vertex(m, 0) == 0
 
 
@@ -107,12 +107,10 @@ class TestSheetCount:
 
     def test_per_quad_counts_match(self, cover):
         # every base quad has exactly two bijective preimages
-        from dqs.coverings import quad_image
-
         total, base, cmap = cover
         counts = np.zeros(base.nq, int)
         for q in range(total.nq):
-            counts[quad_image(cmap, q)] += 1
+            counts[_image(cmap, q)] += 1
         assert set(counts.tolist()) == {2}
 
 
@@ -142,6 +140,11 @@ class TestRiemannHurwitz:
         assert genus(src) == 1 == genus(tgt)
         assert rep.genus_residual == 0
 
+    def test_residual_is_the_doubled_identity(self):
+        # g = N = g' = 1 with b = 1: 1 != 1*0 + 1 + 1/2, which b // 2 hid
+        assert BranchReport(1, {}, {0: 1}, 1, 1, 1).genus_residual == -1
+        assert BranchReport(2, {}, {}, 8, 3, 0).genus_residual == 0  # the cube cover
+
     def test_surjectivity_of_cover(self, cover):
         total, base, cmap = cover
         assert set(cmap.vertex_map) == set(range(base.nv))
@@ -160,8 +163,15 @@ class TestGenerators:
 # table lookups against the whole-target scans they replaced
 
 
+def _image(m, q):
+    """The target quad of q read off ``corner_images``, None where q is biconstant."""
+    i = int(m.corner_images[4 * q])
+    return None if i == coverings._BICONSTANT else i // 4
+
+
 def _scan_quad_image(m, q):
-    """Reference quad_image: compare with both rotations of every target quad."""
+    """Reference image of quad q, None where it is biconstant: compare with
+    both rotations of every target quad."""
     imgs = tuple(m.image(v) for v in m.source.quads[q])
     if imgs[0] == imgs[2] and imgs[1] == imgs[3]:
         return None
@@ -196,11 +206,10 @@ def _covering(name):
 def test_riemann_hurwitz_matches_full_scan(name):
     m = _covering(name)
     fast = check_riemann_hurwitz(m)
-    assert [coverings.quad_image(m, q) for q in range(m.source.nq)] \
+    assert [_image(m, q) for q in range(m.source.nq)] \
         == [_scan_quad_image(m, q) for q in range(m.source.nq)]
     ref = _reference_riemann_hurwitz(m)
-    assert (fast.sheets, fast.vertex_branch_numbers, fast.quad_branch_numbers,
-            fast.total_branching) == ref
+    assert _counts(fast) == ref
 
 
 def test_riemann_hurwitz_work_is_linear(counted_quads):
@@ -260,6 +269,27 @@ def test_hurwitz_command_validates_and_winds_once(monkeypatch, tmp_path, capsys)
     _count_computations(monkeypatch, "wrap_counts", wound)
     assert _hurwitz_job(tmp_path, capsys)["outputs"]["sheets"] == 2
     assert calls == {"validate_map": 1, "stars": 0} and len(wound) == 1
+
+
+def test_hurwitz_reports_a_failed_identity(monkeypatch, tmp_path, capsys):
+    """The identity is judged by the report: with a wrong source genus,
+    ``dqs hurwitz`` prints the counts, one FAIL line and exits 1."""
+    from dqs import cli
+    from dqs.io import serialize_map_bundle
+
+    source, target, cmap = gen_torus_unbranched_cover(4, 4, 0.2 + 1.1j)
+    path = tmp_path / "cover.json"
+    path.write_text(serialize_map_bundle(source, target, cmap.vertex_map))
+    # the true genus is 1 on both sides
+    monkeypatch.setattr(coverings, "genus", lambda cx: 2 if cx.nq == source.nq else 1)
+    assert cli.main(["hurwitz", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out.splitlines()[-3:] == ['identity: "2 = 2*(1-1)+1+0/2"', "[ok] map-valid",
+                                     "[FAIL] riemann-hurwitz-identity"]
+    assert cli.main(["hurwitz", "--format", "json", str(path)]) == 1
+    assert json.loads(capsys.readouterr().out)["checks"][-1] == {
+        "name": "riemann-hurwitz-identity", "pass": False, "residual": None}
 
 
 def test_hurwitz_command_images_each_quad_once(monkeypatch, tmp_path, capsys):
@@ -326,7 +356,8 @@ def _reference_sheets(m, wraps, image=_scan_quad_image) -> int:
 
 def _reference_riemann_hurwitz(m, image=_scan_quad_image):
     """Reference check_riemann_hurwitz: (sheets, vertex and quad branch
-    numbers, total branching), or the error it raises."""
+    numbers, total branching, whether g = N(g' - 1) + 1 + b/2 holds), or
+    the error it raises."""
     report = _reference_validate_map(m)
     if report:
         raise DqsError("map invalid:\n" + "\n".join(report))
@@ -334,13 +365,15 @@ def _reference_riemann_hurwitz(m, image=_scan_quad_image):
     vb = {v: k - 1 for v, k in enumerate(wraps) if k != 1}
     qb = {q: 1 for q in range(m.source.nq) if image(m, q) is None}
     b = sum(vb.values()) + sum(qb.values())
-    if b % 2:
-        raise DqsError(f"total branching {b} is odd")
     n = _reference_sheets(m, wraps.__getitem__, image)
     g, g2 = genus(m.source), genus(m.target)
-    if g != n * (g2 - 1) + 1 + b // 2:
-        raise DqsError(f"genus identity fails: {g} != {n}*({g2}-1)+1+{b}/2")
-    return n, vb, qb, b
+    return n, vb, qb, b, g == n * (g2 - 1) + 1 + b / 2
+
+
+def _counts(r):
+    """The counts of a BranchReport in the order of the reference."""
+    return (r.sheets, r.vertex_branch_numbers, r.quad_branch_numbers, r.total_branching,
+            r.genus_residual == 0)
 
 
 def _outcome(fn, *args):
@@ -396,10 +429,8 @@ def test_wraps_and_sheets_match_star_walks(name):
         assert _outcome(sheet_count, m) == _outcome(
             _reference_sheets, m, lambda v: _reference_branch_vertex(m, v, image), image)
 
-        def report():
-            r = check_riemann_hurwitz(m)
-            return r.sheets, r.vertex_branch_numbers, r.quad_branch_numbers, r.total_branching
-        assert _outcome(report) == _outcome(_reference_riemann_hurwitz, m, image)
+        assert _outcome(lambda: _counts(check_riemann_hurwitz(m))) \
+            == _outcome(_reference_riemann_hurwitz, m, image)
 
 
 def _rotation_or_biconstant_maps(source, target):
@@ -474,10 +505,8 @@ def test_deleted_covering_checks_are_unreachable(name):
         assert [branch_vertex(m, v) for v in range(m.source.nv)] == wraps
         assert sheet_count(m) == n
 
-        def report():
-            r = check_riemann_hurwitz(m)
-            return r.sheets, r.vertex_branch_numbers, r.quad_branch_numbers, r.total_branching
-        assert _outcome(report) == _outcome(_reference_riemann_hurwitz, m)
+        assert _outcome(lambda: _counts(check_riemann_hurwitz(m))) \
+            == _outcome(_reference_riemann_hurwitz, m)
     if name in _SEARCHED:
         assert judged == len(maps)
 

@@ -27,6 +27,7 @@ from dqs import surface
 from dqs.coverings import gen_cube_double_cover
 from dqs.errors import DqsError, MalformedSurfaceError, SurfaceError
 from dqs.homology import lift_diagonal_walk
+from dqs.selftest import shipped_surfaces
 from dqs.surface import SLOT_BM, SLOT_BP, SLOT_WM, SLOT_WP, ValidationReport, Violation
 
 from conftest import edge_pairs, incidences, reference_other_quad
@@ -103,11 +104,7 @@ def _reference_validate(cx):
                 "rho-positivity", (q,), f"quad {q} has rho={r} with Re <= 0"))
     structural = [v for v in bad if v.kind in ("quad-vertices", "bipartite", "closed-surface")]
     if not structural:
-        if not any(len(e) != 2 for e in edge_pairs(cx).values()):
-            try:
-                _reference_stars(cx)
-            except SurfaceError as exc:
-                bad.append(Violation("vertex-link", (), str(exc)))
+        bad.extend(_reference_links(cx))
         bad.extend(_reference_connectivity(cx))
         bad.extend(_reference_strong_regularity(cx))
     order = {"quad-vertices": 0, "bipartite": 1, "closed-surface": 2,
@@ -117,8 +114,33 @@ def _reference_validate(cx):
     return ValidationReport(tuple(bad))
 
 
+def _reference_links(cx):
+    """Reference link check: from each incidence of v, walk ccw across the
+    edges at v that lie in exactly two quad boundaries.  A walk that
+    returns to its start is closed, and a closed walk must be the whole
+    star; a vertex whose every walk stops at a doubled edge passes."""
+    for v, inc in enumerate(incidences(cx)):
+        closed = set()
+        for start in inc:
+            walk = [start]
+            q, s = start
+            while True:
+                try:
+                    q = reference_other_quad(cx, cx.corner_prev(q, s), v)
+                except SurfaceError:  # a doubled edge: the walk is open
+                    break
+                s = cx.corner_slot(q, v)
+                if (q, s) == start:
+                    closed.add(frozenset(walk))
+                    break
+                walk.append((q, s))
+        if len(closed) > 1 or closed and len(next(iter(closed))) != len(inc):
+            return [Violation("vertex-link", (), f"link of vertex {v} is not a single cycle")]
+    return []
+
+
 def _reference_connectivity(cx):
-    if cx.nv == 0:
+    if cx.nv <= 1 and not cx.nq:
         return [Violation("connectivity", (), "empty complex")]
     seen = {0}
     stack = [0]
@@ -236,6 +258,17 @@ def _split_quad():
     return QuadComplex.build(cube.colors + (WHITE,), quads, [1.0] * 7)
 
 
+def _pinched():
+    """Vertices 0 and 6 of the 4x4 torus identified with vertices 0 and 1 of
+    the 2x2 torus, all of whose edges are doubled: vertex 0 has one closed
+    star walk in the first torus and open ones in the second."""
+    a, b = gen_torus(4, 4, 1j), gen_torus(2, 2, 1j)
+    new = [0, 6, 16, 17]
+    return QuadComplex.build(a.colors + b.colors[2:],
+                             a.quads + tuple(tuple(new[v] for v in t) for t in b.quads),
+                             a.rho + b.rho)
+
+
 def _surface(name):
     """Surfaces for the reference comparison, with the kinds they violate."""
     torus = gen_torus(4, 4, 1j)
@@ -274,6 +307,8 @@ def _surface(name):
         return _glued_cubes(0, 3), ["strong-regularity", "vertex-link"]
     if name == "degree-two-vertex":
         return _split_quad(), ["strong-regularity"]
+    if name == "pinched-doubled-edges":
+        return _pinched(), ["strong-regularity", "vertex-link"]
     if name == "disconnected":
         return _two_cubes(), ["connectivity"]
     if name == "disconnected-interleaved":
@@ -313,8 +348,8 @@ def _expected_stars(cx):
 @pytest.mark.parametrize("name", [
     "cube", "pillow", "torus-2x4", "torus-4x4", "torus-32", "genus3", "genus3-sub3",
     "repeated-vertex", "non-bipartite", "open", "doubled-quad", "two-cycle-link",
-    "shared-diagonal", "degree-two-vertex", "disconnected", "disconnected-interleaved",
-    "bad-weights"])
+    "shared-diagonal", "degree-two-vertex", "pinched-doubled-edges", "disconnected",
+    "disconnected-interleaved", "bad-weights"])
 def test_validate_and_stars_match_reference(name):
     cx, kinds = _surface(name)
     report = validate(cx)
@@ -328,7 +363,7 @@ def test_validate_and_stars_match_reference(name):
 def test_validate_matches_reference_on_random_edits(rng):
     """Random corner, color, weight and orientation edits of valid surfaces."""
     bases = [gen_cube(), gen_torus(4, 4, 1j), gen_torus(2, 4, 1j), pillow(),
-             gen_cube_double_cover()[0]]
+             gen_cube_double_cover()[0], _pinched()]
     for trial in range(300):
         base = bases[trial % len(bases)]
         colors, quads, rho = list(base.colors), [list(t) for t in base.quads], list(base.rho)
@@ -446,6 +481,14 @@ class TestQuadChart:
             cx = QuadComplex.build(cx.colors, cx.quads, [rho] * 16)
             ch = quad_chart(cx, 3)
             assert abs(ch.diagonal_ratio - rho) < 1e-12
+
+
+@pytest.mark.parametrize("chart, what", [(quad_chart, "quad"), (vertex_chart, "vertex")])
+@pytest.mark.parametrize("bad", [-1, -16, 16, 17])
+def test_charts_refuse_ids_out_of_range(torus44, chart, what, bad):
+    """A negative id does not wrap to the chart of another quad or vertex."""
+    with pytest.raises(DqsError, match=f"^{what} id {bad} out of range 0..15$"):
+        chart(torus44, bad)
 
 
 class TestVertexChart:
@@ -590,6 +633,51 @@ def test_stars_and_charts_read_no_successor_of_a_disconnected_surface():
                 lambda: lift_diagonal_walk(cx, [(0, 1), (0, -1)], BLACK)):
         with pytest.raises(SurfaceError, match="^only 8 of 16 vertices connected$"):
             ask()
+
+
+def test_a_pinch_beside_doubled_edges_is_refused(tmp_path, capsys):
+    """Vertex 0 of the pinched complex has a closed star walk in the 4x4
+    torus and incidences off it in the 2x2 torus, whose edges are all
+    doubled: the gate refuses it, and every surface command stops."""
+    from dqs.cli import main
+    from dqs.io import serialize_dqs
+
+    cx = _pinched()
+    assert (cx.nv, cx.nq) == (18, 20) and cx.has_doubled_edges
+    with pytest.raises(SurfaceError, match="^link of vertex 0 is not a single cycle$"):
+        require_surface(cx)
+    assert str(validate(cx).violations[0]) == "[vertex-link] link of vertex 0 is not a single cycle"
+    path = tmp_path / "pinched.dqs"
+    path.write_text(serialize_dqs(cx))
+    for command in (["genus"], ["riemann-roch", "--divisor", "q:1=1"], ["homology"]):
+        assert main(command + [str(path)]) == 1
+        assert capsys.readouterr() == ("", "error: link of vertex 0 is not a single cycle\n")
+
+
+def test_a_lone_vertex_is_no_surface():
+    cx = QuadComplex.build([BLACK], [], [])
+    assert [str(v) for v in validate(cx).violations] == ["[connectivity] empty complex"]
+    for ask in (lambda: cx.stars, lambda: vertex_chart(cx, 0), lambda: medial_graph(cx)):
+        with pytest.raises(SurfaceError, match="^empty complex$"):
+            ask()
+
+
+def _doubled_edge_tori():
+    return [gen_torus(m, n, 0.2 + 1.1j)
+            for m, n in ((2, 2), (2, 4), (4, 2), (2, 6), (6, 2), (2, 8))]
+
+
+@pytest.mark.parametrize("make", [
+    _doubled_edge_tori, lambda: [gen_cube()],
+    lambda: [gen_cube_double_cover()[0], subdivide3(gen_cube_double_cover()[0])],
+    lambda: [cx for _, cx in shipped_surfaces()],
+], ids=["doubled-edge-tori", "cube", "genus3-cover", "shipped"])
+def test_the_link_check_passes_every_surface(make):
+    """No false positive: on these surfaces every star is one cycle, or
+    every walk of it stops at a doubled edge."""
+    for cx in make():
+        require_surface(cx)
+        assert "vertex-link" not in validate(cx).kinds()
 
 
 def test_edge_runs_are_computed_once(monkeypatch):
