@@ -102,7 +102,6 @@ from .differentials import (
     nullity_harmonic,
     nullity_holomorphic,
     period_matrices,
-    residue,
     residues,
     transform_periods,
 )

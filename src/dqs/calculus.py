@@ -33,26 +33,24 @@ from .surface import (
 
 
 def as_vertex_function(cx: QuadComplex, f) -> np.ndarray:
-    if isinstance(f, dict):
-        out = np.zeros(cx.nv, dtype=complex)
-        for v, val in f.items():
-            out[int(v)] = val
-        return out
-    arr = np.asarray(f, dtype=complex)
-    if arr.shape != (cx.nv,):
-        raise DqsError(f"vertex function has shape {arr.shape}, expected ({cx.nv},)")
-    return arr
+    return _as_function(f, cx.nv, "vertex")
 
 
 def as_quad_function(cx: QuadComplex, h) -> np.ndarray:
-    if isinstance(h, dict):
-        out = np.zeros(cx.nq, dtype=complex)
-        for q, val in h.items():
-            out[int(q)] = val
+    return _as_function(h, cx.nq, "quad")
+
+
+def _as_function(values, n: int, what: str) -> np.ndarray:
+    """values as a complex array of length n: a dict {id: value} is zero
+    elsewhere, anything else must have shape (n,)."""
+    if isinstance(values, dict):
+        out = np.zeros(n, dtype=complex)
+        for i, val in values.items():
+            out[int(i)] = val
         return out
-    arr = np.asarray(h, dtype=complex)
-    if arr.shape != (cx.nq,):
-        raise DqsError(f"quad function has shape {arr.shape}, expected ({cx.nq},)")
+    arr = np.asarray(values, dtype=complex)
+    if arr.shape != (n,):
+        raise DqsError(f"{what} function has shape {arr.shape}, expected ({n},)")
     return arr
 
 
@@ -104,9 +102,6 @@ class OneForm:
 
     def __post_init__(self):
         object.__setattr__(self, "values", np.asarray(self.values, dtype=complex))
-
-    def at(self, edge_index: int, sign: int = 1) -> complex:
-        return sign * self.values[edge_index]
 
 
 @dataclass(frozen=True)

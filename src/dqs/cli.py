@@ -102,21 +102,20 @@ class Report:
         self.checks.append({"name": name, "pass": bool(passed),
                             "residual": None if residual is None else float(residual)})
 
-    def emit(self, stream=None):
-        stream = stream if stream is not None else sys.stdout
+    def emit(self):
         elapsed = time.perf_counter() - self.start
         if self.fmt == "json":
             doc = {"command": self.command, "input_digest": self.digest,
                    "outputs": self.outputs, "checks": self.checks,
                    "wall_time": elapsed}
-            print(json.dumps(doc), file=stream)
+            print(json.dumps(doc))
         else:
             for key, val in self.outputs.items():
-                print(f"{key}: {json.dumps(val)}", file=stream)
+                print(f"{key}: {json.dumps(val)}")
             for c in self.checks:
                 status = "ok" if c["pass"] else "FAIL"
                 res = "" if c["residual"] is None else f" (residual {c['residual']:.3e})"
-                print(f"[{status}] {c['name']}{res}", file=stream)
+                print(f"[{status}] {c['name']}{res}")
         return 0 if all(c["pass"] for c in self.checks) else 1
 
 

@@ -22,8 +22,9 @@ vertex and quad.  None of this needs a check; the parity of the
 branching and the genus identity are the theorem, from independent
 counts, which ``check_riemann_hurwitz`` reports and does not judge: a
 failed identity is a non-zero ``BranchReport.genus_residual``.
-``double_cover`` glues the corner slots of the two sheets across the
-base edges with the union pass of the connectivity check.
+``double_cover``, behind the same gate, glues the corner slots of the
+two sheets across the base edges with the union pass of the
+connectivity check.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DqsError, SurfaceError
+from .errors import DqsError
 from .generators import gen_cube, gen_torus
 from .surface import (
     QuadComplex,
@@ -42,7 +43,6 @@ from .surface import (
     read_only,
     require_ids,
     require_star_cycles,
-    require_surface,
     subdivide3_with_provenance,
 )
 
@@ -130,12 +130,13 @@ class MapReport:
         return "ok" if self.ok else "\n".join(self.violations)
 
 
-def validate_map(m: CoveringMap, tol: float = 1e-12) -> MapReport:
+def validate_map(m: CoveringMap) -> MapReport:
     """Check color preservation, the star condition, and per-quad rigidity.
 
     A quad whose image is a rotation of target quad q2 lies in q2, which
     holds the image of its first corner, so the star condition is checked
-    only for biconstant quads and quads whose image is no rotation.
+    only for biconstant quads and quads whose image is no rotation.  A
+    weight matches its target's within 1e-12 * max(1, |target weight|).
     """
     crossed = np.array(m.source.colors) != np.array(m.target.colors)[m.vertex_array]
     bad = [f"vertex {v} maps across colors" for v in np.flatnonzero(crossed).tolist()]
@@ -145,7 +146,7 @@ def validate_map(m: CoveringMap, tol: float = 1e-12) -> MapReport:
     onto = np.flatnonzero(first >= 0)
     r2 = m.target.rho_array[first[onto] // 4]
     flagged = first < 0
-    flagged[onto] = np.abs(m.source.rho_array[onto] - r2) > tol * np.maximum(1.0, np.abs(r2))
+    flagged[onto] = np.abs(m.source.rho_array[onto] - r2) > 1e-12 * np.maximum(1.0, np.abs(r2))
     by_vertex, deg, start = m.target.vertex_groups
     for q in np.flatnonzero(flagged).tolist():
         i = int(first[q])
@@ -179,11 +180,9 @@ def branch_vertex(m: CoveringMap, v: int) -> int:
 def _wrap_error(m: CoveringMap, v: int) -> DqsError:
     """The error of the star of v, which holds a quad that is no rotation:
     the first such quad ccw from the lowest incidence of v."""
-    by_vertex, _, start = m.source.vertex_groups
-    i = by_vertex[start[v]]
-    while m.corner_images[i] != _NOT_A_ROTATION:
-        i = m.source.star_successor[i]
-    return DqsError(_not_a_rotation(m, int(i) // 4))
+    img = m.corner_images
+    return DqsError(_not_a_rotation(m, next(
+        q for q, s in m.source.stars[v] if img[4 * q + s] == _NOT_A_ROTATION)))
 
 
 def sheet_count(m: CoveringMap) -> int:
@@ -245,9 +244,7 @@ def double_cover(base: QuadComplex, flip_edges) -> tuple:
     a base vertex whose sheet monodromy is trivial lifts twice, one with
     swapping monodromy lifts once and becomes a branch point.
     """
-    require_surface(base)
-    if base.has_doubled_edges:
-        raise SurfaceError("double cover construction needs simple edges")
+    require_star_cycles(base)
     flip_edges = {(min(u, w), max(u, w)) for (u, w) in flip_edges}
 
     # Corner i of the base (slot i % 4 of quad i // 4) has the slot

@@ -255,8 +255,9 @@ class PeriodMatrices:
 
 
 def period_matrices(cx: QuadComplex, basis: HomologyBasis,
-                    hb: HolomorphicBasis = None, tol: float = 1e-8) -> PeriodMatrices:
-    """All period matrices; raises if symmetry or positivity fails."""
+                    hb: HolomorphicBasis = None) -> PeriodMatrices:
+    """All period matrices; raises SolveError where a symmetry error
+    exceeds 1e-8 or an imaginary part has an eigenvalue at or below -1e-8."""
     if hb is None:
         hb = canonical_bases(cx, basis)
     g = basis.g
@@ -274,11 +275,11 @@ def period_matrices(cx: QuadComplex, basis: HomologyBasis,
             ("BB^T = WW", np.abs(BB.T - WW).max()),
         ]
         for name, err in checks:
-            if err > tol:
+            if err > 1e-8:
                 raise SolveError(f"period matrix inconsistency ({name}): {err:.3e}")
         for name, mat in (("Im Pi", Pi), ("Im Pi_full", Pi_full)):
             eigs = np.linalg.eigvalsh((mat.imag + mat.imag.T) / 2.0)
-            if eigs.min() <= -tol:
+            if eigs.min() <= -1e-8:
                 raise SolveError(f"{name} not positive definite (min eig {eigs.min():.3e})")
     return PeriodMatrices(Pi, Pi_full, Pi_black, Pi_white, BB, BW, WB, WW)
 
@@ -314,10 +315,6 @@ def transform_periods(Pi_full: np.ndarray, A, B, C, D) -> np.ndarray:
 def residues(cx: QuadComplex, omega: DiamondForm) -> np.ndarray:
     """Residue at every vertex: boundary integral of F_v over 2*pi*i."""
     return d_one_form(cx, omega).vertex_values / (2j * math.pi)
-
-
-def residue(cx: QuadComplex, omega: DiamondForm, v: int) -> complex:
-    return complex(residues(cx, omega)[v])
 
 
 @dataclass(frozen=True)

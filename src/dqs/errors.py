@@ -19,7 +19,8 @@ class AmbiguousGluingError(SurfaceError):
     Complexes whose 1-skeleton has two distinct edges with the same
     endpoints (width-2 wrap-around grids, pillows) carry too little
     information in the vertex/quad tables to reconstruct vertex stars.
-    Operations that need the rotation system raise this error; purely
+    Operations that need the rotation system raise it through one gate,
+    ``surface.require_star_cycles``, naming the doubled edge; purely
     per-quad and per-vertex-incidence operations still work.
     """
 

@@ -62,14 +62,14 @@ def _triangle_angles(p0, p1, p2):
     return angle(p0, p1, p2), angle(p1, p2, p0), angle(p2, p0, p1)
 
 
-def delaunay_voronoi(vertices, faces, tol: float = 1e-12) -> QuadComplex:
+def delaunay_voronoi(vertices, faces) -> QuadComplex:
     """Kite quadrangulation of a closed oriented Delaunay triangle mesh.
 
     Mesh vertices become the black vertices, triangle circumcenters the
     white ones, and each mesh edge yields one quad whose weight is the
     (intrinsic) circumcenter distance over the edge length, i.e. the
     average of the two opposite cotangents.  Edges whose cotangent sum
-    is not positive are rejected.
+    is at most 1e-12 are rejected.
     """
     pts = np.asarray(vertices, dtype=float)
     tris = [tuple(int(v) for v in f) for f in faces]
@@ -105,7 +105,7 @@ def delaunay_voronoi(vertices, faces, tol: float = 1e-12) -> QuadComplex:
             continue  # one quad per undirected edge
         t_right = directed[(w, u)]
         csum = cot[(t_left, frozenset((u, w)))] + cot[(t_right, frozenset((u, w)))]
-        if csum <= tol:
+        if csum <= 1e-12:
             raise NonDelaunayError((u, w), csum)
         # ccw around the quad: u, right circumcenter, w, left circumcenter
         quads.append((u, nv + t_right, w, nv + t_left))

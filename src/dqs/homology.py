@@ -251,12 +251,12 @@ def require_basis(cx: QuadComplex, basis: HomologyBasis) -> HomologyBasis:
     return basis
 
 
-def periods(cx: QuadComplex, omega: DiamondForm, basis: HomologyBasis,
-            tol: float = 1e-9) -> PeriodReport:
-    """Period report of a closed form; raises if the form is not closed."""
+def periods(cx: QuadComplex, omega: DiamondForm, basis: HomologyBasis) -> PeriodReport:
+    """Period report of a closed form; raises NotClosedError where the
+    closedness residual exceeds 1e-9 * max(1, |omega|)."""
     res = closedness_residual(cx, omega)
     scale = max(1.0, omega.norm())
-    if res > tol * scale:
+    if res > 1e-9 * scale:
         raise NotClosedError(res)
     g = basis.g
     AB, AW = integrals(basis.a_shadow_steps, 2 * g, [omega], cx.nq).reshape(2, g)
@@ -265,11 +265,11 @@ def periods(cx: QuadComplex, omega: DiamondForm, basis: HomologyBasis,
 
 
 def verify_rbi(cx: QuadComplex, omega: DiamondForm, other: DiamondForm,
-               basis: HomologyBasis, tol: float = 1e-9) -> float:
+               basis: HomologyBasis) -> float:
     """Residual of the bilinear identity relating the wedge integral to periods."""
     from .calculus import wedge
-    p1 = periods(cx, omega, basis, tol)
-    p2 = periods(cx, other, basis, tol)
+    p1 = periods(cx, omega, basis)
+    p2 = periods(cx, other, basis)
     total = wedge(cx, omega, other).total()
     rhs = 0.5 * np.sum(p1.A_black * p2.B_white - p1.B_black * p2.A_white) \
         + 0.5 * np.sum(p1.A_white * p2.B_black - p1.B_white * p2.A_black)

@@ -3,7 +3,8 @@
 The canonical set of holomorphic differentials integrates along paths
 into C^g.  Black targets are reached along black diagonals (doubled
 integrals) after half a diagonal of the base quad, white targets along
-white diagonals; quad targets via the medial graph.  Values are
+white diagonals; quad targets via the medial graph, whose doubled edges
+``surface.require_star_cycles`` refuses.  Values are
 well-defined modulo the lattice spanned by the identity columns and the
 corresponding period matrix, and path choices differ exactly by lattice
 vectors.  Each value is one row of ``operators.step_triplets`` steps,
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AmbiguousGluingError, DqsError
+from .errors import DqsError
 from .differentials import HolomorphicBasis, PeriodMatrices
 from .homology import Cycle, GraphPath, graph_path, shadow_steps
 from .operators import diagonal_steps, integrals, step_array
@@ -32,6 +33,7 @@ from .surface import (
     _bfs,
     _path_to,
     require_ids,
+    require_star_cycles,
 )
 
 
@@ -73,10 +75,10 @@ class Jacobian:
         out = gens @ frac
         return out
 
-    def contains(self, v, tol: float = 1e-8) -> bool:
-        """Whether v reduces into the lattice (is congruent to zero)."""
-        coords = self.coordinates(v)
-        return bool(np.abs(coords - np.round(coords)).max(initial=0.0) < tol)
+    def contains(self, v) -> bool:
+        """Whether v reduces into the lattice (is congruent to zero): its
+        lattice coordinates lie within 1e-8 of integers."""
+        return self.distance_to_lattice(v) < 1e-8
 
     def distance_to_lattice(self, v) -> float:
         coords = self.coordinates(v)
@@ -93,10 +95,12 @@ class AJValue:
     def __post_init__(self):
         object.__setattr__(self, "vector", np.asarray(self.vector, dtype=complex))
 
-    def same(self, other: "AJValue", tol: float = 1e-8) -> bool:
+    def same(self, other: "AJValue") -> bool:
+        """Whether both values lie on one lattice and differ by a lattice
+        vector (``Jacobian.contains``)."""
         if self.lattice.label != other.lattice.label:
             return False
-        return self.lattice.contains(self.vector - other.vector, tol)
+        return self.lattice.contains(self.vector - other.vector)
 
 
 def jacobians(pm: PeriodMatrices):
@@ -156,12 +160,10 @@ def _medial_bfs_path(cx: QuadComplex, start: int, goal: int):
 
     The search runs on ``QuadComplex.medial_adjacency``, whose nodes are
     the edge ids of ``QuadComplex.incidence_edge``: medial edge 4q + slot
-    runs from the edge (v, prev(v)) to (v, next(v)).
+    runs from the edge (v, prev(v)) to (v, next(v)).  Doubled edges, whose
+    midpoints are ambiguous, are refused by ``require_star_cycles``.
     """
-    if cx.has_doubled_edges:
-        raise AmbiguousGluingError(
-            "medial paths need unambiguous edge midpoints; this complex "
-            "has doubled edges")
+    require_star_cycles(cx)
     if start == goal:
         return []
     parent = _bfs(cx.medial_adjacency, start, goal)

@@ -70,24 +70,25 @@ def degree(d: Divisor) -> int:
             + sum(int(np.sign(c)) for c in d.quad_coeffs.values()))
 
 
-def function_divisor(cx: QuadComplex, f, tol: float = 1e-10) -> Divisor:
+def function_divisor(cx: QuadComplex, f) -> Divisor:
     """Divisor of a meromorphic vertex function.
 
     Zeros where f vanishes, coefficient 2 where df vanishes on the whole
     quad face (a double value), -1 where the holomorphicity equation
     fails (a simple pole).  A biconstant f has df identically zero; its
     divisor is degenerate and the caller should treat it separately.
+    A value counts as zero below 1e-10 * max(1, max |f|).
     """
     f = as_vertex_function(cx, f)
     df = d_function(cx, f)
     _, qbar = decompose_all(cx, df)
-    scale = max(1.0, np.abs(f).max(initial=0.0))
-    vc = {v: 1 for v in range(cx.nv) if abs(f[v]) < tol * scale}
+    eps = 1e-10 * max(1.0, np.abs(f).max(initial=0.0))
+    vc = {v: 1 for v in range(cx.nv) if abs(f[v]) < eps}
     qc = {}
     for q in range(cx.nq):
-        if abs(df.black[q]) < tol * scale and abs(df.white[q]) < tol * scale:
+        if abs(df.black[q]) < eps and abs(df.white[q]) < eps:
             qc[q] = 2
-        elif abs(qbar[q]) > tol * scale:
+        elif abs(qbar[q]) > eps:
             qc[q] = -1
     return Divisor(vc, qc)
 
@@ -237,7 +238,7 @@ def i_dim_basis_route(cx: QuadComplex, basis: HomologyBasis, d: Divisor) -> int:
 
 
 def torus_pole_test(cx: QuadComplex, q1: int, q2: int,
-                    embedding_classes=None, tol: float = 1e-9):
+                    embedding_classes=None):
     """Existence of a meromorphic function with exactly two simple poles.
 
     Checks the kernel dimension with poles allowed at q1 and q2 on a
@@ -245,14 +246,15 @@ def torus_pole_test(cx: QuadComplex, q1: int, q2: int,
     the kernel exceeds the biconstants iff a two-pole function exists.
     When the two quads' black-diagonal direction classes are supplied
     (e.g. the checkerboard classes of a flat grid), the parallel
-    criterion is cross-checked.
+    criterion is cross-checked where every weight is real, within
+    |Im rho| < 1e-9 * |rho|.
     """
     if genus(cx) != 1:
         raise DqsError("pole criterion applies to genus-1 surfaces")
     d = Divisor({}, {q1: 1, q2: 1})
     exists = l_dim(cx, d) > 2
     if embedding_classes is not None:
-        orthogonal = all(abs(r.imag) < tol * abs(r) for r in cx.rho)
+        orthogonal = all(abs(r.imag) < 1e-9 * abs(r) for r in cx.rho)
         if orthogonal:
             parallel = embedding_classes[q1] == embedding_classes[q2]
             if parallel != exists:

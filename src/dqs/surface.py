@@ -50,7 +50,10 @@ a closed walk must be the whole star.  A pinch whose every incidence
 lies on a doubled edge stays invisible, because the vertex tables do
 not say which traversals of a doubled edge are glued.  ``stars`` walks
 the successors behind that check, where a missing successor can only
-be a doubled edge, and ``require_star_cycles`` walks them only there.
+be a doubled edge, and ``require_star_cycles``, the one gate before
+whatever needs the rotation system (stars, charts, medial paths,
+subdivision, double covers), walks them only there and names the edge.
+``subdivide3`` keys the side points of its lattices by edge id.
 Connected components, of the vertices here and of the corner
 slots of a double cover, come from one union pass, ``_components``.
 Every walk on the surface (the tree-cotree split, paths on the diagonal
@@ -1056,17 +1059,18 @@ class Obstruction:
     reason: str
 
 
-def realize_rhombic(cx: QuadComplex, tol: float = 1e-12):
+def realize_rhombic(cx: QuadComplex):
     """Realize an all-real-weight surface by unit rhombi, or report why not.
 
     With every rho real, each quad maps to a unit rhombus whose black
     interior angle is 2*arctan(rho); equal side lengths make the gluing
     consistent.  If exactly one weight is non-real, the alternating sum
     of side lengths around quads obstructs any piecewise planar
-    realization, so the failure is certified.
+    realization, so the failure is certified.  A weight counts as real
+    where |Im rho| <= 1e-12 * max(1, |rho|).
     """
     nonreal = tuple(q for q, r in enumerate(cx.rho)
-                    if abs(r.imag) > tol * max(1.0, abs(r)))
+                    if abs(r.imag) > 1e-12 * max(1.0, abs(r)))
     if nonreal:
         certified = len(nonreal) == 1
         reason = (
@@ -1097,81 +1101,58 @@ def subdivide3(cx: QuadComplex) -> QuadComplex:
     return subdivide3_with_provenance(cx)[0]
 
 
+# A quad's 4 x 4 refinement lattice, i along b- -> w- and j along b- -> w+:
+# its corners in slot order, the points one and two steps from corner s
+# on the edge from slot s, and the corners of the nine sub-quads, ccw
+# from (i, j), in (i, j) order; the odd sub-quads carry 1/rho.
+_CORNERS = ((0, 3, 3, 0), (0, 0, 3, 3))
+_SIDES = np.array([((1, 0), (2, 0)), ((3, 1), (3, 2)), ((2, 3), (1, 3)), ((0, 2), (0, 1))])
+_SUB = np.array([[(i + di, j + dj) for di, dj in ((0, 0), (1, 0), (1, 1), (0, 1))]
+                 for i in range(3) for j in range(3)])
+_SUB_ODD = np.arange(9) % 2 == 1
+
+
 def subdivide3_with_provenance(cx: QuadComplex):
     """3x3 subdivision plus the origin of every new vertex.
 
     Sub-cells inherit the parallelogram chart of their quad, so cells in
     the corner parity class keep weight rho and the others get 1/rho.
     The provenance list holds ("v", id) for original vertices,
-    ("e", u, w, t) for the two interior points of edge {u, w} (t counted
-    from min(u, w)), and ("f", q, i, j) for face interior points.
+    ("e", u, w, t) for the two interior points of edge {u, w}, u < w, t
+    steps from u, and ("f", q, i, j) for face interior points.  A quad's
+    lattice keys a corner by its vertex, a side point by its edge id in
+    ``incidence_edge`` and t, an interior point by (q, i, j); new points
+    are numbered as the sub-quads, quad by quad in (i, j) order, first
+    meet them, and point (i, j) has the color of i + j.  Doubled edges
+    are refused by ``require_star_cycles``.
     """
-    require_surface(cx)
-    if cx.has_doubled_edges:
-        raise AmbiguousGluingError("cannot subdivide a complex with doubled edges")
-
-    colors = list(cx.colors)
-    provenance = [("v", v) for v in range(cx.nv)]
-    point_id = {}
-
-    def vertex_point(v):
-        return v
-
-    def edge_point(u, w, t):
-        # t in {1, 2} counted from the smaller endpoint id
-        a, b = min(u, w), max(u, w)
-        key = ("e", a, b, t)
-        if key not in point_id:
-            point_id[key] = len(colors)
-            colors.append(colors[a] if t == 2 else 1 - colors[a])
-            provenance.append(key)
-        return point_id[key]
-
-    def face_point(q, i, j):
-        key = ("f", q, i, j)
-        if key not in point_id:
-            point_id[key] = len(colors)
-            base = cx.colors[cx.quads[q][0]]
-            colors.append(base if (i + j) % 2 == 0 else 1 - base)
-            provenance.append(key)
-        return point_id[key]
-
-    new_quads = []
-    new_rho = []
-    for q, t in enumerate(cx.quads):
-        bm, wm, bp, wp = t
-
-        def grid(i, j):
-            # bilinear corner indexing on the 4x4 refinement lattice
-            if i == 0 and j == 0:
-                return vertex_point(bm)
-            if i == 3 and j == 0:
-                return vertex_point(wm)
-            if i == 3 and j == 3:
-                return vertex_point(bp)
-            if i == 0 and j == 3:
-                return vertex_point(wp)
-            if j == 0:
-                return edge_point(bm, wm, i if bm < wm else 3 - i)
-            if j == 3:
-                return edge_point(wp, bp, i if wp < bp else 3 - i)
-            if i == 0:
-                return edge_point(bm, wp, j if bm < wp else 3 - j)
-            if i == 3:
-                return edge_point(wm, bp, j if wm < bp else 3 - j)
-            return face_point(q, i, j)
-
-        for i in range(3):
-            for j in range(3):
-                c00, c10, c11, c01 = grid(i, j), grid(i + 1, j), grid(i + 1, j + 1), grid(i, j + 1)
-                if (i + j) % 2 == 0:
-                    new_quads.append((c00, c10, c11, c01))
-                    new_rho.append(cx.rho[q])
-                else:
-                    new_quads.append((c10, c11, c01, c00))
-                    new_rho.append(1.0 / cx.rho[q])
-
-    return QuadComplex.build(colors, new_quads, new_rho), tuple(provenance)
+    require_star_cycles(cx)
+    nv, nq, Q = cx.nv, cx.nq, cx.quad_array
+    n_side = nv + 2 * len(cx.edge_runs[0])
+    L = np.empty((nq, 4, 4), dtype=np.int64)
+    L[:, _CORNERS[0], _CORNERS[1]] = Q
+    forward = (Q < np.roll(Q, -1, axis=1))[..., None]
+    L[:, _SIDES[..., 0], _SIDES[..., 1]] = (nv - 1 + 2 * cx.incidence_edge.reshape(nq, 4, 1)
+                                            + np.where(forward, (1, 2), (2, 1)))
+    L[:, 1:3, 1:3] = (n_side + 4 * np.arange(nq)).reshape(-1, 1, 1) + [[0, 1], [2, 3]]
+    keys = L[:, _SUB[..., 0], _SUB[..., 1]].ravel()  # the sub-quad corners, in meeting order
+    distinct, first = np.unique(keys, return_index=True)
+    new = distinct >= nv
+    met = distinct[new][np.argsort(first[new])]  # the new points' keys, in meeting order
+    ids = np.arange(distinct[-1] + 1)
+    ids[met] = nv + np.arange(len(met))
+    quads = ids[keys].reshape(nq, 9, 4)
+    quads[:, _SUB_ODD] = np.roll(quads[:, _SUB_ODD], -1, axis=2)
+    colors = list(cx.colors) + (_SUB.sum(axis=2).ravel() % 2)[np.sort(first[new]) % 36].tolist()
+    pairs = [divmod(k, nv) for k in cx.edge_groups[1][cx.edge_runs[0]].tolist()]
+    provenance = [("v", v) for v in range(nv)]
+    for k in met.tolist():
+        e, f = k - nv, k - n_side
+        provenance.append(("e", *pairs[e // 2], e % 2 + 1) if f < 0
+                          else ("f", f // 4, f // 2 % 2 + 1, f % 2 + 1))
+    inverse = np.array([1.0 / r for r in cx.rho])  # numpy's division differs in the last bit
+    rho = np.where(_SUB_ODD, inverse[:, None], cx.rho_array[:, None]).ravel()
+    return QuadComplex.build(colors, quads.reshape(-1, 4), rho), tuple(provenance)
 
 
 # ---------------------------------------------------------------------------
