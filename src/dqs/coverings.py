@@ -39,6 +39,7 @@ from .generators import gen_cube, gen_torus
 from .surface import (
     QuadComplex,
     _components,
+    _contains,
     genus,
     read_only,
     require_ids,
@@ -242,20 +243,26 @@ def double_cover(base: QuadComplex, flip_edges) -> tuple:
 
     Cover vertices are the orbits of quad-corner slots under the gluing;
     a base vertex whose sheet monodromy is trivial lifts twice, one with
-    swapping monodromy lifts once and becomes a branch point.
+    swapping monodromy lifts once and becomes a branch point.  Raises
+    DqsError for a pair that is not an edge of the base.
     """
     require_star_cycles(base)
-    flip_edges = {(min(u, w), max(u, w)) for (u, w) in flip_edges}
+    flip_edges = list(flip_edges)
+    require_ids([v for pair in flip_edges for v in pair], base.nv, "vertex")
+    order, keys = base.edge_groups
+    edge_keys = keys[base.edge_runs[0]]
+    flip_keys = np.array([min(u, w) * base.nv + max(u, w) for u, w in flip_edges], dtype=np.int64)
+    known = _contains(edge_keys, flip_keys)
+    if not known.all():
+        raise DqsError(f"flip pair {flip_edges[np.argmin(known)]} is not an edge of the base")
 
     # Corner i of the base (slot i % 4 of quad i // 4) has the slot
     # i + 4 * (i // 4 + s) on sheet s.  Of the two traversals of an edge,
     # each starts at the corner where the other ends, and the edge glues
     # those corners, on one sheet or across.
-    order, keys = base.edge_groups
     ends = order - order % 4 + (order + 1) % 4
     mates = ends.reshape(-1, 2)[:, ::-1].ravel()
-    flip = np.repeat([divmod(k, base.nv) in flip_edges
-                      for k in keys[base.edge_runs[0]].tolist()], 2).astype(np.int64)
+    flip = np.repeat(_contains(np.sort(flip_keys), edge_keys), 2).astype(np.int64)
     rows = np.concatenate([np.stack([order + 4 * (order // 4 + s),
                                      mates + 4 * (mates // 4 + (s ^ flip))], axis=1)
                            for s in (0, 1)])

@@ -180,9 +180,9 @@ def nullity_harmonic(cx: QuadComplex) -> int:
 
 
 def nullity_holomorphic(cx: QuadComplex) -> int:
-    """Dimension of the space of holomorphic forms (expected 2g): the residue
-    rows of the p dz forms with the white forest's pivots eliminated, that is
-    the quad columns of ``QuadComplex.form_columns`` on its vertex rows."""
+    """Dimension of the space of holomorphic forms (expected 2g): the nullity
+    of the i system of the zero divisor (``riemann_roch.i_tree_system``), the
+    quad columns of ``QuadComplex.form_columns`` on its vertex rows."""
     n = len(cx.white_forest[0])
     return nullity(cx.form_columns[:cx.nv - n, :cx.nq - n])
 
@@ -354,16 +354,15 @@ def abelian_third(cx: QuadComplex, basis: HomologyBasis, v: int, v2: int,
                                {v: 1.0, v2: -1.0}, {})
 
 
-def b_period_average(cx: QuadComplex, omega: DiamondForm, basis: HomologyBasis,
-                     k: int) -> complex:
-    """Average of the shadow b_k-periods over the stored representatives.
+def b_period_average(cx: QuadComplex, omega: DiamondForm, basis: HomologyBasis) -> np.ndarray:
+    """The average of the shadow b_k-periods over the stored representatives, for each k < g.
 
-    For closed forms this is the plain b_k-period; for differentials
-    with simple poles it is the quantity entering the third-kind
+    For closed forms these are the plain b-periods; for differentials
+    with simple poles they are the quantities entering the third-kind
     b-period law.
     """
-    doubled = integrals(basis.b_shadow_steps, 2 * basis.g, [omega], cx.nq)
-    return complex((doubled[k, 0] + doubled[basis.g + k, 0]) / 2.0)
+    doubled = integrals(basis.b_shadow_steps, 2 * basis.g, [omega], cx.nq)[:, 0]
+    return (doubled[:basis.g] + doubled[basis.g:]) / 2.0
 
 
 def _pinned_dzbar(cx: QuadComplex, quads) -> np.ndarray:

@@ -27,12 +27,14 @@ quads, so the tree quads of a breadth-first forest of the white graph
 (``QuadComplex.white_forest``) and its child vertices form a +-1 block
 that is triangular with parents first.  Its inverse is a sum along root
 paths (``root_path_sums``, by pointer jumping), so the elimination is a
-change of coordinates: ``tree_columns`` rewrites columns,
-``function_rows`` the rows of the function systems, and ``nullity``
-runs its singular-value count on what is left, about half the size in
-each dimension, with the same nullity and the same cutoff.  Once the
-two row dependencies of each boundary block (``dependent_rows``) are
-dropped, every solver system is square.  A ``LinearSystem`` drops them
+change of coordinates: ``form_columns`` rewrites the columns of the p dz
+forms, and ``nullity`` runs its singular-value count on what is left,
+about half the size in each dimension, with the same nullity and the
+same cutoff.  The holomorphicity rows of vertex functions are the
+transposes of those residue columns, so the L(-D) systems are cut from
+the same matrix, transposed.  Once the two row dependencies of each
+boundary block (``dependent_rows``) are dropped, every solver system is
+square.  A ``LinearSystem`` drops them
 at assembly, keeps them for its residual check, and factors the square
 rest with one LU: dense LAPACK for a numpy array, sparse SuperLU for a
 scipy CSC array, whose factor it keeps for every later batch of
@@ -44,16 +46,14 @@ is imported on the sparse path only, so dense work never pays for it.
 Each operator is built once per object that determines it and is
 read-only from then on.  A ``QuadComplex`` caches its weights
 (``rho_array``), its dense boundary (``boundary_matrix``, assembled by
-``boundary``), and the tree coordinates of every row of the
-function systems (``function_rows``) and every column of the form
-systems (``form_columns``), which each divisor cuts; the kernel counts
-and the Laplacian read them, while each solver system is assembled once
-from triplets, so the sparse path never asks for a dense boundary.  A
-``LinearSystem`` keeps its assembled system, its norms and its sparse
-factor.  A
-``HomologyBasis`` holds the steps of its doubled a- and b-shadow rows
-as ``step_array`` arrays, which ``step_triplets`` and ``integrals``
-take in place of step lists.
+``boundary``), and the tree coordinates of every column of the form
+systems (``form_columns``), which each divisor cuts for both of its
+counts; the kernel counts and the Laplacian read them, while each
+solver system is assembled once from triplets, so the sparse path never
+asks for a dense boundary.  A ``LinearSystem`` keeps its assembled
+system, its norms and its sparse factor.  A ``HomologyBasis`` holds
+the steps of its doubled a- and b-shadow rows as ``step_array`` arrays,
+which ``step_triplets`` and ``integrals`` take in place of step lists.
 """
 
 from __future__ import annotations
@@ -395,87 +395,22 @@ def root_path_sums(parent, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def tree_columns(A: np.ndarray, forest, plus, minus, nv: int) -> np.ndarray:
-    """The columns of A in the tree coordinates of a diagonal-graph forest.
-
-    Column j of A meets the vertex rows of the forest's color in +1 at
-    plus[j] and -1 at minus[j], and the tree column of child k is column
-    quad[k], ``forest`` being (child, quad, parent).  Column k of Y sums
-    the tree columns on the path from child k up to its root, each signed
-    to read +1 at its child end, so it reads +1 at the child and -1 at
-    the root.  Returns [R, Y]: R holds the columns outside the tree, each
-    minus Y at plus[j] plus Y at minus[j] (a root counts as a zero column),
-    so R vanishes on every child row.  Column operations only: the rank of
-    A is the number of children plus the rank of R on the other rows.
-    """
-    child, quad, parent = forest
-    cols = A.T
-    sign = np.where(plus[quad] == child, 1.0, -1.0)
-    Y = root_path_sums(parent, cols[quad] * sign[:, None])
-    position = np.full(nv, len(child))  # the zero row below Y: no path
-    position[child] = np.arange(len(child))
-    Y0 = np.vstack([Y, np.zeros((1, len(A)))])
-    free = np.ones(len(cols), dtype=bool)
-    free[quad] = False
-    R = cols[free] - Y0[position[plus[free]]]
-    R += Y0[position[minus[free]]]
-    return np.vstack([R, Y]).T
-
-
-def function_rows(cx: QuadComplex) -> np.ndarray:
-    """The rows of L(-D) systems that tree coordinates leave non-trivial, nq x nv.
-
-    Over the white forest ``QuadComplex.white_forest`` a vertex function
-    f is f = M z, z indexed like the vertices: z is f at the black
-    vertices and the roots, and at a white child c the holomorphicity
-    residual of c's tree quad, f(w+) - f(w-) + i rho (f(b-) - f(b+)).
-    Row c of M is the sum of the steps along c's path to its root, so M
-    comes from ``root_path_sums``; its other rows are unit rows.  Returns
-    the holomorphicity rows (the boundary of the p dz forms, transposed)
-    of the quads outside the tree, ascending, times M, then the value rows
-    M[c] of the white children in forest order.  The holomorphicity row of
-    a tree quad is +-1 at its child's column alone, and so is a value row
-    at a black vertex or a root: a count deletes such rows and columns.
-    """
-    child, quad, parent = cx.white_forest
-    Q, rho = cx.quad_array, cx.rho_array
-    k = np.arange(len(child))
-    sign = np.where(Q[quad, SLOT_WP] == child, 1.0, -1.0)
-    step = np.zeros((len(child), cx.nv), complex)
-    step[k, child] = sign
-    step[k, Q[quad, SLOT_BM]] = -1j * sign * rho[quad]
-    step[k, Q[quad, SLOT_BP]] = 1j * sign * rho[quad]
-    top = parent < 0
-    step[k[top], Q[quad[top], SLOT_WM] + Q[quad[top], SLOT_WP] - child[top]] = 1.0
-    M = np.eye(cx.nv, dtype=complex)
-    M[child] = root_path_sums(parent, step)
-    free = np.delete(np.arange(cx.nq), quad)
-    out = np.empty((cx.nq, cx.nv), complex)
-    H = out[:len(free)]
-    H[:] = M[Q[free, SLOT_WP]]
-    H -= M[Q[free, SLOT_WM]]  # the black rows of M are unit rows
-    q = np.arange(len(free))
-    H[q, Q[free, SLOT_BM]] += 1j * rho[free]
-    H[q, Q[free, SLOT_BP]] -= 1j * rho[free]
-    out[len(free):] = M[child]
-    return out
-
-
 def form_columns(cx: QuadComplex) -> np.ndarray:
     """The columns of H(D) systems in the tree coordinates of the white forest, nv x nq.
 
-    The columns are the ``tree_columns`` of the p dz forms (the boundary
-    of the form of each quad over that quad's unit row) and the white
-    forest: first the quads outside the tree, ascending, each corrected
-    along the tree so that its white residues vanish at every child, then
-    one root path form per white child, in forest order.  The rows are
-    the residues at the vertices other than the white children,
-    ascending, then the values p at the tree quads, in forest order.  A
+    Column j starts as the p dz form of quad j: its residues at the
+    vertices but the white children, ascending, then its values p at the
+    tree quads, in forest order.  Column k of Y sums the tree columns on
+    the path from child k up to its root (``root_path_sums``), each
+    signed to read +1 at its child end: the root path form of child k.
+    Returned are the quads outside the tree, ascending, each minus Y at
+    its w+ plus Y at its w- (a root counts as a zero column), so that its
+    residue vanishes at every child, then Y.  Column operations only: a
     child's residue row is +-1 at its root path form alone, and so is the
-    value row of a quad outside the tree at its own column: a count
+    value row of a quad outside the tree at its own column, so a count
     deletes such rows and columns.
     """
-    child, quad, _ = cx.white_forest
+    child, quad, parent = cx.white_forest
     Q, rho = cx.quad_array, cx.rho_array
     nv, nq = cx.nv, cx.nq
     row = np.full(nv, -1)  # the row of each vertex, -1 at a child
@@ -484,11 +419,20 @@ def form_columns(cx: QuadComplex) -> np.ndarray:
     forms = np.zeros((nq, nv), complex)  # row j: column j of the system
     forms[q, row[Q[:, SLOT_BM]]] = 1j * rho
     forms[q, row[Q[:, SLOT_BP]]] = -1j * rho
-    for slot, value in ((SLOT_WP, 1.0), (SLOT_WM, -1.0)):
-        at = row[Q[:, slot]] >= 0
-        forms[q[at], row[Q[at, slot]]] = value
+    plus, minus = Q[:, SLOT_WP], Q[:, SLOT_WM]
+    for ends, value in ((plus, 1.0), (minus, -1.0)):
+        at = row[ends] >= 0
+        forms[q[at], row[ends[at]]] = value
     forms[quad, nv - len(child) + np.arange(len(quad))] = 1.0
-    return tree_columns(forms.T, cx.white_forest, Q[:, SLOT_WP], Q[:, SLOT_WM], nv)
+    sign = np.where(plus[quad] == child, 1.0, -1.0)
+    Y = root_path_sums(parent, forms[quad] * sign[:, None])
+    position = np.full(nv, len(child))  # the zero row below Y: no path
+    position[child] = np.arange(len(child))
+    Y0 = np.vstack([Y, np.zeros((1, nv))])
+    free = np.delete(q, quad)
+    R = forms[free] - Y0[position[plus[free]]]
+    R += Y0[position[minus[free]]]
+    return np.vstack([R, Y]).T
 
 
 NULLITY_CUTOFF = 1e-9  # the one singular-value cutoff of every kernel dimension

@@ -11,14 +11,17 @@ numerical kernels; the identity l(-D) = deg D - 2g + 2 + i(D) ties them
 together and is checked in integers.  The counts run on the tree-reduced
 systems (``l_tree_system``, ``i_tree_system``): the unreduced systems
 with the pivots of the white forest eliminated, about half the size in
-each dimension and of the same nullity.  They are cut from the tree
-coordinates cached on the complex (``QuadComplex.function_rows`` and
-``form_columns``), so every divisor on one surface reuses one
-assembly.  ``i_dim_basis_route`` counts i(D) a second way, from the
-spanning family of Abelian differentials: the forms D allows are
-columns of one batch solve in ``dqs.differentials``, and its
-elimination matrix is their dz coefficients at the quads where D
-forces a zero.
+each dimension and of the same nullity.  By the duality of the theorem
+the l system is the i system transposed, both cut from one cached matrix
+(``QuadComplex.form_columns``) that every divisor on a surface reuses.
+Each count keeps its own rank decision.  Where the two agree, l - i is
+the index of the cut (rows minus columns), deg D - 2g + 2 by counting,
+so the identity's residual can be non-zero only where the two
+singular-value counts straddle the cutoff.  Its independent evidence is
+``i_dim_basis_route``, which counts i(D) from the spanning family of
+Abelian differentials: the forms D allows are columns of one batch
+solve in ``dqs.differentials``, and its elimination matrix is their dz
+coefficients at the quads where D forces a zero.
 """
 
 from __future__ import annotations
@@ -111,38 +114,22 @@ def _ids_with(d: dict, coeff: int) -> np.ndarray:
 
 
 def l_tree_system(cx: QuadComplex, d: Divisor) -> np.ndarray:
-    """A matrix whose kernel has the dimension of L(-D) inside C^V.
+    """A matrix whose kernel has the dimension of L(-D) inside C^V: the i system, transposed.
 
     Unreduced, the kernel is L(-D) itself: every quad but those with
     coefficient 1 in D (a pole allowed) has its holomorphicity row, each
     quad with -2 the black and white rows of d_function (a double value)
-    and each vertex with -1 a unit row (a zero).  Here the white forest's
-    pivots are eliminated, which keeps the nullity.  Rows and columns are
-    cut from ``QuadComplex.function_rows``.  The holomorphicity row of a
-    tree quad is a pivot on its white child's column, and both go, unless
-    D allows a pole there: then the child's column stays as a free
-    residual.  A zero at a black vertex or a root fixes its coordinate, so
-    its column goes.  A double quad adds its black row f(b+) - f(b-); its
-    white row is its holomorphicity row plus i rho times the black one,
-    so it adds nothing.
+    and each vertex with -1 a unit row (a zero).  By the duality of
+    discrete Riemann-Roch, a quad's holomorphicity row is the residue
+    column of its p dz form transposed, a zero forced at a vertex frees
+    its residue, and a pole allowed at a quad forces p to vanish there:
+    after the white forest's pivots go, the rows are the columns of
+    ``i_tree_system`` and the unknowns its rows.  A double quad's black
+    row f(b+) - f(b-) is its i column over 2i Re(rho), and its white row
+    is its holomorphicity row plus i rho times the black one.  Scaling a
+    row and signing the tree coordinates keep the nullity.
     """
-    _require_admissible(cx, d)
-    child, quad, _ = cx.white_forest
-    holomorphic = np.ones(cx.nq, dtype=bool)
-    holomorphic[_ids_with(d.quad_coeffs, 1)] = False
-    zero = np.zeros(cx.nv, dtype=bool)
-    zero[_ids_with(d.vertex_coeffs, -1)] = True
-    tree = np.zeros(cx.nq, dtype=bool)
-    tree[quad] = True
-    kept = ~zero
-    kept[child] = ~holomorphic[quad]
-    S = cx.function_rows[np.concatenate([holomorphic[~tree], zero[child]])][:, kept]
-    double = cx.quad_array[_ids_with(d.quad_coeffs, -2)]
-    if len(double):
-        cols = np.flatnonzero(kept)
-        black = (cols == double[:, SLOT_BP, None]) - (cols == double[:, SLOT_BM, None]) * 1.0
-        S = np.vstack([S, black])
-    return S
+    return i_tree_system(cx, d).T
 
 
 def l_dim(cx: QuadComplex, d: Divisor) -> int:
@@ -172,16 +159,13 @@ def i_tree_system(cx: QuadComplex, d: Divisor) -> np.ndarray:
     residue[_ids_with(d.vertex_coeffs, -1)] = False
     zero = np.zeros(cx.nq, dtype=bool)
     zero[_ids_with(d.quad_coeffs, 1)] = True
-    tree = np.zeros(cx.nq, dtype=bool)
-    tree[quad] = True
-    other = np.ones(cx.nv, dtype=bool)
-    other[child] = False
-    rows = np.concatenate([residue[other], zero[quad]])
-    S = cx.form_columns[rows][:, np.concatenate([~zero[~tree], ~residue[child]])]
+    rows = np.delete(residue, child)
+    cols = np.concatenate([np.delete(zero, quad), residue[child]])
+    S = cx.form_columns[np.concatenate([rows, zero[quad]])][:, ~cols]
     double = _ids_with(d.quad_coeffs, -2)
     if len(double):
         Q = cx.quad_array[double]
-        v = np.flatnonzero(residue & other)  # the vertex of each residue row, -1 below
+        v = np.delete(np.arange(cx.nv), child)[rows]  # the vertex of each residue row, -1 below
         v = np.append(v, np.full(len(S) - len(v), -1))[:, None]
         black = (v == Q[:, SLOT_BM]) - (v == Q[:, SLOT_BP]) * 1.0
         S = np.hstack([S, black * (-2j * cx.rho_array[double].real)])

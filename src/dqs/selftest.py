@@ -317,7 +317,7 @@ def criterion_9(seed=0, cover=None):
         w3 = di.abelian_third(cx, basis, v, v2)
         forbidden = {j * 4 + i for j in range(4) for i in range(4) if i == 0 or j == 0}
         r_path = ho.graph_path(cx, BLACK, v2, v, forbidden_quads=forbidden)
-        lhs = di.b_period_average(cx, w3.form, basis, 0)
+        lhs = di.b_period_average(cx, w3.form, basis)[0]
         rhs = 2j * np.pi * ho.integrate_graph_path(cx, hb.omega[0], r_path)
         worst3 = max(worst3, abs(lhs - rhs))
 

@@ -32,15 +32,16 @@ edge with its other traversal, and the black and white diagonal graphs
 and the medial graph as flat adjacency tables, with a breadth-first
 spanning forest of the white diagonal graph (``white_forest``).  It also
 caches the weights as a complex array and, on first use, its dense
-operators: the vertex-boundary matrix and the kernel systems in the
-tree coordinates of the white forest.  Every cached array is read-only,
-so all consumers of one surface can share it; a weight draw on the same
-combinatorics (``with_rho``) starts with the caches that do not read the
-weights, and a complex from ``build`` (which checks the quads as one
-array) or from a DQS document with the quad and weight arrays that were
-checked (``seeded``).  ``validate`` checks every surface invariant
-with linear numpy passes over these arrays and formats messages for the
-violators only.  Its findings but strong regularity are cached as
+operators: the vertex-boundary matrix and ``form_columns``, the one
+kernel matrix (H(D) columns, L(-D) rows) in the tree coordinates of the
+white forest.  Every cached array is read-only, so all consumers of one
+surface can share it; a weight draw on the same combinatorics
+(``with_rho``) starts with the caches that do not read the weights, and
+a complex from ``build`` (which checks the quads as one array) or from
+a DQS document with the quad and weight arrays that were checked
+(``seeded``).  ``validate`` checks every surface invariant with linear
+numpy passes over these arrays and formats messages for the violators
+only.  Its findings but strong regularity are cached as
 ``defects``, and ``require_surface``, the one check before any
 computation, raises the first of them, so a surface is checked once
 however many commands or constructions ask.  The vertex links are
@@ -181,7 +182,7 @@ class QuadComplex:
 
         The new complex starts with every cache in ``COMBINATORIAL`` that
         this one has built, the same read-only objects.  Whatever reads the
-        weights (``rho_array``, the kernel systems) and
+        weights (``rho_array``, the kernel matrix) and
         ``defects``, which checks them, is built afresh.
         """
         built = vars(self)
@@ -327,15 +328,9 @@ class QuadComplex:
         return read_only(boundary(self))
 
     @cached_property
-    def function_rows(self) -> np.ndarray:
-        """Every row of an L(-D) system in tree coordinates: ``operators.function_rows``."""
-        from .operators import function_rows
-
-        return read_only(function_rows(self))
-
-    @cached_property
     def form_columns(self) -> np.ndarray:
-        """Every column of an H(D) system in tree coordinates: ``operators.form_columns``."""
+        """Every column of an H(D) system in tree coordinates, and transposed
+        every row of an L(-D) system: ``operators.form_columns``."""
         from .operators import form_columns
 
         return read_only(form_columns(self))

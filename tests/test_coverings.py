@@ -607,6 +607,17 @@ def test_double_cover_matches_union_find(monkeypatch):
         assert m.source is total and m.target is base
 
 
+@pytest.mark.parametrize("flips, message", [
+    ([(0, 5)], "flip pair (0, 5) is not an edge of the base"),
+    ([(0, 1), (99, 100)], "vertex id 99 out of range 0..15"),
+    # 0 * 16 + 18 is the key of the edge (1, 2)
+    ([(0, 18)], "vertex id 18 out of range 0..15"),
+], ids=["not-an-edge", "out-of-range", "aliased-key"])
+def test_double_cover_refuses_flip_pairs_off_the_base_edges(flips, message):
+    with pytest.raises(DqsError, match=re.escape(message)):
+        coverings.double_cover(gen_torus(4, 4, 1j), flips)
+
+
 def _reference_validate_map(m, tol=1e-12):
     """Reference validate_map: the star condition checked for every quad."""
     bad = []

@@ -311,7 +311,7 @@ class TestAbelianThird:
             forbidden = {j * 4 + i for j in range(4) for i in range(4)
                          if i == 0 or j == 0}
             r_path = graph_path(cx, BLACK, v2, v, forbidden_quads=forbidden)
-            lhs = b_period_average(cx, w3.form, basis, 0)
+            lhs = b_period_average(cx, w3.form, basis)[0]
             rhs = 2j * np.pi * integrate_graph_path(cx, hb.omega[0], r_path)
             assert abs(lhs - rhs) < 1e-8
 

@@ -211,7 +211,7 @@ class TestAgainstPerEdgeSums:
                 _close(integrate_white_chain(cx, omega, white), _ref_white(cx, omega, white))
             for k, cyc in enumerate(basis.b):
                 black, white = _reference_black_white(cx, cyc)
-                _close(b_period_average(cx, omega, basis, k),
+                _close(b_period_average(cx, omega, basis)[k],
                        _ref_black(cx, omega, black) + _ref_white(cx, omega, white))
 
     def test_graph_paths(self, weighted, rng):

@@ -111,6 +111,17 @@ def test_reduced_systems_are_smaller():
     assert i_tree_system(cx, d).shape == (cx.nv - n_children, cx.nq - n_children)
 
 
+def test_one_tree_reduced_matrix_serves_both_counts():
+    # l(-D) and i(D) cut their systems from one cached nv x nq matrix
+    cx = randomize_rho(_COVER, np.random.default_rng(11))
+    child, quad, _ = cx.white_forest
+    d = Divisor({int(child[0]): -1, 5: -1}, {int(quad[2]): 1, 17: 1, 40: -2})
+    assert riemann_roch.check_riemann_roch(cx, d).residual == 0
+    cached = [name for name, a in vars(cx).items()
+              if isinstance(a, np.ndarray) and a.size == cx.nv * cx.nq]
+    assert cached == ["form_columns"]
+
+
 @pytest.mark.parametrize("color", [BLACK, WHITE])
 def test_spanning_forest_joins_every_child_to_its_parent(color):
     for cx in (_COVER, gen_torus(4, 6, 0.3 + 1.2j)):
@@ -141,13 +152,13 @@ def test_root_path_sums_add_up_every_ancestor():
 
 def test_cached_forest_and_systems_reject_writes():
     cx = randomize_rho(gen_torus(4, 4, 1j), np.random.default_rng(2))
-    for a in (*cx.white_forest, cx.function_rows, cx.form_columns):
+    for a in (*cx.white_forest, cx.form_columns):
         with pytest.raises(ValueError, match="read-only"):
             a[(0,) * a.ndim] = 0
 
 
 def test_weight_draws_share_the_combinatorial_caches():
-    weighted = ("rho_array", "defects", "function_rows", "form_columns")
+    weighted = ("rho_array", "defects", "form_columns")
     base = gen_torus(4, 6, 0.3 + 1.2j)
     for name in QuadComplex.COMBINATORIAL + weighted:
         getattr(base, name)
@@ -157,7 +168,7 @@ def test_weight_draws_share_the_combinatorial_caches():
     for name in weighted:
         assert name not in vars(draw), name
     fresh = QuadComplex.build(draw.colors, draw.quads, draw.rho)
-    assert np.array_equal(draw.function_rows, fresh.function_rows)
+    assert np.array_equal(draw.form_columns, fresh.form_columns)
     assert draw.defects == fresh.defects
     _check_both(draw, [Divisor({}, {3: 1, 5: -2}), Divisor({2: -1}, {7: 1})])
 
