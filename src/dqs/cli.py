@@ -56,19 +56,17 @@ def _read_input(path):
         raise DqsError(f"{name}: cannot read: {getattr(exc, 'strerror', None) or exc}") from None
 
 
-def _read_surface(args):
-    """Read, parse and check the surface argument: (text, complex, embedded
-    basis).
+def _read_surface(args, report):
+    """Read, parse and check the surface argument: (complex, embedded basis).
 
     The surface must pass ``require_surface``: the first violation in
     ``validate``'s order is raised.  Edges shared by more than two quads
     (strong regularity) do not block a command.  ``check`` parses the
     surface itself and lists every violation instead.
     """
-    text, name = _read_input(args.surface)
-    cx, embedded = parse_dqs(text, name)
+    cx, embedded = parse_dqs(*report.read(args.surface))
     require_surface(cx)
-    return text, cx, embedded
+    return cx, embedded
 
 
 def _complex_arg(s: str) -> complex:
@@ -88,15 +86,26 @@ def _matrix_json(m) -> list:
 
 
 class Report:
-    """Accumulates named checks and renders them as text or JSON lines."""
+    """Accumulates named checks and renders them as text or JSON lines.
 
-    def __init__(self, command, fmt, digest=None):
+    It is made before its command runs, so ``wall_time`` covers the whole
+    command, reading its input included.
+    """
+
+    def __init__(self, command, fmt):
         self.command = command
         self.fmt = fmt
-        self.digest = digest
+        self.digest = None
         self.checks = []
         self.outputs = {}
         self.start = time.perf_counter()
+
+    def read(self, path):
+        """(text, name) of the input at path (``_read_input``); the report
+        records the digest of the text."""
+        text, name = _read_input(path)
+        self.digest = hashlib.sha256(text.encode()).hexdigest()[:16]
+        return text, name
 
     def check(self, name, passed, residual=None):
         self.checks.append({"name": name, "pass": bool(passed),
@@ -119,10 +128,6 @@ class Report:
         return 0 if all(c["pass"] for c in self.checks) else 1
 
 
-def _digest(text: str) -> str:
-    return hashlib.sha256(text.encode()).hexdigest()[:16]
-
-
 def _basis_for(cx, embedded):
     """The embedded basis, once it passes ``require_basis``, or the tree-cotree one."""
     return ho.homology_basis(cx) if embedded is None else ho.require_basis(cx, embedded)
@@ -132,38 +137,30 @@ def _basis_for(cx, embedded):
 # subcommands
 
 
-def cmd_check(args):
-    text, name = _read_input(args.surface)
-    cx, _ = parse_dqs(text, name)
-    report = Report("check", args.format, _digest(text))
+def cmd_check(args, report):
+    cx, _ = parse_dqs(*report.read(args.surface))
     vr = validate(cx)
     report.outputs["violations"] = [str(v) for v in vr.violations]
     report.check("surface-valid", vr.ok)
-    return report.emit()
 
 
-def cmd_genus(args):
-    text, cx, _ = _read_surface(args)
-    report = Report("genus", args.format, _digest(text))
+def cmd_genus(args, report):
+    cx, _ = _read_surface(args, report)
     report.outputs["genus"] = genus(cx)
-    return report.emit()
 
 
-def cmd_homology(args):
-    text, cx, embedded = _read_surface(args)
+def cmd_homology(args, report):
+    cx, embedded = _read_surface(args, report)
     basis = _basis_for(cx, embedded)
-    report = Report("homology", args.format, _digest(text))
     report.outputs["genus"] = basis.g
     report.outputs["cycle_lengths"] = [len(c) for c in basis.all_cycles()]
     report.outputs["intersection_matrix"] = basis.intersection.tolist()
-    return report.emit()
 
 
-def cmd_periods(args):
-    text, cx, embedded = _read_surface(args)
+def cmd_periods(args, report):
+    cx, embedded = _read_surface(args, report)
     basis = _basis_for(cx, embedded)
     pm = di.period_matrices(cx, basis, di.canonical_bases(cx, basis, tol=args.tol))
-    report = Report("periods", args.format, _digest(text))
     report.outputs["Pi"] = _matrix_json(pm.Pi)
     if args.complete:
         report.outputs["Pi_full"] = _matrix_json(pm.Pi_full)
@@ -174,18 +171,16 @@ def cmd_periods(args):
         report.check("symmetry", asym < args.tol * 10, asym)
         report.check("positive-imaginary",
                      np.linalg.eigvalsh((pm.Pi.imag + pm.Pi.imag.T) / 2).min() > 0)
-    return report.emit()
 
 
-def cmd_harmonic(args):
-    text, cx, embedded = _read_surface(args)
+def cmd_harmonic(args, report):
+    cx, embedded = _read_surface(args, report)
     basis = _basis_for(cx, embedded)
     targets = [_complex_arg(t) for t in args.targets.split(",")] if args.targets \
         else [0.0] * (4 * basis.g)
     if len(targets) != 4 * basis.g:
         raise DqsError(f"need 4g = {4 * basis.g} targets, got {len(targets)}")
     omega = di.harmonic_with_periods(cx, basis, targets, tol=args.tol)
-    report = Report("harmonic", args.format, _digest(text))
     report.outputs["form"] = oneform_doc(omega)
     # the checks read the form scaled to values of at most 1: they bound
     # the relative residual, and large targets do not overflow them
@@ -194,13 +189,11 @@ def cmd_harmonic(args):
     report.check("closed", closed < args.tol * 10, closed)
     co = ca.closedness_residual(cx, ca.hodge_star(cx, unit))
     report.check("co-closed", co < args.tol * 10, co)
-    return report.emit()
 
 
-def cmd_abelian(args):
-    text, cx, embedded = _read_surface(args)
+def cmd_abelian(args, report):
+    cx, embedded = _read_surface(args, report)
     basis = _basis_for(cx, embedded)
-    report = Report("abelian", args.format, _digest(text))
     if args.second is not None:
         diff, hb = di.abelian_second_with_bases(cx, basis, args.second, tol=args.tol)
         res = np.abs(di.residues(cx, diff.form)).max()
@@ -222,14 +215,12 @@ def cmd_abelian(args):
         aper = np.abs(op.integrals(basis.a_shadow_steps, 2 * basis.g,
                                    [diff.form], cx.nq)).max(initial=0.0)
         report.check("a-periods-vanish", aper < args.tol * 10, aper)
-    return report.emit()
 
 
-def cmd_riemann_roch(args):
-    text, cx, _ = _read_surface(args)
+def cmd_riemann_roch(args, report):
+    cx, _ = _read_surface(args, report)
     d = parse_divisor_string(args.divisor)
     rep = rr.check_riemann_roch(cx, d)
-    report = Report("riemann-roch", args.format, _digest(text))
     report.outputs["l"] = rep.l_value
     report.outputs["i"] = rep.i_value
     report.outputs["deg"] = rep.deg
@@ -237,11 +228,10 @@ def cmd_riemann_roch(args):
     report.outputs["identity"] = (
         f"{rep.l_value} = {rep.deg} - {2 * rep.genus} + 2 + {rep.i_value}")
     report.check("riemann-roch-identity", rep.residual == 0, abs(rep.residual))
-    return report.emit()
 
 
-def cmd_hurwitz(args):
-    text, name = _read_input(args.map)
+def cmd_hurwitz(args, report):
+    text, name = report.read(args.map)
 
     def loader(p):
         base = os.path.dirname(name) if name != "<stdin>" else "."
@@ -254,7 +244,6 @@ def cmd_hurwitz(args):
         except SurfaceError as exc:
             raise SurfaceError(f"{side}: {exc}") from None
     cmap = CoveringMap(source, target, vm)
-    report = Report("hurwitz", args.format, _digest(text))
     vrep = validate_map(cmap)
     report.check("map-valid", vrep.ok)
     if vrep.ok:
@@ -267,34 +256,25 @@ def cmd_hurwitz(args):
             f"{br.genus_source} = {br.sheets}*({br.genus_target}-1)+1+"
             f"{br.total_branching}/2")
         report.check("riemann-hurwitz-identity", br.genus_residual == 0)
-    return report.emit()
 
 
-def cmd_abel_jacobi(args):
-    text, cx, embedded = _read_surface(args)
+def cmd_abel_jacobi(args, report):
+    cx, embedded = _read_surface(args, report)
     v = args.point
     require_ids((args.base,), cx.nq, "quad")
     require_ids((v,), cx.nv, "vertex")
     basis = _basis_for(cx, embedded)
     hb = di.canonical_bases(cx, basis)
     pm = di.period_matrices(cx, basis, hb)
-    jac, jb, jw = ja.jacobians(pm)
-    report = Report("abel-jacobi", args.format, _digest(text))
-    if cx.colors[v] == 0:
-        val = ja.abel_jacobi_black(cx, hb, jb, args.base, v)
-        lattice = jb
-        which = "black"
-    else:
-        val = ja.abel_jacobi_white(cx, hb, jw, args.base, v)
-        lattice = jw
-        which = "white"
-    report.outputs["map"] = which
+    color = cx.colors[v]
+    lattice = ja.jacobians(pm)[1 + color]
+    val = (ja.abel_jacobi_black, ja.abel_jacobi_white)[color](cx, hb, lattice, args.base, v)
+    report.outputs["map"] = lattice.label
     report.outputs["representative"] = [[z.real, z.imag] for z in val.vector]
     report.outputs["lattice_generators"] = _matrix_json(lattice.generators)
     # the components are the canonical forms: closed through the medial expansion
     closed = max((ca.closedness_residual(cx, w) for w in hb.omega), default=0.0)
     report.check("holomorphic-components", closed < 1e-10, closed)
-    return report.emit()
 
 
 def cmd_gen(args):
@@ -354,7 +334,10 @@ def build_parser():
     Parsing keeps no state in the parser, and argparse looks up
     sys.stdout and sys.stderr when it prints, so one parser serves
     every call of main.  Each option goes only to the commands that read
-    it, so a misplaced one is a usage error rather than ignored.
+    it, so a misplaced one is a usage error rather than ignored.  A
+    command that prints a report is set as ``report_cmd`` and fills the
+    ``Report`` that main makes; ``gen`` and ``selftest`` are set as
+    ``fn`` and print their own output.
     """
     fmt, tol, seed = (argparse.ArgumentParser(add_help=False) for _ in range(3))
     fmt.add_argument("--format", choices=("text", "json"), default="text")
@@ -368,7 +351,7 @@ def build_parser():
         sp = sub.add_parser(name, help=help_, parents=[fmt, *options])
         sp.add_argument("surface", nargs="?", default="-",
                         help="DQS file or - for stdin")
-        sp.set_defaults(fn=fn)
+        sp.set_defaults(report_cmd=fn)
         return sp
 
     surface_cmd("check", cmd_check, "validate a surface")
@@ -391,7 +374,7 @@ def build_parser():
     sp = sub.add_parser("hurwitz", help="branching report of a covering map",
                         parents=[fmt])
     sp.add_argument("map", nargs="?", default="-", help="map bundle JSON")
-    sp.set_defaults(fn=cmd_hurwitz)
+    sp.set_defaults(report_cmd=cmd_hurwitz)
     sp = surface_cmd("abel-jacobi", cmd_abel_jacobi, "Abel-Jacobi value of a vertex")
     sp.add_argument("--base", type=int, required=True, help="base quad id")
     sp.add_argument("--point", type=int, required=True, help="target vertex id")
@@ -438,7 +421,11 @@ def main(argv=None) -> int:
             raise DqsError(f"--tol must be a finite positive number, got {args.tol}")
         if "seed" in args and args.seed < 0:
             raise DqsError(f"--seed must be a nonnegative integer, got {args.seed}")
-        return args.fn(args)
+        if "report_cmd" not in args:
+            return args.fn(args)
+        report = Report(args.command, args.format)
+        args.report_cmd(args, report)
+        return report.emit()
     except DqsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -13,9 +13,9 @@ residues +1 and -1 at two vertices.  One ``DzSystem`` per surface and
 basis holds that system and answers any number of batches of them, each
 batch the columns of one solve; ``_dz_solve`` makes one for a single
 batch, and every solver here and the i(D) basis route of
-``dqs.riemann_roch`` is a slice of its columns.  The system is
-assembled once, straight from the boundary and a-period triplets with
-the p dz fold and the two dependent rows dropped: a numpy array below
+``dqs.riemann_roch`` is a slice of its columns.  Its matrix is summed
+once from the boundary and a-period triplets after the p dz fold, and
+its square part leaves out the two dependent rows: a numpy array below
 ``SPARSE_NQ`` quads, solved by one dense LU per batch, and from there
 on a scipy CSC array, factored once by SuperLU.  Both paths check
 uniqueness by a condition estimate, the backward error and the residual
@@ -48,6 +48,7 @@ from .operators import (
     LinearSystem,
     boundary_triplets,
     costar,
+    dense_matrix,
     dependent_rows,
     integrals,
     nullity,
@@ -72,16 +73,17 @@ SPARSE_NQ = 128
 
 
 class DzSystem(LinearSystem):
-    """The dz system of one surface and basis, assembled once and factored once.
+    """The dz system of one surface and basis, summed once and factored once.
 
     Its unknowns are the dz coefficients p, one per quad, and its rows
     the residues at every vertex and the doubled a-periods: the vertex
     boundary and the a-period rows cached on the basis, as triplets over
     (black, white) values, with every white entry scaled by i*rho of its
-    quad and moved onto the quad's column (the p dz fold).  The two
-    ``dependent_rows`` are dropped at assembly and kept for the residual
-    check.  Below ``SPARSE_NQ`` quads the system is a numpy array, from
-    there on a scipy CSC array; no dense boundary is built.  The dzbar
+    quad and moved onto the quad's column (the p dz fold).  The triplets
+    are summed into A, a numpy array below ``SPARSE_NQ`` quads and a
+    scipy CSC array from there on; no dense boundary is built.  The two
+    ``dependent_rows`` are sliced off for the LU and kept for the
+    residual check.  The dzbar
     fold of the same triplets (white entries scaled by -i*conj(rho))
     gives the residues and a-periods of the pinned dzbar part of a double
     pole, which move to the right-hand side.
@@ -97,9 +99,14 @@ class DzSystem(LinearSystem):
         white = cols >= nq
         quads = cols - nq * white
         rho = cx.rho_array[quads]
-        super().__init__((nv + 2 * basis.g, nq),
-                         (rows, quads, np.where(white, 1j * rho, 1.0) * vals),
-                         dependent_rows(cx), sparse=nq >= SPARSE_NQ)
+        shape, dz = (nv + 2 * basis.g, nq), np.where(white, 1j * rho, 1.0) * vals
+        if nq < SPARSE_NQ:
+            A = dense_matrix(shape, (rows, quads, dz))
+        else:
+            from scipy.sparse import csc_array
+
+            A = csc_array((dz, (rows, quads)), shape=shape)
+        super().__init__(A, dependent_rows(cx))
         self.cx, self.g = cx, basis.g
         self._dzbar = rows, quads, np.where(white, -1j * rho.conj(), 1.0) * vals
 
@@ -119,7 +126,7 @@ class DzSystem(LinearSystem):
         pairs = np.asarray(pole_pairs, dtype=np.intp).reshape(-1, 2)
         if targets is None:
             targets = np.zeros((2 * self.g, 0))
-        n_rows = self.shape[0]
+        n_rows = self.A.shape[0]
         # the dzbar fold's column of each double quad, once per distinct quad
         column = np.full(cx.nq, -1)
         column[quads] = np.arange(len(quads))

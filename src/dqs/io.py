@@ -157,24 +157,11 @@ def _parse_quads(quads_doc, nv, path):
             raise ParseError(f"{path}[{i}]", f"duplicate quad id {qid}")
         if "rho" not in q:
             raise ParseError(f"{path}[{i}]", f"missing 'rho' (quad id {qid})")
-        r = q["rho"]
-        if not isinstance(r, list) or len(r) != 2:
-            raise ParseError(f"{path}[{i}].rho", f"rho of quad {qid} must be [re, im]")
+        rho[qid] = _complex_pair(q["rho"], f"{path}[{i}].rho", f"rho of quad {qid}")
         for v in t:
             if type(v) is not int or not 0 <= v < nv:
                 raise ParseError(f"{path}[{i}]", f"quad {qid} references unknown vertex {v}")
-        re, im = r
-        try:
-            if type(re) not in _NUMBER or type(im) not in _NUMBER:
-                raise TypeError
-            z = complex(float(re), float(im))
-        except (TypeError, OverflowError):
-            raise ParseError(f"{path}[{i}].rho",
-                             f"rho of quad {qid} must be two numbers, got {r}") from None
-        if not cmath.isfinite(z):
-            raise ParseError(f"{path}[{i}].rho", f"rho of quad {qid} must be finite, got {r}")
         quads[qid] = t
-        rho[qid] = z
     n = len(quads)
     _require(sorted(quads) == list(range(n)), path, "quad ids must be dense 0..n-1")
     return tuple(map(quads.__getitem__, range(n))), tuple(map(rho.__getitem__, range(n)))

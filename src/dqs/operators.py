@@ -15,8 +15,8 @@ their parallel diagonals from ``MEDIAL_SLOT``, the one slot table that
 ``homology.integrate_cycle``.  The boundary and these rows are (row,
 column, value) triplets first: ``dense_matrix`` sums them into a numpy
 array, and ``compose`` scales the column blocks of one (the Hodge star
-blocks of ``costar``).  A solver system is assembled from the triplets
-themselves (``LinearSystem``), so it needs neither.
+blocks of ``costar``).  A solver system sums its triplets into one
+matrix A, dense or sparse, and ``LinearSystem`` takes A itself.
 
 Solves go through one ``LinearSystem`` each (``solve`` makes one from a
 matrix) and rank counts through ``nullity``, so every system gets the
@@ -34,11 +34,11 @@ same cutoff.  The holomorphicity rows of vertex functions are the
 transposes of those residue columns, so the L(-D) systems are cut from
 the same matrix, transposed.  Once the two row dependencies of each
 boundary block (``dependent_rows``) are dropped, every solver system is
-square.  A ``LinearSystem`` drops them
-at assembly, keeps them for its residual check, and factors the square
-rest with one LU: dense LAPACK for a numpy array, sparse SuperLU for a
-scipy CSC array, whose factor it keeps for every later batch of
-right-hand sides, under the same acceptance checks.  Dense least
+square.  A ``LinearSystem`` slices them
+from A, keeps them for its residual check, and factors the square rest
+with one LU: dense LAPACK for a numpy A, sparse SuperLU for a scipy A,
+whose factor it keeps for every later batch of right-hand sides, under
+the same acceptance checks.  Dense least
 squares is left for systems that are singular, ill-conditioned or not
 square, and for LU solutions whose backward error is too large.  scipy
 is imported on the sparse path only, so dense work never pays for it.
@@ -49,9 +49,9 @@ read-only from then on.  A ``QuadComplex`` caches its weights
 ``boundary``), and the tree coordinates of every column of the form
 systems (``form_columns``), which each divisor cuts for both of its
 counts; the kernel counts and the Laplacian read them, while each
-solver system is assembled once from triplets, so the sparse path never
-asks for a dense boundary.  A ``LinearSystem`` keeps its assembled
-system, its norms and its sparse factor.  A ``HomologyBasis`` holds
+solver system sums its own triplets once, so the sparse path never asks
+for a dense boundary.  A ``LinearSystem`` keeps A, the rows sliced from
+it, their norms and its sparse factor.  A ``HomologyBasis`` holds
 the steps of its doubled a- and b-shadow rows as ``step_array`` arrays,
 which ``step_triplets`` and ``integrals`` take in place of step lists.
 """
@@ -95,7 +95,7 @@ def boundary(cx: QuadComplex) -> np.ndarray:
 def dense_matrix(shape, triplets) -> np.ndarray:
     """numpy array of the given shape: the sum of (rows, cols, values) triplets."""
     rows, cols, vals = triplets
-    M = np.zeros(shape)
+    M = np.zeros(shape, dtype=vals.dtype)
     np.add.at(M, (rows, cols), vals)
     return M
 
@@ -196,75 +196,46 @@ def dependent_rows(cx: QuadComplex) -> list:
 
 def solve(A, rhs: np.ndarray, tol: float, what: str,
           drop=(), rank_error=SolveError) -> np.ndarray:
-    """The unique solution of A x = rhs: one ``LinearSystem`` of the entries of A.
-
-    A is a numpy array or a scipy sparse array, drop names rows of A
-    implied by the others, and the system is dense or sparse after the
-    type of A.
-    """
-    if isinstance(A, np.ndarray):
-        rows, cols = np.nonzero(A)
-        triplets = rows, cols, A[rows, cols]
-    else:
-        coo = A.tocoo()
-        triplets = coo.row, coo.col, coo.data
-    system = LinearSystem(A.shape, triplets, drop, sparse=not isinstance(A, np.ndarray))
-    return system.solve(rhs, tol, what, rank_error)
+    """The unique solution of A x = rhs: ``LinearSystem(A, drop).solve``."""
+    return LinearSystem(A, drop).solve(rhs, tol, what, rank_error)
 
 
 class LinearSystem:
     """A x = b for one A and any number of batches of right-hand sides.
 
-    A is given by (row, column, value) triplets, repeated entries adding
-    up, and drop names rows implied by the others.  The rows left, S, are
-    assembled once.  When S is square, ``solve`` factors it with one LU:
-    a numpy S by LAPACK with the unknowns eliminated in a seeded random
-    order, S being stored with its columns in that order, and a sparse S
-    (sparse=True, a scipy CSC array) by SuperLU with the COLAMD column
-    order, on the first batch, keeping the factor for every later batch.
-    In the given order, partial pivoting marches the discrete
-    Cauchy-Riemann equations around the surface, and its growth factor
-    rises exponentially with the width of a flat torus (at
-    tau = -0.275+0.908i, backward error 4e4 eps at 24 x 24 quads, 1e9 eps
-    at 32 x 32); in a random order it stays near eps, and in the COLAMD
-    order, on the same torus from 32 x 32 to 256 x 256 quads, it stays
-    near eps with low fill.  numpy has no factor object, so a dense S is
-    solved again for each batch.  The dropped rows are kept as a dense
-    array for the residual check, and |S|_1 and |S|_inf are computed
-    once.  scipy is imported on the sparse path only, so dense work
-    never pays for it.
+    A is a numpy array or a scipy sparse array, kept as given (a sparse
+    A as CSC), and drop names rows implied by the others.  The rows
+    left, S, are sliced from A once, the dropped rows as a dense array
+    for the residual check, and |S|_1 and |S|_inf are computed once.
+    When S is square, ``solve`` factors it with one LU: a numpy S by
+    LAPACK with the unknowns eliminated in a seeded random order, and a
+    sparse S by SuperLU with the COLAMD column order, on the first batch,
+    keeping the factor for every later batch.  In the given order,
+    partial pivoting marches the discrete Cauchy-Riemann equations
+    around the surface, and its growth factor rises exponentially with
+    the width of a flat torus (at tau = -0.275+0.908i, backward error
+    4e4 eps at 24 x 24 quads, 1e9 eps at 32 x 32); in a random order it
+    stays near eps, and in the COLAMD order, on the same torus from
+    32 x 32 to 256 x 256 quads, it stays near eps with low fill.  numpy
+    has no factor object, so a dense S is permuted and solved again for
+    each batch.
     """
 
-    def __init__(self, shape, triplets, drop=(), sparse: bool = False):
-        rows, cols, vals = triplets
-        n_rows, n = shape
-        self.shape = shape
-        self.finite = bool(np.isfinite(vals).all())
+    def __init__(self, A, drop=()):
+        dense = isinstance(A, np.ndarray)
+        self.A = A if dense else A.tocsc()
+        n_rows, n = A.shape
         implied = np.zeros(n_rows, dtype=bool)
         implied[list(drop)] = True
         self.keep, self.drop = np.flatnonzero(~implied), np.flatnonzero(implied)
-        position = np.empty(n_rows, dtype=np.intp)
-        position[self.keep] = np.arange(len(self.keep))
-        position[self.drop] = np.arange(len(self.drop))
-        at, out = position[rows], implied[rows]
-        self.implied = np.zeros((len(self.drop), n), dtype=vals.dtype)
-        np.add.at(self.implied, (at[out], cols[out]), vals[out])
-        at, cols, vals = at[~out], cols[~out], vals[~out]
+        self.S = self.A[self.keep]
+        self.implied = self.A[self.drop] if dense else self.A[self.drop].toarray()
+        self.finite = bool(np.isfinite(self.A if dense else self.A.data).all())
         self.square = len(self.keep) == n
         rng = np.random.default_rng(0)
-        # column j of a dense square S is unknown perm[j], and unknown k is column unperm[k]
-        self.perm = rng.permutation(n) if self.square and not sparse else None
+        # a dense S is factored as S[:, perm]: its column j is unknown perm[j]
+        self.perm = rng.permutation(n) if self.square and dense else None
         self.probe = rng.standard_normal((n, 1))
-        if sparse:
-            from scipy.sparse import csc_array
-
-            self.S = csc_array((vals, (at, cols)), shape=(len(self.keep), n))
-        else:
-            if self.perm is not None:
-                self.unperm = np.argsort(self.perm)
-                cols = self.unperm[cols]
-            self.S = np.zeros((len(self.keep), n), dtype=vals.dtype)
-            np.add.at(self.S, (at, cols), vals)
         abs_s = abs(self.S)
         self.norm_1 = abs_s.sum(axis=0).max(initial=0.0)
         self.norm_inf = abs_s.sum(axis=1).max(initial=0.0)
@@ -290,13 +261,15 @@ class LinearSystem:
         rhs = np.asarray(rhs)
         if not (self.finite and np.isfinite(rhs).all()):
             raise SolveError(f"{what} system has non-finite entries")
-        n = self.shape[1]
+        A = self.A
+        n = A.shape[1]
         sol = None
         if self.square:
             # lstsq(rcond=None) counts singular values below eps * max(shape) as zero
-            sol = self._lu_solve(rhs[self.keep], np.finfo(float).eps * max(self.shape))
+            sol = self._lu_solve(rhs[self.keep], np.finfo(float).eps * max(A.shape))
         if sol is None:
-            sol, _, rank, _ = np.linalg.lstsq(self.dense(), rhs, rcond=None)
+            sol, _, rank, _ = np.linalg.lstsq(A if isinstance(A, np.ndarray) else A.toarray(),
+                                              rhs, rcond=None)
             if rank < n:
                 raise rank_error(f"{what} system rank {rank} < {n}; "
                                  "the solution is not unique")
@@ -306,8 +279,7 @@ class LinearSystem:
         unit = np.ldexp(1.0, -np.maximum(0, _exponents(b)))
         x = x * unit
         res = np.maximum(
-            np.abs(self.S @ (x if self.perm is None else x[self.perm])
-                   - b[self.keep] * unit).max(axis=0, initial=0.0),
+            np.abs(self.S @ x - b[self.keep] * unit).max(axis=0, initial=0.0),
             np.abs(self.implied @ x - b[self.drop] * unit).max(axis=0, initial=0.0))
         ok = res <= tol * np.maximum(unit, np.abs(b * unit).max(axis=0, initial=0.0))
         if not ok.all():
@@ -315,23 +287,16 @@ class LinearSystem:
             raise SolveError(f"{what} system residual {res[j] / unit[j]:.3e} exceeds tolerance")
         return sol
 
-    def dense(self) -> np.ndarray:
-        """A as a numpy array, its rows and columns in the given order."""
-        A = np.empty(self.shape, dtype=np.result_type(self.S.dtype, self.implied.dtype))
-        S = self.S if isinstance(self.S, np.ndarray) else self.S.toarray()
-        A[self.keep] = S if self.perm is None else S[:, self.unperm]
-        A[self.drop] = self.implied
-        return A
-
     def _lu_solve(self, b: np.ndarray, eps_n: float):
         """Solution of the square system S x = b, or None where LU is not to be trusted.
 
         A sparse S is factored on the first call, and the factor, or its
         failure, is kept.  The seeded probe column p rides along in the
-        same solve, in the column order of S.  The condition estimate
-        |S|_1 |S^-1 p|_1 / |p|_1, a lower bound on cond_1(S), must stay
+        same solve, in the column order of the factored matrix F (S, or
+        a dense S permuted).  The condition estimate
+        |S|_1 |F^-1 p|_1 / |p|_1, a lower bound on cond_1(S), must stay
         below 1 / eps_n, and the normwise backward error
-        |S x - b| / (|S| |x| + |b|) (infinity norms) of every column must
+        |F x - b| / (|S| |x| + |b|) (infinity norms) of every column must
         be at most eps_n.  Each column of b is solved scaled by
         2^-e, e its ``_exponents``, to a largest part in [1/2, 1).  A
         power of two changes no bit of a solution that neither over- nor
@@ -342,9 +307,11 @@ class LinearSystem:
         shape, b = b.shape, b.reshape(len(b), -1)
         e = _exponents(b)
         y = np.hstack([b * np.ldexp(1.0, -e), self.probe])
+        F = self.S
         if self.perm is not None:  # dense: factored again for each batch
+            F = F[:, self.perm]
             try:
-                x = np.linalg.solve(self.S, y)
+                x = np.linalg.solve(F, y)
             except np.linalg.LinAlgError:
                 return None
         else:
@@ -352,7 +319,7 @@ class LinearSystem:
                 from scipy.sparse.linalg import splu
 
                 try:
-                    self._lu = splu(self.S, permc_spec="COLAMD")
+                    self._lu = splu(F, permc_spec="COLAMD")
                 except RuntimeError:  # SuperLU: the factor is exactly singular
                     self._lu = False
             if not self._lu:
@@ -362,10 +329,10 @@ class LinearSystem:
         if not estimate * eps_n < 1.0:
             return None
         bound = eps_n * (self.norm_inf * np.abs(x).max(axis=0) + np.abs(y).max(axis=0))
-        if not np.all(np.abs(self.S @ x - y).max(axis=0) <= bound):
+        if not np.all(np.abs(F @ x - y).max(axis=0) <= bound):
             return None
         if self.perm is not None:
-            x = x[self.unperm]
+            x = x[np.argsort(self.perm)]
         with np.errstate(over="ignore"):
             return (x[:, :-1] * np.ldexp(1.0, e)).reshape(shape)
 

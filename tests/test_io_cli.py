@@ -1131,3 +1131,32 @@ def test_periods_tolerance_reaches_the_solve(tmp_path):
         assert code == 1 and out == ""
         assert err.startswith("error: holomorphic system residual ") and \
             err.rstrip().endswith("exceeds tolerance"), err
+
+
+def test_wall_time_covers_reading_the_surface(tmp_path, monkeypatch, capsys):
+    """The report's clock starts before the surface is read: a parse that
+    takes 5 s on a fake clock shows in wall_time."""
+    from dqs import cli
+
+    clock = [100.0]
+    monkeypatch.setattr(cli.time, "perf_counter", lambda: clock[0])
+    parse = cli.parse_dqs
+
+    def slow_parse(*args):
+        clock[0] += 5.0
+        return parse(*args)
+
+    monkeypatch.setattr(cli, "parse_dqs", slow_parse)
+    assert main(["genus", "--format", "json", _torus_file(tmp_path)]) == 0
+    assert json.loads(capsys.readouterr().out)["wall_time"] >= 5.0
+
+
+def test_a_bad_rho_is_reported_before_an_unknown_corner(tmp_path, capsys):
+    """On the exact path a quad's weight is judged whole before its corners."""
+    doc = {"vertices": [{"id": v, "color": "bw"[v % 2]} for v in range(4)],
+           "quads": [{"id": 0, "bm": 0, "wm": 5, "bp": 2, "wp": 3, "rho": [1, "x"]}]}
+    path = tmp_path / "one.dqs"
+    path.write_text(json.dumps(doc))
+    assert main(["check", str(path)]) == 1
+    assert capsys.readouterr().err == (f"error: {path}:quads[0].rho: rho of quad 0 "
+                                       "must be two numbers, got [1, 'x']\n")

@@ -166,12 +166,12 @@ def test_sparse_and_dense_dz_systems_agree_entrywise(monkeypatch):
     ref = _ref_dz(cx, np.vstack([cx.boundary_matrix, operators.step_rows(
         basis.a_shadow_steps, 2 * basis.g, cx.nq)]))
     assert sparse.S.shape == (len(ref) - 2, cx.nq)
-    assert np.array_equal(sparse.dense(), ref)
+    assert np.array_equal(sparse.A.toarray(), ref)
     assert sparse.S.nnz + np.count_nonzero(sparse.implied) == np.count_nonzero(ref)
     monkeypatch.setattr(differentials, "SPARSE_NQ", cx.nq + 1)
     dense = differentials.DzSystem(cx, basis)
     assert isinstance(dense.S, np.ndarray)
-    assert np.array_equal(dense.dense(), ref)
+    assert np.array_equal(dense.A, ref)
 
 
 def test_randomize_rho_builds_what_build_builds():
