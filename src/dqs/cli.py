@@ -4,12 +4,22 @@ Surfaces travel as DQS JSON on files or stdin/stdout, so commands
 compose in pipelines: `dqs gen torus --m 4 --n 4 --tau 0+1i | dqs
 periods`.  Analysis commands print a report (text or JSON lines) and
 exit nonzero when a check fails or an input is malformed.
+
+A process that reads the same surface text again, as callers of
+``main`` in one session do, reuses the surface it read: the parsed and
+validated complex, with every operator and the tree-cotree basis it has
+cached.  ``_read_surface`` keys it by the SHA-256 of the text, not by
+the file name, and keeps it only once it is read a second time among
+the last ``SURFACES_KEPT`` distinct inputs; an input read once leaves
+only its digest, and one that fails to parse or validate is never kept.
+A shell pipeline runs one command per process and keeps nothing.
 """
 
 from __future__ import annotations
 
 import argparse
 import cmath
+import collections
 import functools
 import hashlib
 import json
@@ -56,17 +66,36 @@ def _read_input(path):
         raise DqsError(f"{name}: cannot read: {getattr(exc, 'strerror', None) or exc}") from None
 
 
+# The most surfaces a process keeps, and the most input digests it recalls.
+SURFACES_KEPT = 8
+
+# The last SURFACES_KEPT distinct inputs that _read_surface accepted, oldest
+# first: the digest of each text maps to its (complex, embedded basis) once
+# it has been read twice, and to None while it has been read once.
+_recent = collections.OrderedDict()
+
+
 def _read_surface(args, report):
     """Read, parse and check the surface argument: (complex, embedded basis).
 
     The surface must pass ``require_surface``: the first violation in
     ``validate``'s order is raised.  Edges shared by more than two quads
     (strong regularity) do not block a command.  ``check`` parses the
-    surface itself and lists every violation instead.
+    surface itself and lists every violation instead.  A text read a
+    second time among the last ``SURFACES_KEPT`` distinct inputs is kept
+    and returned as it is on later reads, whatever the file's name.
     """
-    cx, embedded = parse_dqs(*report.read(args.surface))
-    require_surface(cx)
-    return cx, embedded
+    text, name = report.read(args.surface)
+    key = report.digest
+    seen = key in _recent
+    surface = _recent.pop(key, None)
+    if surface is None:
+        surface = parse_dqs(text, name)
+        require_surface(surface[0])
+    _recent[key] = surface if seen else None
+    if len(_recent) > SURFACES_KEPT:
+        _recent.popitem(last=False)
+    return surface
 
 
 def _complex_arg(s: str) -> complex:
@@ -102,9 +131,9 @@ class Report:
 
     def read(self, path):
         """(text, name) of the input at path (``_read_input``); the report
-        records the digest of the text."""
+        records the SHA-256 of the text and prints its first 16 hex digits."""
         text, name = _read_input(path)
-        self.digest = hashlib.sha256(text.encode()).hexdigest()[:16]
+        self.digest = hashlib.sha256(text.encode()).hexdigest()
         return text, name
 
     def check(self, name, passed, residual=None):
@@ -114,7 +143,7 @@ class Report:
     def emit(self):
         elapsed = time.perf_counter() - self.start
         if self.fmt == "json":
-            doc = {"command": self.command, "input_digest": self.digest,
+            doc = {"command": self.command, "input_digest": self.digest[:16],
                    "outputs": self.outputs, "checks": self.checks,
                    "wall_time": elapsed}
             print(json.dumps(doc))
@@ -129,8 +158,9 @@ class Report:
 
 
 def _basis_for(cx, embedded):
-    """The embedded basis, once it passes ``require_basis``, or the tree-cotree one."""
-    return ho.homology_basis(cx) if embedded is None else ho.require_basis(cx, embedded)
+    """The embedded basis, once it passes ``require_basis``, or the tree-cotree
+    one the complex caches."""
+    return cx.homology_basis if embedded is None else ho.require_basis(cx, embedded)
 
 
 # ---------------------------------------------------------------------------

@@ -189,7 +189,8 @@ class HomologyBasis:
     """Canonical basis: cycles a_1..a_g, b_1..b_g with diagonal shadows.
 
     The steps of the period rows, read-only ``shadow_steps`` arrays, are
-    built with the intersection matrix and read by every period product.
+    built with the read-only intersection matrix and read by every period
+    product.
     Plain periods are half the sums of the black and white rows.
     """
 
@@ -223,7 +224,7 @@ def build_basis(cx: QuadComplex, a_cycles, b_cycles) -> HomologyBasis:
     k, white = row % n, row >= n  # no rows when n is 0
     in_a = k < na
     steps[:, 0] = np.where(in_a, k + na * white, k - na + (n - na) * white)
-    return HomologyBasis(tuple(a_cycles), tuple(b_cycles), M,
+    return HomologyBasis(tuple(a_cycles), tuple(b_cycles), read_only(M),
                          read_only(steps[in_a]), read_only(steps[~in_a]))
 
 

@@ -38,6 +38,7 @@ from __future__ import annotations
 import cmath
 import json
 import math
+import re
 from itertools import chain
 from operator import itemgetter
 
@@ -488,10 +489,16 @@ def parse_obj(text: str, name: str = "<obj>"):
 # divisors
 
 
+# an id or coefficient of a divisor term: ASCII decimal digits, signed,
+# without the underscores and other scripts' digits that int() reads
+_DIVISOR_INT = re.compile(r"\s*[+-]?[0-9]+\s*")
+
+
 def parse_divisor_string(terms: str):
     """Parse "v:3=-1,q:7=-2" into vertex and quad coefficient dicts.
 
-    Each vertex or quad may occur in one term only.
+    Ids and coefficients are ASCII decimal integers.  Each vertex or quad
+    may occur in one term only.
     """
     from .riemann_roch import Divisor
 
@@ -502,6 +509,8 @@ def parse_divisor_string(terms: str):
             try:
                 kind_id, coef = tok.split("=")
                 kind, ident = kind_id.split(":")
+                if not (_DIVISOR_INT.fullmatch(ident) and _DIVISOR_INT.fullmatch(coef)):
+                    raise ValueError
                 ident, coef = int(ident), int(coef)
             except ValueError:
                 raise ParseError("<divisor>", f"bad term {tok!r}; use v:ID=C or q:ID=C")

@@ -150,7 +150,7 @@ def criterion_3(seed=0, cover=None):
     t46 = gen_torus(4, 6, 0.3 + 1.2j)
     surfaces.append((t46, ho.standard_torus_basis(t46, 4, 6)))
     g3 = _genus3(cover)
-    surfaces.append((g3, ho.homology_basis(g3)))
+    surfaces.append((g3, g3.homology_basis))
     for cx, basis in surfaces:
         hb = di.canonical_bases(cx, basis) if basis.g else None
         for _ in range(50):
@@ -276,7 +276,7 @@ def criterion_8(seed=0, cover=None):
         if rep.residual != 0:
             bad += 1
     # independent route for i(D)
-    basis3 = ho.homology_basis(g3)
+    basis3 = g3.homology_basis
     cross_bad = 0
     for _ in range(10):
         d = _random_admissible(g3, rng, max_terms=3)

@@ -34,7 +34,8 @@ spanning forest of the white diagonal graph (``white_forest``).  It also
 caches the weights as a complex array and, on first use, its dense
 operators: the vertex-boundary matrix and ``form_columns``, the one
 kernel matrix (H(D) columns, L(-D) rows) in the tree coordinates of the
-white forest.  Every cached array is read-only, so all consumers of one
+white forest, and its tree-cotree homology basis (``homology_basis``).
+Every cached array is read-only, so all consumers of one
 surface can share it; a weight draw on the same combinatorics
 (``with_rho``) starts with the caches that do not read the weights, and
 a complex from ``build`` (which checks the quads as one array) or from
@@ -334,6 +335,17 @@ class QuadComplex:
         from .operators import form_columns
 
         return read_only(form_columns(self))
+
+    @cached_property
+    def homology_basis(self):
+        """The tree-cotree canonical basis ``homology.homology_basis``, built
+        on first use behind ``require_surface``; its arrays are read-only.
+
+        Not in ``COMBINATORIAL``: the gate it passes judges the weights, so
+        a weight draw builds its own."""
+        from . import homology
+
+        return homology.homology_basis(self)
 
     @cached_property
     def stars(self):

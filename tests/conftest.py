@@ -161,6 +161,16 @@ def cube_cover():
     return gen_cube_double_cover()
 
 
+@pytest.fixture(autouse=True)
+def no_kept_surfaces():
+    """Every test starts with no surface kept by the CLI: a report's wall
+    time and the parses and bases a test counts would otherwise depend on
+    what earlier tests read in the same process."""
+    from dqs import cli
+
+    cli._recent.clear()
+
+
 @pytest.fixture()
 def rng():
     return np.random.default_rng(20240817)
